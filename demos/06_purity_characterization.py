@@ -10,13 +10,15 @@ analogue replaces "pure" with "r = 0 instead of r <= 1".
 
 import rmbetti as rb
 
-report = rb.sweep(4, 2, include_mds=True)
+# One sweep runs every route per row: Betti table, certificate and MDS check.
+report = rb.sweep(4, 2, methods=("betti", "certificate", "mds"))
 print("q m r |  n  k  d | pure?  predicted | cert | MDS  predicted | match")
 for row in report.rows:
     cert = "-" if row.certificate is None else ("ok" if row.certificate_ok else "BAD")
+    pure = row.purity.pure if row.purity else None
     print(f"{row.q} {row.m} {row.r} | {row.n:2d} {row.k:2d} {row.d:2d} |"
-          f" {str(row.pure_computed):5s}  {str(row.pure_predicted):9s} |"
-          f" {cert:4s} | {str(row.mds_computed):5s} {str(row.mds_predicted):9s} |"
+          f" {str(pure):5s}  {str(row.pure_predicted):9s} |"
+          f" {cert:4s} | {str(row.mds.mds_computed):5s} {str(row.mds.mds_predicted):9s} |"
           f" {row.match}")
 print("all rows match:", report.all_match)
 

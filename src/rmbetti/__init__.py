@@ -28,10 +28,9 @@ from .rm import (ExponentPoly, PointOrder, RMCode, build_code, codeword_degree,
                  monomial_basis, point_order, substitute_linear_forms,
                  sum_zero_code_equal, ts_split, witness_poly_large_field,
                  witness_poly_ternary)
-from .srres import (BettiTable, MatroidComplex, PurityVerdict, betti_fastpath,
-                    betti_hochster, circuits, ghw_from_betti,
-                    herzog_kuhl_predicted, purity_verdict,
-                    reduced_homology_dims)
+from .srres import (BettiTable, PurityVerdict, betti_fastpath, betti_hochster,
+                    circuits, ghw_from_betti, herzog_kuhl_predicted,
+                    purity_verdict, reduced_homology_dims)
 from .verify import (DEFAULT_GUARDS, Guards, MdsCheck, NonPurityCertificate,
                      SweepReport, SweepRow, certificate_applicable,
                      check_certificate, mds_check, mds_predicate,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -75,19 +76,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _guards(args) -> verify.Guards:
-    g = verify.DEFAULT_GUARDS
-    max_n = g.max_n_betti
+    """Default guards, overridden by RM_RESOLVE_GUARD_N and then by explicit
+    flags; a non-integer or negative value is a parameter error."""
+    overrides = {}
     env = os.environ.get("RM_RESOLVE_GUARD_N")
     if env is not None:
-        max_n = int(env)
-    if getattr(args, "max_n_betti", None) is not None:
-        max_n = args.max_n_betti
-    return verify.Guards(
-        max_n_betti=max_n,
-        cross_check_n=g.cross_check_n,
-        max_enum=args.max_enum or g.max_enum,
-        max_subspaces=args.max_subspaces or g.max_subspaces,
-    )
+        try:
+            overrides["max_n_betti"] = int(env)
+        except ValueError:
+            raise ParameterError(
+                f"RM_RESOLVE_GUARD_N must be an integer, got {env!r}") from None
+    for name in ("max_n_betti", "max_enum", "max_subspaces"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    for name, value in overrides.items():
+        if value < 0:
+            raise ParameterError(f"guard {name} must be >= 0, got {value}")
+    return dataclasses.replace(verify.DEFAULT_GUARDS, **overrides)
 
 
 def _report(q, m, r, *, code=None, ghw=None, betti=None, purity=None,
@@ -104,15 +109,6 @@ def _report(q, m, r, *, code=None, ghw=None, betti=None, purity=None,
         "match": match,
         "details": details,
         "guards": guards.to_json_obj() if guards else None,
-    }
-
-
-def _purity_obj(verdict: srres.PurityVerdict):
-    return {
-        "pure": verdict.pure,
-        "type": list(verdict.type) if verdict.type else None,
-        "linear": verdict.linear,
-        "violations": [[i, list(js)] for i, js in verdict.violations],
     }
 
 
@@ -184,7 +180,7 @@ def _cmd_betti(args, guards):
                 raise CrossCheckError("Betti backends disagree")
     verdict = srres.purity_verdict(table)
     report = _report(q, m, r, code=_code_obj(code), betti=table.to_json_obj(),
-                     purity=_purity_obj(verdict), guards=guards)
+                     purity=verdict.to_json_obj(), guards=guards)
     lines = [f"graded Betti numbers of the [{code.n}, {code.k}]_{q} code:"]
     lines += [f"  beta_{{{i},{j}}} = {b}" for i, j, b in table.rows()]
     lines.append(f"  pure: {verdict.pure}" +
@@ -200,7 +196,7 @@ def _cmd_purity(args, guards):
     match = comp.verdict.pure == predicted
     report = _report(q, m, r, code=_code_obj(rm.build_code(q, r, m)),
                      betti=comp.table.to_json_obj(),
-                     purity=_purity_obj(comp.verdict),
+                     purity=comp.verdict.to_json_obj(),
                      prediction={"pure_predicted": predicted},
                      match=match, guards=guards)
     text = (f"purity of (q={q}, m={m}, r={r}): computed {comp.verdict.pure}, "
@@ -224,57 +220,44 @@ def _cmd_certificate(args, guards):
     return report, text, EXIT_OK if check.ok else EXIT_VERIFICATION
 
 
-def _sweep_rows(args, guards, methods, include_mds):
-    q, m = args.q, args.m
-    rs = None if args.r_all else args.r
-    report = verify.sweep(q, m, rs, guards=guards, methods=methods,
-                          jobs=args.jobs, include_mds=include_mds)
-    return report
+def _sweep(args, guards, methods, row_obj):
+    """Run the sweep; its report is {params, rows, match, guards}."""
+    sweep_report = verify.sweep(args.q, args.m, None if args.r_all else args.r,
+                                guards=guards, methods=methods, jobs=args.jobs)
+    report = {"params": {"q": args.q, "m": args.m,
+                         "r": "all" if args.r_all else args.r},
+              "rows": [row_obj(row) for row in sweep_report.rows],
+              "match": sweep_report.all_match,
+              "guards": guards.to_json_obj()}
+    exit_code = EXIT_OK if sweep_report.all_match else EXIT_VERIFICATION
+    return sweep_report, report, exit_code
 
 
 def _cmd_verify_theorem(args, guards):
     methods = ("betti", "certificate") if args.method == "both" else (args.method,)
-    sweep_report = _sweep_rows(args, guards, methods, include_mds=False)
-    obj = sweep_report.to_json_obj()
-    report = {"params": {"q": args.q, "m": args.m,
-                         "r": "all" if args.r_all else args.r},
-              "rows": obj["rows"], "match": obj["match"],
-              "guards": guards.to_json_obj()}
+    sweep_report, report, exit_code = _sweep(args, guards, methods,
+                                             verify.SweepRow.to_json_obj)
     lines = ["q m r  n   k   d  predicted computed cert  match"]
     for row in sweep_report.rows:
+        computed = row.purity.pure if row.purity else None
         lines.append(
             f"{row.q} {row.m} {row.r}  {row.n:<3} {row.k:<3} {row.d:<3}"
-            f" {str(row.pure_predicted):<9} {str(row.pure_computed):<8}"
+            f" {str(row.pure_predicted):<9} {str(computed):<8}"
             f" {str(row.certificate_ok):<5} {row.match}")
     lines.append(f"all rows match: {sweep_report.all_match}")
-    code = EXIT_OK if sweep_report.all_match else EXIT_VERIFICATION
-    return report, "\n".join(lines), code, sweep_report
+    return report, "\n".join(lines), exit_code
 
 
 def _cmd_verify_mds(args, guards):
-    q, m = args.q, args.m
-    rs = range(m * (q - 1) + 1) if args.r_all else [args.r]
-    rows = [verify.mds_check(q, m, r, guards) for r in rs]
-    decided = [row for row in rows if row.match is not None]
-    all_match = bool(decided) and all(row.match for row in decided)
-    report = {"params": {"q": q, "m": m, "r": "all" if args.r_all else args.r},
-              "rows": [{"params": {"q": row.q, "m": row.m, "r": row.r},
-                        "code": {"n": row.n, "k": row.k, "d": row.d_formula},
-                        "prediction": {"mds_predicted": row.mds_predicted},
-                        "mds_computed": row.mds_computed,
-                        "ghw": list(row.ghw) if row.ghw else None,
-                        "ghw_matches_formula": row.ghw_matches_formula,
-                        "shifts_consecutive": row.shifts_consecutive,
-                        "match": row.match} for row in rows],
-              "match": all_match,
-              "guards": guards.to_json_obj()}
+    sweep_report, report, exit_code = _sweep(args, guards, ("mds",),
+                                             lambda row: row.mds.to_json_obj())
     lines = ["q m r  n   k   d  predicted computed match"]
-    for row in rows:
+    for row in sweep_report.rows:
         lines.append(f"{row.q} {row.m} {row.r}  {row.n:<3} {row.k:<3} "
-                     f"{row.d_formula:<3} {str(row.mds_predicted):<9} "
-                     f"{str(row.mds_computed):<8} {row.match}")
-    lines.append(f"all decided rows match: {all_match}")
-    return report, "\n".join(lines), EXIT_OK if all_match else EXIT_VERIFICATION
+                     f"{row.d:<3} {str(row.mds.mds_predicted):<9} "
+                     f"{str(row.mds.mds_computed):<8} {row.mds.match}")
+    lines.append(f"all decided rows match: {sweep_report.all_match}")
+    return report, "\n".join(lines), exit_code
 
 
 # -- output plumbing ----------------------------------------------------------
@@ -331,7 +314,6 @@ def _emit(args, report, text, started) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
-    guards = _guards(args)
     handlers = {
         "dim": _cmd_dim,
         "distance": _cmd_distance,
@@ -339,13 +321,11 @@ def main(argv=None) -> int:
         "betti": _cmd_betti,
         "purity": _cmd_purity,
         "certificate": _cmd_certificate,
+        "verify-theorem": _cmd_verify_theorem,
         "verify-mds": _cmd_verify_mds,
     }
     try:
-        if args.command == "verify-theorem":
-            report, text, exit_code, _ = _cmd_verify_theorem(args, guards)
-        else:
-            report, text, exit_code = handlers[args.command](args, guards)
+        report, text, exit_code = handlers[args.command](args, _guards(args))
         _emit(args, report, text, started)
         return exit_code
     except (NotPrimePowerError, ParameterError, PreconditionError, ValueError,

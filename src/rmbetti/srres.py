@@ -33,49 +33,16 @@ from .errors import (CrossCheckError, DegenerateTypeError, ParameterError,
 from .gf import GF, field, is_prime
 
 
-class MatroidComplex:
-    """Independence structure of parity-check columns, with memoized ranks."""
-
-    def __init__(self, gf: GF, H):
-        self.gf = gf
-        self.H = np.asarray(H, dtype=gf.dtype)
-        if self.H.ndim != 2:
-            raise ParameterError("parity-check matrix must be 2-d")
-        self.n = self.H.shape[1]
-        self._rank_cache: dict[int, int] = {0: 0}
-
-    @classmethod
-    def from_code(cls, code: LinearCode) -> "MatroidComplex":
-        return cls(code.gf, code.H)
-
-    def rank(self, subset) -> int:
-        mask = subset if isinstance(subset, int) else mask_of(subset)
-        if mask >> self.n:
-            raise IndexError(f"subset {bin(mask)} exceeds ground set size {self.n}")
-        cached = self._rank_cache.get(mask)
-        if cached is None:
-            cols = list(indices_of(mask))
-            cached = linalg.rank(self.gf, self.H[:, cols])
-            self._rank_cache[mask] = cached
-        return cached
-
-    def is_face(self, subset) -> bool:
-        mask = subset if isinstance(subset, int) else mask_of(subset)
-        return self.rank(mask) == int(mask).bit_count()
-
-
-def circuits(complex_or_code, *, max_n: int = 20) -> list[tuple[int, ...]]:
+def circuits(code: LinearCode, *, max_n: int = 20) -> list[tuple[int, ...]]:
     """Minimal dependent column sets, sorted by (size, indices).
 
     These generate the Stanley-Reisner ideal; they coincide with the minimal
     supports of nonzero codewords (cross-checked in the test suite).
     """
-    gf, H, n = complex_or_code.gf, complex_or_code.H, complex_or_code.n
+    n = code.n
     if n > max_n:
         raise TooLargeError(f"circuit sweep needs n <= {max_n}, n = {n}")
-    ranks = linalg.subset_rank_table(gf, H)
-    pc = popcount_table(n)
-    nullity = pc.astype(np.int16) - ranks
+    nullity = code.nullity_table()
     masks = np.arange(1 << n, dtype=np.int64)
     minimal = nullity >= 1
     for b in range(n):
@@ -242,6 +209,14 @@ class PurityVerdict:
     type: tuple[int, ...] | None
     linear: bool
     violations: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def to_json_obj(self) -> dict:
+        return {
+            "pure": self.pure,
+            "type": list(self.type) if self.type else None,
+            "linear": self.linear,
+            "violations": [[i, list(js)] for i, js in self.violations],
+        }
 
 
 def purity_verdict(table: BettiTable) -> PurityVerdict:

@@ -11,7 +11,7 @@ drops a row silently.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,13 +31,7 @@ class Guards:
     homology_char: int = 2
 
     def to_json_obj(self) -> dict:
-        return {
-            "max_n_betti": self.max_n_betti,
-            "cross_check_n": self.cross_check_n,
-            "max_enum": self.max_enum,
-            "max_subspaces": self.max_subspaces,
-            "homology_char": self.homology_char,
-        }
+        return asdict(self)
 
 
 DEFAULT_GUARDS = Guards()
@@ -107,6 +101,9 @@ class NonPurityCertificate:
     case: int
     n: int
     k: int
+    field_char: int
+    field_degree: int
+    field_modulus: tuple
     witness_terms: tuple
     codeword: tuple
     support: tuple
@@ -122,65 +119,44 @@ class NonPurityCertificate:
     one_minimal_shortened_dim: int
     generator_matrix: tuple
     parity_check_matrix: tuple
-    field_char: int
-    field_degree: int
-    field_modulus: tuple
     checks: tuple
 
-    def checks_dict(self) -> dict[str, bool]:
-        return dict(self.checks)
-
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q, "m": self.m, "r": self.r, "t": self.t, "s": self.s,
-            "case": self.case, "n": self.n, "k": self.k,
-            "field": {"char": self.field_char, "degree": self.field_degree,
-                      "modulus": list(self.field_modulus)},
-            "witness_poly": [{"exponents": list(e), "coeff": c}
-                             for e, c in self.witness_terms],
-            "codeword": list(self.codeword),
-            "support": list(self.support),
-            "weight": self.weight,
-            "formula_weight": self.formula_weight,
-            "d1": self.d1,
-            "d1_source": self.d1_source,
-            "d1_bruteforce": self.d1_bruteforce,
-            "one_minimal_word": list(self.one_minimal_word),
-            "one_minimal_support": list(self.one_minimal_support),
-            "one_minimal_weight": self.one_minimal_weight,
-            "support_shortened_dim": self.support_shortened_dim,
-            "one_minimal_shortened_dim": self.one_minimal_shortened_dim,
-            "generator_matrix": [list(row) for row in self.generator_matrix],
-            "parity_check_matrix": [list(row) for row in self.parity_check_matrix],
-            "checks": {name: ok for name, ok in self.checks},
-        }
+        """Keys in field order; the field_* fields nest under "field" and
+        witness_terms is written as "witness_poly"."""
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "witness_terms":
+                value = [{"exponents": list(e), "coeff": c} for e, c in value]
+            elif f.name == "checks":
+                value = dict(value)
+            elif isinstance(value, tuple):  # one list() per flat tuple or row
+                value = ([list(row) for row in value]
+                         if value and isinstance(value[0], tuple) else list(value))
+            if f.name.startswith("field_"):
+                out.setdefault("field", {})[f.name[len("field_"):]] = value
+            else:
+                out["witness_poly" if f.name == "witness_terms" else f.name] = value
+        return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "NonPurityCertificate":
-        return cls(
-            q=obj["q"], m=obj["m"], r=obj["r"], t=obj["t"], s=obj["s"],
-            case=obj["case"], n=obj["n"], k=obj["k"],
-            witness_terms=tuple((tuple(t["exponents"]), t["coeff"])
-                                for t in obj["witness_poly"]),
-            codeword=tuple(obj["codeword"]),
-            support=tuple(obj["support"]),
-            weight=obj["weight"],
-            formula_weight=obj["formula_weight"],
-            d1=obj["d1"],
-            d1_source=obj["d1_source"],
-            d1_bruteforce=obj["d1_bruteforce"],
-            one_minimal_word=tuple(obj["one_minimal_word"]),
-            one_minimal_support=tuple(obj["one_minimal_support"]),
-            one_minimal_weight=obj["one_minimal_weight"],
-            support_shortened_dim=obj["support_shortened_dim"],
-            one_minimal_shortened_dim=obj["one_minimal_shortened_dim"],
-            generator_matrix=tuple(tuple(row) for row in obj["generator_matrix"]),
-            parity_check_matrix=tuple(tuple(row) for row in obj["parity_check_matrix"]),
-            field_char=obj["field"]["char"],
-            field_degree=obj["field"]["degree"],
-            field_modulus=tuple(obj["field"]["modulus"]),
-            checks=tuple((name, ok) for name, ok in obj["checks"].items()),
-        )
+        kwargs = {}
+        for f in fields(cls):
+            if f.name.startswith("field_"):
+                value = obj["field"][f.name[len("field_"):]]
+            else:
+                value = obj["witness_poly" if f.name == "witness_terms" else f.name]
+            if f.name == "witness_terms":
+                value = tuple((tuple(t["exponents"]), t["coeff"]) for t in value)
+            elif f.name == "checks":
+                value = tuple(value.items())
+            elif isinstance(value, list):
+                value = (tuple(tuple(row) for row in value)
+                         if value and isinstance(value[0], list) else tuple(value))
+            kwargs[f.name] = value
+        return cls(**kwargs)
 
 
 def _case_weight(q: int, m: int, r: int) -> tuple[int, int]:
@@ -383,6 +359,18 @@ class MdsCheck:
     ghw_matches_formula: bool | None
     shifts_consecutive: bool | None
 
+    def to_json_obj(self) -> dict:
+        return {
+            "params": {"q": self.q, "m": self.m, "r": self.r},
+            "code": {"n": self.n, "k": self.k, "d": self.d_formula},
+            "prediction": {"mds_predicted": self.mds_predicted},
+            "mds_computed": self.mds_computed,
+            "ghw": list(self.ghw) if self.ghw else None,
+            "ghw_matches_formula": self.ghw_matches_formula,
+            "shifts_consecutive": self.shifts_consecutive,
+            "match": self.match,
+        }
+
 
 def mds_check(q: int, m: int, r: int,
               guards: Guards = DEFAULT_GUARDS) -> MdsCheck:
@@ -416,6 +404,8 @@ def mds_check(q: int, m: int, r: int,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (q, m, r) row; purity and mds are None where their route did
+    not run."""
     q: int
     m: int
     r: int
@@ -426,57 +416,47 @@ class SweepRow:
     s: int
     pure_predicted: bool
     betti_method: str
-    pure_computed: bool | None
-    shift_type: tuple | None
-    violations: tuple
+    purity: srres.PurityVerdict | None
     certificate: dict | None
     certificate_ok: bool | None
-    mds_predicted: bool | None
-    mds_computed: bool | None
-    ghw: tuple | None
+    mds: MdsCheck | None
     match: str
 
     def to_json_obj(self) -> dict:
-        purity = None
-        if self.pure_computed is not None:
-            purity = {
-                "pure": self.pure_computed,
-                "type": list(self.shift_type) if self.shift_type else None,
-                "linear": (self.shift_type is not None and
-                           all(self.shift_type[i + 1] == self.shift_type[i] + 1
-                               for i in range(1, len(self.shift_type) - 1))),
-                "violations": [[i, list(js)] for i, js in self.violations],
-            }
+        mds = self.mds
         return {
             "params": {"q": self.q, "m": self.m, "r": self.r},
             "code": {"n": self.n, "k": self.k, "d": self.d},
-            "ghw": list(self.ghw) if self.ghw is not None else None,
+            "ghw": list(mds.ghw) if mds and mds.ghw else None,
             "betti": None,
-            "purity": purity,
+            "purity": self.purity.to_json_obj() if self.purity else None,
             "certificate": self.certificate,
             "prediction": {"pure_predicted": self.pure_predicted,
-                           "mds_predicted": self.mds_predicted},
+                           "mds_predicted": mds.mds_predicted if mds else None},
             "betti_method": self.betti_method,
-            "mds_computed": self.mds_computed,
+            "mds_computed": mds.mds_computed if mds else None,
             "match": self.match,
         }
 
 
+SWEEP_METHODS = ("betti", "certificate", "mds")
+# certificate fields a sweep row reports, next to its own check_passed
+CERTIFICATE_SUMMARY = ("case", "weight", "formula_weight", "d1", "d1_source",
+                       "one_minimal_weight", "support_shortened_dim")
+
+
 def _sweep_row(args) -> SweepRow:
-    q, m, r, guards, methods, include_mds, include_ghw = args
+    q, m, r, guards, methods = args
     t, s = rm.ts_split(q, r)
     code = rm.build_code(q, r, m)
     pure_predicted = purity_predicate(q, m, r)
 
-    pure_computed = shift_type = None
-    violations: tuple = ()
+    purity = None
     betti_method = "skipped"
     if "betti" in methods:
         if code.n <= guards.max_n_betti:
             comp = purity_by_betti(q, m, r, guards)
-            pure_computed = comp.verdict.pure
-            shift_type = comp.verdict.type
-            violations = comp.verdict.violations
+            purity = comp.verdict
             betti_method = ("fastpath+homology" if comp.cross_checked
                             else "fastpath")
         else:
@@ -487,34 +467,19 @@ def _sweep_row(args) -> SweepRow:
     if "certificate" in methods and certificate_applicable(q, m, r):
         cert = non_purity_certificate(q, m, r, guards)
         certificate_ok = bool(check_certificate(cert, guards))
-        certificate = {
-            "case": cert.case,
-            "weight": cert.weight,
-            "formula_weight": cert.formula_weight,
-            "d1": cert.d1,
-            "d1_source": cert.d1_source,
-            "one_minimal_weight": cert.one_minimal_weight,
-            "support_shortened_dim": cert.support_shortened_dim,
-            "check_passed": certificate_ok,
-        }
+        certificate = {name: getattr(cert, name) for name in CERTIFICATE_SUMMARY}
+        certificate["check_passed"] = certificate_ok
 
-    mds_predicted = mds_computed = None
-    if include_mds:
-        row = mds_check(q, m, r, guards)
-        mds_predicted, mds_computed = row.mds_predicted, row.mds_computed
-
-    ghw = None
-    if include_ghw and code.n <= 20:
-        ghw = codes.ghw_profile(code)
+    mds = mds_check(q, m, r, guards) if "mds" in methods else None
 
     verdicts = []
-    if pure_computed is not None:
-        verdicts.append(pure_computed == pure_predicted)
+    if purity is not None:
+        verdicts.append(purity.pure == pure_predicted)
     if certificate_ok is not None:
         # a verified certificate asserts non-purity
         verdicts.append(certificate_ok and not pure_predicted)
-    if include_mds and mds_computed is not None:
-        verdicts.append(mds_computed == mds_predicted)
+    if mds is not None and mds.match is not None:
+        verdicts.append(mds.match)
     if not verdicts:
         match = "skipped"
     else:
@@ -522,11 +487,8 @@ def _sweep_row(args) -> SweepRow:
 
     return SweepRow(q=q, m=m, r=r, n=code.n, k=code.k, d=code.d, t=t, s=s,
                     pure_predicted=pure_predicted, betti_method=betti_method,
-                    pure_computed=pure_computed, shift_type=shift_type,
-                    violations=violations, certificate=certificate,
-                    certificate_ok=certificate_ok,
-                    mds_predicted=mds_predicted, mds_computed=mds_computed,
-                    ghw=ghw, match=match)
+                    purity=purity, certificate=certificate,
+                    certificate_ok=certificate_ok, mds=mds, match=match)
 
 
 @dataclass(frozen=True)
@@ -538,23 +500,24 @@ class SweepReport:
         return all(row.match == "match" for row in self.rows if row.match != "skipped") \
             and any(row.match == "match" for row in self.rows)
 
-    def mismatches(self) -> list[SweepRow]:
-        return [row for row in self.rows if row.match == "mismatch"]
-
     def to_json_obj(self) -> dict:
         return {"rows": [row.to_json_obj() for row in self.rows],
                 "match": self.all_match}
 
 
 def sweep(qs, ms, rs=None, *, guards: Guards = DEFAULT_GUARDS,
-          methods=("betti", "certificate"), jobs: int = 1,
-          include_mds: bool = False, include_ghw: bool = False) -> SweepReport:
+          methods=("betti", "certificate"), jobs: int = 1) -> SweepReport:
     """Run every (q, m, r) row in deterministic (q, m, r) order.
 
-    rs = None sweeps all 0 <= r <= m(q-1) per (q, m); jobs > 1 distributes
-    rows over processes, which cannot change the output (rows are
-    independent and reassembled in order).
+    methods picks the routes from SWEEP_METHODS that each row runs.  rs =
+    None sweeps all 0 <= r <= m(q-1) per (q, m); jobs > 1 distributes rows
+    over processes, which cannot change the output (rows are independent
+    and reassembled in order).
     """
+    unknown = sorted(set(methods) - set(SWEEP_METHODS))
+    if unknown:
+        raise ParameterError(f"unknown sweep methods {unknown}; "
+                             f"choose from {SWEEP_METHODS}")
     qs = [qs] if isinstance(qs, int) else sorted(qs)
     ms = [ms] if isinstance(ms, int) else sorted(ms)
     tasks = []
@@ -564,8 +527,7 @@ def sweep(qs, ms, rs=None, *, guards: Guards = DEFAULT_GUARDS,
                 ([rs] if isinstance(rs, int) else sorted(rs))
             for r in r_values:
                 rm.validate_params(q, r, m)
-                tasks.append((q, m, r, guards, tuple(methods),
-                              include_mds, include_ghw))
+                tasks.append((q, m, r, guards, tuple(methods)))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = tuple(pool.map(_sweep_row, tasks))

@@ -1,11 +1,14 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from rmbetti import cli
 
 CLI = [sys.executable, "-m", "rmbetti"]
 
@@ -134,6 +137,32 @@ def test_guard_env_override():
     assert proc.returncode == 0  # explicit flag beats the environment
 
 
+def test_guard_env_value_must_be_a_nonnegative_integer():
+    for value in ("abc", "-1"):
+        proc = run("dim", "--q", "2", "--m", "2", "--r", "1",
+                   env={"RM_RESOLVE_GUARD_N": value})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_explicit_zero_guards_are_kept_and_negative_refused():
+    proc = run("distance", "--q", "2", "--m", "3", "--r", "1", "--max-enum",
+               "0", "--max-subspaces", "0", "--output", "json", "--no-timing")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["guards"]["max_enum"] == 0
+    assert report["guards"]["max_subspaces"] == 0
+    assert report["details"] == {"formula": 4, "bruteforce": None,
+                                 "method": "formula"}
+    for flag in ("--max-enum", "--max-subspaces", "--max-n-betti"):
+        proc = run("distance", "--q", "2", "--m", "3", "--r", "1", flag, "-5")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_out_file_writing(tmp_path):
     target = tmp_path / "report.json"
     proc = run("purity", "--q", "2", "--m", "2", "--r", "1", "--output", "json",
@@ -165,3 +194,76 @@ def test_jobs_do_not_change_bytes():
                    "--output", "json", "--no-timing", "--jobs", "4")
     assert base.stdout == parallel.stdout
     assert parallel.returncode == 0
+    mds = ("verify-mds", "--q", "3", "--m", "2", "--r-all", "--output", "json",
+           "--no-timing")
+    base = run(*mds, "--jobs", "1")
+    parallel = run(*mds, "--jobs", "2")
+    assert base.returncode == parallel.returncode == 0
+    assert base.stdout == parallel.stdout
+
+
+# (argv, exit code, sha256 of stdout) under --no-timing, recorded once from
+# the CLI and never re-recorded: any byte of drift in text, JSON or CSV fails.
+PINNED_OUTPUTS = [
+    ("dim --q 2 --m 4 --r 2",
+     0, "bd1add4e97d6433a3cbf294ddb26f25487550d67ad7a006b8365858cb0ed8bce"),
+    ("dim --q 3 --m 2 --r 4 --output json",
+     0, "34c59cc780ad15904da4a33baf74f76cfe0b0ed1780c62a277a7402dd13093bb"),
+    ("distance --q 3 --m 2 --r 2 --output json",
+     0, "930b9dab68e574efe95ec100005e093316060bcf3fed8a5f74567fcfd03b38a2"),
+    ("distance --q 2 --m 3 --r 1",
+     0, "e000a86bc314f3a34e4a9f7e7b99dea4797b74bac34ca95754a15aaf7d222171"),
+    ("ghw --q 2 --m 3 --r 1 --output csv",
+     0, "e252e789ff011a02706c1370cd24f0c132bcb78df7bfb130b66677b01ab1b252"),
+    ("ghw --q 3 --m 2 --r 2 --output json",
+     0, "9e630220dd8b3134358920ce717547eb19c1337ea0f778d3bfb011a311984547"),
+    ("betti --q 2 --m 2 --r 1 --backend both --output json",
+     0, "46817b37b73a888c0eb1e30f59142e2783eea4aa91932d2f3298c3132953dde5"),
+    ("betti --q 2 --m 2 --r 1 --backend homology --char 3 --output csv",
+     0, "a014313edaab08a137fed3f0ec70c4fdc3ff5c03fcb025a236fdb14bba22dabc"),
+    ("betti --q 3 --m 2 --r 2",
+     0, "9ae080d543ff3ea3e74062b15881ec41cc6308d03b733cda68bc288df5f6ed3f"),
+    ("purity --q 3 --m 2 --r 2 --output json",
+     0, "83d754693bbbe8203f737b62226eeb536637f173608e2c8b164dae8302b0dcad"),
+    ("purity --q 2 --m 2 --r 1",
+     0, "ffcba03ae7a35c1312bfcb341c08e15d51a87fac21060b85636d938aaedda4a8"),
+    ("certificate --q 4 --m 2 --r 4 --output json",
+     0, "3d3dee3ca6cf56b496b8c902905f305b7771a05ecd2e5caaaedcab3712abb4c2"),
+    ("certificate --q 3 --m 3 --r 3",
+     0, "2a26ab7d86a66c73d10b59617fae56d10428ec638bcb6a5cc57531bdc80cef88"),
+    ("verify-theorem --q 3 --m 2 --r-all --output json",
+     0, "5855357a98d5f3b2b73236cd6234e87e47562ad5898520c2f9bd179076f6cad2"),
+    ("verify-theorem --q 2 --m 3 --r-all --method betti",
+     0, "f177a2d79280913d21399053e7869e6ffeeb5080428df8b3d6f6be8337df860c"),
+    ("verify-theorem --q 4 --m 2 --r-all --method certificate --output csv",
+     0, "9661ef9a32478b3f26c174db3155d138470c5e32458a09129e1bab86ac35e768"),
+    ("verify-theorem --q 4 --m 2 --r-all --max-n-betti 4 --output json",
+     0, "0ef10e8e26a51ef2d2a4181f45d19e7c96931ebe6579b3a37de54f8600501379"),
+    ("verify-mds --q 3 --m 2 --r-all --output json",
+     0, "f2473bcccdec8cc48ce140d9d4a08c1738e4837b338c1b1207fa3c6a4a894b55"),
+    ("verify-mds --q 3 --m 2 --r-all",
+     0, "60e85ce502151d2e8cef2ae975210ae7a10770890487c25a19b27ea5d37d5a22"),
+    ("verify-mds --q 3 --m 2 --r-all --output csv",
+     0, "85ef10ae99264cd60c1aa3cd1fb3beb0ada94ff8edbdaa7480809a55f09ca381"),
+    ("verify-mds --q 2 --m 3 --r 1 --output json",
+     0, "f24ae32e22809034b72210ab140bb1ce3d3899949bcf02a1eb743c57fc457747"),
+    ("verify-mds --q 9 --m 2 --r 8 --max-enum 100 --output json",
+     4, "15dda895af895f7747f40912515982df763447ae6d87bbc4e1f22670c7e7028a"),
+    ("dim --q 2 --m 2 --r 1 --output csv",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dim --q 6 --m 2 --r 1",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("certificate --q 3 --m 3 --r 4 --output json",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("betti --q 3 --m 3 --r 2 --output json",
+     3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
+                         ids=[case[0] for case in PINNED_OUTPUTS])
+def test_output_bytes_pinned(argv, exit_code, digest, capsys, monkeypatch):
+    monkeypatch.delenv("RM_RESOLVE_GUARD_N", raising=False)
+    code = cli.main(argv.split() + ["--no-timing"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)

@@ -6,7 +6,6 @@ import pytest
 import rmbetti as rb
 from rmbetti import (CrossCheckError, DegenerateTypeError, ParameterError,
                      TooLargeError, field)
-from rmbetti.srres import MatroidComplex
 
 from oracles import betti_sweep_gf2
 
@@ -31,24 +30,27 @@ def test_oracle_agrees_on_more_binary_codes():
 
 
 def test_matroid_complex_faces_and_rank_cache():
+    # a face is a column set of nullity 0; rank = popcount - nullity
     code = rb.build_code(2, 1, 2)
-    mx = MatroidComplex.from_code(code)
-    assert mx.is_face(())
-    assert mx.is_face((0,)) and mx.is_face((3,))
-    assert not mx.is_face((0, 1))
-    assert mx.rank(0b1111) == 1
-    assert mx.rank((0, 2)) == 1
-    assert 0b0101 in mx._rank_cache
+    nullity = code.nullity_table()
+    assert nullity is code.nullity_table()  # cached per code
+    assert not nullity.flags.writeable
+    assert nullity.shape == (1 << code.n,)
+    assert nullity[0] == 0
+    assert nullity[0b0001] == 0 and nullity[0b1000] == 0
+    assert nullity[0b0011] != 0
+    assert 4 - nullity[0b1111] == 1
+    assert 2 - nullity[0b0101] == 1
     with pytest.raises(IndexError):
-        mx.rank(1 << 7)
+        nullity[1 << 7]
     # downward closure spot check
     full = rb.build_code(3, 2, 2)
-    mxf = MatroidComplex.from_code(full)
+    nf = full.nullity_table()
     for mask in (0b111, 0b1010, 0b100100):
-        if mxf.is_face(mask):
+        if nf[mask] == 0:
             for b in range(9):
                 if mask >> b & 1:
-                    assert mxf.is_face(mask ^ (1 << b))
+                    assert nf[mask ^ (1 << b)] == 0
 
 
 def test_circuits_examples():

@@ -167,7 +167,7 @@ def test_sweep_q3_m2_rows_and_match():
     assert len(report.rows) == 5
     assert report.all_match
     by_r = {row.r: row for row in report.rows}
-    assert [by_r[r].pure_computed for r in range(5)] == \
+    assert [by_r[r].purity.pure for r in range(5)] == \
         [True, True, False, True, True]
     assert all(row.betti_method == "fastpath+homology" for row in report.rows)
     assert all(row.certificate is None for row in report.rows)  # no s=1 rows
@@ -189,7 +189,7 @@ def test_sweep_guard_skips_are_visible():
     report = rb.sweep(4, 2, rs=[0, 4], guards=tiny)
     by_r = {row.r: row for row in report.rows}
     assert by_r[0].betti_method == "skipped:guard"
-    assert by_r[0].pure_computed is None
+    assert by_r[0].purity is None
     assert by_r[0].match == "skipped"
     # the certificate route still decides r = 4
     assert by_r[4].betti_method == "skipped:guard"
@@ -197,12 +197,19 @@ def test_sweep_guard_skips_are_visible():
 
 
 def test_sweep_methods_selection_and_mds():
-    report = rb.sweep(3, 2, methods=("betti",), include_mds=True, include_ghw=True)
+    report = rb.sweep(3, 2, methods=("betti", "mds"))
     for row in report.rows:
         assert row.certificate is None
-        assert row.mds_predicted is not None
-        assert row.ghw is not None
-        assert row.ghw[0] == row.d
+        assert row.purity is not None
+        assert row.mds.mds_predicted is not None
+        assert row.mds.mds_computed == row.mds.mds_predicted
+    # the hierarchy is measured on the order-1 row, where it starts at d
+    by_r = {row.r: row for row in report.rows}
+    assert by_r[1].mds.ghw is not None
+    assert by_r[1].mds.ghw[0] == by_r[1].d
+    assert by_r[1].to_json_obj()["ghw"] == list(by_r[1].mds.ghw)
+    with pytest.raises(ParameterError):
+        rb.sweep(3, 2, methods=("betti", "ghw"))
 
 
 def test_sweep_jobs_do_not_change_rows():
