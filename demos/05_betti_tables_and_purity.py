@@ -1,9 +1,9 @@
 """Graded Betti numbers of the Stanley-Reisner ring of a code.
 
 Vertices are parity-check columns, faces their independent subsets.  The
-fast backend reads every restriction's contribution off two subset
-transforms; the homology backend computes boundary-map ranks over a prime
-field.  They must agree entry for entry, and the smallest shift in each
+fast backend reads every restriction's contribution off one subset
+transform and the code's nullity table; the homology backend computes
+boundary-map ranks over a prime field.  They must agree entry for entry, and the smallest shift in each
 homological position recovers the weight hierarchy.
 """
 

@@ -221,15 +221,34 @@ def _cmd_certificate(args, guards):
 
 
 def _sweep(args, guards, methods, row_obj):
-    """Run the sweep; its report is {params, rows, match, guards}."""
+    """Run the sweep; its report is {params, rows, match, guards}.
+
+    A sweep that decides no row has nothing to mismatch: it exits 3 when a
+    guard skipped a row and 2 when no requested route applies to any row.
+    """
     sweep_report = verify.sweep(args.q, args.m, None if args.r_all else args.r,
                                 guards=guards, methods=methods, jobs=args.jobs)
+    rows = sweep_report.rows
     report = {"params": {"q": args.q, "m": args.m,
                          "r": "all" if args.r_all else args.r},
-              "rows": [row_obj(row) for row in sweep_report.rows],
+              "rows": [row_obj(row) for row in rows],
               "match": sweep_report.all_match,
               "guards": guards.to_json_obj()}
-    exit_code = EXIT_OK if sweep_report.all_match else EXIT_VERIFICATION
+    guard_skipped = sum(row.betti_method == "skipped:guard"
+                        or (row.mds is not None and row.mds.mds_computed is None)
+                        for row in rows)
+    if any(row.match == "mismatch" for row in rows):
+        exit_code = EXIT_VERIFICATION
+    elif any(row.match == "match" for row in rows):
+        exit_code = EXIT_OK
+    elif guard_skipped:
+        _print_too_large(f"no row was decided: a guard skipped {guard_skipped} "
+                         f"of {len(rows)} rows of (q={args.q}, m={args.m})")
+        exit_code = EXIT_TOO_LARGE
+    else:
+        print(f"error: no requested route ({', '.join(methods)}) applies to "
+              f"any row of (q={args.q}, m={args.m})", file=sys.stderr)
+        exit_code = EXIT_PARAMS
     return sweep_report, report, exit_code
 
 
@@ -295,6 +314,10 @@ def _csv_text(args, report) -> str:
     return buf.getvalue()
 
 
+def _print_too_large(message: str) -> None:
+    print(json.dumps({"error": "too_large", "message": message}), file=sys.stderr)
+
+
 def _emit(args, report, text, started) -> None:
     if args.output == "json":
         if not args.no_timing:
@@ -333,8 +356,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except TooLargeError as exc:
-        print(json.dumps({"error": "too_large", "message": str(exc)}),
-              file=sys.stderr)
+        _print_too_large(str(exc))
         return EXIT_TOO_LARGE
     except CertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)

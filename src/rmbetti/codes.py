@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .bits import popcount_table
+from .bits import popcount_table, subset_max_accumulate
 from .errors import ParameterError, TooLargeError
 from .gf import GF
 
@@ -66,12 +66,23 @@ class LinearCode:
         return not np.any(linalg.matvec(self.gf, self.H, v))
 
     def nullity_table(self) -> np.ndarray:
-        """dim {c in C : supp(c) subseteq W} for every coordinate bitmask W."""
+        """dim {c in C : supp(c) subseteq W} for every coordinate bitmask W.
+
+        The one place a code's matroid is computed: rank(W) is the size of
+        the largest face (independent parity-check column set) inside W, so
+        one subset-max transform over the faces gives every rank.  Faces are
+        exactly the masks of nullity 0.
+        """
         if self._nullity is None:
-            if self.n > 20:
-                raise TooLargeError(f"nullity table needs n <= 20, n = {self.n}")
-            ranks = linalg.subset_rank_table(self.gf, self.H)
-            pc = popcount_table(self.n)
+            n = self.n
+            if n > 20:
+                raise TooLargeError(f"nullity table needs n <= 20, n = {n}")
+            faces = np.asarray(linalg.independent_column_sets(self.gf, self.H),
+                               dtype=np.int64)
+            pc = popcount_table(n)
+            ranks = np.zeros(1 << n, dtype=np.int8)
+            ranks[faces] = pc[faces]
+            subset_max_accumulate(ranks, n)
             table = pc.astype(np.int16) - ranks
             table.setflags(write=False)
             self._nullity = table

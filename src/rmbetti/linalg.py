@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import popcount_table, subset_max_accumulate
 from .errors import DimensionMismatchError
 from .gf import GF
 
@@ -185,19 +184,3 @@ def independent_column_sets(gf: GF, mat) -> list[int]:
 
     walk(0, 0, mat.copy())
     return out
-
-
-def subset_rank_table(gf: GF, mat) -> np.ndarray:
-    """rank of every column subset, as an array indexed by bitmask.
-
-    rank(W) = size of the largest independent subset inside W, so a
-    subset-max transform over the independent sets gives every rank at once.
-    """
-    mat = np.asarray(mat, dtype=gf.dtype)
-    n = mat.shape[1]
-    faces = np.asarray(independent_column_sets(gf, mat), dtype=np.int64)
-    pc = popcount_table(n)
-    table = np.zeros(1 << n, dtype=np.int8)
-    table[faces] = pc[faces]
-    subset_max_accumulate(table, n)
-    return table

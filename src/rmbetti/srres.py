@@ -1,7 +1,9 @@
 """Graded Betti numbers of the Stanley-Reisner ring attached to a linear code.
 
 The simplicial complex has the parity-check columns as vertices; faces are
-the independent column sets.  Two backends compute the Betti table:
+the independent column sets, read as the masks of nullity 0 from the code's
+cached nullity table (LinearCode.nullity_table), which also supplies every
+rank.  Two backends compute the Betti table:
 
 * betti_hochster sweeps every vertex subset W and sums reduced homology
   dimensions of the restricted complex over a prime field (the slow,
@@ -9,8 +11,8 @@ the independent column sets.  Two backends compute the Betti table:
 * betti_fastpath uses that restrictions of this complex are again of the
   same kind, so homology is concentrated in top degree and its dimension is
   the absolute value of the reduced Euler characteristic.  Euler
-  characteristics and ranks for all 2^n restrictions come from two subset
-  transforms over the independent-set indicator.
+  characteristics for all 2^n restrictions come from one subset-sum
+  transform over the face indicator; ranks are read off the nullity table.
 
 The two must agree wherever both run; purity and linearity verdicts,
 closed-form Betti predictions for pure shift types, and weight extraction
@@ -25,23 +27,21 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .bits import (indices_of, mask_of, popcount_table, subset_max_accumulate,
-                   subset_sum_accumulate)
+from .bits import indices_of, mask_of, popcount_table, subset_sum_accumulate
 from .codes import LinearCode
 from .errors import (CrossCheckError, DegenerateTypeError, ParameterError,
                      TooLargeError)
-from .gf import GF, field, is_prime
+from .gf import field, is_prime
 
 
-def circuits(code: LinearCode, *, max_n: int = 20) -> list[tuple[int, ...]]:
+def circuits(code: LinearCode) -> list[tuple[int, ...]]:
     """Minimal dependent column sets, sorted by (size, indices).
 
     These generate the Stanley-Reisner ideal; they coincide with the minimal
-    supports of nonzero codewords (cross-checked in the test suite).
+    supports of nonzero codewords (cross-checked in the test suite).  The
+    nullity table's own guard bounds n.
     """
     n = code.n
-    if n > max_n:
-        raise TooLargeError(f"circuit sweep needs n <= {max_n}, n = {n}")
     nullity = code.nullity_table()
     masks = np.arange(1 << n, dtype=np.int64)
     minimal = nullity >= 1
@@ -57,12 +57,21 @@ def circuits(code: LinearCode, *, max_n: int = 20) -> list[tuple[int, ...]]:
 # -- reduced simplicial homology ---------------------------------------------
 
 
-def _homology_dims_from_masks(face_masks, gfl: GF) -> dict[int, int]:
-    by_size: dict[int, dict[int, int]] = {}
-    for f in face_masks:
-        f = int(f)
+def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
+    """Reduced homology dimensions by degree over GF(ell), ell prime.
+
+    Faces are bitmasks (Python or numpy ints) or index tuples.  The empty
+    face is always part of the complex (added if missing), so the one-face
+    complex has a single dimension in degree -1 and any complex with a
+    vertex has none there.
+    """
+    if not is_prime(ell):
+        raise ParameterError(f"homology coefficients need a prime, got {ell}")
+    gfl = field(ell)
+    by_size: dict[int, dict[int, int]] = {0: {0: 0}}
+    for face in faces:
+        f = int(face) if isinstance(face, (int, np.integer)) else mask_of(face)
         by_size.setdefault(f.bit_count(), {})[f] = 0
-    by_size.setdefault(0, {})[0] = 0  # the empty face is always present
     for level in by_size.values():
         for pos, f in enumerate(sorted(level)):
             level[f] = pos
@@ -85,21 +94,6 @@ def _homology_dims_from_masks(face_masks, gfl: GF) -> dict[int, int]:
         chains = len(by_size.get(s, {}))
         dims[s - 1] = chains - boundary_rank.get(s, 0) - boundary_rank.get(s + 1, 0)
     return dims
-
-
-def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
-    """Reduced homology dimensions by degree over GF(ell), ell prime.
-
-    The empty face is always part of the complex (added if missing), so the
-    one-face complex has a single dimension in degree -1 and any complex
-    with a vertex has none there.
-    """
-    if not is_prime(ell):
-        raise ParameterError(f"homology coefficients need a prime, got {ell}")
-    masks = {0}
-    for face in faces:
-        masks.add(face if isinstance(face, int) else mask_of(face))
-    return _homology_dims_from_masks(sorted(masks), field(ell))
 
 
 # -- Betti tables ------------------------------------------------------------
@@ -143,15 +137,13 @@ def betti_hochster(code: LinearCode, ell: int = 2, *, max_n: int = 16) -> BettiT
         raise TooLargeError(f"2^n restriction sweep needs n <= {max_n}, n = {n}")
     if not is_prime(ell):
         raise ParameterError(f"homology coefficients need a prime, got {ell}")
-    gfl = field(ell)
-    faces = np.asarray(linalg.independent_column_sets(code.gf, code.H),
-                       dtype=np.int64)
+    faces = np.flatnonzero(code.nullity_table() == 0)
     pc = popcount_table(n)
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << n):
         sub = faces[(faces & ~w) == 0]
         j = int(pc[w])
-        for d, h in _homology_dims_from_masks(sub, gfl).items():
+        for d, h in reduced_homology_dims(sub, ell).items():
             if h:
                 key = (j - d - 1, j)
                 entries[key] = entries.get(key, 0) + h
@@ -163,7 +155,7 @@ def betti_fastpath(code: LinearCode, *, max_n: int = 20) -> BettiTable:
 
     For every restriction W the only possible homology sits in degree
     rank(W) - 1 and has dimension |chi~(W)|, so one subset-sum transform
-    (signed face counts) and one subset-max transform (ranks) give the whole
+    (signed face counts) and the code's nullity table (ranks) give the whole
     table.  The sign of every nonzero chi~ is checked against the rank
     parity; a violation would mean the complex is not of the expected kind
     and raises instead of producing numbers.
@@ -171,18 +163,14 @@ def betti_fastpath(code: LinearCode, *, max_n: int = 20) -> BettiTable:
     n = code.n
     if n > max_n:
         raise TooLargeError(f"2^n subset transforms need n <= {max_n}, n = {n}")
-    faces = np.asarray(linalg.independent_column_sets(code.gf, code.H),
-                       dtype=np.int64)
+    nullity = code.nullity_table()
     pc = popcount_table(n)
-    sizes = pc[faces].astype(np.int64)
+    ranks = pc - nullity
 
     chi = np.zeros(1 << n, dtype=np.int64)
-    chi[faces] = np.where(sizes % 2 == 0, -1, 1)  # (-1)^(|face| - 1)
+    faces = nullity == 0
+    chi[faces] = np.where(pc[faces] % 2 == 0, -1, 1)  # (-1)^(|face| - 1)
     subset_sum_accumulate(chi, n)
-
-    ranks = np.zeros(1 << n, dtype=np.int16)
-    ranks[faces] = sizes
-    subset_max_accumulate(ranks, n)
 
     nonzero = chi != 0
     expected_sign = np.where(ranks % 2 == 1, 1, -1)
@@ -190,11 +178,9 @@ def betti_fastpath(code: LinearCode, *, max_n: int = 20) -> BettiTable:
         raise CrossCheckError(
             "Euler characteristic signs disagree with rank parity")
 
-    all_pc = pc.astype(np.int64)
-    i_idx = (all_pc - ranks)[nonzero]
-    j_idx = all_pc[nonzero]
+    # beta_{i,j} sums |chi~(W)| over the j-subsets W of nullity i
     grid = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(grid, (i_idx, j_idx), np.abs(chi[nonzero]))
+    np.add.at(grid, (nullity[nonzero], pc[nonzero]), np.abs(chi[nonzero]))
     entries = {(int(i), int(j)): int(grid[i, j])
                for i, j in zip(*np.nonzero(grid))}
     return BettiTable(n=n, k=code.k, entries=entries)

@@ -128,6 +128,26 @@ def test_too_large_exit_3_with_machine_readable_reason():
     assert payload["error"] == "too_large"
 
 
+@pytest.mark.parametrize("argv,exit_code", [
+    ("verify-mds --q 9 --m 2 --r 8 --max-enum 100", 3),
+    ("verify-theorem --q 3 --m 2 --r-all --max-n-betti 0 --method betti", 3),
+    ("verify-theorem --q 2 --m 3 --r-all --method certificate", 2),
+])
+def test_sweep_with_no_decided_row_is_not_a_mismatch(argv, exit_code, capsys,
+                                                     monkeypatch):
+    # guard-skipped rows exit 3, rows no requested route applies to exit 2
+    monkeypatch.delenv("RM_RESOLVE_GUARD_N", raising=False)
+    assert cli.main(argv.split() + ["--output", "json", "--no-timing"]) == exit_code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["match"] is False
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    if exit_code == 3:
+        assert json.loads(err[0])["error"] == "too_large"
+    else:
+        assert err[0].startswith("error: ")
+
+
 def test_guard_env_override():
     proc = run("betti", "--q", "3", "--m", "2", "--r", "2",
                env={"RM_RESOLVE_GUARD_N": "4"})
@@ -248,7 +268,7 @@ PINNED_OUTPUTS = [
     ("verify-mds --q 2 --m 3 --r 1 --output json",
      0, "f24ae32e22809034b72210ab140bb1ce3d3899949bcf02a1eb743c57fc457747"),
     ("verify-mds --q 9 --m 2 --r 8 --max-enum 100 --output json",
-     4, "15dda895af895f7747f40912515982df763447ae6d87bbc4e1f22670c7e7028a"),
+     3, "15dda895af895f7747f40912515982df763447ae6d87bbc4e1f22670c7e7028a"),
     ("dim --q 2 --m 2 --r 1 --output csv",
      2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("dim --q 6 --m 2 --r 1",

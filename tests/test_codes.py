@@ -63,6 +63,18 @@ def test_shortened_dim_matches_direct_enumeration():
             assert q ** rb.shortened_dim(code, sigma) == inside
 
 
+def test_nullity_table_vs_direct():
+    rng = np.random.default_rng(9)
+    for q in (2, 3):
+        gf = field(q)
+        code = rb.LinearCode.from_generator(
+            gf, rng.integers(0, q, size=(4, 7)).astype(gf.dtype))
+        nullity = code.nullity_table()
+        for mask in range(1 << 7):
+            cols = [i for i in range(7) if mask >> i & 1]
+            assert nullity[mask] == len(cols) - linalg.rank(gf, code.H[:, cols])
+
+
 def test_min_weight_bruteforce_examples():
     assert rb.min_weight_bruteforce(rb.build_code(3, 2, 2)) == 3
     assert rb.min_weight_bruteforce(rb.build_code(2, 2, 4)) == 4

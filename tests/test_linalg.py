@@ -1,4 +1,4 @@
-"""Exact row reduction, null spaces, and subset-rank machinery."""
+"""Exact row reduction, null spaces, and independent column sets."""
 
 import itertools
 
@@ -152,13 +152,3 @@ def test_independent_column_sets_zero_rows():
     gf = field(3)
     assert linalg.independent_column_sets(gf, linalg.zeros(gf, 0, 5)) == [0]
 
-
-def test_subset_rank_table_vs_direct():
-    rng = np.random.default_rng(9)
-    for q in (2, 3):
-        gf = field(q)
-        m = rng.integers(0, q, size=(4, 7)).astype(gf.dtype)
-        table = linalg.subset_rank_table(gf, m)
-        for mask in range(1 << 7):
-            cols = [i for i in range(7) if mask >> i & 1]
-            assert table[mask] == linalg.rank(gf, m[:, cols])

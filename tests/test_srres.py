@@ -5,7 +5,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CrossCheckError, DegenerateTypeError, ParameterError,
-                     TooLargeError, field)
+                     TooLargeError, field, linalg)
 
 from oracles import betti_sweep_gf2
 
@@ -53,6 +53,24 @@ def test_matroid_complex_faces_and_rank_cache():
                     assert nf[mask ^ (1 << b)] == 0
 
 
+def test_one_face_enumeration_per_code(monkeypatch):
+    calls = []
+    enumerate_faces = linalg.independent_column_sets
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_faces(*args)
+
+    monkeypatch.setattr(linalg, "independent_column_sets", counted)
+    built = rb.build_code(3, 2, 2)
+    code = rb.LinearCode(built.gf, built.G, built.H, validate=False)  # cold cache
+    rb.betti_fastpath(code)
+    rb.betti_hochster(code, 2)
+    rb.circuits(code)
+    rb.ghw_profile(code)
+    assert len(calls) == 1
+
+
 def test_circuits_examples():
     full = rb.build_code(2, 2, 2)
     assert rb.circuits(full) == [(0,), (1,), (2,), (3,)]
@@ -78,6 +96,12 @@ def test_reduced_homology_conventions():
     assert circle == {-1: 0, 0: 0, 1: 1}
     # the empty face is implied
     assert rb.reduced_homology_dims([(0,), (1,)], 3) == {-1: 0, 0: 1}
+    # faces given as bitmasks, Python or numpy ints
+    circle_masks = [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
+    assert rb.reduced_homology_dims(circle_masks, 2) == circle
+    assert rb.reduced_homology_dims(np.array(circle_masks), 3) == circle
+    edge = rb.reduced_homology_dims([np.int64(1), (1,), 0b11], 2)
+    assert edge == {-1: 0, 0: 0, 1: 0}
 
 
 def test_reduced_homology_validation():
@@ -138,6 +162,8 @@ def test_betti_guards():
         rb.betti_hochster(big, 2, max_n=12)
     with pytest.raises(TooLargeError):
         rb.betti_fastpath(big, max_n=12)
+    with pytest.raises(TooLargeError):  # the nullity table stops at n = 20
+        rb.betti_fastpath(rb.build_code(23, 5, 1), max_n=23)
     with pytest.raises(ParameterError):
         rb.betti_hochster(rb.build_code(2, 1, 2), ell=6)
 
