@@ -171,11 +171,11 @@ def _cmd_betti(args, guards):
     if code.n > guards.max_n_betti:
         raise TooLargeError(f"n = {code.n} exceeds Betti guard {guards.max_n_betti}")
     if args.backend == "homology":
-        table = srres.betti_hochster(code, args.char, max_n=guards.max_n_betti)
+        table = srres.betti_hochster(code, args.char, max_n=guards.cross_check_n)
     else:
         table = srres.betti_fastpath(code, max_n=guards.max_n_betti)
         if args.backend == "both":
-            slow = srres.betti_hochster(code, args.char, max_n=guards.max_n_betti)
+            slow = srres.betti_hochster(code, args.char, max_n=guards.cross_check_n)
             if slow != table:
                 raise CrossCheckError("Betti backends disagree")
     verdict = srres.purity_verdict(table)

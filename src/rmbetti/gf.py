@@ -16,7 +16,11 @@ import itertools
 
 import numpy as np
 
-from .errors import NotPrimePowerError
+from .errors import NotPrimePowerError, TooLargeError
+
+# Cells in one q x q Cayley table; GF(q) refuses a larger q before building
+# anything (q <= 1024).
+MAX_TABLE_CELLS = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -132,6 +136,9 @@ class GF:
     """
 
     def __init__(self, q: int):
+        if q * q > MAX_TABLE_CELLS:
+            raise TooLargeError(
+                f"GF({q}) needs {q}x{q} tables, above {MAX_TABLE_CELLS} cells")
         p, e = factor_prime_power(q)
         self.q = q
         self.p = p

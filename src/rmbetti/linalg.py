@@ -157,30 +157,34 @@ def submatrix_columns(mat: np.ndarray, cols) -> np.ndarray:
 def independent_column_sets(gf: GF, mat) -> list[int]:
     """Bitmasks of all linearly independent column subsets (incl. the empty set).
 
-    Depth-first: at each node one pivot row is eliminated from every
-    remaining column, so a candidate column is independent from the chosen
-    set exactly when its reduced vector is nonzero.
+    Level by level: every face of one size is extended at once.  Each face
+    carries the matrix reduced modulo its chosen columns, so a column is
+    independent from the face exactly when its reduced vector is nonzero;
+    a face grows only by columns after its last one.  One batched
+    elimination per level pivots each child on the first nonzero row of its
+    new column and drops that row, which is zero afterwards, so the
+    matrices lose one row per level.  Faces come out by size, each level in
+    order of parent and then column.
     """
     mat = np.asarray(mat, dtype=gf.dtype)
-    nrows, ncols = mat.shape
+    cols = np.arange(mat.shape[1])
+    masks = np.zeros(1, dtype=np.int64 if cols.size < 63 else object)
+    last = np.full(1, -1)
+    red = mat[None]
     out = [0]
-    if nrows == 0 or ncols == 0:
-        return out
-
-    def walk(start: int, mask: int, cols: np.ndarray) -> None:
-        alive = start + np.nonzero(cols[:, start:].any(axis=0))[0]
-        for j in alive:
-            j = int(j)
-            v = cols[:, j].copy()
-            child = mask | (1 << j)
-            out.append(child)
-            if j + 1 == ncols:
-                continue
-            pivot_row = int(np.nonzero(v)[0][0])
-            inv = gf.inv(int(v[pivot_row]))
-            factors = gf.mul(inv, cols[pivot_row])
-            reduced = gf.sub(cols, gf.mul(v[:, None], factors[None, :]))
-            walk(j + 1, child, reduced)
-
-    walk(0, 0, mat.copy())
-    return out
+    while True:
+        face, last = np.nonzero(red.any(axis=1) & (cols > last[:, None]))
+        if face.size == 0:
+            return out
+        masks = masks[face] | (1 << last.astype(masks.dtype))
+        out.extend(masks.tolist())
+        grow = last < cols.size - 1               # else it has no children
+        face, last, masks = face[grow], last[grow], masks[grow]
+        v = red[face, :, last]                    # each child's new column
+        piv = np.argmax(v != 0, axis=1)           # its first nonzero row
+        idx = np.arange(face.size)
+        pivot = gf.mul(gf.inv(v[idx, piv])[:, None], red[face, piv])
+        rest = np.arange(v.shape[1] - 1)[None, :]
+        rest = rest + (rest >= piv[:, None])      # the other rows, in order
+        red = gf.sub(red[face[:, None], rest],
+                     gf.mul(v[idx[:, None], rest][:, :, None], pivot[:, None, :]))

@@ -21,8 +21,14 @@ import numpy as np
 from . import linalg
 from .codes import LinearCode
 from .errors import (CrossCheckError, ParameterError, PreconditionError,
-                     RankDeficientFormsError, WitnessParameterError)
+                     RankDeficientFormsError, TooLargeError, WitnessParameterError)
 from .gf import GF, field
+
+# Largest point grid (q^m points) and largest generator or parity-check
+# matrix (cells) that point_order and build_code allocate; a larger request
+# raises TooLargeError before any array is built.
+MAX_POINTS = 1 << 16
+MAX_MATRIX_CELLS = 1 << 28
 
 
 def validate_params(q: int, r: int, m: int) -> None:
@@ -124,6 +130,8 @@ def point_order(q: int, m: int) -> PointOrder:
     gf = field(q)
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
+    if q ** min(m, 64) > MAX_POINTS:   # q >= 2, so m > 64 is over the limit too
+        raise TooLargeError(f"GF({q})^{m} has more than {MAX_POINTS} points")
     pts = np.indices((q,) * m).reshape(m, -1).T.astype(gf.dtype)
     pts.setflags(write=False)
     return PointOrder(gf, m, pts)
@@ -338,11 +346,14 @@ def build_code(q: int, r: int, m: int) -> RMCode:
     validate_params(q, r, m)
     gf = field(q)
     order = point_order(q, m)
+    n, ak = order.size, dim_assmus_key(q, r, m)
+    if max(ak, n - ak) * n > MAX_MATRIX_CELLS:
+        raise TooLargeError(f"the [{n}, {ak}] code needs a {max(ak, n - ak)}x{n} "
+                            f"matrix, above {MAX_MATRIX_CELLS} cells")
     basis = monomial_basis(q, r, m)
     G = np.stack([_monomial_row(gf, order, e) for e in basis])
     R, rk, piv = linalg.rref(gf, G)
     k = len(basis)
-    ak = dim_assmus_key(q, r, m)
     ie = dim_inclusion_exclusion(q, r, m)
     if not (rk == k == ak == ie):
         raise CrossCheckError(

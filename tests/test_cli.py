@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -126,6 +127,43 @@ def test_too_large_exit_3_with_machine_readable_reason():
     assert proc.returncode == 3
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
     assert payload["error"] == "too_large"
+
+
+def run_bounded(argv):
+    """One CLI run in a child capped at 10 s and 2 GiB of address space, so a
+    size a guard should refuse fails the test instead of exhausting memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    return subprocess.run(CLI + argv.split(), capture_output=True, text=True,
+                          timeout=10, preexec_fn=cap,
+                          env={**os.environ, "OMP_NUM_THREADS": "1",
+                               "OPENBLAS_NUM_THREADS": "1"})
+
+
+def assert_refused_too_large(proc):
+    assert proc.returncode == 3, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "too_large"
+
+
+@pytest.mark.parametrize("backend", ["homology", "both"])
+def test_homology_backend_bounded_by_cross_check_n(backend):
+    # n = 16 passes max_n_betti (16) but not cross_check_n (12)
+    proc = run_bounded(f"betti --q 2 --m 4 --r 2 --backend {backend}")
+    assert_refused_too_large(proc)
+    assert "n <= 12" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,limit", [
+    ("dim --q 40009 --m 1 --r 0", "1048576 cells"),   # field tables, ~3 GiB
+    ("dim --q 2 --m 28 --r 1", "65536 points"),       # point grid, ~56 GiB
+    ("dim --q 2 --m 16 --r 1", "268435456 cells"),    # parity-check matrix, 4 GiB
+])
+def test_sizes_refused_before_allocating(argv, limit):
+    proc = run_bounded(argv)
+    assert_refused_too_large(proc)
+    assert limit in proc.stderr
 
 
 @pytest.mark.parametrize("argv,exit_code", [

@@ -75,6 +75,20 @@ def test_nullity_table_vs_direct():
             assert nullity[mask] == len(cols) - linalg.rank(gf, code.H[:, cols])
 
 
+@pytest.mark.parametrize("q,r", [(16, 7), (17, 8), (19, 9)])
+def test_nullity_table_uniform_on_mds(q, r):
+    # m = 1 codes are MDS, so H has a uniform matroid: every n - k columns
+    # are independent.  These are the largest face counts any RM code
+    # reaches inside the n <= 20 table guard.
+    built = rb.build_code(q, r, 1)
+    code = rb.LinearCode(built.gf, built.G, built.H, validate=False)  # cold cache
+    n, k = code.n, code.k
+    masks = np.arange(1 << n)
+    popcount = sum((masks >> i) & 1 for i in range(n))
+    expected = np.maximum(0, popcount - (n - k))
+    assert np.array_equal(code.nullity_table(), expected)
+
+
 def test_min_weight_bruteforce_examples():
     assert rb.min_weight_bruteforce(rb.build_code(3, 2, 2)) == 3
     assert rb.min_weight_bruteforce(rb.build_code(2, 2, 4)) == 4

@@ -133,22 +133,51 @@ def test_rank_profile_matches_prefix_ranks():
             assert profile[i] == linalg.rank(gf, m[: i + 1])
 
 
+def _independent_sets_bruteforce(gf, m):
+    ncols = m.shape[1]
+    return {sum(1 << c for c in cols)
+            for size in range(ncols + 1)
+            for cols in itertools.combinations(range(ncols), size)
+            if linalg.rank(gf, m[:, list(cols)]) == size}
+
+
+def _check_independent_sets(gf, m):
+    out = linalg.independent_column_sets(gf, m)
+    assert 0 in out
+    assert len(out) == len(set(out))   # no face listed twice
+    assert set(out) == _independent_sets_bruteforce(gf, m)
+
+
 def test_independent_column_sets_vs_bruteforce():
     rng = np.random.default_rng(7)
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 8, 9):
         gf = field(q)
-        for _ in range(6):
-            m = rng.integers(0, q, size=(3, 6)).astype(gf.dtype)
-            fast = set(linalg.independent_column_sets(gf, m))
-            brute = set()
-            for size in range(7):
-                for cols in itertools.combinations(range(6), size):
-                    if linalg.rank(gf, m[:, list(cols)]) == size:
-                        brute.add(sum(1 << c for c in cols))
-            assert fast == brute
+        for shape in [(3, 6), (5, 4), (2, 7)]:   # (5, 4): more rows than columns
+            for _ in range(4):
+                m = rng.integers(0, q, size=shape).astype(gf.dtype)
+                _check_independent_sets(gf, m)
+                zero_col = m.copy()
+                zero_col[:, 1] = 0
+                _check_independent_sets(gf, zero_col)
+                repeated = m.copy()
+                repeated[:, -1] = repeated[:, 0]
+                _check_independent_sets(gf, repeated)
 
 
 def test_independent_column_sets_zero_rows():
     gf = field(3)
     assert linalg.independent_column_sets(gf, linalg.zeros(gf, 0, 5)) == [0]
+
+
+def test_independent_column_sets_zero_columns():
+    gf = field(3)
+    assert linalg.independent_column_sets(gf, linalg.zeros(gf, 4, 0)) == [0]
+    assert linalg.independent_column_sets(gf, linalg.zeros(gf, 0, 0)) == [0]
+
+
+def test_independent_column_sets_wider_than_a_machine_word():
+    gf = field(3)
+    m = linalg.zeros(gf, 1, 70)
+    m[0, 3], m[0, 69] = 1, 2       # two parallel columns
+    assert sorted(linalg.independent_column_sets(gf, m)) == [0, 1 << 3, 1 << 69]
 
