@@ -296,26 +296,34 @@ def ghw_by_subspaces(code: LinearCode, i: int, *, max_subspaces: int = 1_000_000
 def shrink_to_one_minimal(code: LinearCode, v) -> np.ndarray:
     """Shrink a codeword's support until its shortened code is a line.
 
-    Repeatedly drops the smallest removable coordinate (one whose removal
-    still leaves a nonzero codeword inside); the support size strictly
-    decreases, and on exit the surviving 1-dimensional shortened code is
-    spanned by the returned (leading-coefficient-1) word.
+    Drops, in increasing order, every coordinate whose removal still leaves
+    a nonzero codeword inside; on exit the surviving 1-dimensional shortened
+    code is spanned by the returned (leading-coefficient-1) word.  One pass
+    suffices: a coordinate that is not removable never becomes removable,
+    because the shortened code only shrinks.  With a basis of the current
+    shortened code (kappa rows), coordinate j is removable iff kappa >= 2 or
+    the basis vanishes at j; removing it eliminates column j.
     """
-    v = np.asarray(v, dtype=code.gf.dtype)
+    gf = code.gf
+    v = np.asarray(v, dtype=gf.dtype)
     if not np.any(v):
         raise ParameterError("cannot shrink the zero word")
     if not code.contains(v):
         raise ParameterError("input is not a codeword")
     sigma = list(support(v))
-    while True:
-        for j in sigma:
-            trial = [x for x in sigma if x != j]
-            if shortened_dim(code, trial) >= 1:
-                sigma = trial
-                break
-        else:
-            break
-    basis = shortened_basis(code, sigma)
+    basis = shortened_basis(code, sigma)[:, sigma]
+    kept = []
+    for i, j in enumerate(sigma):
+        nz = np.flatnonzero(basis[:, i])
+        if nz.size == 0:
+            continue
+        if basis.shape[0] == 1:
+            kept.append(j)
+            continue
+        pivot = gf.mul(gf.inv(int(basis[nz[0], i])), basis[nz[0]])
+        basis = np.delete(basis, nz[0], axis=0)
+        basis = gf.sub(basis, gf.mul(basis[:, i:i + 1], pivot[None, :]))
+    basis = shortened_basis(code, kept)
     assert basis.shape[0] == 1, "greedy shrink must end at nullity 1"
     return basis[0]
 

@@ -133,6 +133,8 @@ class GF:
         Monic irreducible of degree e over Z_p, constant term first.
         For e = 1 this is the degree-1 placeholder (0, 1).
     dtype : numpy dtype used for element arrays.
+    mul_flat, sub_flat : read-only flat Cayley tables for bulk code:
+        a * b is ``mul_flat[a * q + b]`` and a - b is ``sub_flat[a * q + b]``.
     """
 
     def __init__(self, q: int):
@@ -185,7 +187,10 @@ class GF:
             col = self._mul[col, idx]
             self._pow[:, k] = col
 
-        for t in (self._add, self._sub, self._mul, self._neg, self._inv, self._pow):
+        self.mul_flat = self._mul.ravel()
+        self.sub_flat = self._sub.ravel()
+        for t in (self._add, self._sub, self._mul, self._neg, self._inv, self._pow,
+                  self.mul_flat, self.sub_flat):
             t.setflags(write=False)
 
     # -- element bookkeeping -------------------------------------------
@@ -238,6 +243,8 @@ class GF:
         return self._out(self._neg[a])
 
     def inv(self, a):
+        if type(a) is int and a:
+            return int(self._inv[a])
         if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
         return self._out(self._inv[a])

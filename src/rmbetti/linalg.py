@@ -2,9 +2,16 @@
 
 Matrices are 2-d numpy arrays of element indices (dtype per the field),
 passed together with the GF instance.  Everything is plain Gaussian
-elimination with deterministic pivoting: the first nonzero entry in
+elimination with one deterministic pivot rule: the first nonzero entry in
 column order wins, so canonical forms are reproducible byte for byte.
 Zero-row and zero-column matrices are legal throughout.
+
+The arithmetic depends on the field.  For prime q the canonical element
+index equals the residue mod p, so elimination and products run on int64
+copies and reduce with ``% p``, with no table lookup.  For prime powers,
+elimination reads the flat Cayley tables ``gf.mul_flat`` and
+``gf.sub_flat`` at ``a * q + b``.  Either way, elimination touches only
+the columns at and right of the pivot; the pivot row is zero to their left.
 """
 
 from __future__ import annotations
@@ -36,61 +43,47 @@ def identity(gf: GF, n: int) -> np.ndarray:
 
 def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form; returns (R, rank, pivot columns)."""
-    r = np.array(mat, dtype=gf.dtype, copy=True)
+    r = np.asarray(mat, dtype=gf.dtype)
     if r.ndim != 2:
         raise DimensionMismatchError("rref needs a 2-d matrix")
+    r = r.astype(np.int64)
+    p, q, prime = gf.p, gf.q, gf.e == 1
     nrows, ncols = r.shape
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = np.flatnonzero(r[row:, col])
         if nz.size == 0:
             continue
         src = row + int(nz[0])
         if src != row:
-            r[[row, src]] = r[[src, row]]
-        r[row] = gf.mul(gf.inv(int(r[row, col])), r[row])
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
+            swap = r[src, col:].copy()
+            r[src, col:] = r[row, col:]
+            r[row, col:] = swap
+        piv = r[row, col:]
+        inv = gf.inv(int(piv[0]))
+        if inv != 1:
+            piv[:] = piv * inv % p if prime else gf.mul_flat[inv * q + piv]
+        f = r[:, col].copy()
+        f[row] = 0
+        others = np.flatnonzero(f)
         if others.size:
-            factors = r[others, col]
-            r[others] = gf.sub(r[others], gf.mul(factors[:, None], r[row][None, :]))
+            block = r[others, col:]           # its first column holds the factors
+            if prime:
+                block -= block[:, :1] * piv
+                block %= p
+            else:
+                block = gf.sub_flat[block * q + gf.mul_flat[block[:, :1] * q + piv]]
+            r[others, col:] = block
         pivots.append(col)
         row += 1
-    return r, row, pivots
+    return r.astype(gf.dtype), row, pivots
 
 
 def rank(gf: GF, mat) -> int:
     return rref(gf, mat)[1]
-
-
-def rank_profile(gf: GF, mat) -> np.ndarray:
-    """profile[i] = rank of the first i+1 rows (one incremental pass)."""
-    mat = np.asarray(mat, dtype=gf.dtype)
-    nrows, ncols = mat.shape
-    basis: list[np.ndarray] = []   # kept mutually reduced
-    pivots: list[int] = []
-    profile = np.empty(nrows, dtype=np.int64)
-    for i in range(nrows):
-        v = mat[i].copy()
-        for j, c in enumerate(pivots):
-            coef = int(v[c])
-            if coef:
-                v = gf.sub(v, gf.mul(coef, basis[j]))
-        nz = np.nonzero(v)[0]
-        if nz.size:
-            c = int(nz[0])
-            v = gf.mul(gf.inv(int(v[c])), v)
-            for j in range(len(basis)):
-                coef = int(basis[j][c])
-                if coef:
-                    basis[j] = gf.sub(basis[j], gf.mul(coef, v))
-            basis.append(v)
-            pivots.append(c)
-        profile[i] = len(pivots)
-    return profile
 
 
 def null_space_from_rref(gf: GF, r: np.ndarray, rk: int, pivots, ncols: int) -> np.ndarray:
@@ -115,16 +108,27 @@ def row_space_equal(gf: GF, a, b) -> bool:
     b = np.asarray(b)
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError("row spaces live in different ambient spaces")
+    if np.array_equal(a, b):
+        return True
     ra, ka, _ = rref(gf, a)
     rb, kb, _ = rref(gf, b)
     return ka == kb and np.array_equal(ra[:ka], rb[:kb])
 
 
 def matmul(gf: GF, a, b) -> np.ndarray:
+    """a @ b over GF(q).
+
+    For prime q the int64 product cannot overflow: an entry sums n products
+    below p**2 <= gf.MAX_TABLE_CELLS = 2**20, and the inner dimension n is
+    at most the code length, rm.MAX_POINTS = 2**16, so the sum stays below
+    2**36 < 2**63.
+    """
     a = np.asarray(a, dtype=gf.dtype)
     b = np.asarray(b, dtype=gf.dtype)
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
+    if gf.e == 1:
+        return (a.astype(np.int64) @ b.astype(np.int64) % gf.p).astype(gf.dtype)
     out = zeros(gf, a.shape[0], b.shape[1])
     for k in range(a.shape[1]):
         out = gf.add(out, gf.mul(a[:, k][:, None], b[k][None, :]))
@@ -132,10 +136,13 @@ def matmul(gf: GF, a, b) -> np.ndarray:
 
 
 def matvec(gf: GF, a, v) -> np.ndarray:
+    """a @ v over GF(q); the same int64 bound as matmul holds for prime q."""
     a = np.asarray(a, dtype=gf.dtype)
     v = np.asarray(v, dtype=gf.dtype)
     if a.shape[1] != v.shape[0]:
         raise DimensionMismatchError(f"cannot apply {a.shape} to vector of length {v.shape[0]}")
+    if gf.e == 1:
+        return (a.astype(np.int64) @ v.astype(np.int64) % gf.p).astype(gf.dtype)
     out = np.zeros(a.shape[0], dtype=gf.dtype)
     for k in np.nonzero(v)[0]:
         out = gf.add(out, gf.mul(int(v[k]), a[:, k]))

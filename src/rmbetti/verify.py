@@ -294,6 +294,9 @@ def check_certificate(cert: NonPurityCertificate,
     if not flag("matrix_shapes", G.shape == (k, n) and H.shape == (n - k, n)
                 and word.shape == (n,) and shrunk.shape == (n,)):
         return CertificateCheck(False, tuple(reasons))
+    if not flag("entry_range", all(int(a.max(initial=0)) < q
+                                   for a in (G, H, word, shrunk))):
+        return CertificateCheck(False, tuple(reasons))
 
     flag("orthogonality", not np.any(linalg.matmul(gf, G, H.T)))
     flag("generator_mismatch", linalg.row_space_equal(gf, G, code.G))

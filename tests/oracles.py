@@ -2,13 +2,17 @@
 
 Everything here is deliberately independent of the library's linear algebra:
 ranks over Q use Fractions, independence over GF(2) uses brute force over
-coefficient vectors, and the Betti sweep below builds boundary matrices from
-first principles.  These exist so the fast library paths are checked against
-code that shares nothing with them.
+coefficient vectors, eliminations over GF(q) go one scalar field operation
+at a time, and the Betti sweep below builds boundary matrices from first
+principles.  These exist so the fast library paths are checked against code
+that shares nothing with them.
 """
 
+import functools
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def rank_rational(rows):
@@ -84,3 +88,100 @@ def betti_sweep_gf2(h_matrix, n):
                     key = (size - d - 1, size)
                     betti[key] = betti.get(key, 0) + h
     return betti
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_tables(gf):
+    """Cayley tables as Python lists, read through the scalar GF interface."""
+    q = gf.q
+    add = [[gf.add(a, b) for b in range(q)] for a in range(q)]
+    mul = [[gf.mul(a, b) for b in range(q)] for a in range(q)]
+    inv = [None] + [gf.inv(a) for a in range(1, q)]
+    minus_one = next(x for x in range(q) if add[1][x] == 0)
+    return add, mul, inv, minus_one
+
+
+def rref_scalar(gf, rows):
+    """(R, rank, pivots) like linalg.rref, with scalar gf.add/mul/inv only.
+
+    Same pivot rule (the first nonzero entry in column order), no numpy
+    elimination: each row is a Python list updated entry by entry.
+    """
+    nrows, ncols = np.shape(rows)
+    add, mul, inv, minus_one = _scalar_tables(gf)
+    r = [[int(x) for x in row] for row in rows]
+    rank, pivots = 0, []
+    for c in range(ncols):
+        src = next((i for i in range(rank, nrows) if r[i][c]), None)
+        if src is None:
+            continue
+        r[rank], r[src] = r[src], r[rank]
+        scale = inv[r[rank][c]]
+        r[rank] = [mul[scale][x] for x in r[rank]]
+        for i in range(nrows):
+            if i != rank and r[i][c]:
+                f = mul[minus_one][r[i][c]]
+                r[i] = [add[x][mul[f][y]] for x, y in zip(r[i], r[rank])]
+        pivots.append(c)
+        rank += 1
+    return np.array(r, dtype=gf.dtype).reshape(nrows, ncols), rank, pivots
+
+
+def rank_profile(gf, mat):
+    """profile[i] = rank of the first i+1 rows (one incremental pass)."""
+    mat = np.asarray(mat, dtype=gf.dtype)
+    nrows, ncols = mat.shape
+    basis = []   # kept mutually reduced
+    pivots = []
+    profile = np.empty(nrows, dtype=np.int64)
+    for i in range(nrows):
+        v = mat[i].copy()
+        for j, c in enumerate(pivots):
+            coef = int(v[c])
+            if coef:
+                v = gf.sub(v, gf.mul(coef, basis[j]))
+        nz = np.nonzero(v)[0]
+        if nz.size:
+            c = int(nz[0])
+            v = gf.mul(gf.inv(int(v[c])), v)
+            for j in range(len(basis)):
+                coef = int(basis[j][c])
+                if coef:
+                    basis[j] = gf.sub(basis[j], gf.mul(coef, v))
+            basis.append(v)
+            pivots.append(c)
+        profile[i] = len(pivots)
+    return profile
+
+
+def shrink_restart_scalar(gf, h, word):
+    """One-minimal shrink by the restart-from-smallest greedy loop.
+
+    Repeatedly drops the smallest coordinate whose removal leaves a nonzero
+    codeword of ker h inside the support, rescanning from the smallest after
+    each drop; ranks come from rref_scalar.  Returns the word spanning the
+    final one-dimensional shortened code, its free coordinate set to 1.
+    """
+    h = np.asarray(h)
+    _, mul, _, minus_one = _scalar_tables(gf)
+
+    def shortened_dim(sigma):
+        return len(sigma) - rref_scalar(gf, h[:, sigma])[1]
+
+    sigma = [j for j, x in enumerate(word) if x]
+    while True:
+        for j in sigma:
+            trial = [x for x in sigma if x != j]
+            if shortened_dim(trial) >= 1:
+                sigma = trial
+                break
+        else:
+            break
+    r, rank, pivots = rref_scalar(gf, h[:, sigma])
+    assert len(sigma) - rank == 1
+    free = next(c for c in range(len(sigma)) if c not in pivots)
+    out = [0] * len(word)
+    out[sigma[free]] = 1
+    for i, c in enumerate(pivots):
+        out[sigma[c]] = mul[minus_one][int(r[i, free])]
+    return np.array(out, dtype=gf.dtype)

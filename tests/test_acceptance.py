@@ -27,7 +27,7 @@ import rmbetti as rb
 from rmbetti import linalg
 from rmbetti.rm import _monomial_row
 
-from oracles import betti_sweep_gf2
+from oracles import betti_sweep_gf2, rank_profile, shrink_restart_scalar
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9)
 THEOREM_PAIRS = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2))
@@ -50,7 +50,7 @@ def test_dimension_sources_agree_across_fields():
             order = rb.point_order(q, m)
             full = rb.monomial_basis(q, m * (q - 1), m)
             rows = np.stack([_monomial_row(gf, order, e) for e in full])
-            profile = linalg.rank_profile(gf, rows)
+            profile = rank_profile(gf, rows)
             boundary = 0
             for r in range(m * (q - 1) + 1):
                 while boundary < len(full) and sum(full[boundary]) <= r:
@@ -332,6 +332,37 @@ def test_s0_witness_weight_is_a_betti_shift(theorem_tables, q, m, r, wt, beta):
     assert theorem_tables[(q, m, r)].table.entries.get((1, wt)) == beta
     _ok(f"s = 0 witness ({q},{m},{r})",
         f"weight {wt} is a position-1 shift, beta_1,{wt} = {beta}")
+
+
+def test_shrink_matches_restart_oracle():
+    """One forward pass over the support finds the restart loop's word."""
+    words = []
+    for q in (3, 4, 5, 7, 8, 9):
+        for m in (2, 3, 4):
+            for r in range(m * (q - 1) + 1):
+                if q ** m <= 81 and rb.certificate_applicable(q, m, r):
+                    words.append(((q, m, r), rb.non_purity_certificate(q, m, r).codeword))
+    for q, m, r in [(3, 2, 2), (4, 2, 3)]:
+        words.append(((q, m, r), _s0_witness(q, m, r).evaluate(rb.build_code(q, r, m).order)))
+    rng = np.random.default_rng(19)
+    for q, m, r in [(2, 4, 1), (2, 4, 2), (3, 2, 2), (3, 3, 2), (3, 3, 4),
+                    (4, 2, 2), (4, 2, 4), (5, 2, 3), (5, 2, 5)]:
+        code = rb.build_code(q, r, m)
+        for _ in range(3):
+            coeffs = rng.integers(0, q, size=(1, code.k)).astype(code.gf.dtype)
+            coeffs[0, 0] = 1                      # a nonzero codeword
+            words.append(((q, m, r), linalg.matmul(code.gf, coeffs, code.G)[0]))
+    removed = 0
+    for (q, m, r), word in words:
+        code = rb.build_code(q, r, m)
+        word = np.asarray(word, dtype=code.gf.dtype)
+        shrunk = rb.shrink_to_one_minimal(code, word)
+        expected = shrink_restart_scalar(code.gf, code.H, word)
+        assert shrunk.dtype == expected.dtype
+        assert shrunk.tobytes() == expected.tobytes(), (q, m, r, word)
+        removed += rb.weight(word) - rb.weight(shrunk)
+    _ok("one-pass shrink", f"{len(words)} words equal the restart oracle, "
+        f"{removed} coordinates removed")
 
 
 @pytest.mark.parametrize("q,m,r,wt,d1", [(3, 3, 3, 8, 6), (3, 4, 3, 24, 18),

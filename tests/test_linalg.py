@@ -7,6 +7,11 @@ import pytest
 
 from rmbetti import DimensionMismatchError, field
 from rmbetti import linalg
+from rmbetti.rm import _monomial_row, monomial_basis, point_order
+
+from oracles import rank_profile, rref_scalar
+
+ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 257)   # GF(257): a uint16 prime field
 
 
 def mat(gf, rows):
@@ -37,6 +42,39 @@ def test_rref_idempotent_and_pivots_increase():
         r2, rk2, piv2 = linalg.rref(gf, r)
         assert np.array_equal(r, r2) and rk == rk2 and piv == piv2
         assert piv == sorted(piv)
+
+
+def _assert_rref_matches_oracle(gf, m):
+    r, rk, piv = linalg.rref(gf, m)
+    r0, rk0, piv0 = rref_scalar(gf, m)
+    assert r.dtype == r0.dtype == gf.dtype and r.shape == r0.shape
+    assert r.tobytes() == r0.tobytes() and rk == rk0 and piv == piv0
+
+
+def test_rref_matches_scalar_oracle():
+    rng = np.random.default_rng(61)
+    for q in ORACLE_FIELDS:
+        gf = field(q)
+        for shape in [(0, 5), (4, 0), (0, 0), (9, 4), (3, 10), (6, 6)]:
+            for _ in range(3):
+                m = rng.integers(0, q, size=shape).astype(gf.dtype)
+                _assert_rref_matches_oracle(gf, m)
+                if shape[0] > 2 and shape[1] > 2:   # rank deficient
+                    m[1] = m[0]
+                    m[-1] = gf.mul(2 % q, m[2])
+                    m[:, 1] = 0
+                    _assert_rref_matches_oracle(gf, m)
+                    sparse = m * (rng.random(shape) < 0.3)
+                    _assert_rref_matches_oracle(gf, sparse.astype(gf.dtype))
+
+
+@pytest.mark.parametrize("q,r,m", [(2, 2, 4), (3, 3, 2), (4, 3, 2), (5, 4, 2),
+                                   (8, 6, 2), (9, 5, 2)])
+def test_rref_matches_scalar_oracle_on_evaluation_matrices(q, r, m):
+    gf = field(q)
+    order = point_order(q, m)
+    g = np.stack([_monomial_row(gf, order, e) for e in monomial_basis(q, r, m)])
+    _assert_rref_matches_oracle(gf, g)
 
 
 def test_null_space_examples():
@@ -79,6 +117,7 @@ def test_row_space_equal():
     a = mat(gf, [[1, 0, 2], [0, 1, 1]])
     permuted = a[[1, 0]]
     scaled = np.array([gf.mul(2, a[0]), a[1]])
+    assert linalg.row_space_equal(gf, a, a.copy())
     assert linalg.row_space_equal(gf, a, permuted)
     assert linalg.row_space_equal(gf, a, scaled)
     assert not linalg.row_space_equal(gf, a, a[:1])
@@ -99,19 +138,32 @@ def test_matmul_and_matvec():
         linalg.matmul(gf, a, a)
 
 
+def _scalar_dot(gf, row, col):
+    acc = 0
+    for x, y in zip(row, col):
+        acc = gf.add(acc, gf.mul(int(x), int(y)))
+    return acc
+
+
 def test_matmul_matches_scalar_definition():
     rng = np.random.default_rng(8)
-    for q in (3, 4):
+    for q in ORACLE_FIELDS:
         gf = field(q)
-        a = rng.integers(0, q, size=(3, 4)).astype(gf.dtype)
-        b = rng.integers(0, q, size=(4, 2)).astype(gf.dtype)
-        out = linalg.matmul(gf, a, b)
-        for i in range(3):
-            for j in range(2):
-                acc = 0
-                for k in range(4):
-                    acc = gf.add(acc, gf.mul(int(a[i, k]), int(b[k, j])))
-                assert out[i, j] == acc
+        for inner in (4, 0):
+            a = rng.integers(0, q, size=(3, inner)).astype(gf.dtype)
+            b = rng.integers(0, q, size=(inner, 2)).astype(gf.dtype)
+            out = linalg.matmul(gf, a, b)
+            assert out.dtype == gf.dtype and out.shape == (3, 2)
+            for i in range(3):
+                for j in range(2):
+                    assert out[i, j] == _scalar_dot(gf, a[i], b[:, j])
+            v = rng.integers(0, q, size=inner).astype(gf.dtype)
+            w = linalg.matvec(gf, a, v)
+            assert w.dtype == gf.dtype
+            assert w.tolist() == [_scalar_dot(gf, a[i], v) for i in range(3)]
+        # entries near q - 1 with a long inner dimension: the largest sums
+        a = np.full((2, 300), q - 1, dtype=gf.dtype)
+        assert linalg.matmul(gf, a, a.T).tolist() == [[_scalar_dot(gf, a[0], a[0])] * 2] * 2
 
 
 def test_submatrix_columns():
@@ -128,7 +180,7 @@ def test_rank_profile_matches_prefix_ranks():
     for q in (2, 3, 9):
         gf = field(q)
         m = rng.integers(0, q, size=(8, 6)).astype(gf.dtype)
-        profile = linalg.rank_profile(gf, m)
+        profile = rank_profile(gf, m)
         for i in range(8):
             assert profile[i] == linalg.rank(gf, m[: i + 1])
 

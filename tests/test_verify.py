@@ -104,6 +104,14 @@ def test_certificate_negative_controls():
     tampered_params = dataclasses.replace(cert, r=3)
     assert not rb.check_certificate(tampered_params).ok
 
+    # an entry outside 0..q-1 is refused, not read modulo the characteristic
+    rows = [list(row) for row in cert.generator_matrix]
+    rows[0][0] += cert.q
+    tampered_entry = dataclasses.replace(
+        cert, generator_matrix=tuple(tuple(row) for row in rows))
+    result = rb.check_certificate(tampered_entry)
+    assert not result.ok and result.reasons == ("entry_range",)
+
 
 def test_certificate_json_roundtrip():
     cert = rb.non_purity_certificate(3, 3, 3)
