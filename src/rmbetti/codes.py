@@ -20,6 +20,13 @@ from .bits import popcount_table, subset_max_accumulate
 from .errors import ParameterError, TooLargeError
 from .gf import GF
 
+# The size limits of the exact enumerations, each defined once; an input
+# beyond one raises TooLargeError before the work starts.
+MAX_TABLE_N = 20           # 2^n-entry subset tables: nullity table, support masks
+MAX_SEARCH_N = 25          # ghw's subset search past the nullity table
+MAX_ENUM = 2_000_000       # codewords enumerated (q^k); default of max_enum
+MAX_SUBSPACES = 1_000_000  # subspaces enumerated by canonical RREF bases
+
 
 class LinearCode:
     """A k-dimensional subspace of GF(q)^n.
@@ -75,8 +82,9 @@ class LinearCode:
         """
         if self._nullity is None:
             n = self.n
-            if n > 20:
-                raise TooLargeError(f"nullity table needs n <= 20, n = {n}")
+            if n > MAX_TABLE_N:
+                raise TooLargeError(
+                    f"nullity table needs n <= {MAX_TABLE_N}, n = {n}")
             faces = np.asarray(linalg.independent_column_sets(self.gf, self.H),
                                dtype=np.int64)
             pc = popcount_table(n)
@@ -111,22 +119,20 @@ def _coord_set(code: LinearCode, coords) -> list[int]:
 def shortened_dim(code: LinearCode, coords) -> int:
     """dim {c in C : supp(c) subseteq coords} = |coords| - rank(H restricted)."""
     sigma = _coord_set(code, coords)
-    h_sigma = linalg.submatrix_columns(code.H, sigma)
-    return len(sigma) - linalg.rank(code.gf, h_sigma)
+    return len(sigma) - linalg.rank(code.gf, code.H[:, sigma])
 
 
 def shortened_basis(code: LinearCode, coords) -> np.ndarray:
     """Basis (rows) of the codewords supported inside the coordinate set."""
     sigma = _coord_set(code, coords)
-    h_sigma = linalg.submatrix_columns(code.H, sigma)
-    local = linalg.null_space(code.gf, h_sigma)
+    local = linalg.null_space(code.gf, code.H[:, sigma])
     out = linalg.zeros(code.gf, local.shape[0], code.n)
     if sigma:
         out[:, sigma] = local
     return out
 
 
-def enumerate_codewords(code: LinearCode, *, max_enum: int = 2_000_000) -> np.ndarray:
+def enumerate_codewords(code: LinearCode, *, max_enum: int = MAX_ENUM) -> np.ndarray:
     """All q**k codewords as rows (the zero word first); guarded."""
     q = code.gf.q
     total = q ** code.k
@@ -142,7 +148,7 @@ def enumerate_codewords(code: LinearCode, *, max_enum: int = 2_000_000) -> np.nd
     return words
 
 
-def min_weight_bruteforce(code: LinearCode, *, max_enum: int = 2_000_000) -> int:
+def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     if code.k == 0:
         raise ParameterError("the zero code has no nonzero codeword")
     q = code.gf.q
@@ -163,11 +169,12 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = 2_000_000) -> int
     return best
 
 
-def minimal_codeword_supports(code: LinearCode, *, max_enum: int = 2_000_000) -> list[tuple[int, ...]]:
+def minimal_codeword_supports(code: LinearCode) -> list[tuple[int, ...]]:
     """Supports of nonzero codewords that contain no smaller codeword support."""
-    if code.n > 20:
-        raise TooLargeError(f"support masks need n <= 20, n = {code.n}")
-    words = enumerate_codewords(code, max_enum=max_enum)
+    if code.n > MAX_TABLE_N:
+        raise TooLargeError(
+            f"support masks need n <= {MAX_TABLE_N}, n = {code.n}")
+    words = enumerate_codewords(code)
     bitvals = (1 << np.arange(code.n, dtype=np.int64))
     masks = np.unique(((words != 0) * bitvals).sum(axis=1))
     masks = masks[masks != 0]
@@ -184,16 +191,18 @@ def minimal_codeword_supports(code: LinearCode, *, max_enum: int = 2_000_000) ->
 # -- generalized Hamming weights --------------------------------------------
 
 
-def ghw(code: LinearCode, i: int, *, max_n: int = 25) -> int:
-    """Smallest support size of an i-dimensional subcode (nullity search)."""
+def ghw(code: LinearCode, i: int) -> int:
+    """Smallest support size of an i-dimensional subcode: read off the
+    nullity table up to MAX_TABLE_N, then a subset search up to MAX_SEARCH_N."""
     if not 1 <= i <= code.k:
         raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
-    if code.n > max_n:
-        raise TooLargeError(f"subset search needs n <= {max_n}, n = {code.n}")
-    if code.n <= 20:
+    if code.n <= MAX_TABLE_N:
         nullity = code.nullity_table()
         pc = popcount_table(code.n)
         return int(pc[nullity >= i].min())
+    if code.n > MAX_SEARCH_N:
+        raise TooLargeError(
+            f"subset search needs n <= {MAX_SEARCH_N}, n = {code.n}")
     gf, h = code.gf, code.H
     for size in range(i, code.n + 1):
         for sigma in itertools.combinations(range(code.n), size):
@@ -202,8 +211,8 @@ def ghw(code: LinearCode, i: int, *, max_n: int = 25) -> int:
     raise AssertionError("unreachable: the full support has nullity k")
 
 
-def ghw_profile(code: LinearCode, *, max_n: int = 25) -> tuple[int, ...]:
-    return tuple(ghw(code, i, max_n=max_n) for i in range(1, code.k + 1))
+def ghw_profile(code: LinearCode) -> tuple[int, ...]:
+    return tuple(ghw(code, i) for i in range(1, code.k + 1))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -237,7 +246,13 @@ def rref_generators(gf: GF, rows: int, cols: int):
             yield mat
 
 
-def is_i_minimal(code: LinearCode, subcode_rows, *, max_subspaces: int = 1_000_000) -> bool:
+def _check_subspace_count(count: int) -> None:
+    if count > MAX_SUBSPACES:
+        raise TooLargeError(
+            f"{count} subspaces to enumerate exceeds guard {MAX_SUBSPACES}")
+
+
+def is_i_minimal(code: LinearCode, subcode_rows) -> bool:
     """True iff no distinct subcode of the same dimension has support inside
     the given subcode's support.
 
@@ -261,10 +276,7 @@ def is_i_minimal(code: LinearCode, subcode_rows, *, max_subspaces: int = 1_000_0
         # the only codewords inside a nullity-1 support are the scalar
         # multiples of its generator
         return kappa == 1
-    count = gaussian_binomial(kappa, i, gf.q)
-    if count > max_subspaces:
-        raise TooLargeError(
-            f"{count} subspaces to enumerate exceeds guard {max_subspaces}")
+    _check_subspace_count(gaussian_binomial(kappa, i, gf.q))
     inside = shortened_basis(code, sigma)
     target = linalg.rref(gf, d)[0][:i]
     for u in rref_generators(gf, i, kappa):
@@ -275,15 +287,12 @@ def is_i_minimal(code: LinearCode, subcode_rows, *, max_subspaces: int = 1_000_0
     return True
 
 
-def ghw_by_subspaces(code: LinearCode, i: int, *, max_subspaces: int = 1_000_000) -> int:
+def ghw_by_subspaces(code: LinearCode, i: int) -> int:
     """Oracle: minimize support weight over all i-dimensional subcodes."""
     if not 1 <= i <= code.k:
         raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
     gf = code.gf
-    count = gaussian_binomial(code.k, i, gf.q)
-    if count > max_subspaces:
-        raise TooLargeError(
-            f"{count} subspaces to enumerate exceeds guard {max_subspaces}")
+    _check_subspace_count(gaussian_binomial(code.k, i, gf.q))
     best = code.n
     for u in rref_generators(gf, i, code.k):
         rows = linalg.matmul(gf, u, code.G)
@@ -333,14 +342,13 @@ def is_nondegenerate(code: LinearCode) -> bool:
     return bool(code.G.any(axis=0).all()) if code.k else False
 
 
-def minimum_distance(code: LinearCode, *, max_enum: int = 2_000_000,
-                     max_n: int = 25) -> int:
-    """Exact minimum distance: codeword enumeration when q^k fits the guard,
-    otherwise the support search (needs n within its guard)."""
+def minimum_distance(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
+    """Exact minimum distance: codeword enumeration when q^k fits max_enum,
+    otherwise ghw's support search (needs n <= MAX_SEARCH_N)."""
     if code.gf.q ** code.k <= max_enum:
         return min_weight_bruteforce(code, max_enum=max_enum)
-    return ghw(code, 1, max_n=max_n)
+    return ghw(code, 1)
 
 
-def is_mds(code: LinearCode, *, max_enum: int = 2_000_000, max_n: int = 25) -> bool:
-    return minimum_distance(code, max_enum=max_enum, max_n=max_n) == code.n - code.k + 1
+def is_mds(code: LinearCode, *, max_enum: int = MAX_ENUM) -> bool:
+    return minimum_distance(code, max_enum=max_enum) == code.n - code.k + 1

@@ -149,18 +149,6 @@ def matvec(gf: GF, a, v) -> np.ndarray:
     return out
 
 
-def submatrix_columns(mat: np.ndarray, cols) -> np.ndarray:
-    """Column restriction; preserves the row count, validates indices."""
-    mat = np.asarray(mat)
-    cols = list(cols)
-    for c in cols:
-        if not 0 <= int(c) < mat.shape[1]:
-            raise IndexError(f"column {c} out of range for {mat.shape[1]} columns")
-    if not cols:
-        return mat[:, :0]
-    return mat[:, cols]
-
-
 def independent_column_sets(gf: GF, mat) -> list[int]:
     """Bitmasks of all linearly independent column subsets (incl. the empty set).
 

@@ -165,10 +165,6 @@ class ExponentPoly:
     # constructors
 
     @classmethod
-    def zero(cls, gf: GF, m: int) -> "ExponentPoly":
-        return cls(gf, m)
-
-    @classmethod
     def constant(cls, gf: GF, m: int, c: int) -> "ExponentPoly":
         return cls(gf, m, {(0,) * m: c})
 
@@ -245,15 +241,7 @@ class ExponentPoly:
             order = point_order(gf.q, self.m)
         if order.gf is not gf or order.m != self.m:
             raise ParameterError("point order does not match this polynomial")
-        pts = order.points
-        vals = np.zeros(order.size, dtype=gf.dtype)
-        for exps, coef in self.sorted_terms():
-            col = np.full(order.size, coef, dtype=gf.dtype)
-            for i, e in enumerate(exps):
-                if e:
-                    col = gf.mul(col, gf.pow(pts[:, i], e))
-            vals = gf.add(vals, col)
-        return vals
+        return _evaluate_terms(gf, order.points, self.sorted_terms())
 
     def __repr__(self):
         if not self.terms:
@@ -264,6 +252,19 @@ class ExponentPoly:
             bits.append(f"{self.gf.element_str(coef)}*{mono}" if mono
                         else self.gf.element_str(coef))
         return "ExponentPoly(" + " + ".join(bits) + ")"
+
+
+def _evaluate_terms(gf: GF, values: np.ndarray, terms) -> np.ndarray:
+    """Sum over (exps, coef) in terms of coef * prod_i values[:, i] ** exps[i]:
+    one entry per row of the (N, w) array of point values."""
+    out = np.zeros(values.shape[0], dtype=gf.dtype)
+    for exps, coef in terms:
+        col = np.full(values.shape[0], coef, dtype=gf.dtype)
+        for i, e in enumerate(exps):
+            if e:
+                col = gf.mul(col, gf.pow(values[:, i], e))
+        out = gf.add(out, col)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,11 +330,22 @@ class RMCode(LinearCode):
 
 
 def _monomial_row(gf: GF, order: PointOrder, exps) -> np.ndarray:
-    col = np.ones(order.size, dtype=gf.dtype)
-    for i, e in enumerate(exps):
-        if e:
-            col = gf.mul(col, gf.pow(order.points[:, i], e))
-    return col
+    return _evaluate_terms(gf, order.points, [(exps, 1)])
+
+
+def generator_matrix(q: int, r: int, m: int) -> np.ndarray:
+    """The monomial basis evaluated over the point grid, one row per monomial.
+
+    A k x n matrix above MAX_MATRIX_CELLS is refused before it is built.
+    """
+    validate_params(q, r, m)
+    gf = field(q)
+    order = point_order(q, m)
+    basis = monomial_basis(q, r, m)
+    if len(basis) * order.size > MAX_MATRIX_CELLS:
+        raise TooLargeError(f"the {len(basis)}x{order.size} generator matrix is "
+                            f"above {MAX_MATRIX_CELLS} cells")
+    return np.stack([_monomial_row(gf, order, e) for e in basis])
 
 
 @functools.lru_cache(maxsize=256)
@@ -350,10 +362,9 @@ def build_code(q: int, r: int, m: int) -> RMCode:
     if max(ak, n - ak) * n > MAX_MATRIX_CELLS:
         raise TooLargeError(f"the [{n}, {ak}] code needs a {max(ak, n - ak)}x{n} "
                             f"matrix, above {MAX_MATRIX_CELLS} cells")
-    basis = monomial_basis(q, r, m)
-    G = np.stack([_monomial_row(gf, order, e) for e in basis])
+    G = generator_matrix(q, r, m)
     R, rk, piv = linalg.rref(gf, G)
-    k = len(basis)
+    k = G.shape[0]
     ie = dim_inclusion_exclusion(q, r, m)
     if not (rk == k == ak == ie):
         raise CrossCheckError(
@@ -435,14 +446,7 @@ def substitute_linear_forms(f: ExponentPoly, forms, shifts=None) -> np.ndarray:
             if coef:
                 acc = gf.add(acc, gf.mul(coef, pts[:, j]))
         cols[:, i] = acc
-    vals = np.zeros(order.size, dtype=gf.dtype)
-    for exps, coef in f.sorted_terms():
-        col = np.full(order.size, coef, dtype=gf.dtype)
-        for i, e in enumerate(exps[:w]):
-            if e:
-                col = gf.mul(col, gf.pow(cols[:, i], e))
-        vals = gf.add(vals, col)
-    return vals
+    return _evaluate_terms(gf, cols, f.sorted_terms())
 
 
 def interpolation_basis(q: int, m: int) -> list[ExponentPoly]:

@@ -150,7 +150,7 @@ def betti_hochster(code: LinearCode, ell: int = 2, *, max_n: int = 16) -> BettiT
     return BettiTable(n=n, k=code.k, entries=entries)
 
 
-def betti_fastpath(code: LinearCode, *, max_n: int = 20) -> BettiTable:
+def betti_fastpath(code: LinearCode) -> BettiTable:
     """Face-count route: no boundary matrices.
 
     For every restriction W the only possible homology sits in degree
@@ -158,11 +158,10 @@ def betti_fastpath(code: LinearCode, *, max_n: int = 20) -> BettiTable:
     (signed face counts) and the code's nullity table (ranks) give the whole
     table.  The sign of every nonzero chi~ is checked against the rank
     parity; a violation would mean the complex is not of the expected kind
-    and raises instead of producing numbers.
+    and raises instead of producing numbers.  The nullity table's own guard
+    bounds n.
     """
     n = code.n
-    if n > max_n:
-        raise TooLargeError(f"2^n subset transforms need n <= {max_n}, n = {n}")
     nullity = code.nullity_table()
     pc = popcount_table(n)
     ranks = pc - nullity

@@ -23,11 +23,15 @@ from .gf import field
 
 @dataclass(frozen=True)
 class Guards:
-    """Enumeration limits; exceeding one raises TooLargeError, never truncates."""
+    """Enumeration limits; exceeding one raises TooLargeError, never truncates.
+
+    max_subspaces only reports codes.MAX_SUBSPACES, the fixed limit of the
+    subspace enumerations, which no sweep or command runs.
+    """
     max_n_betti: int = 16
     cross_check_n: int = 12
-    max_enum: int = 2_000_000
-    max_subspaces: int = 1_000_000
+    max_enum: int = codes.MAX_ENUM
+    max_subspaces: int = codes.MAX_SUBSPACES
     homology_char: int = 2
 
     def to_json_obj(self) -> dict:
@@ -67,7 +71,7 @@ def purity_by_betti(q: int, m: int, r: int,
     if code.n > guards.max_n_betti:
         raise TooLargeError(
             f"n = {code.n} exceeds the Betti guard {guards.max_n_betti}")
-    table = srres.betti_fastpath(code, max_n=guards.max_n_betti)
+    table = srres.betti_fastpath(code)
     cross_checked = code.n <= guards.cross_check_n
     if cross_checked:
         slow = srres.betti_hochster(code, guards.homology_char,
@@ -160,17 +164,16 @@ class NonPurityCertificate:
 
 
 def _case_weight(q: int, m: int, r: int) -> tuple[int, int]:
-    """(case number, expected witness weight) for the s = 1 construction."""
-    t, s = rm.ts_split(q, r)
-    if s != 1:
-        raise PreconditionError(f"split of r={r} gives s={s}; certificates need s = 1")
+    """(case number, expected witness weight) inside the s = 1 band."""
+    t, _ = rm.ts_split(q, r)
     if q == 3:
         return 2, 8 * 3 ** (m - t - 2)
     return 1, 2 * (q - 2) * q ** (m - t - 1)
 
 
 def certificate_applicable(q: int, m: int, r: int) -> bool:
-    """Whether the witness construction's preconditions hold at (q, m, r)."""
+    """Whether (q, m, r) lies in the s = 1 band of the witness construction:
+    q >= 3, m >= 2, s = 1 and 1 < r < m(q-1) - 1."""
     try:
         rm.validate_params(q, r, m)
     except ParameterError:
@@ -188,12 +191,11 @@ def non_purity_certificate(q: int, m: int, r: int,
     evidence against the characterization, never silenced).
     """
     rm.validate_params(q, r, m)
-    if q < 3:
-        raise PreconditionError(f"witness constructions need q >= 3, got q={q}")
-    if m < 2 or not 1 < r < m * (q - 1) - 1:
-        raise PreconditionError(
-            f"need m >= 2 and 1 < r < m(q-1)-1, got m={m}, r={r}")
     t, s = rm.ts_split(q, r)
+    if not certificate_applicable(q, m, r):
+        raise PreconditionError(
+            "certificates need q >= 3, m >= 2, s = 1 and 1 < r < m(q-1)-1; "
+            f"got q={q}, m={m}, r={r}, s={s}")
     case, formula_weight = _case_weight(q, m, r)
     if case == 2:
         witness = rm.witness_poly_ternary(m, r)
@@ -272,17 +274,14 @@ def check_certificate(cert: NonPurityCertificate,
             reasons.append(reason)
         return ok
 
-    try:
-        q, m, r = cert.q, cert.m, cert.r
-        rm.validate_params(q, r, m)
-        gf = field(q)
-        t, s = rm.ts_split(q, r)
-        flag("params", (t, s) == (cert.t, cert.s) and s == 1 and q >= 3
-             and m >= 2 and 1 < r < m * (q - 1) - 1
-             and (gf.p, gf.e, gf.modulus) == (cert.field_char, cert.field_degree,
-                                              tuple(cert.field_modulus)))
-    except ParameterError:
-        return CertificateCheck(False, ("params",))
+    # every later check reads the code that these parameters build
+    q, m, r = cert.q, cert.m, cert.r
+    gf = field(q) if certificate_applicable(q, m, r) else None
+    if not flag("params", gf is not None
+                and rm.ts_split(q, r) == (cert.t, cert.s)
+                and (gf.p, gf.e, gf.modulus) == (cert.field_char, cert.field_degree,
+                                                 tuple(cert.field_modulus))):
+        return CertificateCheck(False, tuple(reasons))
 
     G = np.array(cert.generator_matrix, dtype=gf.dtype)
     H = np.array(cert.parity_check_matrix, dtype=gf.dtype)
@@ -315,12 +314,9 @@ def check_certificate(cert: NonPurityCertificate,
     flag("weight_mismatch", codes.weight(word) == cert.weight
          and codes.weight(shrunk) == cert.one_minimal_weight)
 
-    try:
-        case, formula_weight = _case_weight(q, m, r)
-        flag("weight_formula", case == cert.case
-             and formula_weight == cert.formula_weight == cert.weight)
-    except PreconditionError:
-        flag("weight_formula", False)
+    case, formula_weight = _case_weight(q, m, r)
+    flag("weight_formula", case == cert.case
+         and formula_weight == cert.formula_weight == cert.weight)
 
     d1 = rm.min_distance_formula(q, r, m)
     flag("d1_mismatch", d1 == cert.d1)
@@ -392,7 +388,7 @@ def mds_check(q: int, m: int, r: int,
         computed = None
     match = None if computed is None else computed == predicted
     ghw = ghw_formula = ghw_ok = consecutive = None
-    if r == 1 and m >= 2 and code.n <= 20:
+    if r == 1 and m >= 2 and code.n <= codes.MAX_TABLE_N:
         ghw = codes.ghw_profile(code)
         ghw_formula = tuple(q ** m - q ** (m - i) if m - i >= 0 else q ** m
                             for i in range(1, code.k + 1))
@@ -502,10 +498,6 @@ class SweepReport:
     def all_match(self) -> bool:
         return all(row.match == "match" for row in self.rows if row.match != "skipped") \
             and any(row.match == "match" for row in self.rows)
-
-    def to_json_obj(self) -> dict:
-        return {"rows": [row.to_json_obj() for row in self.rows],
-                "match": self.all_match}
 
 
 def sweep(qs, ms, rs=None, *, guards: Guards = DEFAULT_GUARDS,

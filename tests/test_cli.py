@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from rmbetti import cli
+from rmbetti import cli, codes
 
 CLI = [sys.executable, "-m", "rmbetti"]
 
@@ -158,12 +158,23 @@ def test_homology_backend_bounded_by_cross_check_n(backend):
 @pytest.mark.parametrize("argv,limit", [
     ("dim --q 40009 --m 1 --r 0", "1048576 cells"),   # field tables, ~3 GiB
     ("dim --q 2 --m 28 --r 1", "65536 points"),       # point grid, ~56 GiB
-    ("dim --q 2 --m 16 --r 1", "268435456 cells"),    # parity-check matrix, 4 GiB
+    ("distance --q 2 --m 16 --r 1", "268435456 cells"),  # parity-check matrix, 4 GiB
 ])
 def test_sizes_refused_before_allocating(argv, limit):
     proc = run_bounded(argv)
     assert_refused_too_large(proc)
     assert limit in proc.stderr
+
+
+@pytest.mark.parametrize("m,k", [(15, 16), (16, 17)])
+def test_dim_ranks_the_generator_matrix_of_long_codes(m, k):
+    # dim never builds the 65519 x 65536 parity-check matrix of m = 16
+    proc = run_bounded(f"dim --q 2 --m {m} --r 1 --output json --no-timing")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == {"n": 2 ** m, "k": k, "d": 2 ** (m - 1)}
+    assert set(report["details"].values()) == {k}
+    assert report["match"] is True
 
 
 @pytest.mark.parametrize("argv,exit_code", [
@@ -207,14 +218,17 @@ def test_guard_env_value_must_be_a_nonnegative_integer():
 
 def test_explicit_zero_guards_are_kept_and_negative_refused():
     proc = run("distance", "--q", "2", "--m", "3", "--r", "1", "--max-enum",
-               "0", "--max-subspaces", "0", "--output", "json", "--no-timing")
+               "0", "--output", "json", "--no-timing")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["guards"]["max_enum"] == 0
-    assert report["guards"]["max_subspaces"] == 0
+    assert report["guards"]["max_subspaces"] == codes.MAX_SUBSPACES
     assert report["details"] == {"formula": 4, "bruteforce": None,
                                  "method": "formula"}
-    for flag in ("--max-enum", "--max-subspaces", "--max-n-betti"):
+    proc = run("distance", "--q", "2", "--m", "3", "--r", "1",
+               "--max-subspaces", "0")
+    assert proc.returncode == 2  # the flag is gone
+    for flag in ("--max-enum", "--max-n-betti"):
         proc = run("distance", "--q", "2", "--m", "3", "--r", "1", flag, "-5")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr

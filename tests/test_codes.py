@@ -259,8 +259,8 @@ def test_mds_and_nondegeneracy():
 def test_minimum_distance_falls_back_to_support_search():
     code = rb.build_code(4, 4, 2)  # q^k = 4^13 too large to enumerate
     assert rb.minimum_distance(code, max_enum=1000) == 3
-    with pytest.raises(TooLargeError):
-        rb.minimum_distance(code, max_enum=1000, max_n=8)
+    with pytest.raises(TooLargeError):  # n = 27 is past the subset search
+        rb.minimum_distance(rb.build_code(3, 2, 3), max_enum=1000)
 
 
 def test_minimal_codeword_supports_match_low_weight_words(even_weight):

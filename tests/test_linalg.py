@@ -166,15 +166,6 @@ def test_matmul_matches_scalar_definition():
         assert linalg.matmul(gf, a, a.T).tolist() == [[_scalar_dot(gf, a[0], a[0])] * 2] * 2
 
 
-def test_submatrix_columns():
-    gf = field(2)
-    m = mat(gf, [[1, 0, 1], [0, 1, 1]])
-    assert linalg.submatrix_columns(m, []).shape == (2, 0)
-    assert np.array_equal(linalg.submatrix_columns(m, [2, 0]), [[1, 1], [1, 0]])
-    with pytest.raises(IndexError):
-        linalg.submatrix_columns(m, [3])
-
-
 def test_rank_profile_matches_prefix_ranks():
     rng = np.random.default_rng(33)
     for q in (2, 3, 9):

@@ -160,10 +160,8 @@ def test_betti_guards():
     big = rb.build_code(2, 1, 4)  # n = 16 exceeds a 12-vertex guard
     with pytest.raises(TooLargeError):
         rb.betti_hochster(big, 2, max_n=12)
-    with pytest.raises(TooLargeError):
-        rb.betti_fastpath(big, max_n=12)
     with pytest.raises(TooLargeError):  # the nullity table stops at n = 20
-        rb.betti_fastpath(rb.build_code(23, 5, 1), max_n=23)
+        rb.betti_fastpath(rb.build_code(23, 5, 1))
     with pytest.raises(ParameterError):
         rb.betti_hochster(rb.build_code(2, 1, 2), ell=6)
 

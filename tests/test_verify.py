@@ -8,7 +8,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CertificateError, ParameterError, PreconditionError,
-                     TooLargeError)
+                     TooLargeError, codes)
 
 
 def test_purity_predicate_examples():
@@ -68,6 +68,11 @@ def test_certificate_contents(q, m, r, case, wt, d1):
     assert rb.check_certificate(cert).ok
 
 
+def test_guard_defaults_are_the_codes_limits():
+    assert rb.Guards().max_enum == codes.MAX_ENUM
+    assert rb.Guards().max_subspaces == codes.MAX_SUBSPACES
+
+
 def test_certificate_d1_sources():
     # every applicable instance has k >= 13, so the default enumeration guard
     # always leaves d1 on the formula route and records that explicitly
@@ -103,6 +108,11 @@ def test_certificate_negative_controls():
 
     tampered_params = dataclasses.replace(cert, r=3)
     assert not rb.check_certificate(tampered_params).ok
+
+    # r = 1 keeps s = 1 but leaves the band 1 < r < m(q-1) - 1
+    below_band = dataclasses.replace(cert, r=1, t=0)
+    assert rb.ts_split(below_band.q, below_band.r) == (0, 1)
+    assert rb.check_certificate(below_band).reasons == ("params",)
 
     # an entry outside 0..q-1 is refused, not read modulo the characteristic
     rows = [list(row) for row in cert.generator_matrix]
@@ -224,7 +234,10 @@ def test_sweep_jobs_do_not_change_rows():
     seq = rb.sweep(3, 2)
     par = rb.sweep(3, 2, jobs=2)
     assert seq.rows == par.rows
-    assert json.dumps(seq.to_json_obj()) == json.dumps(par.to_json_obj())
+    rows_json = [json.dumps([row.to_json_obj() for row in report.rows])
+                 for report in (seq, par)]
+    assert rows_json[0] == rows_json[1]
+    assert seq.all_match == par.all_match
 
 
 def test_constructed_certificates_never_fail_silently(monkeypatch):
