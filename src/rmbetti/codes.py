@@ -67,10 +67,12 @@ class LinearCode:
         return cls(gf, r[:rk], validate=False)
 
     def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=self.gf.dtype)
+        v = np.asarray(v)
         if v.shape != (self.n,):
             raise ParameterError(f"expected a length-{self.n} vector")
-        return not np.any(linalg.matvec(self.gf, self.H, v))
+        if v.size and not 0 <= v.min() <= v.max() < self.gf.q:
+            raise ParameterError(f"entries must lie in 0..{self.gf.q - 1}")
+        return not np.any(linalg.matvec(self.gf, self.H, v.astype(self.gf.dtype)))
 
     def nullity_table(self) -> np.ndarray:
         """dim {c in C : supp(c) subseteq W} for every coordinate bitmask W.
@@ -309,30 +311,17 @@ def shrink_to_one_minimal(code: LinearCode, v) -> np.ndarray:
     a nonzero codeword inside; on exit the surviving 1-dimensional shortened
     code is spanned by the returned (leading-coefficient-1) word.  One pass
     suffices: a coordinate that is not removable never becomes removable,
-    because the shortened code only shrinks.  With a basis of the current
-    shortened code (kappa rows), coordinate j is removable iff kappa >= 2 or
-    the basis vanishes at j; removing it eliminates column j.
+    because the shortened code only shrinks.  The words that vanish before
+    coordinate j are spanned by the RREF rows of the shortened code that
+    pivot at or after j, so j is removable iff two such rows remain or none
+    is nonzero at j: the pass keeps exactly the support of the last row.
     """
-    gf = code.gf
-    v = np.asarray(v, dtype=gf.dtype)
     if not np.any(v):
         raise ParameterError("cannot shrink the zero word")
     if not code.contains(v):
         raise ParameterError("input is not a codeword")
-    sigma = list(support(v))
-    basis = shortened_basis(code, sigma)[:, sigma]
-    kept = []
-    for i, j in enumerate(sigma):
-        nz = np.flatnonzero(basis[:, i])
-        if nz.size == 0:
-            continue
-        if basis.shape[0] == 1:
-            kept.append(j)
-            continue
-        pivot = gf.mul(gf.inv(int(basis[nz[0], i])), basis[nz[0]])
-        basis = np.delete(basis, nz[0], axis=0)
-        basis = gf.sub(basis, gf.mul(basis[:, i:i + 1], pivot[None, :]))
-    basis = shortened_basis(code, kept)
+    r, rk, _ = linalg.rref(code.gf, shortened_basis(code, support(v)))
+    basis = shortened_basis(code, support(r[rk - 1]))
     assert basis.shape[0] == 1, "greedy shrink must end at nullity 1"
     return basis[0]
 

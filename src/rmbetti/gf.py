@@ -4,9 +4,13 @@ A field element is a plain int in ``0..q-1``: its position in the canonical
 ordering (zero first, one second, everything else sorted by coefficient
 vector, constant term first).  All field operations are lookups into Cayley
 tables, so they accept numpy index arrays as well as ints and broadcast like
-ufuncs.  The tables themselves are built once from coefficient-vector
-arithmetic modulo an irreducible polynomial, which keeps the ground truth
-with the polynomial representation while making bulk linear algebra cheap.
+ufuncs.
+
+There is one multiplication underneath: each element is its coefficient
+vector over Z_p (``GF.vectors``), and a product is the polynomial product of
+coefficient vectors folded by the modulus (``GF.fold``).  The Cayley tables
+are built that way once, from the e^2 outer products of coefficient columns,
+and ``linalg.matmul`` applies the same rule to whole matrices.
 """
 
 from __future__ import annotations
@@ -55,44 +59,19 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-# Polynomials over Z_p are tuples of coefficients, constant term first,
-# with no trailing zeros (except the zero polynomial, ()).
-
-def _poly_trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
+# Polynomials over Z_p are tuples of coefficients, constant term first.
 
 def _poly_rem(a, b, p):
-    """Remainder of a modulo b over Z_p; b must be monic."""
+    """Coefficients of a modulo b over Z_p; b must be monic."""
     a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
+    while len(a) >= len(b):
         lead = a[-1] % p
         if lead:
-            shift = len(a) - 1 - db
+            shift = len(a) - len(b)
             for j, bj in enumerate(b):
                 a[shift + j] = (a[shift + j] - lead * bj) % p
         a.pop()
-    return _poly_trim(a)
-
-
-def _monic_polys(p: int, degree: int):
-    for tail in itertools.product(range(p), repeat=degree):
-        yield tail + (1,)
+    return a
 
 
 def is_irreducible(poly, p) -> bool:
@@ -103,8 +82,8 @@ def is_irreducible(poly, p) -> bool:
     if poly[0] == 0 and degree > 1:
         return False
     for d in range(1, degree // 2 + 1):
-        for div in _monic_polys(p, d):
-            if not _poly_rem(poly, div, p):
+        for tail in itertools.product(range(p), repeat=d):
+            if not any(_poly_rem(poly, tail + (1,), p)):
                 return False
     return True
 
@@ -133,6 +112,7 @@ class GF:
         Monic irreducible of degree e over Z_p, constant term first.
         For e = 1 this is the degree-1 placeholder (0, 1).
     dtype : numpy dtype used for element arrays.
+    vectors : read-only q x e array; row a is the coefficient vector of a.
     mul_flat, sub_flat : read-only flat Cayley tables for bulk code:
         a * b is ``mul_flat[a * q + b]`` and a - b is ``sub_flat[a * q + b]``.
     """
@@ -148,35 +128,30 @@ class GF:
         self.modulus = (0, 1) if e == 1 else lowest_irreducible(p, e)
         self.dtype = np.uint8 if q < 256 else np.uint16
 
-        zero = (0,) * e
-        one = (1,) + (0,) * (e - 1)
-        rest = sorted(v for v in itertools.product(range(p), repeat=e)
-                      if v != zero and v != one)
-        self._coeff_list = [zero, one] + rest
-        self._index = {v: i for i, v in enumerate(self._coeff_list)}
+        # Canonical order of the coefficient vectors: a vector's lex rank
+        # (first coefficient most significant) is its base-p number, and the
+        # one, of lex rank p^(e-1), moves up to second place.
+        self._lex_weights = p ** np.arange(e - 1, -1, -1, dtype=np.int16)
+        one = p ** (e - 1)
+        order = np.concatenate(([0, one], np.delete(np.arange(1, q), one - 1)))
+        self.vectors = (order[:, None] // self._lex_weights % p).astype(np.int16)
+        self._of_lex = np.empty(q, self.dtype)
+        self._of_lex[order] = np.arange(q)
 
-        self._add = np.zeros((q, q), self.dtype)
-        self._mul = np.zeros((q, q), self.dtype)
-        for a in range(q):
-            va = self._coeff_list[a]
-            for b in range(a, q):
-                vb = self._coeff_list[b]
-                s = tuple((x + y) % p for x, y in zip(va, vb))
-                self._add[a, b] = self._add[b, a] = self._index[s]
-                prod = _poly_rem(_poly_mul(va, vb, p), self.modulus, p)
-                prod = prod + (0,) * (e - len(prod))
-                self._mul[a, b] = self._mul[b, a] = self._index[prod]
-
-        self._neg = np.zeros(q, self.dtype)
-        for a in range(q):
-            va = self._coeff_list[a]
-            self._neg[a] = self._index[tuple((-x) % p for x in va)]
+        v = self.vectors
+        self._add = self.from_vectors(v[:, None, :] + v[None, :, :])
+        self._neg = self.from_vectors(-v)
         self._sub = self._add[:, self._neg]
-
+        # an entry sums at most e products of at most (p-1)^2, and fold's long
+        # division stays above -e (p-1)^2, so this dtype holds every value
+        planes = np.zeros((2 * e - 1, q, q), np.min_scalar_type(-e * (p - 1) ** 2))
+        for s in range(e):
+            for t in range(e):
+                planes[s + t] += np.multiply.outer(v[:, s], v[:, t], dtype=planes.dtype)
+        self._mul = self.fold(planes)
         self._inv = np.zeros(q, self.dtype)
-        for a in range(1, q):
-            hits = np.nonzero(self._mul[a] == 1)[0]
-            self._inv[a] = hits[0]
+        units, inverses = np.nonzero(self._mul == 1)
+        self._inv[units] = inverses
 
         # pow_table[a, k] = a**k for 0 <= k < q, with 0**0 = 1.
         self._pow = np.zeros((q, q), self.dtype)
@@ -189,8 +164,8 @@ class GF:
 
         self.mul_flat = self._mul.ravel()
         self.sub_flat = self._sub.ravel()
-        for t in (self._add, self._sub, self._mul, self._neg, self._inv, self._pow,
-                  self.mul_flat, self.sub_flat):
+        for t in (self.vectors, self._add, self._sub, self._mul, self._neg, self._inv,
+                  self._pow, self.mul_flat, self.sub_flat):
             t.setflags(write=False)
 
     # -- element bookkeeping -------------------------------------------
@@ -200,14 +175,30 @@ class GF:
         return list(range(self.q))
 
     def coeffs(self, a: int) -> tuple[int, ...]:
-        return self._coeff_list[int(a)]
+        return tuple(self.vectors[int(a)].tolist())
 
     def element_from_coeffs(self, coeffs) -> int:
-        c = [x % self.p for x in coeffs]
+        c = list(coeffs)
         if len(c) > self.e:
             raise ValueError(f"coefficient vector longer than degree {self.e}")
-        c += [0] * (self.e - len(c))
-        return self._index[tuple(c)]
+        return int(self.from_vectors(c + [0] * (self.e - len(c))))
+
+    def from_vectors(self, v):
+        """Elements whose coefficient vectors (last axis) are the integers v mod p."""
+        return self._of_lex[np.asarray(v) % self.p @ self._lex_weights]
+
+    def fold(self, planes):
+        """Elements of the polynomials whose coefficients of x^w are the
+        integers planes[w] (axis 0, w < 2e - 1), reduced by the modulus.
+        The dtype of planes must hold -e (p-1)^2."""
+        p, e = self.p, self.e
+        c = np.array(planes)                        # reduced in place below
+        low = np.array(self.modulus[:e], c.dtype).reshape((e,) + (1,) * (c.ndim - 1))
+        # long division, top degree first: x^w = -x^(w-e) * modulus[:e]; an
+        # entry takes at most e - 1 such terms, each at least -(p-1)^2
+        for w in range(len(c) - 1, e - 1, -1):
+            c[w - e:w] -= low * (c[w] % p)
+        return self.from_vectors(np.moveaxis(c[:e], 0, -1))
 
     def element_str(self, a: int) -> str:
         a = int(a)

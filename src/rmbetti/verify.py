@@ -283,27 +283,38 @@ def check_certificate(cert: NonPurityCertificate,
                                                  tuple(cert.field_modulus))):
         return CertificateCheck(False, tuple(reasons))
 
-    G = np.array(cert.generator_matrix, dtype=gf.dtype)
-    H = np.array(cert.parity_check_matrix, dtype=gf.dtype)
-    word = np.array(cert.codeword, dtype=gf.dtype)
-    shrunk = np.array(cert.one_minimal_word, dtype=gf.dtype)
+    # shape and range are checked on the raw integers, before the narrow cast
+    try:
+        raw = [np.array(a, dtype=np.int64) for a in (
+            cert.generator_matrix, cert.parity_check_matrix, cert.codeword,
+            cert.one_minimal_word)]
+    except OverflowError:               # beyond int64, so outside 0..q-1 too
+        return CertificateCheck(False, ("entry_range",))
+    except (TypeError, ValueError):     # ragged rows or non-integer entries
+        return CertificateCheck(False, ("matrix_shapes",))
 
     code = rm.build_code(q, r, m)
     n, k = code.n, code.k
-    if not flag("matrix_shapes", G.shape == (k, n) and H.shape == (n - k, n)
-                and word.shape == (n,) and shrunk.shape == (n,)):
+    if not flag("matrix_shapes", [a.shape for a in raw]
+                == [(k, n), (n - k, n), (n,), (n,)]):
         return CertificateCheck(False, tuple(reasons))
-    if not flag("entry_range", all(int(a.max(initial=0)) < q
-                                   for a in (G, H, word, shrunk))):
+    if not flag("entry_range", all(0 <= a.min(initial=0) and a.max(initial=0) < q
+                                   for a in raw)):
         return CertificateCheck(False, tuple(reasons))
+    G, H, word, shrunk = (a.astype(gf.dtype) for a in raw)
 
     flag("orthogonality", not np.any(linalg.matmul(gf, G, H.T)))
     flag("generator_mismatch", linalg.row_space_equal(gf, G, code.G))
     flag("parity_mismatch", linalg.row_space_equal(gf, H, code.H))
 
-    witness = rm.ExponentPoly(gf, m, dict(cert.witness_terms))
-    flag("witness_degree", witness.total_degree() == r)
-    flag("witness_evaluation", np.array_equal(witness.evaluate(code.order), word))
+    try:
+        witness = rm.ExponentPoly(gf, m, dict(cert.witness_terms))
+    except (ParameterError, TypeError, ValueError):
+        witness = None
+    if flag("witness_terms", witness is not None
+            and all(0 <= c < q for c in witness.terms.values())):
+        flag("witness_degree", witness.total_degree() == r)
+        flag("witness_evaluation", np.array_equal(witness.evaluate(code.order), word))
 
     member_word = not np.any(linalg.matvec(gf, H, word))
     member_shrunk = not np.any(linalg.matvec(gf, H, shrunk))
@@ -330,11 +341,13 @@ def check_certificate(cert: NonPurityCertificate,
 
     flag("support_containment",
          set(cert.one_minimal_support) <= set(cert.support))
-    measured_shrunk = codes.shortened_dim(code, cert.one_minimal_support)
-    measured_sigma = codes.shortened_dim(code, cert.support)
-    flag("one_minimal_dim", measured_shrunk == 1
-         and cert.one_minimal_shortened_dim == 1)
-    flag("shortened_dim_mismatch", measured_sigma == cert.support_shortened_dim)
+    # a coordinate outside 0..n-1 is already a support_mismatch
+    if all(0 <= c < n for c in (*cert.support, *cert.one_minimal_support)):
+        measured_shrunk = codes.shortened_dim(code, cert.one_minimal_support)
+        measured_sigma = codes.shortened_dim(code, cert.support)
+        flag("one_minimal_dim", measured_shrunk == 1
+             and cert.one_minimal_shortened_dim == 1)
+        flag("shortened_dim_mismatch", measured_sigma == cert.support_shortened_dim)
 
     return CertificateCheck(not reasons, tuple(reasons))
 

@@ -31,6 +31,15 @@ def test_linear_code_validation_and_contains(even_weight):
     derived = rb.LinearCode.from_generator(gf, [[1, 1, 0, 0], [0, 0, 1, 1],
                                                 [1, 1, 1, 1]])
     assert derived.k == 2
+    # entries outside 0..q-1 are refused, never read modulo p or wrapped
+    for q in (3, 4):
+        code = rb.build_code(q, 1, 2)
+        word = rb.min_weight_poly(q, 1, 2).evaluate().astype(np.int64)
+        assert code.contains(word)
+        for bad in (np.where(word == 0, q, word), np.where(word == 0, -3, word),
+                    [-3] + word.tolist()[1:]):
+            with pytest.raises(ParameterError):
+                code.contains(bad)
 
 
 def test_shortened_dim_examples(even_weight):

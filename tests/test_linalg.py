@@ -11,7 +11,10 @@ from rmbetti.rm import _monomial_row, monomial_basis, point_order
 
 from oracles import rank_profile, rref_scalar
 
-ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 257)   # GF(257): a uint16 prime field
+ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 257)   # GF(257): a uint16 prime field
+# GF(1021): the largest prime the table guard admits; GF(1024): the longest
+# coefficient vectors (e = 10)
+PRODUCT_FIELDS = ORACLE_FIELDS + (1021, 1024)
 
 
 def mat(gf, rows):
@@ -147,7 +150,7 @@ def _scalar_dot(gf, row, col):
 
 def test_matmul_matches_scalar_definition():
     rng = np.random.default_rng(8)
-    for q in ORACLE_FIELDS:
+    for q in PRODUCT_FIELDS:
         gf = field(q)
         for inner in (4, 0):
             a = rng.integers(0, q, size=(3, inner)).astype(gf.dtype)
@@ -157,13 +160,22 @@ def test_matmul_matches_scalar_definition():
             for i in range(3):
                 for j in range(2):
                     assert out[i, j] == _scalar_dot(gf, a[i], b[:, j])
-            v = rng.integers(0, q, size=inner).astype(gf.dtype)
-            w = linalg.matvec(gf, a, v)
-            assert w.dtype == gf.dtype
-            assert w.tolist() == [_scalar_dot(gf, a[i], v) for i in range(3)]
+            dense = rng.integers(1, q, size=inner)
+            sparse = dense * (np.arange(inner) % 3 == 1)
+            for v in (dense, sparse, np.zeros(inner)):
+                v = v.astype(gf.dtype)
+                w = linalg.matvec(gf, a, v)
+                assert w.dtype == gf.dtype and w.shape == (3,)
+                assert w.tolist() == [_scalar_dot(gf, a[i], v) for i in range(3)]
         # entries near q - 1 with a long inner dimension: the largest sums
         a = np.full((2, 300), q - 1, dtype=gf.dtype)
         assert linalg.matmul(gf, a, a.T).tolist() == [[_scalar_dot(gf, a[0], a[0])] * 2] * 2
+    # GF(1021) with inner dimension 4096: the largest products a field admits
+    gf = field(1021)
+    a = np.full((2, 4096), gf.q - 1, dtype=gf.dtype)
+    expected = 4096 * (gf.q - 1) ** 2 % gf.p
+    assert linalg.matmul(gf, a, a.T).tolist() == [[expected] * 2] * 2
+    assert linalg.matvec(gf, a, a[0]).tolist() == [expected] * 2
 
 
 def test_rank_profile_matches_prefix_ranks():

@@ -122,6 +122,25 @@ def test_certificate_negative_controls():
     result = rb.check_certificate(tampered_entry)
     assert not result.ok and result.reasons == ("entry_range",)
 
+    # malformed values give reasons, not exceptions
+    for value in (-1, 300, 2 ** 70):
+        rows = [list(row) for row in cert.generator_matrix]
+        rows[0][0] = value
+        bad = dataclasses.replace(cert, generator_matrix=tuple(map(tuple, rows)))
+        assert rb.check_certificate(bad).reasons == ("entry_range",)
+    ragged = cert.generator_matrix[:1] + (cert.generator_matrix[1][:-1],) \
+        + cert.generator_matrix[2:]
+    bad = dataclasses.replace(cert, generator_matrix=ragged)
+    assert rb.check_certificate(bad).reasons == ("matrix_shapes",)
+    bad = dataclasses.replace(cert, generator_matrix=cert.generator_matrix[0])
+    assert rb.check_certificate(bad).reasons == ("matrix_shapes",)
+    result = rb.check_certificate(dataclasses.replace(cert, support=(0, 99)))
+    assert not result.ok and "support_mismatch" in result.reasons
+    assert "shortened_dim_mismatch" not in result.reasons
+    three_exponents = tuple((exps + (0,), c) for exps, c in cert.witness_terms)
+    bad = dataclasses.replace(cert, witness_terms=three_exponents)
+    assert rb.check_certificate(bad).reasons == ("witness_terms",)
+
 
 def test_certificate_json_roundtrip():
     cert = rb.non_purity_certificate(3, 3, 3)
