@@ -18,26 +18,23 @@ def popcount_table(n: int) -> np.ndarray:
     return pc
 
 
-def _paired_views(values: np.ndarray, n: int, axis: int):
-    v = values.reshape((2,) * n)
-    hi = [slice(None)] * n
-    lo = [slice(None)] * n
-    hi[axis] = 1
-    lo[axis] = 0
-    return v[tuple(hi)], v[tuple(lo)]
+def _halves(values: np.ndarray, n: int, axis: int):
+    """Views of the masks without and with bit n - 1 - axis; each keeps its
+    length-1 axis, so they stay views at n = 1 too."""
+    return np.split(values.reshape((2,) * n), 2, axis=axis)
 
 
 def subset_sum_accumulate(values: np.ndarray, n: int) -> None:
     """In place: values[W] becomes sum of the original values over all subsets of W."""
     for axis in range(n):
-        hi, lo = _paired_views(values, n, axis)
+        lo, hi = _halves(values, n, axis)
         hi += lo
 
 
 def subset_max_accumulate(values: np.ndarray, n: int) -> None:
     """In place: values[W] becomes max of the original values over all subsets of W."""
     for axis in range(n):
-        hi, lo = _paired_views(values, n, axis)
+        lo, hi = _halves(values, n, axis)
         np.maximum(hi, lo, out=hi)
 
 

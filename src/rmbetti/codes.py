@@ -23,7 +23,7 @@ from .gf import GF
 # The size limits of the exact enumerations, each defined once; an input
 # beyond one raises TooLargeError before the work starts.
 MAX_TABLE_N = 20           # 2^n-entry subset tables: nullity table, support masks
-MAX_SEARCH_N = 25          # ghw's subset search past the nullity table
+MAX_SEARCH_N = 25          # ghw's face walk past the nullity table
 MAX_ENUM = 2_000_000       # codewords enumerated (q^k); default of max_enum
 MAX_SUBSPACES = 1_000_000  # subspaces enumerated by canonical RREF bases
 
@@ -87,13 +87,11 @@ class LinearCode:
             if n > MAX_TABLE_N:
                 raise TooLargeError(
                     f"nullity table needs n <= {MAX_TABLE_N}, n = {n}")
-            faces = np.asarray(linalg.independent_column_sets(self.gf, self.H),
-                               dtype=np.int64)
-            pc = popcount_table(n)
             ranks = np.zeros(1 << n, dtype=np.int8)
-            ranks[faces] = pc[faces]
+            for size, (faces, _) in enumerate(linalg.face_levels(self.gf, self.H)):
+                ranks[faces] = size
             subset_max_accumulate(ranks, n)
-            table = pc.astype(np.int16) - ranks
+            table = popcount_table(n).astype(np.int16) - ranks
             table.setflags(write=False)
             self._nullity = table
         return self._nullity
@@ -134,39 +132,35 @@ def shortened_basis(code: LinearCode, coords) -> np.ndarray:
     return out
 
 
-def enumerate_codewords(code: LinearCode, *, max_enum: int = MAX_ENUM) -> np.ndarray:
-    """All q**k codewords as rows (the zero word first); guarded."""
-    q = code.gf.q
-    total = q ** code.k
+def _span(code: LinearCode, rows, max_enum: int) -> np.ndarray:
+    """Every combination of the given codewords, the zero word first;
+    refused when the whole code has more than max_enum words."""
+    gf, total = code.gf, code.gf.q ** code.k
     if total > max_enum:
         raise TooLargeError(
             f"q^k = {total} exceeds the enumeration guard {max_enum}")
-    words = np.zeros((1, code.n), dtype=code.gf.dtype)
-    for row in code.G:
-        blocks = [words]
-        for scalar in range(1, q):
-            blocks.append(code.gf.add(words, code.gf.mul(scalar, row)[None, :]))
-        words = np.vstack(blocks)
+    words = np.zeros((1, code.n), dtype=gf.dtype)
+    for row in rows:
+        words = np.vstack([words] + [gf.add(words, gf.mul(scalar, row)[None, :])
+                                     for scalar in range(1, gf.q)])
     return words
+
+
+def enumerate_codewords(code: LinearCode, *, max_enum: int = MAX_ENUM) -> np.ndarray:
+    """All q**k codewords as rows (the zero word first); guarded."""
+    return _span(code, code.G, max_enum)
 
 
 def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     if code.k == 0:
         raise ParameterError("the zero code has no nonzero codeword")
-    q = code.gf.q
-    if q ** code.k > max_enum:
-        raise TooLargeError(
-            f"q^k = {q ** code.k} exceeds the enumeration guard {max_enum}")
     # span of all but the last generator, then its q - 1 nontrivial cosets;
     # memory stays at two q^(k-1) x n blocks instead of q^k x n
-    sub = LinearCode(code.gf, code.G[:-1], validate=False) if code.k > 1 else None
-    base = (enumerate_codewords(sub, max_enum=max_enum) if sub is not None
-            else np.zeros((1, code.n), dtype=code.gf.dtype))
+    base = _span(code, code.G[:-1], max_enum)
     w = np.count_nonzero(base, axis=1)
     best = int(w[w > 0].min()) if np.any(w > 0) else code.n + 1
-    last = code.G[-1]
-    for scalar in range(1, q):
-        block = code.gf.add(base, code.gf.mul(scalar, last)[None, :])
+    for scalar in range(1, code.gf.q):
+        block = code.gf.add(base, code.gf.mul(scalar, code.G[-1])[None, :])
         best = min(best, int(np.count_nonzero(block, axis=1).min()))
     return best
 
@@ -195,21 +189,25 @@ def minimal_codeword_supports(code: LinearCode) -> list[tuple[int, ...]]:
 
 def ghw(code: LinearCode, i: int) -> int:
     """Smallest support size of an i-dimensional subcode: read off the
-    nullity table up to MAX_TABLE_N, then a subset search up to MAX_SEARCH_N."""
+    nullity table up to MAX_TABLE_N, then a face walk up to MAX_SEARCH_N."""
     if not 1 <= i <= code.k:
         raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
     if code.n <= MAX_TABLE_N:
-        nullity = code.nullity_table()
-        pc = popcount_table(code.n)
-        return int(pc[nullity >= i].min())
+        return int(popcount_table(code.n)[code.nullity_table() >= i].min())
     if code.n > MAX_SEARCH_N:
         raise TooLargeError(
             f"subset search needs n <= {MAX_SEARCH_N}, n = {code.n}")
-    gf, h = code.gf, code.H
-    for size in range(i, code.n + 1):
-        for sigma in itertools.combinations(range(code.n), size):
-            if size - linalg.rank(gf, h[:, list(sigma)]) >= i:
-                return size
+    return _ghw_by_walk(code, i)
+
+
+def _ghw_by_walk(code: LinearCode, i: int) -> int:
+    # d_i = s + i at the first size s with a face F that can still grow and
+    # |cl(F)| - |F| >= i: F and i closure columns have nullity i; and a
+    # smallest W of nullity >= i has no coloop at column n - 1 (it would drop),
+    # so a basis F of W avoids that column and |cl(F)| - |F| >= |W| - |F| >= i
+    for size, (_, span) in enumerate(linalg.face_levels(code.gf, code.H)):
+        if span.max(initial=0) - size >= i:
+            return size + i
     raise AssertionError("unreachable: the full support has nullity k")
 
 

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, TooLargeError
 from .gf import GF
+
+# bytes of one level of reduced matrices in face_levels
+MAX_LEVEL_BYTES = 1 << 27
 
 
 def as_matrix(gf: GF, data) -> np.ndarray:
@@ -149,32 +152,41 @@ def matvec(gf: GF, a, v) -> np.ndarray:
     return matmul(gf, np.take(a, nz, axis=1), v[nz, None])[:, 0]
 
 
-def independent_column_sets(gf: GF, mat) -> list[int]:
-    """Bitmasks of all linearly independent column subsets (incl. the empty set).
+def face_levels(gf: GF, mat):
+    """Yield (faces, span) for each face size s = 0, 1, ...: faces holds
+    the int64 masks of the independent column sets of size s, in order of
+    parent and then column; span holds, for those that can still grow (last
+    column < n - 1), the size of their closure, their own columns included.
 
-    Level by level: every face of one size is extended at once.  Each face
-    carries the matrix reduced modulo its chosen columns, so a column is
-    independent from the face exactly when its reduced vector is nonzero;
-    a face grows only by columns after its last one.  One batched
-    elimination per level pivots each child on the first nonzero row of its
-    new column and drops that row, which is zero afterwards, so the
-    matrices lose one row per level.  Faces come out by size, each level in
-    order of parent and then column.
+    Each face carries the matrix reduced modulo its columns: a column is in
+    the closure iff its reduced vector is zero, and the face grows by the
+    nonzero columns after its last one.  One batched elimination per level
+    pivots each child on the first nonzero row of its new column and drops
+    that row, which is zero afterwards, so the matrices lose one row per
+    level.  A level above MAX_LEVEL_BYTES raises TooLargeError unbuilt.
     """
     mat = np.asarray(mat, dtype=gf.dtype)
-    cols = np.arange(mat.shape[1])
-    masks = np.zeros(1, dtype=np.int64 if cols.size < 63 else object)
-    last = np.full(1, -1)
-    red = mat[None]
-    out = [0]
-    while True:
-        face, last = np.nonzero(red.any(axis=1) & (cols > last[:, None]))
+    n = mat.shape[1]
+    if n >= 63:
+        raise TooLargeError(f"face masks need n < 63 columns, n = {n}")
+    cols = np.arange(n)
+    masks = np.zeros(1, dtype=np.int64)
+    grow = np.array([n > 0])                      # faces that can still grow
+    last, red = np.full(1, -1)[grow], mat[None][grow]
+    for size in range(1, n + 2):                  # yields the sizes 0..n at most
+        live = red.any(axis=1)                    # the columns outside the closure
+        yield masks, n - live.sum(axis=1)
+        face, last = np.nonzero(live & (cols > last[:, None]))
         if face.size == 0:
-            return out
-        masks = masks[face] | (1 << last.astype(masks.dtype))
-        out.extend(masks.tolist())
-        grow = last < cols.size - 1               # else it has no children
-        face, last, masks = face[grow], last[grow], masks[grow]
+            return
+        masks = masks[grow][face] | (1 << last)
+        grow = last < n - 1                       # else it has no children
+        face, last = face[grow], last[grow]
+        nbytes = face.size * (red.shape[1] - 1) * n * red.itemsize
+        if nbytes > MAX_LEVEL_BYTES:
+            raise TooLargeError(
+                f"face level {size} needs {nbytes} bytes of reduced matrices, "
+                f"above the limit {MAX_LEVEL_BYTES}")
         v = red[face, :, last]                    # each child's new column
         piv = np.argmax(v != 0, axis=1)           # its first nonzero row
         idx = np.arange(face.size)

@@ -152,6 +152,8 @@ class ExponentPoly:
         clean: dict[tuple[int, ...], int] = {}
         for exps, coef in (terms or {}).items():
             coef = int(coef)
+            if not 0 <= coef < gf.q:
+                raise ParameterError(f"coefficient {coef} is not an element of GF({gf.q})")
             if coef == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -436,6 +438,8 @@ def substitute_linear_forms(f: ExponentPoly, forms, shifts=None) -> np.ndarray:
     shifts = [int(x) for x in shifts]
     if len(shifts) != w:
         raise ParameterError(f"need {w} shifts, got {len(shifts)}")
+    if any(not 0 <= x < gf.q for x in shifts):
+        raise ParameterError(f"shifts must lie in 0..{gf.q - 1}")
     values = gf.add(linalg.matmul(gf, point_order(gf.q, m).points, forms.T),
                     np.array(shifts, dtype=gf.dtype))
     return _evaluate_terms(gf, values, f.sorted_terms())

@@ -33,6 +33,9 @@ from .errors import (CrossCheckError, DegenerateTypeError, ParameterError,
                      TooLargeError)
 from .gf import field, is_prime
 
+# largest n whose 2^n restrictions the homology backend sweeps
+MAX_HOMOLOGY_N = 12
+
 
 def circuits(code: LinearCode) -> list[tuple[int, ...]]:
     """Minimal dependent column sets, sorted by (size, indices).
@@ -129,7 +132,8 @@ class BettiTable:
         return [{"i": i, "j": j, "beta": b} for i, j, b in self.rows()]
 
 
-def betti_hochster(code: LinearCode, ell: int = 2, *, max_n: int = 16) -> BettiTable:
+def betti_hochster(code: LinearCode, ell: int = 2, *,
+                   max_n: int = MAX_HOMOLOGY_N) -> BettiTable:
     """Restriction sweep: beta_{i,j} sums dim H~_{j-i-1} of Delta restricted
     to each j-subset, homology taken over GF(ell)."""
     n = code.n

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rmbetti as rb
-from rmbetti import ParameterError, TooLargeError, field, linalg
+from rmbetti import ParameterError, TooLargeError, codes, field, linalg
 from rmbetti.codes import gaussian_binomial, rref_generators
 
 
@@ -135,25 +135,59 @@ def test_ghw_validation_and_strictly_increasing():
     assert profile[0] == rb.min_weight_bruteforce(code)
 
 
-def test_ghw_combinations_fallback_agrees():
-    code = rb.build_code(2, 1, 3)
-    table_route = rb.ghw_profile(code)
-    # force the combination scan by monkey-free route: recompute with table disabled
-    from rmbetti import codes as codes_mod
-    gf, h = code.gf, code.H
-    import itertools
-    slow = []
-    for i in range(1, code.k + 1):
-        found = None
-        for size in range(i, code.n + 1):
-            for sigma in itertools.combinations(range(code.n), size):
-                if size - linalg.rank(gf, h[:, list(sigma)]) >= i:
-                    found = size
-                    break
-            if found:
-                break
-        slow.append(found)
-    assert tuple(slow) == table_route
+def _walk_cases():
+    """RM codes and random codes of length <= 20, each random one also with
+    a zero column and with its first column copied into the last."""
+    out = [rb.build_code(q, r, m) for (q, r, m) in
+           [(2, 1, 3), (2, 2, 4), (3, 2, 2), (4, 3, 2), (5, 2, 1), (7, 3, 1)]]
+    rng = np.random.default_rng(19)
+    for q in (2, 3, 4, 5, 9):
+        gf = field(q)
+        for _ in range(6):
+            n = int(rng.integers(2, 11))
+            g = rng.integers(0, q, size=(int(rng.integers(1, n + 1)), n))
+            zero_col, copied = g.copy(), g.copy()
+            zero_col[:, int(rng.integers(0, n))] = 0
+            copied[:, -1] = copied[:, 0]
+            out += [rb.LinearCode.from_generator(gf, x) for x in (g, zero_col, copied)]
+    return [code for code in out if code.k]
+
+
+def test_ghw_level_walk_agrees_with_table():
+    for code in _walk_cases():
+        assert code.n <= codes.MAX_TABLE_N
+        for i in range(1, code.k + 1):
+            assert codes._ghw_by_walk(code, i) == rb.ghw(code, i), (code, i)
+
+
+@pytest.mark.parametrize("r", range(4, 9))
+def test_ghw_past_the_table_is_the_distance_formula(r):
+    code = rb.build_code(5, r, 2)                   # n = 25
+    assert rb.ghw(code, 1) == rb.min_distance_formula(5, r, 2)
+
+
+def test_ghw_past_the_table_by_wei_duality():
+    # {d_i(C)} and {n + 1 - d_j(C^perp)} split 1..n (Wei 1991), and the
+    # dual of a high-rate code is small enough for the subspace oracle
+    rng = np.random.default_rng(29)
+    for n in range(21, 26):
+        q = 2 if n % 2 else 3
+        gf = field(q)
+        g = rng.integers(0, q, size=(n - 4, n))
+        if n == 24:
+            g[:, 5] = 0
+            g[:, -1] = g[:, 0]
+        code = rb.LinearCode.from_generator(gf, g)
+        dual = rb.LinearCode(gf, code.H, code.G)
+        profile = rb.ghw_profile(code)
+        dual_profile = [rb.ghw_by_subspaces(dual, j) for j in range(1, dual.k + 1)]
+        assert sorted(profile + tuple(n + 1 - d for d in dual_profile)) == list(range(1, n + 1))
+
+
+def test_ghw_past_the_table_respects_the_level_limit(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", 1000)
+    with pytest.raises(TooLargeError, match="face level"):
+        rb.ghw(rb.build_code(5, 4, 2), 1)
 
 
 def test_gaussian_binomial_and_rref_generators():
@@ -268,7 +302,7 @@ def test_mds_and_nondegeneracy():
 def test_minimum_distance_falls_back_to_support_search():
     code = rb.build_code(4, 4, 2)  # q^k = 4^13 too large to enumerate
     assert rb.minimum_distance(code, max_enum=1000) == 3
-    with pytest.raises(TooLargeError):  # n = 27 is past the subset search
+    with pytest.raises(TooLargeError):  # n = 27 is past the face walk
         rb.minimum_distance(rb.build_code(3, 2, 3), max_enum=1000)
 
 

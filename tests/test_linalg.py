@@ -1,11 +1,11 @@
-"""Exact row reduction, null spaces, and independent column sets."""
+"""Exact row reduction, null spaces, products and the face walk."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from rmbetti import DimensionMismatchError, field
+from rmbetti import DimensionMismatchError, TooLargeError, field
 from rmbetti import linalg
 from rmbetti.rm import _monomial_row, monomial_basis, point_order
 
@@ -188,7 +188,7 @@ def test_rank_profile_matches_prefix_ranks():
             assert profile[i] == linalg.rank(gf, m[: i + 1])
 
 
-def _independent_sets_bruteforce(gf, m):
+def _faces_bruteforce(gf, m):
     ncols = m.shape[1]
     return {sum(1 << c for c in cols)
             for size in range(ncols + 1)
@@ -196,43 +196,71 @@ def _independent_sets_bruteforce(gf, m):
             if linalg.rank(gf, m[:, list(cols)]) == size}
 
 
-def _check_independent_sets(gf, m):
-    out = linalg.independent_column_sets(gf, m)
-    assert 0 in out
-    assert len(out) == len(set(out))   # no face listed twice
-    assert set(out) == _independent_sets_bruteforce(gf, m)
+def _columns(mask):
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
-def test_independent_column_sets_vs_bruteforce():
+def _check_face_levels(gf, m):
+    n = m.shape[1]
+    levels = list(linalg.face_levels(gf, m))
+    faces = np.concatenate([f for f, _ in levels])
+    assert faces.dtype == np.int64
+    assert len(set(faces.tolist())) == faces.size    # no face listed twice
+    assert set(faces.tolist()) == _faces_bruteforce(gf, m)
+    for size, (level, span) in enumerate(levels):
+        assert all(int(f).bit_count() == size for f in level)
+        # span: closure sizes of the faces that can still grow, in order
+        growing = [int(f) for f in level if int(f).bit_length() < n]
+        expected = [sum(linalg.rank(gf, m[:, [*cols, c]]) == size for c in range(n))
+                    for cols in map(_columns, growing)]
+        assert span.tolist() == expected
+
+
+def test_face_levels_vs_bruteforce():
     rng = np.random.default_rng(7)
     for q in (2, 3, 4, 8, 9):
         gf = field(q)
         for shape in [(3, 6), (5, 4), (2, 7)]:   # (5, 4): more rows than columns
             for _ in range(4):
                 m = rng.integers(0, q, size=shape).astype(gf.dtype)
-                _check_independent_sets(gf, m)
+                _check_face_levels(gf, m)
                 zero_col = m.copy()
                 zero_col[:, 1] = 0
-                _check_independent_sets(gf, zero_col)
+                _check_face_levels(gf, zero_col)
                 repeated = m.copy()
                 repeated[:, -1] = repeated[:, 0]
-                _check_independent_sets(gf, repeated)
+                _check_face_levels(gf, repeated)
 
 
-def test_independent_column_sets_zero_rows():
+def test_face_levels_zero_rows():
     gf = field(3)
-    assert linalg.independent_column_sets(gf, linalg.zeros(gf, 0, 5)) == [0]
+    levels = [(f.tolist(), s.tolist())
+              for f, s in linalg.face_levels(gf, linalg.zeros(gf, 0, 5))]
+    assert levels == [([0], [5])]      # every column is a loop
 
 
-def test_independent_column_sets_zero_columns():
+def test_face_levels_zero_columns():
     gf = field(3)
-    assert linalg.independent_column_sets(gf, linalg.zeros(gf, 4, 0)) == [0]
-    assert linalg.independent_column_sets(gf, linalg.zeros(gf, 0, 0)) == [0]
+    for m in (linalg.zeros(gf, 4, 0), linalg.zeros(gf, 0, 0)):
+        levels = [(f.tolist(), s.tolist()) for f, s in linalg.face_levels(gf, m)]
+        assert levels == [([0], [])]   # the empty face cannot grow
 
 
-def test_independent_column_sets_wider_than_a_machine_word():
+def test_face_levels_refuse_63_columns():
     gf = field(3)
-    m = linalg.zeros(gf, 1, 70)
-    m[0, 3], m[0, 69] = 1, 2       # two parallel columns
-    assert sorted(linalg.independent_column_sets(gf, m)) == [0, 1 << 3, 1 << 69]
+    with pytest.raises(TooLargeError, match="n = 63"):
+        next(linalg.face_levels(gf, linalg.zeros(gf, 1, 63)))
+    assert len(list(linalg.face_levels(gf, linalg.zeros(gf, 1, 62)))) == 1
 
+
+def test_face_levels_refuse_a_level_above_the_byte_limit(monkeypatch):
+    gf = field(2)
+    m = linalg.identity(gf, 4)
+    # level 1: the three faces that can still grow carry 3 x 4 reduced matrices
+    monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", 3 * 3 * 4 - 1)
+    levels = linalg.face_levels(gf, m)
+    assert next(levels)[0].tolist() == [0]
+    with pytest.raises(TooLargeError, match="face level 1 needs 36 bytes .* limit 35"):
+        next(levels)
+    monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", 36)
+    assert [f.size for f, _ in linalg.face_levels(gf, m)] == [1, 4, 6, 4, 1]

@@ -124,6 +124,14 @@ def test_exponent_poly_reduction_and_arithmetic():
         ExponentPoly(gf, 2, {(3, 0): 1})  # exponent not reduced
 
 
+def test_exponent_poly_coefficients_are_field_elements():
+    gf = field(4)
+    assert ExponentPoly(gf, 2, {(1, 0): 3}).terms == {(1, 0): 3}
+    for coef in (300, 7, 4, -1):
+        with pytest.raises(ParameterError, match="not an element of GF"):
+            ExponentPoly(gf, 2, {(1, 0): coef})
+
+
 def test_build_code_examples():
     code = rb.build_code(2, 1, 2)
     assert (code.n, code.k, code.d) == (4, 3, 2)
@@ -216,6 +224,16 @@ def test_substitute_linear_forms_examples():
     assert np.array_equal(rb.substitute_linear_forms(f, mixed), [0, 1, 1, 0])
     with pytest.raises(RankDeficientFormsError):
         rb.substitute_linear_forms(f, np.zeros((1, 2), dtype=gf.dtype))
+
+
+def test_substitute_linear_forms_shift_range():
+    gf = field(4)
+    f = ExponentPoly.variable(gf, 2, 0)
+    shifted = rb.substitute_linear_forms(f, [[1, 0]], [3])
+    assert np.array_equal(shifted, gf.add(f.evaluate(), 3))
+    for shift in (5, 4, -1):
+        with pytest.raises(ParameterError, match="shifts must lie in 0..3"):
+            rb.substitute_linear_forms(f, [[1, 0]], [shift])
 
 
 def test_substitute_linear_forms_preserves_weight_and_membership():

@@ -55,13 +55,13 @@ def test_matroid_complex_faces_and_rank_cache():
 
 def test_one_face_enumeration_per_code(monkeypatch):
     calls = []
-    enumerate_faces = linalg.independent_column_sets
+    face_levels = linalg.face_levels
 
     def counted(*args):
         calls.append(args)
-        return enumerate_faces(*args)
+        return face_levels(*args)
 
-    monkeypatch.setattr(linalg, "independent_column_sets", counted)
+    monkeypatch.setattr(linalg, "face_levels", counted)
     built = rb.build_code(3, 2, 2)
     code = rb.LinearCode(built.gf, built.G, built.H, validate=False)  # cold cache
     rb.betti_fastpath(code)
@@ -69,6 +69,18 @@ def test_one_face_enumeration_per_code(monkeypatch):
     rb.circuits(code)
     rb.ghw_profile(code)
     assert len(calls) == 1
+
+
+def test_length_one_codes():
+    gf = field(2)
+    line = rb.LinearCode.from_generator(gf, [[1]])
+    zero = rb.LinearCode.from_generator(gf, [[0]])
+    assert line.nullity_table().tolist() == [0, 1]
+    assert zero.nullity_table().tolist() == [0, 0]
+    assert rb.betti_fastpath(line).rows() == [(0, 0, 1), (1, 1, 1)]
+    assert rb.betti_fastpath(zero).rows() == [(0, 0, 1)]
+    for code in (line, zero):
+        assert rb.betti_fastpath(code) == rb.betti_hochster(code)
 
 
 def test_circuits_examples():
@@ -160,6 +172,8 @@ def test_betti_guards():
     big = rb.build_code(2, 1, 4)  # n = 16 exceeds a 12-vertex guard
     with pytest.raises(TooLargeError):
         rb.betti_hochster(big, 2, max_n=12)
+    with pytest.raises(TooLargeError):  # the default is the documented n <= 12
+        rb.betti_hochster(big, 2)
     with pytest.raises(TooLargeError):  # the nullity table stops at n = 20
         rb.betti_fastpath(rb.build_code(23, 5, 1))
     with pytest.raises(ParameterError):

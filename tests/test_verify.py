@@ -140,6 +140,10 @@ def test_certificate_negative_controls():
     three_exponents = tuple((exps + (0,), c) for exps, c in cert.witness_terms)
     bad = dataclasses.replace(cert, witness_terms=three_exponents)
     assert rb.check_certificate(bad).reasons == ("witness_terms",)
+    for coef in (cert.q, -1):               # refused by the ExponentPoly constructor
+        terms = ((cert.witness_terms[0][0], coef),) + cert.witness_terms[1:]
+        bad = dataclasses.replace(cert, witness_terms=terms)
+        assert rb.check_certificate(bad).reasons == ("witness_terms",)
 
 
 def test_certificate_json_roundtrip():
