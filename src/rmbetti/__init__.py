@@ -23,8 +23,8 @@ from .errors import (CertificateError, CrossCheckError, DegenerateTypeError,
 from .gf import GF, field
 from .rm import (ExponentPoly, PointOrder, RMCode, build_code, codeword_degree,
                  dim_assmus_key, dim_inclusion_exclusion,
-                 full_space_binomial_identity, interpolate,
-                 interpolation_basis, min_distance_formula, min_weight_poly,
+                 full_space_binomial_identity, interpolate, interpolation_basis,
+                 linear_product, min_distance_formula, min_weight_poly,
                  monomial_basis, point_order, substitute_linear_forms,
                  sum_zero_code_equal, ts_split, witness_poly_large_field,
                  witness_poly_ternary)

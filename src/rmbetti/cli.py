@@ -175,11 +175,11 @@ def _cmd_betti(args, guards):
     if code.n > guards.max_n_betti:
         raise TooLargeError(f"n = {code.n} exceeds Betti guard {guards.max_n_betti}")
     if args.backend == "homology":
-        table = srres.betti_hochster(code, args.char, max_n=guards.cross_check_n)
+        table = srres.betti_hochster(code, args.char)
     else:
         table = srres.betti_fastpath(code)
         if args.backend == "both":
-            slow = srres.betti_hochster(code, args.char, max_n=guards.cross_check_n)
+            slow = srres.betti_hochster(code, args.char)
             if slow != table:
                 raise CrossCheckError("Betti backends disagree")
     verdict = srres.purity_verdict(table)
@@ -332,8 +332,11 @@ def _emit(args, report, text, started) -> None:
     else:
         payload = text + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 

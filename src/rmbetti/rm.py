@@ -379,11 +379,27 @@ def build_code(q: int, r: int, m: int) -> RMCode:
 # -- minimum-weight machinery -------------------------------------------------
 
 
-def _coordinate_indicator(gf: GF, m: int, var: int, value: int) -> ExponentPoly:
-    """1 - (X_var - value)^(q-1): one at points with that coordinate, else zero."""
-    x = ExponentPoly.variable(gf, m, var)
-    shifted = x - ExponentPoly.constant(gf, m, value)
-    return ExponentPoly.constant(gf, m, 1) - shifted ** (gf.q - 1)
+def linear_product(gf: GF, m: int, roots, scale: int = 1) -> ExponentPoly:
+    """scale * prod (X_var - value) over the (var, value) pairs of roots.
+
+    Every explicit codeword is built here.  No variable gets q or more
+    roots, so no X^q -> X reduction is needed and the product is already the
+    reduced polynomial; scale is checked by the ExponentPoly constructor.
+    """
+    f = ExponentPoly.constant(gf, m, scale)
+    for var, value in roots:
+        f = f * (ExponentPoly.variable(gf, m, var) - ExponentPoly.constant(gf, m, value))
+    return f
+
+
+def pinned_roots(gf: GF, values) -> list[tuple[int, int]]:
+    """Roots of prod_i prod_{b != v_i} (X_i - b) over the values v_0, v_1, ...
+
+    Each factor is (X_i - v_i)^(q-1) - 1: -1 where X_i = v_i and zero
+    elsewhere, so the product is (-1)^len(values) times the indicator of
+    the leading coordinates equalling the values.
+    """
+    return [(i, b) for i, v in enumerate(values) for b in gf.elements() if b != v]
 
 
 def min_weight_poly(q: int, r: int, m: int, *, scale: int = 1,
@@ -409,12 +425,9 @@ def min_weight_poly(q: int, r: int, m: int, *, scale: int = 1,
     for x in pinned + excluded:
         if not 0 <= x < q:
             raise WitnessParameterError(f"{x} is not an element of GF({q})")
-    f = ExponentPoly.constant(gf, m, int(scale))
-    for i in range(t):
-        f = f * _coordinate_indicator(gf, m, i, pinned[i])
-    for val in excluded:
-        f = f * (ExponentPoly.variable(gf, m, t) - ExponentPoly.constant(gf, m, val))
-    return f
+    f = linear_product(gf, m, pinned_roots(gf, pinned) + [(t, v) for v in excluded],
+                       int(scale))
+    return -f if t % 2 else f   # pinned_roots carries the sign (-1)^t
 
 
 def substitute_linear_forms(f: ExponentPoly, forms, shifts=None) -> np.ndarray:
@@ -452,14 +465,9 @@ def interpolation_basis(q: int, m: int) -> list[ExponentPoly]:
     is seen to be onto at the top degree m(q-1).
     """
     gf = field(q)
-    order = point_order(q, m)
-    out = []
-    for pt in order.points:
-        f = ExponentPoly.constant(gf, m, 1)
-        for j in range(m):
-            f = f * _coordinate_indicator(gf, m, j, int(pt[j]))
-        out.append(f)
-    return out
+    sign = gf.neg(1) if m % 2 else 1
+    return [linear_product(gf, m, pinned_roots(gf, pt.tolist()), sign)
+            for pt in point_order(q, m).points]
 
 
 def sum_zero_code_equal(q: int, m: int, *, check_generators: bool = True) -> bool:
@@ -514,16 +522,8 @@ def witness_poly_large_field(q: int, m: int, r: int) -> ExponentPoly:
     assert 1 <= t <= m - 1
     gf = field(q)
     elems = gf.elements()
-    f = ExponentPoly.constant(gf, m, 1)
-    for i in range(t - 1):
-        x = ExponentPoly.variable(gf, m, i)
-        f = f * (x ** (q - 1) - ExponentPoly.constant(gf, m, 1))
-    for j in range(2, q):  # third element onwards
-        f = f * (ExponentPoly.variable(gf, m, t - 1)
-                 - ExponentPoly.constant(gf, m, elems[j]))
-    for val in elems[:2]:
-        f = f * (ExponentPoly.variable(gf, m, t)
-                 - ExponentPoly.constant(gf, m, val))
+    f = linear_product(gf, m, pinned_roots(gf, [0] * (t - 1))
+                       + [(t - 1, b) for b in elems[2:]] + [(t, b) for b in elems[:2]])
     assert f.total_degree() == r
     return f
 
@@ -543,12 +543,7 @@ def witness_poly_ternary(m: int, r: int) -> ExponentPoly:
             f"need 1 <= t <= m-2 for q=3, got t={t}, m={m}")
     gf = field(q)
     third = gf.elements()[2]
-    f = ExponentPoly.constant(gf, m, 1)
-    for i in range(t - 1):
-        x = ExponentPoly.variable(gf, m, i)
-        f = f * (x ** 2 - ExponentPoly.constant(gf, m, 1))
-    for var in (t - 1, t, t + 1):
-        f = f * (ExponentPoly.variable(gf, m, var)
-                 - ExponentPoly.constant(gf, m, third))
+    f = linear_product(gf, m, pinned_roots(gf, [0] * (t - 1))
+                       + [(var, third) for var in (t - 1, t, t + 1)])
     assert f.total_degree() == r
     return f

@@ -132,13 +132,12 @@ class BettiTable:
         return [{"i": i, "j": j, "beta": b} for i, j, b in self.rows()]
 
 
-def betti_hochster(code: LinearCode, ell: int = 2, *,
-                   max_n: int = MAX_HOMOLOGY_N) -> BettiTable:
+def betti_hochster(code: LinearCode, ell: int = 2) -> BettiTable:
     """Restriction sweep: beta_{i,j} sums dim H~_{j-i-1} of Delta restricted
-    to each j-subset, homology taken over GF(ell)."""
+    to each j-subset, homology taken over GF(ell); n <= MAX_HOMOLOGY_N."""
     n = code.n
-    if n > max_n:
-        raise TooLargeError(f"2^n restriction sweep needs n <= {max_n}, n = {n}")
+    if n > MAX_HOMOLOGY_N:
+        raise TooLargeError(f"2^n restriction sweep needs n <= {MAX_HOMOLOGY_N}, n = {n}")
     if not is_prime(ell):
         raise ParameterError(f"homology coefficients need a prime, got {ell}")
     faces = np.flatnonzero(code.nullity_table() == 0)

@@ -11,7 +11,7 @@ drops a row silently.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,21 +21,24 @@ from .errors import (CertificateError, CrossCheckError, ParameterError,
 from .gf import field
 
 
+# coefficient prime of the homology cross-check in purity_by_betti
+HOMOLOGY_CHAR = 2
+
+
 @dataclass(frozen=True)
 class Guards:
-    """Enumeration limits; exceeding one raises TooLargeError, never truncates.
-
-    max_subspaces only reports codes.MAX_SUBSPACES, the fixed limit of the
-    subspace enumerations, which no sweep or command runs.
-    """
+    """The limits a user can set; exceeding one raises TooLargeError, never truncates."""
     max_n_betti: int = 16
-    cross_check_n: int = srres.MAX_HOMOLOGY_N
     max_enum: int = codes.MAX_ENUM
-    max_subspaces: int = codes.MAX_SUBSPACES
-    homology_char: int = 2
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        """Both limits, beside the fixed homology cross-check length and
+        prime and the subspace limit, which no sweep or command reaches."""
+        return {"max_n_betti": self.max_n_betti,
+                "cross_check_n": srres.MAX_HOMOLOGY_N,
+                "max_enum": self.max_enum,
+                "max_subspaces": codes.MAX_SUBSPACES,
+                "homology_char": HOMOLOGY_CHAR}
 
 
 DEFAULT_GUARDS = Guards()
@@ -72,10 +75,9 @@ def purity_by_betti(q: int, m: int, r: int,
         raise TooLargeError(
             f"n = {code.n} exceeds the Betti guard {guards.max_n_betti}")
     table = srres.betti_fastpath(code)
-    cross_checked = code.n <= guards.cross_check_n
+    cross_checked = code.n <= srres.MAX_HOMOLOGY_N
     if cross_checked:
-        slow = srres.betti_hochster(code, guards.homology_char,
-                                    max_n=guards.cross_check_n)
+        slow = srres.betti_hochster(code, HOMOLOGY_CHAR)
         if slow != table:
             raise CrossCheckError(
                 f"Betti backends disagree for (q={q}, m={m}, r={r})")
@@ -196,14 +198,13 @@ def non_purity_certificate(q: int, m: int, r: int,
         raise PreconditionError(
             "certificates need q >= 3, m >= 2, s = 1 and 1 < r < m(q-1)-1; "
             f"got q={q}, m={m}, r={r}, s={s}")
+    code = rm.build_code(q, r, m)   # refuses an oversized grid before any witness
+    gf = code.gf
     case, formula_weight = _case_weight(q, m, r)
     if case == 2:
         witness = rm.witness_poly_ternary(m, r)
     else:
         witness = rm.witness_poly_large_field(q, m, r)
-
-    code = rm.build_code(q, r, m)
-    gf = code.gf
     word = witness.evaluate(code.order)
     sigma = codes.support(word)
     wt = len(sigma)
@@ -512,29 +513,28 @@ class SweepReport:
             and any(row.match == "match" for row in self.rows)
 
 
-def sweep(qs, ms, rs=None, *, guards: Guards = DEFAULT_GUARDS,
+def sweep(q: int, m: int, rs=None, *, guards: Guards = DEFAULT_GUARDS,
           methods=("betti", "certificate"), jobs: int = 1) -> SweepReport:
-    """Run every (q, m, r) row in deterministic (q, m, r) order.
+    """Run every (q, m, r) row in increasing r.
 
     methods picks the routes from SWEEP_METHODS that each row runs.  rs =
-    None sweeps all 0 <= r <= m(q-1) per (q, m); jobs > 1 distributes rows
-    over processes, which cannot change the output (rows are independent
-    and reassembled in order).
+    None sweeps all 0 <= r <= m(q-1); jobs > 1 distributes rows over
+    processes, which cannot change the output (rows are independent and
+    reassembled in order).  The point grid is checked before any row is
+    listed, so an oversized (q, m) is refused without listing m(q-1)+1 rows.
     """
     unknown = sorted(set(methods) - set(SWEEP_METHODS))
     if unknown:
         raise ParameterError(f"unknown sweep methods {unknown}; "
                              f"choose from {SWEEP_METHODS}")
-    qs = [qs] if isinstance(qs, int) else sorted(qs)
-    ms = [ms] if isinstance(ms, int) else sorted(ms)
+    rm.validate_params(q, 0, m)
+    rm.point_order(q, m)
+    r_values = range(m * (q - 1) + 1) if rs is None else \
+        ([rs] if isinstance(rs, int) else sorted(rs))
     tasks = []
-    for q in qs:
-        for m in ms:
-            r_values = range(m * (q - 1) + 1) if rs is None else \
-                ([rs] if isinstance(rs, int) else sorted(rs))
-            for r in r_values:
-                rm.validate_params(q, r, m)
-                tasks.append((q, m, r, guards, tuple(methods)))
+    for r in r_values:
+        rm.validate_params(q, r, m)
+        tasks.append((q, m, r, guards, tuple(methods)))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = tuple(pool.map(_sweep_row, tasks))

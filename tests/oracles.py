@@ -5,7 +5,8 @@ ranks over Q use Fractions, independence over GF(2) uses brute force over
 coefficient vectors, eliminations over GF(q) go one scalar field operation
 at a time, and the Betti sweep below builds boundary matrices from first
 principles.  These exist so the fast library paths are checked against code
-that shares nothing with them.
+that shares nothing with them.  The explicit codewords at the end are built
+the symbolic way, as sums and powers of ExponentPoly, with no root lists.
 """
 
 import functools
@@ -13,6 +14,10 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from rmbetti import ExponentPoly, field, ts_split
+from rmbetti.errors import PreconditionError, WitnessParameterError
+from rmbetti.rm import point_order, validate_params
 
 
 def rank_rational(rows):
@@ -185,3 +190,99 @@ def shrink_restart_scalar(gf, h, word):
     for i, c in enumerate(pivots):
         out[sigma[c]] = mul[minus_one][int(r[i, free])]
     return np.array(out, dtype=gf.dtype)
+
+
+# -- explicit codewords, built symbolically --------------------------------
+
+
+def _coordinate_indicator(gf, m, var, value):
+    """1 - (X_var - value)^(q-1): one at points with that coordinate, else zero."""
+    x = ExponentPoly.variable(gf, m, var)
+    shifted = x - ExponentPoly.constant(gf, m, value)
+    return ExponentPoly.constant(gf, m, 1) - shifted ** (gf.q - 1)
+
+
+def min_weight_poly_symbolic(q, r, m, *, scale=1, pinned=None, excluded=None):
+    """scale * [indicator of X_1..X_t = pinned] * prod_j (X_{t+1} - excluded_j)."""
+    validate_params(q, r, m)
+    gf = field(q)
+    t, s = ts_split(q, r)
+    pinned = [0] * t if pinned is None else [int(x) for x in pinned]
+    excluded = gf.elements()[:s] if excluded is None else [int(x) for x in excluded]
+    if int(scale) == 0:
+        raise WitnessParameterError("leading scale must be nonzero")
+    if len(pinned) != t:
+        raise WitnessParameterError(f"need {t} pinned values, got {len(pinned)}")
+    if len(excluded) != s or len(set(excluded)) != s:
+        raise WitnessParameterError(f"need {s} distinct excluded values")
+    for x in pinned + excluded:
+        if not 0 <= x < q:
+            raise WitnessParameterError(f"{x} is not an element of GF({q})")
+    f = ExponentPoly.constant(gf, m, int(scale))
+    for i in range(t):
+        f = f * _coordinate_indicator(gf, m, i, pinned[i])
+    for val in excluded:
+        f = f * (ExponentPoly.variable(gf, m, t) - ExponentPoly.constant(gf, m, val))
+    return f
+
+
+def interpolation_basis_symbolic(q, m):
+    """One product of coordinate indicators per grid point."""
+    gf = field(q)
+    out = []
+    for pt in point_order(q, m).points:
+        f = ExponentPoly.constant(gf, m, 1)
+        for j in range(m):
+            f = f * _coordinate_indicator(gf, m, j, int(pt[j]))
+        out.append(f)
+    return out
+
+
+def witness_poly_large_field_symbolic(q, m, r):
+    """prod_{i<t-1} (X_i^(q-1) - 1) * prod_{j>=2} (X_{t-1} - a_j)
+    * (X_t - a_0)(X_t - a_1), with the construction's preconditions."""
+    validate_params(q, r, m)
+    if q <= 3:
+        raise PreconditionError(f"this construction needs q > 3, got q={q}")
+    t, s = ts_split(q, r)
+    if s != 1:
+        raise PreconditionError(f"split of r={r} gives s={s}; need s = 1")
+    if m < 2 or not 1 < r < m * (q - 1) - 1:
+        raise PreconditionError(
+            f"need m >= 2 and 1 < r < m(q-1)-1, got m={m}, r={r}")
+    gf = field(q)
+    elems = gf.elements()
+    f = ExponentPoly.constant(gf, m, 1)
+    for i in range(t - 1):
+        x = ExponentPoly.variable(gf, m, i)
+        f = f * (x ** (q - 1) - ExponentPoly.constant(gf, m, 1))
+    for j in range(2, q):
+        f = f * (ExponentPoly.variable(gf, m, t - 1)
+                 - ExponentPoly.constant(gf, m, elems[j]))
+    for val in elems[:2]:
+        f = f * (ExponentPoly.variable(gf, m, t)
+                 - ExponentPoly.constant(gf, m, val))
+    return f
+
+
+def witness_poly_ternary_symbolic(m, r):
+    """prod_{i<t-1} (X_i^2 - 1) * (X_{t-1} - a_2)(X_t - a_2)(X_{t+1} - a_2)
+    over GF(3), with the construction's preconditions."""
+    q = 3
+    validate_params(q, r, m)
+    t, s = ts_split(q, r)
+    if s != 1:
+        raise PreconditionError(f"split of r={r} gives s={s}; need s = 1")
+    if not 1 <= t <= m - 2:
+        raise PreconditionError(
+            f"need 1 <= t <= m-2 for q=3, got t={t}, m={m}")
+    gf = field(q)
+    third = gf.elements()[2]
+    f = ExponentPoly.constant(gf, m, 1)
+    for i in range(t - 1):
+        x = ExponentPoly.variable(gf, m, i)
+        f = f * (x ** 2 - ExponentPoly.constant(gf, m, 1))
+    for var in (t - 1, t, t + 1):
+        f = f * (ExponentPoly.variable(gf, m, var)
+                 - ExponentPoly.constant(gf, m, third))
+    return f

@@ -25,7 +25,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import linalg
-from rmbetti.rm import _monomial_row
+from rmbetti.rm import _monomial_row, pinned_roots
 
 from oracles import betti_sweep_gf2, rank_profile, shrink_restart_scalar
 
@@ -272,19 +272,8 @@ def _s0_witness(q: int, m: int, r: int) -> rb.ExponentPoly:
     assert s == 0 and 1 <= t <= m - 1, (q, m, r)
     gf = rb.field(q)
     elems = gf.elements()
-
-    def x(i):
-        return rb.ExponentPoly.variable(gf, m, i)
-
-    def const(c):
-        return rb.ExponentPoly.constant(gf, m, c)
-
-    f = const(1)
-    for i in range(t - 1):
-        f = f * (x(i) ** (q - 1) - const(1))
-    for val in elems[2:]:
-        f = f * (x(t - 1) - const(val))
-    return f * (x(t) - const(elems[0]))
+    return rb.linear_product(gf, m, pinned_roots(gf, [0] * (t - 1))
+                             + [(t - 1, b) for b in elems[2:]] + [(t, elems[0])])
 
 
 @pytest.mark.parametrize("q,m,r", [(4, 2, 4), (5, 2, 5), (4, 3, 4),

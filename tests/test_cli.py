@@ -1,6 +1,8 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rmbetti import cli, codes
 
@@ -149,7 +152,7 @@ def assert_refused_too_large(proc):
 
 @pytest.mark.parametrize("backend", ["homology", "both"])
 def test_homology_backend_bounded_by_cross_check_n(backend):
-    # n = 16 passes max_n_betti (16) but not cross_check_n (12)
+    # n = 16 passes max_n_betti (16) but not srres.MAX_HOMOLOGY_N (12)
     proc = run_bounded(f"betti --q 2 --m 4 --r 2 --backend {backend}")
     assert_refused_too_large(proc)
     assert "n <= 12" in proc.stderr
@@ -159,6 +162,10 @@ def test_homology_backend_bounded_by_cross_check_n(backend):
     ("dim --q 40009 --m 1 --r 0", "1048576 cells"),   # field tables, ~3 GiB
     ("dim --q 2 --m 28 --r 1", "65536 points"),       # point grid, ~56 GiB
     ("distance --q 2 --m 16 --r 1", "268435456 cells"),  # parity-check matrix, 4 GiB
+    # the grid is refused before m(q-1)+1 rows or an m-variable witness
+    ("verify-theorem --q 2 --m 30000000 --r-all", "65536 points"),
+    ("certificate --q 3 --m 3000000 --r 3", "65536 points"),
+    ("certificate --q 5 --m 3000000 --r 5", "65536 points"),
 ])
 def test_sizes_refused_before_allocating(argv, limit):
     proc = run_bounded(argv)
@@ -242,6 +249,14 @@ def test_out_file_writing(tmp_path):
     assert proc.returncode == 0 and proc.stdout == ""
     report = json.loads(target.read_text())
     assert report["match"] is True
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run("dim", "--q", "2", "--m", "2", "--r", "1", "--out", str(target))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: cannot write --out {target}: No such file or directory"]
 
 
 def test_json_timing_included_by_default():
@@ -339,3 +354,47 @@ def test_output_bytes_pinned(argv, exit_code, digest, capsys, monkeypatch):
     code = cli.main(argv.split() + ["--no-timing"])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
+COMMANDS = ("dim", "distance", "ghw", "betti", "purity", "certificate",
+            "verify-theorem", "verify-mds")
+SMALL_GUARD = st.none() | st.integers(-2, 64)
+
+
+def valid_or_any(valid, lo, hi):
+    """A valid value or anything in lo..hi, about equally often."""
+    return st.one_of(valid, st.integers(lo, hi))
+
+
+@st.composite
+def cli_argv(draw):
+    """Any subcommand on q in 0..10 (non-prime-powers too), m in -1..3 with
+    q^m <= 81 and r in -1..m(q-1)+1, with optional small or negative guards."""
+    command = draw(st.sampled_from(COMMANDS))
+    q = draw(valid_or_any(st.sampled_from((2, 3, 4, 5, 7, 8, 9)), 0, 10))
+    m = draw(valid_or_any(st.integers(1, 3), -1, 3).filter(
+        lambda m: m < 1 or q ** m <= 81))
+    argv = [command, f"--q={q}", f"--m={m}"]
+    if command.startswith("verify-") and draw(st.booleans()):
+        argv.append("--r-all")
+    else:
+        top = m * (q - 1)
+        r = draw(valid_or_any(st.integers(0, max(0, top)), -1, max(-1, top + 1)))
+        argv.append(f"--r={r}")
+    for flag in ("--max-n-betti", "--max-enum"):
+        value = draw(SMALL_GUARD)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv + [f"--output={draw(st.sampled_from(('text', 'json', 'csv')))}"]
+
+
+# derandomized: tier-1 runs the same 50 inputs, so its time stays bounded
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_every_input_ends_in_a_documented_exit_code(argv, monkeypatch):
+    monkeypatch.delenv("RM_RESOLVE_GUARD_N", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())

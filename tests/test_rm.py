@@ -9,6 +9,12 @@ from rmbetti import (ExponentPoly, ParameterError, PreconditionError,
 from rmbetti import linalg
 from rmbetti.rm import binom, validate_params
 
+from oracles import (interpolation_basis_symbolic, min_weight_poly_symbolic,
+                     witness_poly_large_field_symbolic,
+                     witness_poly_ternary_symbolic)
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
+
 
 def test_binomial_convention():
     assert binom(5, 2) == 10
@@ -199,6 +205,13 @@ def test_min_weight_poly_validation():
         rb.min_weight_poly(3, 2, 2, pinned=[0, 0])  # t = 1, not 2
 
 
+def test_min_weight_poly_scale_outside_the_field():
+    # refused by the ExponentPoly constructor before any table lookup
+    for scale in (4, -1):
+        with pytest.raises(ParameterError, match="not an element of GF"):
+            rb.min_weight_poly(4, 4, 2, scale=scale)
+
+
 def test_min_weight_poly_randomized_parameters():
     rng = np.random.default_rng(55)
     for (q, r, m) in [(3, 3, 2), (4, 2, 2), (5, 5, 2), (8, 3, 2), (9, 9, 2)]:
@@ -369,3 +382,76 @@ def test_witness_ternary_preconditions():
         rb.witness_poly_ternary(3, 4)  # s = 0: no witness of this shape
     with pytest.raises(PreconditionError):
         rb.witness_poly_ternary(4, 4)  # s = 0 here as well
+
+
+# -- linear products against the symbolic constructions ---------------------
+
+
+def assert_same_construction(build, oracle):
+    """Equal term lists, or the same exception type and message."""
+    try:
+        expected = oracle()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    assert build().sorted_terms() == expected.sorted_terms()
+
+
+def test_min_weight_poly_matches_symbolic_construction():
+    rng = np.random.default_rng(10)
+    for q in PRIME_POWERS:
+        for m in (1, 2, 3):
+            for r in range(m * (q - 1) + 1):
+                t, s = rb.ts_split(q, r)
+                assert_same_construction(lambda: rb.min_weight_poly(q, r, m),
+                                         lambda: min_weight_poly_symbolic(q, r, m))
+                for trial in range(4):
+                    if trial < 3:   # valid constants
+                        kw = dict(scale=int(rng.integers(1, q)),
+                                  pinned=rng.integers(0, q, size=t).tolist(),
+                                  excluded=rng.permutation(q)[:s].tolist())
+                    else:           # anything near the field, wrong lengths too
+                        size = max(0, t + int(rng.integers(-1, 2)))
+                        kw = dict(scale=int(rng.integers(-1, q + 1)),
+                                  pinned=rng.integers(-1, q + 1, size=size).tolist(),
+                                  excluded=rng.integers(-1, q + 1, size=s).tolist())
+                    assert_same_construction(
+                        lambda: rb.min_weight_poly(q, r, m, **kw),
+                        lambda: min_weight_poly_symbolic(q, r, m, **kw))
+
+
+def test_witness_polys_match_symbolic_constructions():
+    # every precondition case, out-of-range m and r included
+    for q in PRIME_POWERS:
+        for m in range(4):
+            for r in range(-1, m * (q - 1) + 2):
+                assert_same_construction(
+                    lambda: rb.witness_poly_large_field(q, m, r),
+                    lambda: witness_poly_large_field_symbolic(q, m, r))
+                if q == 3:
+                    assert_same_construction(
+                        lambda: rb.witness_poly_ternary(m, r),
+                        lambda: witness_poly_ternary_symbolic(m, r))
+
+
+def test_interpolation_basis_matches_symbolic_construction():
+    for q in PRIME_POWERS:
+        for m in range(1, 5):
+            if q ** m <= 25:
+                built = rb.interpolation_basis(q, m)
+                expected = interpolation_basis_symbolic(q, m)
+                assert [f.sorted_terms() for f in built] == \
+                    [f.sorted_terms() for f in expected], (q, m)
+
+
+def test_linear_product():
+    gf = field(5)
+    # 2 (X_1 - 3)(X_2 - 0)(X_2 - 1) = 2 (X_1 X_2^2 - X_1 X_2 - 3 X_2^2 + 3 X_2)
+    f = rb.linear_product(gf, 2, [(0, 3), (1, 0), (1, 1)], 2)
+    assert f.terms == {(1, 2): 2, (1, 1): 3, (0, 2): 4, (0, 1): 1}
+    assert rb.linear_product(gf, 3, []).terms == {(0, 0, 0): 1}
+    for scale in (5, -1):
+        with pytest.raises(ParameterError):
+            rb.linear_product(gf, 2, [(0, 1)], scale)

@@ -5,7 +5,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CrossCheckError, DegenerateTypeError, ParameterError,
-                     TooLargeError, field, linalg)
+                     TooLargeError, field, linalg, srres)
 
 from oracles import betti_sweep_gf2
 
@@ -169,10 +169,9 @@ def test_backends_agree_on_random_codes():
 
 
 def test_betti_guards():
-    big = rb.build_code(2, 1, 4)  # n = 16 exceeds a 12-vertex guard
-    with pytest.raises(TooLargeError):
-        rb.betti_hochster(big, 2, max_n=12)
-    with pytest.raises(TooLargeError):  # the default is the documented n <= 12
+    big = rb.build_code(2, 1, 4)  # n = 16 exceeds the 12-vertex homology limit
+    assert srres.MAX_HOMOLOGY_N == 12 < big.n
+    with pytest.raises(TooLargeError, match="n <= 12"):
         rb.betti_hochster(big, 2)
     with pytest.raises(TooLargeError):  # the nullity table stops at n = 20
         rb.betti_fastpath(rb.build_code(23, 5, 1))

@@ -8,7 +8,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CertificateError, ParameterError, PreconditionError,
-                     TooLargeError, codes)
+                     TooLargeError, codes, srres)
 
 
 def test_purity_predicate_examples():
@@ -69,8 +69,14 @@ def test_certificate_contents(q, m, r, case, wt, d1):
 
 
 def test_guard_defaults_are_the_codes_limits():
-    assert rb.Guards().max_enum == codes.MAX_ENUM
-    assert rb.Guards().max_subspaces == codes.MAX_SUBSPACES
+    # two settable guards; the JSON also reports the three fixed limits
+    assert [f.name for f in dataclasses.fields(rb.Guards)] == ["max_n_betti", "max_enum"]
+    assert rb.Guards().to_json_obj() == {
+        "max_n_betti": 16, "cross_check_n": srres.MAX_HOMOLOGY_N,
+        "max_enum": codes.MAX_ENUM, "max_subspaces": codes.MAX_SUBSPACES,
+        "homology_char": 2}
+    assert list(rb.Guards(3, 4).to_json_obj()) == [
+        "max_n_betti", "cross_check_n", "max_enum", "max_subspaces", "homology_char"]
 
 
 def test_certificate_d1_sources():
