@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 import time
 
@@ -76,19 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _guards(args) -> verify.Guards:
-    """Default guards, overridden by RM_RESOLVE_GUARD_N and then by explicit
-    flags; a non-integer or negative value is a parameter error."""
-    overrides = {}
-    env = os.environ.get("RM_RESOLVE_GUARD_N")
-    if env is not None:
-        try:
-            overrides["max_n_betti"] = int(env)
-        except ValueError:
-            raise ParameterError(
-                f"RM_RESOLVE_GUARD_N must be an integer, got {env!r}") from None
-    for name in ("max_n_betti", "max_enum"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
+    """Default guards, overridden by explicit flags; a negative value is a
+    parameter error."""
+    overrides = {name: getattr(args, name) for name in ("max_n_betti", "max_enum")
+                 if getattr(args, name) is not None}
     for name, value in overrides.items():
         if value < 0:
             raise ParameterError(f"guard {name} must be >= 0, got {value}")

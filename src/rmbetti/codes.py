@@ -31,31 +31,26 @@ MAX_SUBSPACES = 1_000_000  # subspaces enumerated by canonical RREF bases
 class LinearCode:
     """A k-dimensional subspace of GF(q)^n.
 
-    G is a full-rank k x n generator matrix, H an (n-k) x n parity-check
-    matrix with G @ H.T = 0.  Arrays are frozen after construction; treat
-    instances as immutable.
+    G is the given k x n generator matrix, which must have rank k; H is the
+    (n-k) x n parity-check matrix that linalg.null_space reads off the one
+    RREF of G, so G @ H.T = 0 and H has an identity block on the free
+    columns.  Arrays are frozen after construction; treat instances as
+    immutable.
     """
 
-    def __init__(self, gf: GF, G, H=None, *, validate: bool = True):
-        self.gf = gf
-        self.G = np.array(G, dtype=gf.dtype)
-        if self.G.ndim != 2:
+    def __init__(self, gf: GF, G):
+        g = np.asarray(G)
+        if g.ndim != 2:
             raise ParameterError("generator matrix must be 2-d")
+        if g.size and (g.dtype.kind not in "buiO" or not 0 <= g.min() <= g.max() < gf.q):
+            raise ParameterError(f"generator entries must be integers in 0..{gf.q - 1}")
+        self.gf = gf
+        self.G = g.astype(gf.dtype)
         self.k, self.n = self.G.shape
-        if H is None:
-            H = linalg.null_space(gf, self.G)
-        self.H = np.array(H, dtype=gf.dtype)
-        if self.H.shape != (self.n - self.k, self.n):
-            raise ParameterError(
-                f"parity-check matrix must be {self.n - self.k} x {self.n}, "
-                f"got {self.H.shape}")
-        if validate:
-            if linalg.rank(gf, self.G) != self.k:
-                raise ParameterError("generator matrix is rank deficient")
-            if self.n > self.k and linalg.rank(gf, self.H) != self.n - self.k:
-                raise ParameterError("parity-check matrix is rank deficient")
-            if np.any(linalg.matmul(gf, self.G, self.H.T)):
-                raise ParameterError("G @ H.T is nonzero")
+        self.H = linalg.null_space(gf, self.G)
+        if self.H.shape[0] != self.n - self.k:
+            raise ParameterError(f"generator matrix has rank {self.n - self.H.shape[0]}, "
+                                 f"below its {self.k} rows")
         self.G.setflags(write=False)
         self.H.setflags(write=False)
         self._nullity = None
@@ -64,7 +59,7 @@ class LinearCode:
     def from_generator(cls, gf: GF, rows) -> "LinearCode":
         """Code spanned by the given rows; the stored G is their RREF basis."""
         r, rk, _ = linalg.rref(gf, linalg.as_matrix(gf, rows))
-        return cls(gf, r[:rk], validate=False)
+        return cls(gf, r[:rk])
 
     def contains(self, v) -> bool:
         v = np.asarray(v)

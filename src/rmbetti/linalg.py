@@ -91,21 +91,19 @@ def rank(gf: GF, mat) -> int:
     return rref(gf, mat)[1]
 
 
-def null_space_from_rref(gf: GF, r: np.ndarray, rk: int, pivots, ncols: int) -> np.ndarray:
+def null_space(gf: GF, mat) -> np.ndarray:
+    """Row basis of {v : mat @ v = 0}, one row per free column of the RREF,
+    which holds 1 there and 0 on the other free columns; identity for a
+    0 x n matrix."""
+    r, rk, pivots = rref(gf, mat)
+    ncols = r.shape[1]
     free = sorted(set(range(ncols)) - set(pivots))
     basis = zeros(gf, len(free), ncols)
     if free:
         basis[np.arange(len(free)), free] = 1
         if pivots:
-            basis[:, list(pivots)] = gf.neg(r[:rk, free].T)
+            basis[:, pivots] = gf.neg(r[:rk, free].T)
     return basis
-
-
-def null_space(gf: GF, mat) -> np.ndarray:
-    """Row basis of {v : mat @ v = 0}; identity for a 0 x n matrix."""
-    mat = np.asarray(mat, dtype=gf.dtype)
-    r, rk, pivots = rref(gf, mat)
-    return null_space_from_rref(gf, r, rk, pivots, mat.shape[1])
 
 
 def row_space_equal(gf: GF, a, b) -> bool:

@@ -24,11 +24,12 @@ from .errors import (CrossCheckError, ParameterError, PreconditionError,
                      RankDeficientFormsError, TooLargeError, WitnessParameterError)
 from .gf import GF, field
 
-# Largest point grid (q^m points) and largest generator or parity-check
-# matrix (cells) that point_order and build_code allocate; a larger request
-# raises TooLargeError before any array is built.
+# Largest point grid (q^m points) that point_order allocates, and most bytes
+# of matrices that generator_matrix admits: G, the int64 copy that
+# linalg.rref eliminates (8 bytes a cell) and, for build_code, H.  A larger
+# request raises TooLargeError before any array is built.
 MAX_POINTS = 1 << 16
-MAX_MATRIX_CELLS = 1 << 28
+MAX_MATRIX_BYTES = 1 << 30
 
 
 def validate_params(q: int, r: int, m: int) -> None:
@@ -317,13 +318,12 @@ def codeword_degree(order: PointOrder, values) -> int:
 class RMCode(LinearCode):
     """Reed-Muller code of order r in m variables over GF(q)."""
 
-    def __init__(self, gf: GF, q: int, m: int, r: int, order: PointOrder,
-                 G, H, **kw):
-        super().__init__(gf, G, H, **kw)
+    def __init__(self, q: int, m: int, r: int, G):
+        super().__init__(field(q), G)
         self.q = q
         self.m = m
         self.r = r
-        self.order = order
+        self.order = point_order(q, m)
         self.d = min_distance_formula(q, r, m)
 
     def __repr__(self):
@@ -335,45 +335,47 @@ def _monomial_row(gf: GF, order: PointOrder, exps) -> np.ndarray:
     return _evaluate_terms(gf, order.points, [(exps, 1)])
 
 
-def generator_matrix(q: int, r: int, m: int) -> np.ndarray:
+def generator_matrix(q: int, r: int, m: int, *,
+                     with_parity_check: bool = False) -> np.ndarray:
     """The monomial basis evaluated over the point grid, one row per monomial.
 
-    A k x n matrix above MAX_MATRIX_CELLS is refused before it is built.
+    Refused before it is built when the k x n matrix, its int64 elimination
+    copy and, with_parity_check, the (n-k) x n parity-check matrix would
+    together exceed MAX_MATRIX_BYTES.
     """
     validate_params(q, r, m)
     gf = field(q)
     order = point_order(q, m)
     basis = monomial_basis(q, r, m)
-    if len(basis) * order.size > MAX_MATRIX_CELLS:
-        raise TooLargeError(f"the {len(basis)}x{order.size} generator matrix is "
-                            f"above {MAX_MATRIX_CELLS} cells")
+    k, n = len(basis), order.size
+    rows = n if with_parity_check else k          # G and H together have n rows
+    nbytes = rows * n * np.dtype(gf.dtype).itemsize + k * n * 8
+    if nbytes > MAX_MATRIX_BYTES:
+        raise TooLargeError(f"the [{n}, {k}] code needs {nbytes} bytes of matrices, "
+                            f"above the limit {MAX_MATRIX_BYTES} bytes")
     return np.stack([_monomial_row(gf, order, e) for e in basis])
 
 
 @functools.lru_cache(maxsize=256)
 def build_code(q: int, r: int, m: int) -> RMCode:
-    """Evaluate the monomial basis over the point grid and attach parity data.
+    """Evaluate the monomial basis over the point grid; the code's one RREF
+    gives H and the rank.
 
-    The rank of the evaluation matrix is cross-checked against both dimension
+    The rank is cross-checked against the monomial count and both dimension
     formulas; disagreement is a hard error, not a warning.
     """
-    validate_params(q, r, m)
-    gf = field(q)
-    order = point_order(q, m)
-    n, ak = order.size, dim_assmus_key(q, r, m)
-    if max(ak, n - ak) * n > MAX_MATRIX_CELLS:
-        raise TooLargeError(f"the [{n}, {ak}] code needs a {max(ak, n - ak)}x{n} "
-                            f"matrix, above {MAX_MATRIX_CELLS} cells")
-    G = generator_matrix(q, r, m)
-    R, rk, piv = linalg.rref(gf, G)
-    k = G.shape[0]
-    ie = dim_inclusion_exclusion(q, r, m)
+    G = generator_matrix(q, r, m, with_parity_check=True)
+    try:
+        code = RMCode(q, m, r, G)
+        rk = code.k
+    except ParameterError:              # LinearCode refuses a rank-deficient G
+        rk = linalg.rank(field(q), G)
+    k, ak, ie = G.shape[0], dim_assmus_key(q, r, m), dim_inclusion_exclusion(q, r, m)
     if not (rk == k == ak == ie):
         raise CrossCheckError(
             f"dimension sources disagree for (q={q}, r={r}, m={m}): "
             f"rank={rk}, monomials={k}, double-sum={ak}, incl-excl={ie}")
-    H = linalg.null_space_from_rref(gf, R, rk, piv, order.size)
-    return RMCode(gf, q, m, r, order, G, H, validate=(order.size <= 128))
+    return code
 
 
 # -- minimum-weight machinery -------------------------------------------------
@@ -385,10 +387,21 @@ def linear_product(gf: GF, m: int, roots, scale: int = 1) -> ExponentPoly:
     Every explicit codeword is built here.  No variable gets q or more
     roots, so no X^q -> X reduction is needed and the product is already the
     reduced polynomial; scale is checked by the ExponentPoly constructor.
+    Each variable's factors are multiplied together first, as a coefficient
+    list, so the product grows by one polynomial of at most q terms per
+    variable.
     """
+    if any(not (0 <= var < m and 0 <= value < gf.q) for var, value in roots):
+        raise ParameterError(f"roots must pair a variable in 0..{m - 1} with an "
+                             f"element of GF({gf.q})")
     f = ExponentPoly.constant(gf, m, scale)
-    for var, value in roots:
-        f = f * (ExponentPoly.variable(gf, m, var) - ExponentPoly.constant(gf, m, value))
+    for var in sorted({var for var, _ in roots}):
+        coefs = [1]                       # of X_var^0, X_var^1, ...
+        for value in (value for v, value in roots if v == var):
+            coefs = [gf.sub(lo, gf.mul(value, hi))
+                     for lo, hi in zip([0] + coefs, coefs + [0])]
+        f = f * ExponentPoly(gf, m, {(0,) * var + (e,) + (0,) * (m - var - 1): c
+                                     for e, c in enumerate(coefs)})
     return f
 
 
@@ -470,12 +483,12 @@ def interpolation_basis(q: int, m: int) -> list[ExponentPoly]:
             for pt in point_order(q, m).points]
 
 
-def sum_zero_code_equal(q: int, m: int, *, check_generators: bool = True) -> bool:
+def sum_zero_code_equal(q: int, m: int) -> bool:
     """Does the order m(q-1) - 1 code equal the sum-zero hyperplane code?
 
-    Compares row spaces directly; optionally also rebuilds explicit
-    generators (point indicator minus origin indicator) and confirms they
-    stay within the degree bound and span the same hyperplane.
+    Compares row spaces directly, then rebuilds explicit generators (point
+    indicator minus origin indicator) and confirms they stay within the
+    degree bound and span the same hyperplane.
     """
     if q < 2 or m < 1:
         raise ParameterError("need q >= 2 and m >= 1")
@@ -487,8 +500,6 @@ def sum_zero_code_equal(q: int, m: int, *, check_generators: bool = True) -> boo
         lam[i, i] = 1
         lam[i, i + 1] = gf.neg(1)
     equal = linalg.row_space_equal(gf, code.G, lam)
-    if not check_generators:
-        return equal
     indicators = interpolation_basis(q, m)
     origin = indicators[0]  # points[0] is the origin
     gens = []

@@ -10,19 +10,15 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rmbetti import cli, codes
 
 CLI = [sys.executable, "-m", "rmbetti"]
 
 
-def run(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=full_env)
+def run(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def test_dim_text_and_agreement():
@@ -161,7 +157,8 @@ def test_homology_backend_bounded_by_cross_check_n(backend):
 @pytest.mark.parametrize("argv,limit", [
     ("dim --q 40009 --m 1 --r 0", "1048576 cells"),   # field tables, ~3 GiB
     ("dim --q 2 --m 28 --r 1", "65536 points"),       # point grid, ~56 GiB
-    ("distance --q 2 --m 16 --r 1", "268435456 cells"),  # parity-check matrix, 4 GiB
+    ("distance --q 2 --m 16 --r 1", "1073741824 bytes"),  # parity-check matrix, 4 GiB
+    ("dim --q 2 --m 16 --r 4", "1073741824 bytes"),   # G and its int64 copy, 1.4 GiB
     # the grid is refused before m(q-1)+1 rows or an m-variable witness
     ("verify-theorem --q 2 --m 30000000 --r-all", "65536 points"),
     ("certificate --q 3 --m 3000000 --r 3", "65536 points"),
@@ -189,10 +186,8 @@ def test_dim_ranks_the_generator_matrix_of_long_codes(m, k):
     ("verify-theorem --q 3 --m 2 --r-all --max-n-betti 0 --method betti", 3),
     ("verify-theorem --q 2 --m 3 --r-all --method certificate", 2),
 ])
-def test_sweep_with_no_decided_row_is_not_a_mismatch(argv, exit_code, capsys,
-                                                     monkeypatch):
+def test_sweep_with_no_decided_row_is_not_a_mismatch(argv, exit_code, capsys):
     # guard-skipped rows exit 3, rows no requested route applies to exit 2
-    monkeypatch.delenv("RM_RESOLVE_GUARD_N", raising=False)
     assert cli.main(argv.split() + ["--output", "json", "--no-timing"]) == exit_code
     captured = capsys.readouterr()
     assert json.loads(captured.out)["match"] is False
@@ -202,25 +197,6 @@ def test_sweep_with_no_decided_row_is_not_a_mismatch(argv, exit_code, capsys,
         assert json.loads(err[0])["error"] == "too_large"
     else:
         assert err[0].startswith("error: ")
-
-
-def test_guard_env_override():
-    proc = run("betti", "--q", "3", "--m", "2", "--r", "2",
-               env={"RM_RESOLVE_GUARD_N": "4"})
-    assert proc.returncode == 3
-    proc = run("betti", "--q", "3", "--m", "2", "--r", "2",
-               "--max-n-betti", "9", env={"RM_RESOLVE_GUARD_N": "4"})
-    assert proc.returncode == 0  # explicit flag beats the environment
-
-
-def test_guard_env_value_must_be_a_nonnegative_integer():
-    for value in ("abc", "-1"):
-        proc = run("dim", "--q", "2", "--m", "2", "--r", "1",
-                   env={"RM_RESOLVE_GUARD_N": value})
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_explicit_zero_guards_are_kept_and_negative_refused():
@@ -349,13 +325,13 @@ PINNED_OUTPUTS = [
 
 @pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
                          ids=[case[0] for case in PINNED_OUTPUTS])
-def test_output_bytes_pinned(argv, exit_code, digest, capsys, monkeypatch):
-    monkeypatch.delenv("RM_RESOLVE_GUARD_N", raising=False)
+def test_output_bytes_pinned(argv, exit_code, digest, capsys):
     code = cli.main(argv.split() + ["--no-timing"])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
 
 
+DOCUMENTED_EXITS = (0, 2, 3, 4, 5)
 COMMANDS = ("dim", "distance", "ghw", "betti", "purity", "certificate",
             "verify-theorem", "verify-mds")
 SMALL_GUARD = st.none() | st.integers(-2, 64)
@@ -389,12 +365,10 @@ def cli_argv(draw):
 
 
 # derandomized: tier-1 runs the same 50 inputs, so its time stays bounded
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(argv=cli_argv())
-def test_every_input_ends_in_a_documented_exit_code(argv, monkeypatch):
-    monkeypatch.delenv("RM_RESOLVE_GUARD_N", raising=False)
+def test_every_input_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
+    assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())

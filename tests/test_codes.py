@@ -22,6 +22,18 @@ def test_weight_and_support():
     assert rb.weight(word) == 3
 
 
+def test_linear_code_generator_entries_are_field_elements():
+    for q in (2, 3, 4):
+        gf = field(q)
+        code = rb.LinearCode(gf, [[1, q - 1, 0], [0, 1, 1]])
+        assert (code.k, code.n, code.H.shape) == (2, 3, (1, 3))
+        assert not np.any(linalg.matmul(gf, code.G, code.H.T))
+        for bad in ([[1, q, 1]], [[1, -1, 1]], np.array([[1, 300, 1]]), [[1, 2 ** 70, 1]],
+                    [[1, 0.5, 1]], np.ones((1, 3))):
+            with pytest.raises(ParameterError, match=f"integers in 0..{q - 1}"):
+                rb.LinearCode(gf, bad)
+
+
 def test_linear_code_validation_and_contains(even_weight):
     gf = field(2)
     with pytest.raises(ParameterError):
@@ -90,7 +102,7 @@ def test_nullity_table_uniform_on_mds(q, r):
     # are independent.  These are the largest face counts any RM code
     # reaches inside the n <= 20 table guard.
     built = rb.build_code(q, r, 1)
-    code = rb.LinearCode(built.gf, built.G, built.H, validate=False)  # cold cache
+    code = rb.LinearCode(built.gf, built.G)  # cold cache
     n, k = code.n, code.k
     masks = np.arange(1 << n)
     popcount = sum((masks >> i) & 1 for i in range(n))
@@ -178,7 +190,7 @@ def test_ghw_past_the_table_by_wei_duality():
             g[:, 5] = 0
             g[:, -1] = g[:, 0]
         code = rb.LinearCode.from_generator(gf, g)
-        dual = rb.LinearCode(gf, code.H, code.G)
+        dual = rb.LinearCode(gf, code.H)
         profile = rb.ghw_profile(code)
         dual_profile = [rb.ghw_by_subspaces(dual, j) for j in range(1, dual.k + 1)]
         assert sorted(profile + tuple(n + 1 - d for d in dual_profile)) == list(range(1, n + 1))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import rmbetti as rb
-from rmbetti import (ExponentPoly, ParameterError, PreconditionError,
-                     RankDeficientFormsError, WitnessParameterError, field)
-from rmbetti import linalg
+from rmbetti import (CrossCheckError, ExponentPoly, ParameterError, PreconditionError,
+                     RankDeficientFormsError, TooLargeError, WitnessParameterError,
+                     field)
+from rmbetti import linalg, rm
 from rmbetti.rm import binom, validate_params
 
 from oracles import (interpolation_basis_symbolic, min_weight_poly_symbolic,
@@ -153,10 +154,60 @@ def test_build_code_examples():
 
 
 def test_every_generator_row_annihilated_by_parity_check():
-    for (q, r, m) in [(2, 1, 3), (3, 2, 2), (4, 2, 2), (5, 3, 1)]:
+    for (q, r, m) in [(2, 1, 3), (3, 2, 2), (4, 2, 2), (5, 3, 1), (8, 9, 2),
+                      (9, 4, 2), (5, 4, 3)]:
         code = rb.build_code(q, r, m)
         assert not np.any(linalg.matmul(code.gf, code.G, code.H.T))
         assert linalg.rank(code.gf, code.H) == code.n - code.k
+
+
+def test_build_code_runs_one_elimination(monkeypatch):
+    calls = []
+    rref = linalg.rref
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    code = rm.build_code.__wrapped__(3, 2, 2)   # cold: past the cache
+    assert (code.n, code.k) == (9, 6)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("source", ["dim_assmus_key", "dim_inclusion_exclusion"])
+def test_build_code_dimension_sources_must_agree(monkeypatch, source):
+    formula = getattr(rm, source)
+    monkeypatch.setattr(rm, source, lambda q, r, m: formula(q, r, m) + 1)
+    with pytest.raises(CrossCheckError, match="rank=6, monomials=6, double-sum="):
+        rm.build_code.__wrapped__(3, 2, 2)
+
+
+def test_build_code_rank_deficient_generator_is_a_cross_check_error(monkeypatch):
+    generator_matrix = rm.generator_matrix
+
+    def repeated_row(*args, **kw):
+        g = generator_matrix(*args, **kw)
+        g[-1] = g[0]
+        return g
+
+    monkeypatch.setattr(rm, "generator_matrix", repeated_row)
+    with pytest.raises(CrossCheckError, match="rank=5, monomials=6, double-sum=6, "
+                                              "incl-excl=6"):
+        rm.build_code.__wrapped__(3, 2, 2)
+
+
+def test_matrix_byte_limit(monkeypatch):
+    # RM_2(1, 3) is [8, 4]: G and H take 32 bytes each, G's int64 copy 256
+    monkeypatch.setattr(rm, "MAX_MATRIX_BYTES", 319)
+    assert rm.generator_matrix(2, 1, 3).shape == (4, 8)
+    with pytest.raises(TooLargeError, match="320 bytes of matrices, above the limit 319"):
+        rm.build_code.__wrapped__(2, 1, 3)
+    monkeypatch.setattr(rm, "MAX_MATRIX_BYTES", 287)
+    with pytest.raises(TooLargeError, match="288 bytes"):
+        rm.generator_matrix(2, 1, 3)
+    monkeypatch.setattr(rm, "MAX_MATRIX_BYTES", 320)
+    assert rm.build_code.__wrapped__(2, 1, 3).k == 4
 
 
 def test_dimension_monotone_and_distance_antitone():
@@ -322,7 +373,6 @@ def test_interpolation_degree_agrees_with_parity_membership():
 def test_sum_zero_code_equality():
     for (q, m) in [(2, 2), (3, 2), (2, 3)]:
         assert rb.sum_zero_code_equal(q, m)
-        assert rb.sum_zero_code_equal(q, m, check_generators=False)
     # dimension check: [q^m, q^m - 1, 2]
     code = rb.build_code(3, 3, 2)
     assert (code.n, code.k, code.d) == (9, 8, 2)
@@ -455,3 +505,6 @@ def test_linear_product():
     for scale in (5, -1):
         with pytest.raises(ParameterError):
             rb.linear_product(gf, 2, [(0, 1)], scale)
+    for root in ((2, 0), (-1, 0), (0, 5), (0, -1)):
+        with pytest.raises(ParameterError):
+            rb.linear_product(gf, 2, [(1, 1), root])

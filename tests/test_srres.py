@@ -63,7 +63,7 @@ def test_one_face_enumeration_per_code(monkeypatch):
 
     monkeypatch.setattr(linalg, "face_levels", counted)
     built = rb.build_code(3, 2, 2)
-    code = rb.LinearCode(built.gf, built.G, built.H, validate=False)  # cold cache
+    code = rb.LinearCode(built.gf, built.G)  # cold cache
     rb.betti_fastpath(code)
     rb.betti_hochster(code, 2)
     rb.circuits(code)
