@@ -7,7 +7,10 @@ rank.  Two backends compute the Betti table:
 
 * betti_hochster sweeps every vertex subset W and sums reduced homology
   dimensions of the restricted complex over a prime field (the slow,
-  assumption-free oracle);
+  assumption-free oracle).  Each call builds the boundary columns once;
+  the restriction to W keeps the columns of the faces inside W, and one
+  sparse kernel ranks them (XOR bitmasks over GF(2), dicts over odd
+  primes), as it ranks whole boundaries in reduced_homology_dims;
 * betti_fastpath uses that restrictions of this complex are again of the
   same kind, so homology is concentrated in top degree and its dimension is
   the absolute value of the reduced Euler characteristic.  Euler
@@ -26,12 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .bits import indices_of, mask_of, popcount_table, subset_sum_accumulate
 from .codes import LinearCode
 from .errors import (CrossCheckError, DegenerateTypeError, ParameterError,
                      TooLargeError)
-from .gf import field, is_prime
+from .gf import is_prime
 
 # largest n whose 2^n restrictions the homology backend sweeps
 MAX_HOMOLOGY_N = 12
@@ -60,43 +62,92 @@ def circuits(code: LinearCode) -> list[tuple[int, ...]]:
 # -- reduced simplicial homology ---------------------------------------------
 
 
+def _boundary_complex(faces, ell: int) -> tuple[list[list[int]], list[list]]:
+    """Faces by size and the boundary column of every face.
+
+    levels[s] lists the s-element faces as ascending bitmasks (level 0 is
+    the empty face, always present); a face's row is its position in its
+    level.  columns[s][i], the boundary of levels[s][i], gives the face
+    minus its pos-th smallest vertex the sign (-1)^pos, in _rank's form for
+    ell.  Every subface of a face inside a vertex set W lies inside W, so
+    the columns of the faces inside W are the boundary of Delta|W as they
+    stand: their rows outside W are zero.
+    """
+    by_size: dict[int, set[int]] = {0: {0}}
+    for face in faces:
+        f = int(face) if isinstance(face, (int, np.integer)) else mask_of(face)
+        by_size.setdefault(f.bit_count(), set()).add(f)
+    levels = [sorted(by_size.get(s, ())) for s in range(max(by_size) + 1)]
+    columns: list[list] = [[0 if ell == 2 else {}]]  # the empty face bounds nothing
+    for s in range(1, len(levels)):
+        row_of = {f: row for row, f in enumerate(levels[s - 1])}
+        level_columns = []
+        for f in levels[s]:
+            col = {}
+            for pos, v in enumerate(indices_of(f)):
+                row = row_of.get(f ^ (1 << v))
+                if row is None:
+                    raise ParameterError("faces are not downward closed")
+                col[row] = 1 if pos % 2 == 0 else ell - 1
+            level_columns.append(sum(1 << row for row in col) if ell == 2 else col)
+        columns.append(level_columns)
+    return levels, columns
+
+
+def _rank(columns, ell: int) -> int:
+    """Rank over GF(ell), ell prime, of sparse columns, pivoting on each
+    column's highest row index.
+
+    For ell = 2 a column is a Python-int bitmask of its nonzero rows and the
+    row operation is XOR; for odd ell it is a {row: coefficient} dict of
+    nonzero residues.
+    """
+    pivots: dict = {}
+    if ell == 2:
+        for c in columns:
+            while c:
+                top = c.bit_length() - 1
+                p = pivots.get(top)
+                if p is None:
+                    pivots[top] = c
+                    break
+                c ^= p
+        return len(pivots)
+    for col in columns:
+        c = dict(col)
+        while c:
+            top = max(c)
+            p = pivots.get(top)
+            if p is None:
+                # stored normalised and without its pivot entry, which
+                # every elimination below removes outright
+                inv = pow(c.pop(top), -1, ell)
+                pivots[top] = {row: x * inv % ell for row, x in c.items()}
+                break
+            factor = c.pop(top)
+            for row, x in p.items():
+                y = (c.get(row, 0) - factor * x) % ell
+                if y:
+                    c[row] = y
+                else:
+                    del c[row]
+    return len(pivots)
+
+
 def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
     """Reduced homology dimensions by degree over GF(ell), ell prime.
 
     Faces are bitmasks (Python or numpy ints) or index tuples.  The empty
     face is always part of the complex (added if missing), so the one-face
     complex has a single dimension in degree -1 and any complex with a
-    vertex has none there.
+    vertex has none there.  Each boundary map is ranked whole by _rank.
     """
     if not is_prime(ell):
         raise ParameterError(f"homology coefficients need a prime, got {ell}")
-    gfl = field(ell)
-    by_size: dict[int, dict[int, int]] = {0: {0: 0}}
-    for face in faces:
-        f = int(face) if isinstance(face, (int, np.integer)) else mask_of(face)
-        by_size.setdefault(f.bit_count(), {})[f] = 0
-    for level in by_size.values():
-        for pos, f in enumerate(sorted(level)):
-            level[f] = pos
-    top = max(by_size)
-    minus_one = gfl.neg(1)
-    boundary_rank: dict[int, int] = {}
-    for s in range(1, top + 1):
-        upper = sorted(by_size.get(s, {}))
-        lower = by_size.get(s - 1, {})
-        mat = linalg.zeros(gfl, len(lower), len(upper))
-        for col, f in enumerate(upper):
-            for pos, v in enumerate(indices_of(f)):
-                sub = f ^ (1 << v)
-                if sub not in lower:
-                    raise ParameterError("faces are not downward closed")
-                mat[lower[sub], col] = 1 if pos % 2 == 0 else minus_one
-        boundary_rank[s] = linalg.rank(gfl, mat)
-    dims = {}
-    for s in range(0, top + 1):
-        chains = len(by_size.get(s, {}))
-        dims[s - 1] = chains - boundary_rank.get(s, 0) - boundary_rank.get(s + 1, 0)
-    return dims
+    levels, columns = _boundary_complex(faces, ell)
+    ranks = [_rank(level_columns, ell) for level_columns in columns] + [0]
+    return {s - 1: len(levels[s]) - ranks[s] - ranks[s + 1]
+            for s in range(len(levels))}
 
 
 # -- Betti tables ------------------------------------------------------------
@@ -134,21 +185,38 @@ class BettiTable:
 
 def betti_hochster(code: LinearCode, ell: int = 2) -> BettiTable:
     """Restriction sweep: beta_{i,j} sums dim H~_{j-i-1} of Delta restricted
-    to each j-subset, homology taken over GF(ell); n <= MAX_HOMOLOGY_N."""
+    to each j-subset, homology taken over GF(ell); n <= MAX_HOMOLOGY_N.
+
+    The boundary columns are built once, from the face masks alone (no rank
+    is read from the nullity table); for each W, _rank ranks the columns of
+    the faces inside W in every degree.
+    """
     n = code.n
     if n > MAX_HOMOLOGY_N:
         raise TooLargeError(f"2^n restriction sweep needs n <= {MAX_HOMOLOGY_N}, n = {n}")
     if not is_prime(ell):
         raise ParameterError(f"homology coefficients need a prime, got {ell}")
-    faces = np.flatnonzero(code.nullity_table() == 0)
-    pc = popcount_table(n)
+    levels, columns = _boundary_complex(
+        np.flatnonzero(code.nullity_table() == 0), ell)
+    # per face size: the face masks, and their columns ready to be selected
+    by_size = [(np.array(level, dtype=np.int64), np.array(level_columns, dtype=object))
+               for level, level_columns in zip(levels, columns)]
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << n):
-        sub = faces[(faces & ~w) == 0]
-        j = int(pc[w])
-        for d, h in reduced_homology_dims(sub, ell).items():
+        outside = ~w
+        chains, ranks = [], []
+        for masks, level_columns in by_size:
+            inside = level_columns[(masks & outside) == 0]
+            if not inside.size:
+                break  # restrictions stay downward closed: no larger face either
+            chains.append(inside.size)
+            ranks.append(_rank(inside.tolist(), ell))
+        ranks.append(0)
+        j = w.bit_count()
+        for s, chain_count in enumerate(chains):
+            h = chain_count - ranks[s] - ranks[s + 1]
             if h:
-                key = (j - d - 1, j)
+                key = (j - s, j)  # degree d = s - 1 lands at i = j - d - 1
                 entries[key] = entries.get(key, 0) + h
     return BettiTable(n=n, k=code.k, entries=entries)
 

@@ -1,5 +1,7 @@
 """Matroid complex, homology, Betti backends, purity, closed-form checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import rmbetti as rb
 from rmbetti import (CrossCheckError, DegenerateTypeError, ParameterError,
                      TooLargeError, field, linalg, srres)
 
-from oracles import betti_sweep_gf2
+from oracles import betti_sweep_gf2, rref_scalar
 
 
 def test_even_weight_betti_table_against_independent_oracle():
@@ -116,6 +118,44 @@ def test_reduced_homology_conventions():
     assert edge == {-1: 0, 0: 0, 1: 0}
 
 
+def test_reduced_homology_depends_on_the_prime():
+    # six-vertex real projective plane: H~_1 = Z/2, so only GF(2) sees homology
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    faces = {sub for t in triangles for size in range(4)
+             for sub in itertools.combinations(t, size)}
+    assert len(faces) == 1 + 6 + 15 + 10
+    assert rb.reduced_homology_dims(faces, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    for ell in (3, 5):
+        assert rb.reduced_homology_dims(faces, ell) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+def _kernel_column(dense, ell):
+    if ell == 2:
+        return sum(1 << row for row, x in enumerate(dense) if x)
+    return {row: x for row, x in enumerate(dense) if x}
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_rank_kernel_matches_scalar_oracle(ell):
+    gf = field(ell)
+    rng = np.random.default_rng(ell)
+    cases = [(4, []), (5, [[0] * 5] * 3)]
+    for _ in range(60):
+        rows = int(rng.choice([1, 3, 8, 70]))
+        cols = rng.integers(1, ell, size=(int(rng.integers(1, 10)), rows))
+        cols *= rng.random(cols.shape) < 0.3
+        cols = cols.tolist()
+        cols.append(cols[0])                                   # repeated
+        cols.append([x * (ell - 1) % ell for x in cols[-2]])   # a multiple
+        cols.append([0] * rows)                                # zero
+        cases.append((rows, [cols[i] for i in rng.permutation(len(cols))]))
+    for rows, cols in cases:
+        matrix = np.array(cols, dtype=np.int64).reshape(len(cols), rows).T
+        expected = rref_scalar(gf, matrix)[1]
+        assert srres._rank([_kernel_column(c, ell) for c in cols], ell) == expected
+
+
 def test_reduced_homology_validation():
     with pytest.raises(ParameterError):
         rb.reduced_homology_dims([()], 4)
@@ -145,7 +185,8 @@ def test_backends_agree_on_sample_instances():
     for (q, r, m) in [(3, 2, 2), (2, 1, 3), (2, 3, 3), (5, 2, 1), (4, 1, 1)]:
         code = rb.build_code(q, r, m)
         fast = rb.betti_fastpath(code)
-        assert fast == rb.betti_hochster(code, 2) == rb.betti_hochster(code, 3)
+        assert (fast == rb.betti_hochster(code, 2) == rb.betti_hochster(code, 3)
+                == rb.betti_hochster(code, 5))
         assert fast.proj_dim() == code.k
         assert fast.alternating_sum() == 0
 
