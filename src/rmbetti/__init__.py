@@ -26,13 +26,12 @@ from .rm import (ExponentPoly, PointOrder, RMCode, build_code, codeword_degree,
                  full_space_binomial_identity, interpolate, interpolation_basis,
                  linear_product, min_distance_formula, min_weight_poly,
                  monomial_basis, point_order, substitute_linear_forms,
-                 sum_zero_code_equal, ts_split, witness_poly_large_field,
-                 witness_poly_ternary)
+                 sum_zero_code_equal, ts_split)
 from .srres import (BettiTable, PurityVerdict, betti_fastpath, betti_hochster,
                     circuits, ghw_from_betti, herzog_kuhl_predicted,
                     purity_verdict, reduced_homology_dims)
 from .verify import (DEFAULT_GUARDS, Guards, MdsCheck, NonPurityCertificate,
-                     SweepReport, SweepRow, certificate_applicable,
+                     SweepReport, SweepRow, certificate_witness,
                      check_certificate, mds_check, mds_predicate,
                      non_purity_certificate, purity_by_betti,
                      purity_predicate, sweep)

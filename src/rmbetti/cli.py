@@ -21,8 +21,8 @@ import sys
 import time
 
 from . import codes, linalg, rm, srres, verify
-from .errors import (CertificateError, CrossCheckError, NotPrimePowerError,
-                     ParameterError, PreconditionError, TooLargeError)
+from .errors import (CertificateError, CrossCheckError, ParameterError,
+                     TooLargeError)
 from .gf import field
 
 EXIT_OK = 0
@@ -348,8 +348,7 @@ def main(argv=None) -> int:
         report, text, exit_code = handlers[args.command](args, _guards(args))
         _emit(args, report, text, started)
         return exit_code
-    except (NotPrimePowerError, ParameterError, PreconditionError, ValueError,
-            IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except TooLargeError as exc:

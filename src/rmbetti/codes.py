@@ -2,11 +2,14 @@
 support-minimal subcodes, MDS and nondegeneracy predicates.
 
 Generalized Hamming weights are computed over supports: d_i is the smallest
-size of a coordinate set whose shortened code has dimension >= i.  That is
-exponential in the length n instead of Gaussian-binomial in k, and a direct
-subspace-enumeration oracle (ghw_by_subspaces) re-establishes correctness at
-tiny scale.  Every enumeration is guarded and fails loudly with TooLargeError
-rather than truncating.
+size of a coordinate set whose shortened code has dimension >= i.  One walk
+over the faces (independent parity-check column sets, linalg.face_levels)
+finds every d_i, level by level, and stops at the last one asked for; a code
+that has built its nullity table from that walk reads the table instead.
+That is exponential in the length n instead of Gaussian-binomial in k, and a
+direct subspace-enumeration oracle (ghw_by_subspaces) re-establishes
+correctness at tiny scale.  Every enumeration is guarded and fails loudly
+with TooLargeError rather than truncating.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .gf import GF
 # The size limits of the exact enumerations, each defined once; an input
 # beyond one raises TooLargeError before the work starts.
 MAX_TABLE_N = 20           # 2^n-entry subset tables: nullity table, support masks
-MAX_SEARCH_N = 25          # ghw's face walk past the nullity table
+MAX_SEARCH_N = 25          # ghw's face walk
 MAX_ENUM = 2_000_000       # codewords enumerated (q^k); default of max_enum
 MAX_SUBSPACES = 1_000_000  # subspaces enumerated by canonical RREF bases
 
@@ -184,30 +187,40 @@ def minimal_codeword_supports(code: LinearCode) -> list[tuple[int, ...]]:
 
 def ghw(code: LinearCode, i: int) -> int:
     """Smallest support size of an i-dimensional subcode: read off the
-    nullity table up to MAX_TABLE_N, then a face walk up to MAX_SEARCH_N."""
+    nullity table if the code has built it, else a face walk that stops at
+    the level giving d_i (needs n <= MAX_SEARCH_N)."""
     if not 1 <= i <= code.k:
         raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
-    if code.n <= MAX_TABLE_N:
-        return int(popcount_table(code.n)[code.nullity_table() >= i].min())
-    if code.n > MAX_SEARCH_N:
-        raise TooLargeError(
-            f"subset search needs n <= {MAX_SEARCH_N}, n = {code.n}")
-    return _ghw_by_walk(code, i)
-
-
-def _ghw_by_walk(code: LinearCode, i: int) -> int:
-    # d_i = s + i at the first size s with a face F that can still grow and
-    # |cl(F)| - |F| >= i: F and i closure columns have nullity i; and a
-    # smallest W of nullity >= i has no coloop at column n - 1 (it would drop),
-    # so a basis F of W avoids that column and |cl(F)| - |F| >= |W| - |F| >= i
-    for size, (_, span) in enumerate(linalg.face_levels(code.gf, code.H)):
-        if span.max(initial=0) - size >= i:
-            return size + i
-    raise AssertionError("unreachable: the full support has nullity k")
+    return _ghw_prefix(code, i)[-1]
 
 
 def ghw_profile(code: LinearCode) -> tuple[int, ...]:
-    return tuple(ghw(code, i) for i in range(1, code.k + 1))
+    """(d_1, ..., d_k) from at most one face walk; () for the zero code."""
+    return _ghw_prefix(code, code.k) if code.k else ()
+
+
+def _ghw_prefix(code: LinearCode, top: int) -> tuple[int, ...]:
+    """(d_1, ..., d_top); a code whose nullity table is built is read, not
+    walked again."""
+    if code._nullity is not None:
+        sizes = popcount_table(code.n)
+        return tuple(int(sizes[code._nullity >= i].min()) for i in range(1, top + 1))
+    if code.n > MAX_SEARCH_N:
+        raise TooLargeError(
+            f"subset search needs n <= {MAX_SEARCH_N}, n = {code.n}")
+    # d_i = s + i at the first size s with a face F that can still grow and
+    # |cl(F)| - |F| >= i: F and i closure columns have nullity i; and a
+    # smallest W of nullity >= i has no coloop at column n - 1 (it would drop),
+    # so a basis F of W avoids that column and |cl(F)| - |F| >= |W| - |F| >= i.
+    # d_1 < d_2 < ..., so each level appends the d_i it newly reaches.
+    found: list[int] = []
+    for size, (_, span) in enumerate(linalg.face_levels(code.gf, code.H)):
+        excess = span.max(initial=0) - size
+        while len(found) < top and excess > len(found):
+            found.append(size + len(found) + 1)
+        if len(found) == top:
+            return tuple(found)
+    raise AssertionError("unreachable: the full support has nullity k")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

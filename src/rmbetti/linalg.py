@@ -8,10 +8,10 @@ Zero-row and zero-column matrices are legal throughout.
 
 Products have one path for every field: coefficient planes over Z_p
 (``GF.vectors``) multiply exactly in float64 BLAS, and ``GF.fold`` reduces
-the polynomial products.  Elimination forks: for prime q the element index
-is the residue, so it runs on an int64 copy with ``% p``; for prime powers
-it reads the flat tables ``gf.mul_flat`` / ``gf.sub_flat`` at ``a * q + b``.
-Either way it touches only the columns at and right of the pivot.
+the polynomial products.  Elimination has one path too: on an int64 copy it
+reads the flat tables ``gf.mul_flat`` / ``gf.sub_flat`` at ``a * q + b``,
+for prime and prime-power q alike, and touches only the columns at and
+right of the pivot.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     if r.ndim != 2:
         raise DimensionMismatchError("rref needs a 2-d matrix")
     r = r.astype(np.int64)
-    # prime q eliminates with % p and prime powers through the tables; that
-    # % p beats the tables on the code matrices that reach rref is unmeasured
-    p, q, prime = gf.p, gf.q, gf.e == 1
+    q = gf.q
     nrows, ncols = r.shape
     pivots: list[int] = []
     row = 0
@@ -70,18 +68,14 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
         piv = r[row, col:]
         inv = gf.inv(int(piv[0]))
         if inv != 1:
-            piv[:] = piv * inv % p if prime else gf.mul_flat[inv * q + piv]
+            piv[:] = gf.mul_flat[inv * q + piv]
         f = r[:, col].copy()
         f[row] = 0
         others = np.flatnonzero(f)
         if others.size:
             block = r[others, col:]           # its first column holds the factors
-            if prime:
-                block -= block[:, :1] * piv
-                block %= p
-            else:
-                block = gf.sub_flat[block * q + gf.mul_flat[block[:, :1] * q + piv]]
-            r[others, col:] = block
+            multiples = gf.mul_flat[block[:, :1] * q + piv]
+            r[others, col:] = gf.sub_flat[block * q + multiples]
         pivots.append(col)
         row += 1
     return r.astype(gf.dtype), row, pivots

@@ -4,9 +4,10 @@ Everything here is exact: the reduced polynomial space (total degree <= r,
 every variable degree < q), the evaluation map over the ordered point grid,
 two independent closed-form dimension formulas, the (t, s) split behind the
 minimum distance, explicit minimum-weight polynomials and their images under
-linear substitutions, one-point indicator polynomials, the sum-zero
-description of the codimension-one code, and the heavier support-minimal
-witness polynomials used by the purity analysis.
+linear substitutions, one-point indicator polynomials, and the sum-zero
+description of the codimension-one code.  Every explicit codeword is a
+product of linear factors (linear_product); the witnesses of the purity
+analysis are listed as such factors by verify.certificate_witness.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import linalg
 from .codes import LinearCode
-from .errors import (CrossCheckError, ParameterError, PreconditionError,
-                     RankDeficientFormsError, TooLargeError, WitnessParameterError)
+from .errors import (CrossCheckError, ParameterError, RankDeficientFormsError,
+                     TooLargeError, WitnessParameterError)
 from .gf import GF, field
 
 # Largest point grid (q^m points) that point_order allocates, and most bytes
@@ -511,50 +512,3 @@ def sum_zero_code_equal(q: int, m: int) -> bool:
     span = np.stack(gens)
     return equal and linalg.row_space_equal(gf, span, lam)
 
-
-# -- witness polynomials for the non-purity analysis -------------------------
-
-
-def witness_poly_large_field(q: int, m: int, r: int) -> ExponentPoly:
-    """Degree-r witness for q > 3 whose word is heavier than the minimum.
-
-    Requires s = 1 in the split of r, m >= 2 and 1 < r < m(q-1) - 1.  The
-    word's weight is 2(q-2) q^(m-t-1), strictly above (q-1) q^(m-t-1).
-    """
-    validate_params(q, r, m)
-    if q <= 3:
-        raise PreconditionError(f"this construction needs q > 3, got q={q}")
-    t, s = ts_split(q, r)
-    if s != 1:
-        raise PreconditionError(f"split of r={r} gives s={s}; need s = 1")
-    if m < 2 or not 1 < r < m * (q - 1) - 1:
-        raise PreconditionError(
-            f"need m >= 2 and 1 < r < m(q-1)-1, got m={m}, r={r}")
-    assert 1 <= t <= m - 1
-    gf = field(q)
-    elems = gf.elements()
-    f = linear_product(gf, m, pinned_roots(gf, [0] * (t - 1))
-                       + [(t - 1, b) for b in elems[2:]] + [(t, b) for b in elems[:2]])
-    assert f.total_degree() == r
-    return f
-
-
-def witness_poly_ternary(m: int, r: int) -> ExponentPoly:
-    """The q = 3 analogue; needs s = 1 and t <= m - 2 (three free variables).
-
-    The word's weight is 8 * 3^(m-t-2), strictly above 2 * 3^(m-t-1).
-    """
-    q = 3
-    validate_params(q, r, m)
-    t, s = ts_split(q, r)
-    if s != 1:
-        raise PreconditionError(f"split of r={r} gives s={s}; need s = 1")
-    if not 1 <= t <= m - 2:
-        raise PreconditionError(
-            f"need 1 <= t <= m-2 for q=3, got t={t}, m={m}")
-    gf = field(q)
-    third = gf.elements()[2]
-    f = linear_product(gf, m, pinned_roots(gf, [0] * (t - 1))
-                       + [(var, third) for var in (t - 1, t, t + 1)])
-    assert f.total_degree() == r
-    return f

@@ -3,9 +3,11 @@
 Two independent routes decide purity for a given (q, m, r): the computed
 graded Betti table, and a self-contained certificate built from a witness
 codeword whose shrunk support carries a 1-dimensional shortened code heavier
-than the minimum distance.  A parameter sweep runs both routes wherever
-their guards allow, compares against the closed-form predicates, and never
-drops a row silently.
+than the minimum distance.  certificate_witness alone decides which (q, m, r)
+get a witness, its case, its linear factors and its expected weight; building
+and re-checking a certificate both read it.  A parameter sweep runs both
+routes wherever their guards allow, compares against the closed-form
+predicates, and never drops a row silently.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ def mds_predicate(q: int, m: int, r: int) -> bool:
 
 @dataclass(frozen=True)
 class PurityComputation:
-    q: int
-    m: int
-    r: int
     table: srres.BettiTable
     verdict: srres.PurityVerdict
     cross_checked: bool
@@ -81,8 +80,7 @@ def purity_by_betti(q: int, m: int, r: int,
         if slow != table:
             raise CrossCheckError(
                 f"Betti backends disagree for (q={q}, m={m}, r={r})")
-    return PurityComputation(q, m, r, table, srres.purity_verdict(table),
-                             cross_checked)
+    return PurityComputation(table, srres.purity_verdict(table), cross_checked)
 
 
 # -- certificates -------------------------------------------------------------
@@ -165,23 +163,32 @@ class NonPurityCertificate:
         return cls(**kwargs)
 
 
-def _case_weight(q: int, m: int, r: int) -> tuple[int, int]:
-    """(case number, expected witness weight) inside the s = 1 band."""
-    t, _ = rm.ts_split(q, r)
-    if q == 3:
-        return 2, 8 * 3 ** (m - t - 2)
-    return 1, 2 * (q - 2) * q ** (m - t - 1)
+def certificate_witness(q: int, m: int, r: int) -> tuple[int, list, int] | None:
+    """(case, roots, formula_weight) of the witness for (q, m, r), or None
+    outside the s = 1 band (invalid parameters included).
 
-
-def certificate_applicable(q: int, m: int, r: int) -> bool:
-    """Whether (q, m, r) lies in the s = 1 band of the witness construction:
-    q >= 3, m >= 2, s = 1 and 1 < r < m(q-1) - 1."""
+    The band is q >= 3, m >= 2, s = 1 and 1 < r < m(q-1) - 1, where
+    r = t(q-1) + s.  The witness is rm.linear_product of the roots: the
+    indicator of X_0 = ... = X_{t-2} = 0 (variables count from 0) times
+    (X_{t-1} - b) for b >= 2 and (X_t - b) for b < 2 in case 1 (q > 3),
+    of weight 2(q-2) q^(m-t-1); or times (X_v - 2) for v = t-1, t, t+1 in
+    case 2 (q = 3), of weight 8 * 3^(m-t-2).  Both weights lie above the
+    minimum distance (q-1) q^(m-t-1).  Inside the band the field and the
+    point grid are checked before any root is listed, so a q that is not a
+    prime power, or an oversized grid, raises as field and point_order do.
+    """
     try:
         rm.validate_params(q, r, m)
     except ParameterError:
-        return False
-    _, s = rm.ts_split(q, r)
-    return q >= 3 and m >= 2 and s == 1 and 1 < r < m * (q - 1) - 1
+        return None
+    t, s = rm.ts_split(q, r)
+    if not (q >= 3 and m >= 2 and s == 1 and 1 < r < m * (q - 1) - 1):
+        return None
+    roots = rm.pinned_roots(rm.point_order(q, m).gf, [0] * (t - 1))
+    if q == 3:
+        return 2, roots + [(v, 2) for v in (t - 1, t, t + 1)], 8 * 3 ** (m - t - 2)
+    return (1, roots + [(t - 1, b) for b in range(2, q)] + [(t, b) for b in range(2)],
+            2 * (q - 2) * q ** (m - t - 1))
 
 
 def non_purity_certificate(q: int, m: int, r: int,
@@ -194,17 +201,15 @@ def non_purity_certificate(q: int, m: int, r: int,
     """
     rm.validate_params(q, r, m)
     t, s = rm.ts_split(q, r)
-    if not certificate_applicable(q, m, r):
+    planned = certificate_witness(q, m, r)
+    if planned is None:
         raise PreconditionError(
             "certificates need q >= 3, m >= 2, s = 1 and 1 < r < m(q-1)-1; "
             f"got q={q}, m={m}, r={r}, s={s}")
-    code = rm.build_code(q, r, m)   # refuses an oversized grid before any witness
+    case, roots, formula_weight = planned
+    code = rm.build_code(q, r, m)
     gf = code.gf
-    case, formula_weight = _case_weight(q, m, r)
-    if case == 2:
-        witness = rm.witness_poly_ternary(m, r)
-    else:
-        witness = rm.witness_poly_large_field(q, m, r)
+    witness = rm.linear_product(gf, m, roots)
     word = witness.evaluate(code.order)
     sigma = codes.support(word)
     wt = len(sigma)
@@ -277,7 +282,8 @@ def check_certificate(cert: NonPurityCertificate,
 
     # every later check reads the code that these parameters build
     q, m, r = cert.q, cert.m, cert.r
-    gf = field(q) if certificate_applicable(q, m, r) else None
+    planned = certificate_witness(q, m, r)
+    gf = field(q) if planned is not None else None
     if not flag("params", gf is not None
                 and rm.ts_split(q, r) == (cert.t, cert.s)
                 and (gf.p, gf.e, gf.modulus) == (cert.field_char, cert.field_degree,
@@ -325,7 +331,7 @@ def check_certificate(cert: NonPurityCertificate,
     flag("weight_mismatch", codes.weight(word) == cert.weight
          and codes.weight(shrunk) == cert.one_minimal_weight)
 
-    case, formula_weight = _case_weight(q, m, r)
+    case, _, formula_weight = planned
     flag("weight_formula", case == cert.case
          and formula_weight == cert.formula_weight == cert.weight)
 
@@ -424,8 +430,6 @@ class SweepRow:
     n: int
     k: int
     d: int
-    t: int
-    s: int
     pure_predicted: bool
     betti_method: str
     purity: srres.PurityVerdict | None
@@ -459,7 +463,6 @@ CERTIFICATE_SUMMARY = ("case", "weight", "formula_weight", "d1", "d1_source",
 
 def _sweep_row(args) -> SweepRow:
     q, m, r, guards, methods = args
-    t, s = rm.ts_split(q, r)
     code = rm.build_code(q, r, m)
     pure_predicted = purity_predicate(q, m, r)
 
@@ -476,7 +479,7 @@ def _sweep_row(args) -> SweepRow:
 
     certificate = None
     certificate_ok = None
-    if "certificate" in methods and certificate_applicable(q, m, r):
+    if "certificate" in methods and certificate_witness(q, m, r) is not None:
         cert = non_purity_certificate(q, m, r, guards)
         certificate_ok = bool(check_certificate(cert, guards))
         certificate = {name: getattr(cert, name) for name in CERTIFICATE_SUMMARY}
@@ -497,7 +500,7 @@ def _sweep_row(args) -> SweepRow:
     else:
         match = "match" if all(verdicts) else "mismatch"
 
-    return SweepRow(q=q, m=m, r=r, n=code.n, k=code.k, d=code.d, t=t, s=s,
+    return SweepRow(q=q, m=m, r=r, n=code.n, k=code.k, d=code.d,
                     pure_predicted=pure_predicted, betti_method=betti_method,
                     purity=purity, certificate=certificate,
                     certificate_ok=certificate_ok, mds=mds, match=match)

@@ -281,7 +281,7 @@ def _s0_witness(q: int, m: int, r: int) -> rb.ExponentPoly:
 def test_nonpurity_certificates_stated_rows(q, m, r):
     started = time.monotonic()
     t, s = rb.ts_split(q, r)
-    if rb.certificate_applicable(q, m, r):
+    if rb.certificate_witness(q, m, r) is not None:
         cert = rb.non_purity_certificate(q, m, r)
         if q == 3:
             assert cert.weight == 8 * 3 ** (m - t - 2)
@@ -329,7 +329,7 @@ def test_shrink_matches_restart_oracle():
     for q in (3, 4, 5, 7, 8, 9):
         for m in (2, 3, 4):
             for r in range(m * (q - 1) + 1):
-                if q ** m <= 81 and rb.certificate_applicable(q, m, r):
+                if q ** m <= 81 and rb.certificate_witness(q, m, r) is not None:
                     words.append(((q, m, r), rb.non_purity_certificate(q, m, r).codeword))
     for q, m, r in [(3, 2, 2), (4, 2, 3)]:
         words.append(((q, m, r), _s0_witness(q, m, r).evaluate(rb.build_code(q, r, m).order)))

@@ -5,6 +5,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import ParameterError, TooLargeError, codes, field, linalg
+from rmbetti.bits import popcount_table
 from rmbetti.codes import gaussian_binomial, rref_generators
 
 
@@ -166,10 +167,31 @@ def _walk_cases():
 
 
 def test_ghw_level_walk_agrees_with_table():
-    for code in _walk_cases():
-        assert code.n <= codes.MAX_TABLE_N
-        for i in range(1, code.k + 1):
-            assert codes._ghw_by_walk(code, i) == rb.ghw(code, i), (code, i)
+    for built in _walk_cases():
+        assert built.n <= codes.MAX_TABLE_N
+        code = rb.LinearCode(built.gf, built.G)     # no table yet: ghw walks
+        walked = rb.ghw_profile(code)
+        assert all(rb.ghw(code, i) == walked[i - 1] for i in range(1, code.k + 1))
+        sizes, nullity = popcount_table(code.n), code.nullity_table()
+        table = tuple(int(sizes[nullity >= i].min()) for i in range(1, code.k + 1))
+        assert walked == table, code
+        assert rb.ghw_profile(code) == table, code  # now read off the table
+
+
+def test_ghw_profile_walks_the_faces_once(monkeypatch):
+    calls = []
+
+    def counted(gf, mat):
+        calls.append(mat.shape)
+        return face_levels(gf, mat)
+
+    face_levels = linalg.face_levels
+    monkeypatch.setattr(linalg, "face_levels", counted)
+    code = rb.build_code(5, 6, 2)                   # n = 25, k = 22
+    # Wei duality: the dual [25, 3, 20] code has d_j = 20, 24, 25, so the
+    # profile is 1..25 without 26 - d_j = 6, 2, 1
+    assert rb.ghw_profile(code) == (3, 4, 5) + tuple(range(7, 26))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("r", range(4, 9))

@@ -381,12 +381,18 @@ def test_sum_zero_code_equality():
 # -- witness polynomials -------------------------------------------------------
 
 
+def _witness(q, m, r):
+    case, roots, formula_weight = rb.certificate_witness(q, m, r)
+    return case, rb.linear_product(field(q), m, roots), formula_weight
+
+
 def test_witness_large_field_examples():
     for (q, m, r, wt, d) in [(4, 2, 4, 4, 3), (5, 2, 5, 6, 4), (4, 3, 4, 16, 12)]:
-        poly = rb.witness_poly_large_field(q, m, r)
+        case, poly, formula_weight = _witness(q, m, r)
+        assert case == 1
         assert poly.total_degree() == r
         vals = poly.evaluate()
-        assert rb.weight(vals) == wt
+        assert rb.weight(vals) == wt == formula_weight
         assert rb.min_distance_formula(q, r, m) == d
         assert wt > d
         assert rb.build_code(q, r, m).contains(vals)
@@ -394,44 +400,46 @@ def test_witness_large_field_examples():
 
 def test_witness_large_field_deeper_split():
     # t = 2: q=4, r=7 = 2*3+1, m=3
-    poly = rb.witness_poly_large_field(4, 3, 7)
+    case, poly, formula_weight = _witness(4, 3, 7)
+    assert case == 1
     assert poly.total_degree() == 7
     t = 2
-    assert rb.weight(poly.evaluate()) == 2 * (4 - 2) * 4 ** (3 - t - 1)
+    assert rb.weight(poly.evaluate()) == formula_weight == 2 * (4 - 2) * 4 ** (3 - t - 1)
 
 
 def test_witness_large_field_preconditions():
-    with pytest.raises(PreconditionError):
-        rb.witness_poly_large_field(3, 3, 3)  # q must exceed 3
-    with pytest.raises(PreconditionError):
-        rb.witness_poly_large_field(4, 2, 3)  # s = 0
-    with pytest.raises(PreconditionError):
-        rb.witness_poly_large_field(4, 1, 1)  # m too small (s = 1 but m = 1)
-    with pytest.raises(PreconditionError):
-        rb.witness_poly_large_field(4, 2, 1)  # r too small
+    for (q, m, r) in [(4, 2, 3),   # s = 0
+                      (4, 1, 1),   # m too small (s = 1 but m = 1)
+                      (4, 2, 1)]:  # r too small
+        assert rb.certificate_witness(q, m, r) is None
+        with pytest.raises(PreconditionError):
+            rb.non_purity_certificate(q, m, r)
+    assert rb.certificate_witness(3, 3, 3)[0] == 2  # q = 3 is case 2, not case 1
+    assert rb.certificate_witness(4, 1, 4) is None
     with pytest.raises(ParameterError):
-        rb.witness_poly_large_field(4, 1, 4)  # r out of range altogether
+        rb.non_purity_certificate(4, 1, 4)  # r out of range altogether
 
 
 def test_witness_ternary_examples():
     # weights 8 > 6 (m=3) and 24 > 18 (m=4) occur at r = 3, where s = 1
     for (m, r, wt, d) in [(3, 3, 8, 6), (4, 3, 24, 18), (4, 5, 8, 6)]:
-        poly = rb.witness_poly_ternary(m, r)
+        case, poly, formula_weight = _witness(3, m, r)
+        assert case == 2
         assert poly.total_degree() == r
         vals = poly.evaluate()
-        assert rb.weight(vals) == wt
+        assert rb.weight(vals) == wt == formula_weight
         assert rb.min_distance_formula(3, r, m) == d
         assert wt > d
         assert rb.build_code(3, r, m).contains(vals)
 
 
 def test_witness_ternary_preconditions():
-    with pytest.raises(PreconditionError):
-        rb.witness_poly_ternary(2, 3)  # t = 1 > m - 2 = 0
-    with pytest.raises(PreconditionError):
-        rb.witness_poly_ternary(3, 4)  # s = 0: no witness of this shape
-    with pytest.raises(PreconditionError):
-        rb.witness_poly_ternary(4, 4)  # s = 0 here as well
+    for (m, r) in [(2, 3),   # t = 1 > m - 2 = 0
+                   (3, 4),   # s = 0: no witness of this shape
+                   (4, 4)]:  # s = 0 here as well
+        assert rb.certificate_witness(3, m, r) is None
+        with pytest.raises(PreconditionError):
+            rb.non_purity_certificate(3, m, r)
 
 
 # -- linear products against the symbolic constructions ---------------------
@@ -472,18 +480,47 @@ def test_min_weight_poly_matches_symbolic_construction():
                         lambda: min_weight_poly_symbolic(q, r, m, **kw))
 
 
+def _symbolic_witness(q, m, r):
+    """The oracle's witness for (q, m, r), or None where its preconditions
+    refuse (q = 2 has no construction)."""
+    try:
+        if q == 3:
+            return witness_poly_ternary_symbolic(m, r)
+        if q > 3:
+            return witness_poly_large_field_symbolic(q, m, r)
+    except ValueError:
+        pass
+    return None
+
+
 def test_witness_polys_match_symbolic_constructions():
-    # every precondition case, out-of-range m and r included
+    # every (q, m, r) with m <= 4, out-of-range m and r included: the band,
+    # the case, the linear factors and the weight of certificate_witness
+    stated = {(4, 2, 4): (4, 3), (5, 2, 5): (6, 4), (4, 3, 4): (16, 12),  # (weight, d)
+              (4, 3, 7): (4, 3), (3, 3, 3): (8, 6), (3, 4, 3): (24, 18), (3, 4, 5): (8, 6)}
+    seen = set()
     for q in PRIME_POWERS:
-        for m in range(4):
+        for m in range(5):
             for r in range(-1, m * (q - 1) + 2):
-                assert_same_construction(
-                    lambda: rb.witness_poly_large_field(q, m, r),
-                    lambda: witness_poly_large_field_symbolic(q, m, r))
-                if q == 3:
-                    assert_same_construction(
-                        lambda: rb.witness_poly_ternary(m, r),
-                        lambda: witness_poly_ternary_symbolic(m, r))
+                planned = rb.certificate_witness(q, m, r)
+                expected = _symbolic_witness(q, m, r)
+                assert (planned is None) == (expected is None), (q, m, r)
+                if planned is None:
+                    continue
+                assert not rb.purity_predicate(q, m, r), (q, m, r)
+                case, roots, formula_weight = planned
+                witness = rb.linear_product(field(q), m, roots)
+                assert witness.sorted_terms() == expected.sorted_terms(), (q, m, r)
+                assert witness.total_degree() == r
+                assert case == (2 if q == 3 else 1)
+                word = witness.evaluate()
+                wt, d = rb.weight(word), rb.min_distance_formula(q, r, m)
+                assert wt == formula_weight > d, (q, m, r)
+                if (q, m, r) in stated:
+                    assert (wt, d) == stated[q, m, r]
+                    assert rb.build_code(q, r, m).contains(word)
+                    seen.add((q, m, r))
+    assert seen == set(stated)
 
 
 def test_interpolation_basis_matches_symbolic_construction():

@@ -40,13 +40,13 @@ def test_purity_by_betti_examples():
 
 
 def test_certificate_applicable():
-    assert rb.certificate_applicable(4, 2, 4)
-    assert rb.certificate_applicable(3, 3, 3)
-    assert not rb.certificate_applicable(3, 3, 4)   # s = 0
-    assert not rb.certificate_applicable(2, 4, 2)   # q too small
-    assert not rb.certificate_applicable(4, 2, 1)   # r too small
-    assert not rb.certificate_applicable(4, 2, 5)   # r at the pure boundary
-    assert not rb.certificate_applicable(4, 2, 99)  # out of range
+    assert rb.certificate_witness(4, 2, 4) is not None
+    assert rb.certificate_witness(3, 3, 3) is not None
+    assert rb.certificate_witness(3, 3, 4) is None   # s = 0
+    assert rb.certificate_witness(2, 4, 2) is None   # q too small
+    assert rb.certificate_witness(4, 2, 1) is None   # r too small
+    assert rb.certificate_witness(4, 2, 5) is None   # r at the pure boundary
+    assert rb.certificate_witness(4, 2, 99) is None  # out of range
 
 
 @pytest.mark.parametrize("q,m,r,case,wt,d1", [
@@ -272,12 +272,12 @@ def test_sweep_jobs_do_not_change_rows():
 def test_constructed_certificates_never_fail_silently(monkeypatch):
     # force a bogus expected weight to prove the loud-abort path is wired
     import rmbetti.verify as verify_mod
-    real = verify_mod._case_weight
+    real = verify_mod.certificate_witness
 
     def wrong(q, m, r):
-        case, _ = real(q, m, r)
-        return case, 1
+        case, roots, _ = real(q, m, r)
+        return case, roots, 1
 
-    monkeypatch.setattr(verify_mod, "_case_weight", wrong)
+    monkeypatch.setattr(verify_mod, "certificate_witness", wrong)
     with pytest.raises(CertificateError):
         rb.non_purity_certificate(4, 2, 4)
