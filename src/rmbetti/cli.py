@@ -312,11 +312,52 @@ def _print_too_large(message: str) -> None:
     print(json.dumps({"error": "too_large", "message": message}), file=sys.stderr)
 
 
+def _json_text(report) -> str:
+    """json.dumps(report, indent=2), byte for byte, with each flat list of
+    ints joined in one pass.  A report holding anything the walk does not
+    handle (a non-str key, a type json cannot encode) goes to json.dumps
+    whole."""
+    quote = json.encoder.encode_basestring_ascii  # json.dumps's own str encoder
+
+    def dump(obj, pad: str) -> str:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            if all(type(x) is int for x in obj):  # bools print as true/false
+                body = sep.join(map(str, obj))
+            else:
+                body = sep.join([dump(x, inner) for x in obj])
+            return f"[\n{inner}{body}\n{pad}]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            # quote raises TypeError on a key that is not a str
+            body = sep.join([f"{quote(key)}: {dump(value, inner)}"
+                             for key, value in obj.items()])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        if type(obj) is int:
+            return str(obj)
+        if isinstance(obj, str):
+            return quote(obj)
+        if obj is None:
+            return "null"
+        if isinstance(obj, (int, float)):  # bools and floats in json's spelling
+            return json.dumps(obj)
+        raise TypeError(f"unhandled {type(obj).__name__}")
+
+    try:
+        return dump(report, "")
+    except TypeError:
+        return json.dumps(report, indent=2)
+
+
 def _emit(args, report, text, started) -> None:
     if args.output == "json":
         if not args.no_timing:
             report["timing_ms"] = int((time.monotonic() - started) * 1000)
-        payload = json.dumps(report, indent=2) + "\n"
+        payload = _json_text(report) + "\n"
     elif args.output == "csv":
         payload = _csv_text(args, report)
     else:

@@ -8,8 +8,14 @@ finds every d_i, level by level, and stops at the last one asked for; a code
 that has built its nullity table from that walk reads the table instead.
 That is exponential in the length n instead of Gaussian-binomial in k, and a
 direct subspace-enumeration oracle (ghw_by_subspaces) re-establishes
-correctness at tiny scale.  Every enumeration is guarded and fails loudly
-with TooLargeError rather than truncating.
+correctness at tiny scale.
+
+The minimum weight is found by meet in the middle: the spans of the two
+halves of G are enumerated (at most q^ceil(k/2) words each) and compared byte
+for byte, since weight(a - b) counts the coordinates where a and b differ;
+the comparison runs in blocks of at most MIN_WEIGHT_BLOCK_BYTES.  Every
+enumeration is guarded and fails loudly with TooLargeError rather than
+truncating.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ MAX_TABLE_N = 20           # 2^n-entry subset tables: nullity table, support mas
 MAX_SEARCH_N = 25          # ghw's face walk
 MAX_ENUM = 2_000_000       # codewords enumerated (q^k); default of max_enum
 MAX_SUBSPACES = 1_000_000  # subspaces enumerated by canonical RREF bases
+
+# Working-set size, not a guard: min_weight_bruteforce compares words of B
+# against the span A in blocks whose bool temporary stays under this many
+# bytes (one row at a time once A alone is larger).
+MIN_WEIGHT_BLOCK_BYTES = 1 << 22
 
 
 class LinearCode:
@@ -150,16 +161,28 @@ def enumerate_codewords(code: LinearCode, *, max_enum: int = MAX_ENUM) -> np.nda
 
 
 def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
+    """Smallest weight of a nonzero codeword, by meet in the middle.
+
+    Every codeword is a - b with a in the span A of the first ceil(k/2)
+    generators and b in the span B of the rest, and weight(a - b) is the
+    number of coordinates where a and b differ: each cross term is a byte
+    comparison of A against a word of B, with no field table read.  Scaling
+    keeps the weight, so b runs over the words of B whose last nonzero
+    coefficient is 1.  Refused before any allocation when q^k > max_enum.
+    """
     if code.k == 0:
         raise ParameterError("the zero code has no nonzero codeword")
-    # span of all but the last generator, then its q - 1 nontrivial cosets;
-    # memory stays at two q^(k-1) x n blocks instead of q^k x n
-    base = _span(code, code.G[:-1], max_enum)
-    w = np.count_nonzero(base, axis=1)
-    best = int(w[w > 0].min()) if np.any(w > 0) else code.n + 1
-    for scalar in range(1, code.gf.q):
-        block = code.gf.add(base, code.gf.mul(scalar, code.G[-1])[None, :])
-        best = min(best, int(np.count_nonzero(block, axis=1).min()))
+    gf, half = code.gf, (code.k + 1) // 2
+    a = _span(code, code.G[:half], max_enum)
+    # _span puts the word with coefficients c_i at index sum c_i q^i
+    lead_one = np.array([w for i in range(code.k - half)
+                         for w in range(gf.q ** i, 2 * gf.q ** i)], dtype=np.intp)
+    b = _span(code, code.G[half:], max_enum)[lead_one]
+    best = int(np.count_nonzero(a[1:], axis=1).min())
+    step = max(1, MIN_WEIGHT_BLOCK_BYTES // a.size)
+    for start in range(0, len(b), step):
+        block = a[None] != b[start:start + step, None]
+        best = min(best, int(block.sum(axis=2, dtype=np.int32).min()))
     return best
 
 

@@ -242,20 +242,20 @@ def non_purity_certificate(q: int, m: int, r: int,
     return NonPurityCertificate(
         q=q, m=m, r=r, t=t, s=s, case=case, n=code.n, k=code.k,
         witness_terms=tuple(witness.sorted_terms()),
-        codeword=tuple(int(x) for x in word),
+        codeword=tuple(word.tolist()),
         support=sigma,
         weight=wt,
         formula_weight=formula_weight,
         d1=d1,
         d1_source="formula+bruteforce" if within_enum else "formula",
         d1_bruteforce=d1_brute,
-        one_minimal_word=tuple(int(x) for x in shrunk),
+        one_minimal_word=tuple(shrunk.tolist()),
         one_minimal_support=shrunk_support,
         one_minimal_weight=len(shrunk_support),
         support_shortened_dim=sigma_dim,
         one_minimal_shortened_dim=shrunk_dim,
-        generator_matrix=tuple(tuple(int(x) for x in row) for row in code.G),
-        parity_check_matrix=tuple(tuple(int(x) for x in row) for row in code.H),
+        generator_matrix=tuple(map(tuple, code.G.tolist())),
+        parity_check_matrix=tuple(map(tuple, code.H.tolist())),
         field_char=gf.p, field_degree=gf.e, field_modulus=gf.modulus,
         checks=checks,
     )

@@ -192,6 +192,24 @@ def shrink_restart_scalar(gf, h, word):
     return np.array(out, dtype=gf.dtype)
 
 
+def min_weight_enumerated(gf, generator):
+    """Minimum weight of a nonzero codeword by the plain scan: each of the
+    q^k information vectors is multiplied into the generator rows one scalar
+    field operation at a time, and its nonzero coordinates counted."""
+    add, mul, _, _ = _scalar_tables(gf)
+    rows = [[int(x) for x in row] for row in generator]
+    best = None
+    for info in itertools.product(range(gf.q), repeat=len(rows)):
+        if not any(info):
+            continue
+        word = [0] * len(rows[0])
+        for c, row in zip(info, rows):
+            word = [add[x][mul[c][y]] for x, y in zip(word, row)]
+        wt = sum(1 for x in word if x)
+        best = wt if best is None else min(best, wt)
+    return best
+
+
 # -- explicit codewords, built symbolically --------------------------------
 
 

@@ -331,6 +331,31 @@ def test_output_bytes_pinned(argv, exit_code, digest, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
 
 
+
+def test_json_emitter_matches_json_dumps(monkeypatch, capsys):
+    hand_built = {
+        "empty": [[], {}, [[]], [{}], {"a": []}, ()],
+        "ints": [1, -2, 3 ** 40, 0], "rows": ((1, 2), (3, 4)), "mixed": [1, True, 0, False],
+        "scalars": [None, 1.5, -0.0, 1e300, True],
+        "strings": ["", "tab\t quote\" back\\ nl\n", "non-ascii \u00e9\u2211\U0001f600", "\x00"],
+        "nested": {"x": {"y": [{"z": (None,)}]}},
+    }
+    assert cli._json_text(hand_built) == json.dumps(hand_built, indent=2)
+    for fallback in ({1: "int key"}, {"ok": [{"a": 1, None: 2}]}):
+        assert cli._json_text(fallback) == json.dumps(fallback, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text({"unencodable": {1, 2}})
+
+    reports = []
+    emit = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda report: reports.append(report) or emit(report))
+    for argv in ("certificate --q 4 --m 2 --r 4", "verify-theorem --q 3 --m 2 --r-all",
+                 "ghw --q 2 --m 3 --r 1"):
+        assert cli.main(argv.split() + ["--output", "json", "--no-timing"]) == 0
+        assert capsys.readouterr().out == json.dumps(reports[-1], indent=2) + "\n"
+    assert len(reports) == 3
+
+
 DOCUMENTED_EXITS = (0, 2, 3, 4, 5)
 COMMANDS = ("dim", "distance", "ghw", "betti", "purity", "certificate",
             "verify-theorem", "verify-mds")

@@ -1,5 +1,7 @@
 """Supports, shortening, weight hierarchies, minimal subcodes, MDS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ import rmbetti as rb
 from rmbetti import ParameterError, TooLargeError, codes, field, linalg
 from rmbetti.bits import popcount_table
 from rmbetti.codes import gaussian_binomial, rref_generators
+
+from oracles import min_weight_enumerated
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,52 @@ def test_min_weight_bruteforce_examples():
         assert rb.min_weight_bruteforce(rb.build_code(q, 0, m)) == q ** m
     with pytest.raises(TooLargeError):
         rb.min_weight_bruteforce(rb.build_code(2, 2, 4), max_enum=100)
+
+
+def _random_full_rank(rng, gf, k, n):
+    while True:
+        g = rng.integers(0, gf.q, size=(k, n))
+        if linalg.rank(gf, g.astype(gf.dtype)) == k:
+            return g
+
+
+def test_min_weight_bruteforce_matches_the_plain_scan():
+    """Random codes of every odd and even k <= 6 that the scalar scan can
+    afford, plus k = 1, k = n (weight 1) and an all-zero column."""
+    rng = np.random.default_rng(14)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        gf = field(q)
+        for k in range(1, 7):
+            if q ** k > 10000:
+                break
+            for _ in range(2):
+                g = _random_full_rank(rng, gf, k, int(rng.integers(k, k + 7)))
+                code = rb.LinearCode(gf, g)
+                assert rb.min_weight_bruteforce(code) == min_weight_enumerated(gf, g), (q, g)
+        identity = np.eye(3, dtype=np.int64)
+        assert rb.min_weight_bruteforce(rb.LinearCode(gf, identity)) == 1
+        g = np.insert(_random_full_rank(rng, gf, 3, 6), 4, 0, axis=1)
+        code = rb.LinearCode(gf, g)
+        assert rb.min_weight_bruteforce(code) == min_weight_enumerated(gf, g) <= 6, (q, g)
+
+
+def test_min_weight_bruteforce_working_set():
+    """A refusal allocates no span.  Within the guard the two half-spans
+    are 729 and 81 words of n = 6561 bytes, and the kernel peaks at about
+    14 MB; enumerating the span of the first k - 1 generators and scanning
+    its q - 1 cosets by table lookups peaks at about 123 MB on this code."""
+    code = rb.build_code(9, 1, 4)  # [6561, 5, 5832]
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match=r"q\^k = 59049 exceeds"):
+            rb.min_weight_bruteforce(code, max_enum=9 ** 5 - 1)
+        refused = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert rb.min_weight_bruteforce(code) == 5832
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused < 2 ** 20 and peak < 32 * 2 ** 20, (refused, peak)
 
 
 def test_enumerate_codewords_complete_and_distinct():
