@@ -5,6 +5,11 @@ fast backend reads every restriction's contribution off one subset
 transform and the code's nullity table; the homology backend computes
 boundary-map ranks over a prime field.  They must agree entry for entry, and the smallest shift in each
 homological position recovers the weight hierarchy.
+
+The nullity table, dim C(W) for every column set W, is built once per code.
+When the smaller of C and its dual has at most 2^n words, q^dim C(W) is
+the number of words supported inside W, counted by one histogram and one
+subset-sum transform; otherwise a walk over the faces builds it.
 """
 
 import rmbetti as rb

@@ -1,14 +1,22 @@
 """Code-agnostic analytics: supports, shortening, generalized Hamming weights,
 support-minimal subcodes, MDS and nondegeneracy predicates.
 
-Generalized Hamming weights are computed over supports: d_i is the smallest
-size of a coordinate set whose shortened code has dimension >= i.  One walk
+A code's matroid is its nullity table, dim C(W) for every coordinate set W,
+built by one of two kernels chosen from the sizes of the code.  When the
+smaller of C and its dual has at most 2^n words (q^min(k, n-k) <= 2^n, never
+more words than the table has entries) they are counted: q^dim C(W) is the
+number of codewords supported inside W (Greene 1976), so one histogram of
+support masks and one subset-sum transform give every W.  Otherwise one walk
 over the faces (independent parity-check column sets, linalg.face_levels)
-finds every d_i, level by level, and stops at the last one asked for; a code
-that has built its nullity table from that walk reads the table instead.
-That is exponential in the length n instead of Gaussian-binomial in k, and a
-direct subspace-enumeration oracle (ghw_by_subspaces) re-establishes
-correctness at tiny scale.
+does.
+
+Generalized Hamming weights are computed over supports: d_i is the smallest
+size of a coordinate set whose shortened code has dimension >= i.  They are
+read off the nullity table whenever the code has one or the counting rule
+admits it; otherwise one face walk finds every d_i, level by level, and
+stops at the last one asked for.  That is exponential in the length n
+instead of Gaussian-binomial in k, and a direct subspace-enumeration oracle
+(ghw_by_subspaces) re-establishes correctness at tiny scale.
 
 The minimum weight is found by meet in the middle: the spans of the two
 halves of G are enumerated (at most q^ceil(k/2) words each) and compared byte
@@ -25,8 +33,8 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .bits import popcount_table, subset_max_accumulate
-from .errors import ParameterError, TooLargeError
+from .bits import popcount_table, subset_max_accumulate, subset_sum_accumulate
+from .errors import CrossCheckError, ParameterError, TooLargeError
 from .gf import GF
 
 # The size limits of the exact enumerations, each defined once; an input
@@ -86,21 +94,17 @@ class LinearCode:
     def nullity_table(self) -> np.ndarray:
         """dim {c in C : supp(c) subseteq W} for every coordinate bitmask W.
 
-        The one place a code's matroid is computed: rank(W) is the size of
-        the largest face (independent parity-check column set) inside W, so
-        one subset-max transform over the faces gives every rank.  Faces are
-        exactly the masks of nullity 0.
+        The one place a code's matroid is computed: by codeword counting
+        (_nullity_by_counting) when q^min(k, n-k) <= 2^n, else by the face
+        walk (_nullity_by_walk).  Faces are exactly the masks of nullity 0.
+        n > MAX_TABLE_N is refused before either kernel starts.
         """
         if self._nullity is None:
-            n = self.n
-            if n > MAX_TABLE_N:
+            if self.n > MAX_TABLE_N:
                 raise TooLargeError(
-                    f"nullity table needs n <= {MAX_TABLE_N}, n = {n}")
-            ranks = np.zeros(1 << n, dtype=np.int8)
-            for size, (faces, _) in enumerate(linalg.face_levels(self.gf, self.H)):
-                ranks[faces] = size
-            subset_max_accumulate(ranks, n)
-            table = popcount_table(n).astype(np.int16) - ranks
+                    f"nullity table needs n <= {MAX_TABLE_N}, n = {self.n}")
+            kernel = _nullity_by_counting if _counting_admits(self) else _nullity_by_walk
+            table = kernel(self).astype(np.int16)
             table.setflags(write=False)
             self._nullity = table
         return self._nullity
@@ -141,23 +145,87 @@ def shortened_basis(code: LinearCode, coords) -> np.ndarray:
     return out
 
 
-def _span(code: LinearCode, rows, max_enum: int) -> np.ndarray:
-    """Every combination of the given codewords, the zero word first;
-    refused when the whole code has more than max_enum words."""
-    gf, total = code.gf, code.gf.q ** code.k
+def _counting_admits(code: LinearCode) -> bool:
+    """The counting rule: the smaller of C and C-perp has no more words than
+    the nullity table has entries."""
+    return code.gf.q ** min(code.k, code.n - code.k) <= 1 << code.n
+
+
+def _nullity_by_walk(code: LinearCode) -> np.ndarray:
+    """rank(W) is the size of the largest face (independent parity-check
+    column set) inside W, so one subset-max transform over the faces of the
+    walk gives every rank."""
+    n = code.n
+    ranks = np.zeros(1 << n, dtype=np.int8)
+    for size, (faces, _) in enumerate(linalg.face_levels(code.gf, code.H)):
+        ranks[faces] = size
+    subset_max_accumulate(ranks, n)
+    return popcount_table(n).astype(np.int16) - ranks
+
+
+def _nullity_by_counting(code: LinearCode) -> np.ndarray:
+    """q^dim C(W) = #{c in C : supp(c) subseteq W} (Greene 1976).
+
+    Enumerates the span of G, or of H when n - k < k; one bincount of the
+    support masks and one subset-sum transform give that count N(W) for
+    every W, and N(W) must be an exact power of q, else CrossCheckError.
+    From the dual, dim C(W) = |W| - (n - k) + dim C-perp(E minus W), and
+    E minus W is the reversed array.
+    """
+    gf, n = code.gf, code.n
+    dual = n - code.k < code.k
+    rows = code.H if dual else code.G
+    counts = np.bincount(_support_masks(_span(gf, rows)), minlength=1 << n)
+    subset_sum_accumulate(counts, n)
+    powers = gf.q ** np.arange(len(rows) + 1, dtype=np.int64)
+    dims = np.minimum(np.searchsorted(powers, counts), len(rows))
+    bad = np.flatnonzero(powers[dims] != counts)
+    if bad.size:
+        raise CrossCheckError(
+            f"{counts[bad[0]]} words of the span have support inside mask {bad[0]:#x}, "
+            f"not a power of q = {gf.q}")
+    if dual:
+        return popcount_table(n).astype(np.int16) - len(rows) + dims[::-1]
+    return dims
+
+
+def _check_enum(code: LinearCode, max_enum: int) -> None:
+    """Refuse, before anything is allocated, a code of more than max_enum words."""
+    total = code.gf.q ** code.k
     if total > max_enum:
         raise TooLargeError(
             f"q^k = {total} exceeds the enumeration guard {max_enum}")
-    words = np.zeros((1, code.n), dtype=gf.dtype)
-    for row in rows:
-        words = np.vstack([words] + [gf.add(words, gf.mul(scalar, row)[None, :])
-                                     for scalar in range(1, gf.q)])
+
+
+def _span(gf: GF, rows) -> np.ndarray:
+    """Every combination of the given rows, the zero word first; the word
+    with coefficients c_i sits at index sum c_i q^i.  Filled in place, so
+    the peak is the span plus one coset of the first q^(k-1) words."""
+    q = gf.q
+    words = np.zeros((q ** len(rows), rows.shape[1]), dtype=gf.dtype)
+    for i, row in enumerate(rows):
+        block = q ** i
+        for scalar in range(1, q):
+            words[scalar * block:(scalar + 1) * block] = gf.add(
+                words[:block], gf.mul(scalar, row)[None, :])
     return words
+
+
+def _support_masks(words: np.ndarray) -> np.ndarray:
+    """One int64 bitmask per word, bit j set where the word is nonzero;
+    built in place a column at a time, last column first, so beside the
+    masks only one bool column is allocated."""
+    masks = np.zeros(len(words), dtype=np.int64)
+    for j in reversed(range(words.shape[1])):
+        masks <<= 1
+        masks |= words[:, j] != 0
+    return masks
 
 
 def enumerate_codewords(code: LinearCode, *, max_enum: int = MAX_ENUM) -> np.ndarray:
     """All q**k codewords as rows (the zero word first); guarded."""
-    return _span(code, code.G, max_enum)
+    _check_enum(code, max_enum)
+    return _span(code.gf, code.G)
 
 
 def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
@@ -172,12 +240,12 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     """
     if code.k == 0:
         raise ParameterError("the zero code has no nonzero codeword")
+    _check_enum(code, max_enum)
     gf, half = code.gf, (code.k + 1) // 2
-    a = _span(code, code.G[:half], max_enum)
-    # _span puts the word with coefficients c_i at index sum c_i q^i
+    a = _span(gf, code.G[:half])
     lead_one = np.array([w for i in range(code.k - half)
                          for w in range(gf.q ** i, 2 * gf.q ** i)], dtype=np.intp)
-    b = _span(code, code.G[half:], max_enum)[lead_one]
+    b = _span(gf, code.G[half:])[lead_one]
     best = int(np.count_nonzero(a[1:], axis=1).min())
     step = max(1, MIN_WEIGHT_BLOCK_BYTES // a.size)
     for start in range(0, len(b), step):
@@ -191,9 +259,7 @@ def minimal_codeword_supports(code: LinearCode) -> list[tuple[int, ...]]:
     if code.n > MAX_TABLE_N:
         raise TooLargeError(
             f"support masks need n <= {MAX_TABLE_N}, n = {code.n}")
-    words = enumerate_codewords(code)
-    bitvals = (1 << np.arange(code.n, dtype=np.int64))
-    masks = np.unique(((words != 0) * bitvals).sum(axis=1))
+    masks = np.unique(_support_masks(enumerate_codewords(code)))
     masks = masks[masks != 0]
     order = np.argsort([int(m).bit_count() for m in masks], kind="stable")
     kept: list[int] = []
@@ -210,24 +276,33 @@ def minimal_codeword_supports(code: LinearCode) -> list[tuple[int, ...]]:
 
 def ghw(code: LinearCode, i: int) -> int:
     """Smallest support size of an i-dimensional subcode: read off the
-    nullity table if the code has built it, else a face walk that stops at
-    the level giving d_i (needs n <= MAX_SEARCH_N)."""
+    nullity table when the code has one or the counting rule admits it
+    (n <= MAX_TABLE_N), else a face walk that stops at the level giving d_i
+    (needs n <= MAX_SEARCH_N)."""
     if not 1 <= i <= code.k:
         raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
     return _ghw_prefix(code, i)[-1]
 
 
 def ghw_profile(code: LinearCode) -> tuple[int, ...]:
-    """(d_1, ..., d_k) from at most one face walk; () for the zero code."""
+    """(d_1, ..., d_k) from the nullity table or at most one face walk; ()
+    for the zero code."""
     return _ghw_prefix(code, code.k) if code.k else ()
 
 
 def _ghw_prefix(code: LinearCode, top: int) -> tuple[int, ...]:
-    """(d_1, ..., d_top); a code whose nullity table is built is read, not
-    walked again."""
-    if code._nullity is not None:
-        sizes = popcount_table(code.n)
-        return tuple(int(sizes[code._nullity >= i].min()) for i in range(1, top + 1))
+    """(d_1, ..., d_top): read off the nullity table when it is built or
+    the counting rule admits building it (q^min(k, n-k) <= 2^n and
+    n <= MAX_TABLE_N), else from _ghw_by_walk."""
+    if code._nullity is not None or (code.n <= MAX_TABLE_N and _counting_admits(code)):
+        sizes, nullity = popcount_table(code.n), code.nullity_table()
+        return tuple(int(sizes[nullity >= i].min()) for i in range(1, top + 1))
+    return _ghw_by_walk(code, top)
+
+
+def _ghw_by_walk(code: LinearCode, top: int) -> tuple[int, ...]:
+    """(d_1, ..., d_top) from one face walk that stops at the level giving
+    d_top; needs n <= MAX_SEARCH_N."""
     if code.n > MAX_SEARCH_N:
         raise TooLargeError(
             f"subset search needs n <= {MAX_SEARCH_N}, n = {code.n}")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import rmbetti as rb
-from rmbetti import ParameterError, TooLargeError, codes, field, linalg
-from rmbetti.bits import popcount_table
+from rmbetti import (CrossCheckError, ParameterError, TooLargeError, cli, codes,
+                     field, linalg, rm)
+from rmbetti.bits import popcount_table, subset_sum_accumulate
 from rmbetti.codes import gaussian_binomial, rref_generators
 
 from oracles import min_weight_enumerated
@@ -115,6 +116,95 @@ def test_nullity_table_uniform_on_mds(q, r):
     assert np.array_equal(code.nullity_table(), expected)
 
 
+def _kernel_cases():
+    """Codes for the counting-versus-walk oracle, each one the counting rule
+    admits: random codes over every field kind up to GF(9) with n <= 12,
+    each also with a zero column; the k = 0 and k = n codes; and every row
+    of the (q, m) families the purity sweep covers."""
+    out = []
+    rng = np.random.default_rng(41)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        gf = field(q)
+        for n in (1, 6, 12):
+            out += [rb.LinearCode(gf, linalg.zeros(gf, 0, n)),
+                    rb.LinearCode(gf, linalg.identity(gf, n))]
+        for _ in range(10):
+            n = int(rng.integers(2, 13))
+            g = rng.integers(0, q, size=(int(rng.integers(1, n + 1)), n))
+            zero_col = g.copy()
+            zero_col[:, int(rng.integers(0, n))] = 0
+            out += [rb.LinearCode.from_generator(gf, x) for x in (g, zero_col)]
+    out += [rb.build_code(q, r, m) for (q, m) in [(2, 3), (2, 4), (3, 2), (4, 2)]
+            for r in range(m * (q - 1) + 1)]
+    return [code for code in out if codes._counting_admits(code)]
+
+
+def test_counting_table_equals_walk_table():
+    cases = _kernel_cases()
+    assert {2 * c.k > c.n for c in cases} == {True, False}  # both spans enumerated
+    assert {c.k for c in cases} >= {0, 12}
+    assert any(not c.G.any(axis=0).all() for c in cases if c.k)
+    for code in cases:
+        counted = codes._nullity_by_counting(code)
+        walked = codes._nullity_by_walk(code)
+        assert np.array_equal(counted, walked), code
+
+
+def test_counting_refuses_a_count_that_is_not_a_power_of_q(monkeypatch, capsys):
+    def corrupted(values, n):
+        subset_sum_accumulate(values, n)
+        values[0b101] += 1
+
+    monkeypatch.setattr(codes, "subset_sum_accumulate", corrupted)
+    built = rb.build_code(3, 2, 2)
+    code = rb.LinearCode(built.gf, built.G)  # cold cache
+    with pytest.raises(CrossCheckError, match="inside mask 0x5,"):
+        code.nullity_table()
+    assert code._nullity is None
+    rm.build_code.cache_clear()  # the CLI builds its code cold
+    assert cli.main(["betti", "--q", "3", "--m", "2", "--r", "2", "--no-timing"]) == 5
+    assert "mask 0x5" in capsys.readouterr().err
+
+
+def test_nullity_table_refuses_n_21_before_enumerating(monkeypatch):
+    """The rule admits the [21, 1] repetition code, but n > MAX_TABLE_N is
+    refused before a word is enumerated or the 2^21 counts exist."""
+    def unreachable(*args):
+        raise AssertionError("enumerated past the length guard")
+
+    monkeypatch.setattr(codes, "_span", unreachable)
+    gf = field(2)
+    code = rb.LinearCode(gf, np.ones((1, 21), dtype=gf.dtype))
+    assert codes._counting_admits(code)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="n <= 20, n = 21"):
+            code.nullity_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def test_counting_working_set():
+    """At the rule's edge, 4^10 = 2^20 words of a [20, 10] code over GF(4),
+    the kernel holds the 20 MiB span, its 8 MiB of masks and one bool column
+    at once; a span grown by stacking copies would peak at 40 MiB."""
+    gf = field(4)
+    rng = np.random.default_rng(43)
+    tail = rng.integers(0, 4, size=(10, 10)).astype(gf.dtype)
+    code = rb.LinearCode(gf, np.hstack([linalg.identity(gf, 10), tail]))
+    assert codes._counting_admits(code) and 4 ** code.k == 1 << code.n
+    tracemalloc.start()
+    try:
+        nullity = code.nullity_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    assert nullity[(1 << 20) - 1] == 10 and nullity[(1 << 10) - 1] == 0
+
+
 def test_min_weight_bruteforce_examples():
     assert rb.min_weight_bruteforce(rb.build_code(3, 2, 2)) == 3
     assert rb.min_weight_bruteforce(rb.build_code(2, 2, 4)) == 4
@@ -217,15 +307,15 @@ def _walk_cases():
 
 
 def test_ghw_level_walk_agrees_with_table():
-    for built in _walk_cases():
-        assert built.n <= codes.MAX_TABLE_N
-        code = rb.LinearCode(built.gf, built.G)     # no table yet: ghw walks
-        walked = rb.ghw_profile(code)
-        assert all(rb.ghw(code, i) == walked[i - 1] for i in range(1, code.k + 1))
+    for code in _walk_cases():
+        assert code.n <= codes.MAX_TABLE_N
+        walked = codes._ghw_by_walk(code, code.k)
+        assert all(codes._ghw_by_walk(code, i) == walked[:i] for i in range(1, code.k))
         sizes, nullity = popcount_table(code.n), code.nullity_table()
         table = tuple(int(sizes[nullity >= i].min()) for i in range(1, code.k + 1))
         assert walked == table, code
-        assert rb.ghw_profile(code) == table, code  # now read off the table
+        assert rb.ghw_profile(code) == table, code
+        assert all(rb.ghw(code, i) == table[i - 1] for i in range(1, code.k + 1))
 
 
 def test_ghw_profile_walks_the_faces_once(monkeypatch):

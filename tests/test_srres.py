@@ -7,7 +7,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CrossCheckError, DegenerateTypeError, ParameterError,
-                     TooLargeError, field, linalg, srres)
+                     TooLargeError, codes, field, linalg, srres)
 
 from oracles import betti_sweep_gf2, rref_scalar
 
@@ -55,22 +55,31 @@ def test_matroid_complex_faces_and_rank_cache():
                     assert nf[mask ^ (1 << b)] == 0
 
 
-def test_one_face_enumeration_per_code(monkeypatch):
+@pytest.mark.parametrize("q,r,m,kernel", [
+    (3, 2, 2, "_nullity_by_counting"),  # 3^min(6, 3) <= 2^9 words: counted
+    (19, 8, 1, "_nullity_by_walk"),     # 19^min(9, 10) > 2^19 words: walked
+], ids=["counted", "walked"])
+def test_one_matroid_computation_per_code(monkeypatch, q, r, m, kernel):
     calls = []
-    face_levels = linalg.face_levels
 
-    def counted(*args):
-        calls.append(args)
-        return face_levels(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "face_levels", counted)
-    built = rb.build_code(3, 2, 2)
+    for name in ("_nullity_by_counting", "_nullity_by_walk"):
+        monkeypatch.setattr(codes, name, counted(name, getattr(codes, name)))
+    monkeypatch.setattr(linalg, "face_levels", counted("walk", linalg.face_levels))
+    built = rb.build_code(q, r, m)
     code = rb.LinearCode(built.gf, built.G)  # cold cache
     rb.betti_fastpath(code)
-    rb.betti_hochster(code, 2)
+    if code.n <= srres.MAX_HOMOLOGY_N:
+        rb.betti_hochster(code, 2)
     rb.circuits(code)
     rb.ghw_profile(code)
-    assert len(calls) == 1
+    assert [c for c in calls if c != "walk"] == [kernel]
+    assert calls.count("walk") == (kernel == "_nullity_by_walk")
 
 
 def test_length_one_codes():
