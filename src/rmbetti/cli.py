@@ -20,6 +20,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import codes, linalg, rm, srres, verify
 from .errors import (CertificateError, CrossCheckError, ParameterError,
                      TooLargeError)
@@ -313,15 +315,30 @@ def _print_too_large(message: str) -> None:
 
 
 def _json_text(report) -> str:
-    """json.dumps(report, indent=2), byte for byte, with each flat list of
-    ints joined in one pass.  A report holding anything the walk does not
-    handle (a non-str key, a type json cannot encode) goes to json.dumps
-    whole."""
+    """json.dumps(report, indent=2, default=np.ndarray.tolist), byte for byte,
+    with each flat list of ints joined in one pass.  A 1-d or 2-d integer
+    array whose entries lie in 0..size-1 is written row by row from a table
+    of the strings of 0..max; any other array is written as its tolist().
+    A report holding anything the walk does not handle (a non-str key, a
+    type json cannot encode) goes to json.dumps whole, which converts
+    arrays and nothing else."""
     quote = json.encoder.encode_basestring_ascii  # json.dumps's own str encoder
 
     def dump(obj, pad: str) -> str:
         inner = pad + "  "
         sep = ",\n" + inner
+        if isinstance(obj, np.ndarray):
+            if not (obj.dtype.kind in "iu" and obj.ndim in (1, 2) and obj.size
+                    and 0 <= obj.min() and obj.max() < obj.size):
+                return dump(obj.tolist(), pad)
+            cells = np.array([str(i) for i in range(obj.max() + 1)],
+                             dtype=object)[obj].tolist()
+            if obj.ndim == 1:
+                return f"[\n{inner}{sep.join(cells)}\n{pad}]"
+            row_sep = sep + "  "
+            body = sep.join([f"[\n{inner}  {row_sep.join(row)}\n{inner}]"
+                             for row in cells])
+            return f"[\n{inner}{body}\n{pad}]"
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
@@ -350,7 +367,8 @@ def _json_text(report) -> str:
     try:
         return dump(report, "")
     except TypeError:
-        return json.dumps(report, indent=2)
+        # ndarray.tolist raises TypeError on anything that is not an array
+        return json.dumps(report, indent=2, default=np.ndarray.tolist)
 
 
 def _emit(args, report, text, started) -> None:

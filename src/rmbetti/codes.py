@@ -413,19 +413,25 @@ def shrink_to_one_minimal(code: LinearCode, v) -> np.ndarray:
 
     Drops, in increasing order, every coordinate whose removal still leaves
     a nonzero codeword inside; on exit the surviving 1-dimensional shortened
-    code is spanned by the returned (leading-coefficient-1) word.  One pass
-    suffices: a coordinate that is not removable never becomes removable,
-    because the shortened code only shrinks.  The words that vanish before
-    coordinate j are spanned by the RREF rows of the shortened code that
-    pivot at or after j, so j is removable iff two such rows remain or none
-    is nonzero at j: the pass keeps exactly the support of the last row.
+    code is spanned by the returned word, the null_space basis row of that
+    support, whose last nonzero coefficient is 1 (its free column is the
+    last one).  One pass suffices: a coordinate that is not removable never
+    becomes removable, because the shortened code only shrinks.  The words
+    that vanish before coordinate j are spanned by the RREF rows of the
+    shortened code that pivot at or after j, so j is removable iff two such
+    rows remain or none is nonzero at j: the pass keeps exactly the support
+    of the last row.  When the shortened code of supp(v) is already a line,
+    its one basis row spans it, so that row is the answer and nothing is
+    eliminated again.
     """
     if not np.any(v):
         raise ParameterError("cannot shrink the zero word")
     if not code.contains(v):
         raise ParameterError("input is not a codeword")
-    r, rk, _ = linalg.rref(code.gf, shortened_basis(code, support(v)))
-    basis = shortened_basis(code, support(r[rk - 1]))
+    basis = shortened_basis(code, support(v))
+    if basis.shape[0] > 1:
+        r, rk, _ = linalg.rref(code.gf, basis)
+        basis = shortened_basis(code, support(r[rk - 1]))
     assert basis.shape[0] == 1, "greedy shrink must end at nullity 1"
     return basis[0]
 

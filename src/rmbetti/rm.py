@@ -332,17 +332,15 @@ class RMCode(LinearCode):
                 f"[{self.n}, {self.k}, {self.d}]")
 
 
-def _monomial_row(gf: GF, order: PointOrder, exps) -> np.ndarray:
-    return _evaluate_terms(gf, order.points, [(exps, 1)])
-
-
 def generator_matrix(q: int, r: int, m: int, *,
                      with_parity_check: bool = False) -> np.ndarray:
     """The monomial basis evaluated over the point grid, one row per monomial.
 
-    Refused before it is built when the k x n matrix, its int64 elimination
-    copy and, with_parity_check, the (n-k) x n parity-check matrix would
-    together exceed MAX_MATRIX_BYTES.
+    All k monomials are evaluated at once: per variable i, one gather from
+    the power table gives x_i^e for every (monomial, point) pair, and the
+    Cayley table multiplies it in.  Refused before it is built when the
+    k x n matrix, its int64 elimination copy and, with_parity_check, the
+    (n-k) x n parity-check matrix would together exceed MAX_MATRIX_BYTES.
     """
     validate_params(q, r, m)
     gf = field(q)
@@ -354,7 +352,12 @@ def generator_matrix(q: int, r: int, m: int, *,
     if nbytes > MAX_MATRIX_BYTES:
         raise TooLargeError(f"the [{n}, {k}] code needs {nbytes} bytes of matrices, "
                             f"above the limit {MAX_MATRIX_BYTES} bytes")
-    return np.stack([_monomial_row(gf, order, e) for e in basis])
+    exps = np.array(basis)                        # k x m
+    powers = gf._pow.T                            # powers[e, a] = a ** e
+    g = powers[exps[:, 0]][:, order.points[:, 0]]
+    for i in range(1, m):
+        g = gf._mul[g, powers[exps[:, i]][:, order.points[:, i]]]
+    return g
 
 
 @functools.lru_cache(maxsize=256)

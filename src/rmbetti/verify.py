@@ -86,7 +86,12 @@ def purity_by_betti(q: int, m: int, r: int,
 # -- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# the certificate fields that hold integer arrays
+ARRAY_FIELDS = ("codeword", "one_minimal_word", "generator_matrix",
+                "parity_check_matrix")
+
+
+@dataclass(frozen=True, eq=False)
 class NonPurityCertificate:
     """Everything needed to re-verify non-purity without rebuilding the code.
 
@@ -96,6 +101,13 @@ class NonPurityCertificate:
     weight.  support_shortened_dim records the shortened dimension of the
     witness's own support (1 would mean the witness span is itself
     support-minimal) without asserting a value.
+
+    The ARRAY_FIELDS are read-only integer arrays: G and H are the code's
+    own frozen matrices, not copies.  to_json_dict returns them as those
+    arrays, and the CLI's JSON emitter writes them; from_json_dict reads
+    them back as nested tuples, unchecked, so that a malformed file reaches
+    check_certificate as reasons rather than exceptions.  Equality compares
+    the array fields by value, so a certificate equals its round trip.
     """
     q: int
     m: int
@@ -109,25 +121,33 @@ class NonPurityCertificate:
     field_degree: int
     field_modulus: tuple
     witness_terms: tuple
-    codeword: tuple
+    codeword: np.ndarray | tuple
     support: tuple
     weight: int
     formula_weight: int
     d1: int
     d1_source: str
     d1_bruteforce: int | None
-    one_minimal_word: tuple
+    one_minimal_word: np.ndarray | tuple
     one_minimal_support: tuple
     one_minimal_weight: int
     support_shortened_dim: int
     one_minimal_shortened_dim: int
-    generator_matrix: tuple
-    parity_check_matrix: tuple
+    generator_matrix: np.ndarray | tuple
+    parity_check_matrix: np.ndarray | tuple
     checks: tuple
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NonPurityCertificate):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   if f.name in ARRAY_FIELDS
+                   else getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(self))
 
     def to_json_dict(self) -> dict:
         """Keys in field order; the field_* fields nest under "field" and
-        witness_terms is written as "witness_poly"."""
+        witness_terms is written as "witness_poly".  Arrays pass through."""
         out: dict = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -221,7 +241,8 @@ def non_purity_certificate(q: int, m: int, r: int,
     shrunk = codes.shrink_to_one_minimal(code, word)
     shrunk_support = codes.support(shrunk)
     shrunk_dim = codes.shortened_dim(code, shrunk_support)
-    sigma_dim = codes.shortened_dim(code, sigma)
+    sigma_dim = (shrunk_dim if shrunk_support == sigma
+                 else codes.shortened_dim(code, sigma))
 
     checks = (
         ("witness_degree_is_r", witness.total_degree() == r),
@@ -238,24 +259,26 @@ def non_purity_certificate(q: int, m: int, r: int,
     if failed:
         raise CertificateError(
             f"certificate checks failed for (q={q}, m={m}, r={r}): {failed}")
+    word.setflags(write=False)
+    shrunk.setflags(write=False)
 
     return NonPurityCertificate(
         q=q, m=m, r=r, t=t, s=s, case=case, n=code.n, k=code.k,
         witness_terms=tuple(witness.sorted_terms()),
-        codeword=tuple(word.tolist()),
+        codeword=word,
         support=sigma,
         weight=wt,
         formula_weight=formula_weight,
         d1=d1,
         d1_source="formula+bruteforce" if within_enum else "formula",
         d1_bruteforce=d1_brute,
-        one_minimal_word=tuple(shrunk.tolist()),
+        one_minimal_word=shrunk,
         one_minimal_support=shrunk_support,
         one_minimal_weight=len(shrunk_support),
         support_shortened_dim=sigma_dim,
         one_minimal_shortened_dim=shrunk_dim,
-        generator_matrix=tuple(map(tuple, code.G.tolist())),
-        parity_check_matrix=tuple(map(tuple, code.H.tolist())),
+        generator_matrix=code.G,
+        parity_check_matrix=code.H,
         field_char=gf.p, field_degree=gf.e, field_modulus=gf.modulus,
         checks=checks,
     )
@@ -350,7 +373,9 @@ def check_certificate(cert: NonPurityCertificate,
     # a coordinate outside 0..n-1 is already a support_mismatch
     if all(0 <= c < n for c in (*cert.support, *cert.one_minimal_support)):
         measured_shrunk = codes.shortened_dim(code, cert.one_minimal_support)
-        measured_sigma = codes.shortened_dim(code, cert.support)
+        measured_sigma = (measured_shrunk
+                          if tuple(cert.support) == tuple(cert.one_minimal_support)
+                          else codes.shortened_dim(code, cert.support))
         flag("one_minimal_dim", measured_shrunk == 1
              and cert.one_minimal_shortened_dim == 1)
         flag("shortened_dim_mismatch", measured_sigma == cert.support_shortened_dim)

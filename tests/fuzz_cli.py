@@ -5,7 +5,10 @@
 Draws EXAMPLES argument lists (default 1000) from a random seed (default 0),
 runs each through cli.main in process, and prints the count of every exit
 code, the wall time and each input that ended outside the documented exit
-codes or raised.  Exits 1 if there was any such input.  pytest does not
+codes or raised.  Every `certificate ... --output=json` that exits 0 is read
+back through NonPurityCertificate.from_json_dict and re-checked with
+check_certificate under the report's own guards; a failed re-check is a
+finding too.  Exits 1 if there was any finding.  pytest does not
 collect this file; the tier-1 test draws 50 fixed inputs from the same
 strategy.
 """
@@ -13,12 +16,13 @@ strategy.
 import collections
 import contextlib
 import io
+import json
 import sys
 import time
 
 from hypothesis import HealthCheck, Phase, given, seed, settings
 
-from rmbetti import cli
+from rmbetti import cli, verify
 from test_cli import DOCUMENTED_EXITS, cli_argv
 
 
@@ -27,29 +31,40 @@ def main(argv: list[str]) -> int:
     random_seed = int(argv[1]) if len(argv) > 1 else 0
     counts: collections.Counter = collections.Counter()
     bad = []
+    rechecked = []
 
     @seed(random_seed)
     @settings(max_examples=examples, deadline=None, database=None,
               phases=[Phase.generate], suppress_health_check=list(HealthCheck))
     @given(args=cli_argv())
     def draw(args):
-        err = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(args)
         except Exception as exc:          # an escaped exception is a finding too
             code = f"raised {type(exc).__name__}"
         counts[code] += 1
         if code not in DOCUMENTED_EXITS:
-            bad.append((args, code, err.getvalue()[-300:]))
+            bad.append((f"UNDOCUMENTED {code}", args, err.getvalue()[-300:]))
+        elif code == 0 and args[0] == "certificate" and args[-1] == "--output=json":
+            report = json.loads(out.getvalue())
+            guards = verify.Guards(report["guards"]["max_n_betti"],
+                                   report["guards"]["max_enum"])
+            cert = verify.NonPurityCertificate.from_json_dict(report["certificate"])
+            check = verify.check_certificate(cert, guards)
+            rechecked.append(args)
+            if not check.ok:
+                bad.append(("RE-CHECK FAILED", args, ", ".join(check.reasons)))
 
     started = time.monotonic()
     draw()
     print(f"{sum(counts.values())} inputs in {time.monotonic() - started:.1f} s, "
           f"seed {random_seed}; exit codes: "
-          + ", ".join(f"{code}: {n}" for code, n in sorted(counts.items(), key=str)))
-    for args, code, err in bad:
-        print(f"UNDOCUMENTED {code}: {' '.join(args)}\n  {err.strip()}")
+          + ", ".join(f"{code}: {n}" for code, n in sorted(counts.items(), key=str))
+          + f"; {len(rechecked)} certificates re-checked from their JSON")
+    for heading, args, detail in bad:
+        print(f"{heading}: {' '.join(args)}\n  {detail.strip()}")
     return 1 if bad else 0
 
 

@@ -192,6 +192,13 @@ def shrink_restart_scalar(gf, h, word):
     return np.array(out, dtype=gf.dtype)
 
 
+def monomial_row(gf, order, exps):
+    """The monomial X^exps evaluated over the point grid on its own, by
+    ExponentPoly.evaluate: the one-row-at-a-time route that
+    rm.generator_matrix takes for all monomials at once."""
+    return ExponentPoly(gf, order.m, {tuple(exps): 1}).evaluate(order)
+
+
 def min_weight_enumerated(gf, generator):
     """Minimum weight of a nonzero codeword by the plain scan: each of the
     q^k information vectors is multiplied into the generator rows one scalar

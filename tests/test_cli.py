@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -333,6 +334,9 @@ def test_output_bytes_pinned(argv, exit_code, digest, capsys):
 
 
 def test_json_emitter_matches_json_dumps(monkeypatch, capsys):
+    def dumps(report):
+        return json.dumps(report, indent=2, default=np.ndarray.tolist)
+
     hand_built = {
         "empty": [[], {}, [[]], [{}], {"a": []}, ()],
         "ints": [1, -2, 3 ** 40, 0], "rows": ((1, 2), (3, 4)), "mixed": [1, True, 0, False],
@@ -340,20 +344,34 @@ def test_json_emitter_matches_json_dumps(monkeypatch, capsys):
         "strings": ["", "tab\t quote\" back\\ nl\n", "non-ascii \u00e9\u2211\U0001f600", "\x00"],
         "nested": {"x": {"y": [{"z": (None,)}]}},
     }
-    assert cli._json_text(hand_built) == json.dumps(hand_built, indent=2)
-    for fallback in ({1: "int key"}, {"ok": [{"a": 1, None: 2}]}):
-        assert cli._json_text(fallback) == json.dumps(fallback, indent=2)
+    arrays = {
+        "flat": np.arange(7, dtype=np.uint8), "matrix": np.arange(12).reshape(3, 4) % 5,
+        "empty": np.zeros(0, dtype=np.uint8), "no_rows": np.zeros((0, 3), dtype=np.int64),
+        "no_columns": np.zeros((3, 0), dtype=np.uint8),
+        "wide_uint16": np.arange(600, dtype=np.uint16).reshape(20, 30),
+        "sparse_uint16": np.array([[300, 0], [65535, 256]], dtype=np.uint16),
+        "int64": np.array([[0, 1], [1, 0]], dtype=np.int64),
+        "negative": np.array([[0, -1], [2, 3]]), "bool": np.array([[True, False]]),
+        "nested": [{"g": np.eye(2, dtype=np.uint8)}, (np.arange(3),)],
+    }
+    for report in (hand_built, arrays):
+        assert cli._json_text(report) == dumps(report)
+    for fallback in ({1: "int key"}, {"ok": [{"a": 1, None: 2}]},
+                     {"arrays": arrays, 3: "int key"}):
+        assert cli._json_text(fallback) == dumps(fallback)
     with pytest.raises(TypeError):
         cli._json_text({"unencodable": {1, 2}})
+    with pytest.raises(TypeError):
+        cli._json_text({"unencodable": {1, 2}, "array": np.arange(3)})
 
     reports = []
     emit = cli._json_text
     monkeypatch.setattr(cli, "_json_text", lambda report: reports.append(report) or emit(report))
-    for argv in ("certificate --q 4 --m 2 --r 4", "verify-theorem --q 3 --m 2 --r-all",
-                 "ghw --q 2 --m 3 --r 1"):
+    for argv in ("certificate --q 4 --m 2 --r 4", "certificate --q 8 --m 2 --r 8",
+                 "verify-theorem --q 3 --m 2 --r-all", "ghw --q 2 --m 3 --r 1"):
         assert cli.main(argv.split() + ["--output", "json", "--no-timing"]) == 0
-        assert capsys.readouterr().out == json.dumps(reports[-1], indent=2) + "\n"
-    assert len(reports) == 3
+        assert capsys.readouterr().out == dumps(reports[-1]) + "\n"
+    assert len(reports) == 4
 
 
 DOCUMENTED_EXITS = (0, 2, 3, 4, 5)

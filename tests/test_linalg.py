@@ -7,9 +7,9 @@ import pytest
 
 from rmbetti import DimensionMismatchError, TooLargeError, field
 from rmbetti import linalg
-from rmbetti.rm import _monomial_row, monomial_basis, point_order
+from rmbetti.rm import monomial_basis, point_order
 
-from oracles import rank_profile, rref_scalar
+from oracles import monomial_row, rank_profile, rref_scalar
 
 ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 257)   # GF(257): a uint16 prime field
 # GF(1021): the largest prime the table guard admits; GF(1024): the longest
@@ -76,7 +76,7 @@ def test_rref_matches_scalar_oracle():
 def test_rref_matches_scalar_oracle_on_evaluation_matrices(q, r, m):
     gf = field(q)
     order = point_order(q, m)
-    g = np.stack([_monomial_row(gf, order, e) for e in monomial_basis(q, r, m)])
+    g = np.stack([monomial_row(gf, order, e) for e in monomial_basis(q, r, m)])
     _assert_rref_matches_oracle(gf, g)
 
 

@@ -11,7 +11,7 @@ from rmbetti import linalg, rm
 from rmbetti.rm import binom, validate_params
 
 from oracles import (interpolation_basis_symbolic, min_weight_poly_symbolic,
-                     witness_poly_large_field_symbolic,
+                     monomial_row, witness_poly_large_field_symbolic,
                      witness_poly_ternary_symbolic)
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
@@ -208,6 +208,20 @@ def test_matrix_byte_limit(monkeypatch):
         rm.generator_matrix(2, 1, 3)
     monkeypatch.setattr(rm, "MAX_MATRIX_BYTES", 320)
     assert rm.build_code.__wrapped__(2, 1, 3).k == 4
+
+
+def test_generator_matrix_matches_per_monomial_rows():
+    # every r, r = 0 and r = m(q-1) included, against one row per monomial
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        gf = rb.field(q)
+        for m in (1, 2, 3) if q <= 4 else (1, 2):
+            order = rm.point_order(q, m)
+            for r in range(m * (q - 1) + 1):
+                g = rm.generator_matrix(q, r, m)
+                rows = np.stack([monomial_row(gf, order, e)
+                                 for e in rm.monomial_basis(q, r, m)])
+                assert g.dtype == rows.dtype and g.shape == rows.shape, (q, r, m)
+                assert g.tobytes() == rows.tobytes(), (q, r, m)
 
 
 def test_dimension_monotone_and_distance_antitone():

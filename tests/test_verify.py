@@ -8,7 +8,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CertificateError, ParameterError, PreconditionError,
-                     TooLargeError, codes, srres)
+                     TooLargeError, cli, codes, srres)
 
 
 def test_purity_predicate_examples():
@@ -134,8 +134,8 @@ def test_certificate_negative_controls():
         rows[0][0] = value
         bad = dataclasses.replace(cert, generator_matrix=tuple(map(tuple, rows)))
         assert rb.check_certificate(bad).reasons == ("entry_range",)
-    ragged = cert.generator_matrix[:1] + (cert.generator_matrix[1][:-1],) \
-        + cert.generator_matrix[2:]
+    rows = tuple(map(tuple, cert.generator_matrix.tolist()))
+    ragged = rows[:1] + (rows[1][:-1],) + rows[2:]
     bad = dataclasses.replace(cert, generator_matrix=ragged)
     assert rb.check_certificate(bad).reasons == ("matrix_shapes",)
     bad = dataclasses.replace(cert, generator_matrix=cert.generator_matrix[0])
@@ -154,10 +154,45 @@ def test_certificate_negative_controls():
 
 def test_certificate_json_roundtrip():
     cert = rb.non_purity_certificate(3, 3, 3)
-    blob = json.dumps(cert.to_json_dict(), indent=2)
+    blob = json.dumps(cert.to_json_dict(), indent=2, default=np.ndarray.tolist)
     restored = rb.NonPurityCertificate.from_json_dict(json.loads(blob))
     assert restored == cert
     assert rb.check_certificate(restored).ok
+
+
+def test_certificate_holds_the_codes_arrays_read_only():
+    q, m, r = 4, 2, 4
+    cert = rb.non_purity_certificate(q, m, r)
+    code = rb.build_code(q, r, m)
+    assert np.shares_memory(cert.generator_matrix, code.G)
+    assert np.shares_memory(cert.parity_check_matrix, code.H)
+    for name in rb.verify.ARRAY_FIELDS:
+        assert isinstance(getattr(cert, name), np.ndarray)
+        assert not getattr(cert, name).flags.writeable, name
+
+    # the CLI's emitter writes the arrays; the file reads back as tuples
+    report = json.loads(cli._json_text({"certificate": cert.to_json_dict()}))
+    restored = rb.NonPurityCertificate.from_json_dict(report["certificate"])
+    assert isinstance(restored.generator_matrix, tuple)
+    assert restored == cert and cert == restored
+    assert rb.check_certificate(restored).ok
+    assert restored != dataclasses.replace(cert, codeword=(0,) * cert.n)
+
+    # every negative control reads the same from the arrays and the tuples
+    rows = cert.generator_matrix.tolist()
+    shifted = [rows[0][:1] + [rows[0][1] + q]] + rows[1:]
+    controls = [{"d1": cert.d1 + 1}, {"one_minimal_word": (1,) + (0,) * (cert.n - 1)},
+                {"weight": cert.weight + 1, "formula_weight": cert.weight + 1},
+                {"r": 3}, {"r": 1, "t": 0}, {"support": (0, 99)},
+                {"generator_matrix": tuple(map(tuple, shifted))},
+                {"generator_matrix": tuple(map(tuple, rows[:1] + [rows[1][:-1]] + rows[2:]))},
+                {"generator_matrix": tuple(rows[0])}]
+    for changes in controls:
+        reasons = rb.check_certificate(dataclasses.replace(cert, **changes)).reasons
+        assert reasons, changes
+        assert rb.check_certificate(dataclasses.replace(restored, **changes)).reasons \
+            == reasons, changes
+        assert dataclasses.replace(restored, **changes) != cert, changes
 
 
 def test_pure_top_band_rows_are_mds_and_linear():
