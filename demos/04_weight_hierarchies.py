@@ -27,9 +27,9 @@ print(rb.shortened_basis(code, sigma))
 # Shrinking a codeword's support until it carries a single line.
 heavy = np.ones(code.n, dtype=code.gf.dtype)
 assert code.contains(heavy)
-shrunk = rb.shrink_to_one_minimal(code, heavy)
-print("\nall-ones word shrinks to support", rb.support(shrunk),
-      "of weight", rb.weight(shrunk))
+shrunk, heavy_dim, _ = rb.shrink_to_one_minimal(code, heavy)
+print("\nall-ones word (shortened dimension", heavy_dim, "on its support)",
+      "shrinks to support", rb.support(shrunk), "of weight", rb.weight(shrunk))
 print("its span is support-minimal:", rb.is_i_minimal(code, shrunk[None, :]))
 
 # A 2-dimensional example in the even-weight code.

@@ -408,7 +408,7 @@ def ghw_by_subspaces(code: LinearCode, i: int) -> int:
     return best
 
 
-def shrink_to_one_minimal(code: LinearCode, v) -> np.ndarray:
+def shrink_to_one_minimal(code: LinearCode, v) -> tuple[np.ndarray, int, int]:
     """Shrink a codeword's support until its shortened code is a line.
 
     Drops, in increasing order, every coordinate whose removal still leaves
@@ -423,17 +423,25 @@ def shrink_to_one_minimal(code: LinearCode, v) -> np.ndarray:
     of the last row.  When the shortened code of supp(v) is already a line,
     its one basis row spans it, so that row is the answer and nothing is
     eliminated again.
+
+    Returns (word, dim of the shortened code on supp(v), dim of the one on
+    supp(word)): the sizes of the bases it eliminated, so a caller need not
+    rank those supports again.  A last dimension other than 1 raises
+    CrossCheckError.
     """
     if not np.any(v):
         raise ParameterError("cannot shrink the zero word")
     if not code.contains(v):
         raise ParameterError("input is not a codeword")
     basis = shortened_basis(code, support(v))
-    if basis.shape[0] > 1:
+    support_dim = basis.shape[0]
+    if support_dim > 1:
         r, rk, _ = linalg.rref(code.gf, basis)
         basis = shortened_basis(code, support(r[rk - 1]))
-    assert basis.shape[0] == 1, "greedy shrink must end at nullity 1"
-    return basis[0]
+    if basis.shape[0] != 1:
+        raise CrossCheckError(
+            f"greedy shrink ended at shortened dimension {basis.shape[0]}, not 1")
+    return basis[0], support_dim, basis.shape[0]
 
 
 def is_nondegenerate(code: LinearCode) -> bool:

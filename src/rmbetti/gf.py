@@ -113,8 +113,19 @@ class GF:
         For e = 1 this is the degree-1 placeholder (0, 1).
     dtype : numpy dtype used for element arrays.
     vectors : read-only q x e array; row a is the coefficient vector of a.
-    mul_flat, sub_flat : read-only flat Cayley tables for bulk code:
-        a * b is ``mul_flat[a * q + b]`` and a - b is ``sub_flat[a * q + b]``.
+    lane_bits, lane_code, lane_decode, lane_negcode, lane_bias, lane_ones :
+        the lane packing that ``linalg.rref`` eliminates in.  Coefficient i
+        of an element sits in bits ``lane_bits * i`` and up of one unsigned
+        word, ``lane_bits`` being the smallest L with 2^(L-1) >= p, so the
+        lane-wise sum of two packed elements never carries into the next
+        lane.  The word is the narrowest of uint8, uint16 and uint32 that
+        holds ``lane_bits * e`` bits.  ``lane_code[a]`` is a's word,
+        ``lane_decode[w]`` the element of word w (2^(lane_bits * e)
+        entries of dtype, at most 2^20: 2 MB at GF(1024)),
+        ``lane_negcode[c, a]`` the word of -(c * a) (q x q words, 4 MB at
+        GF(1024)).  ``lane_bias`` holds 2^(L-1) - p and ``lane_ones`` holds
+        1 in every lane: adding the bias sets bit L-1 of exactly the lanes
+        at or above p.  All read-only.
     """
 
     def __init__(self, q: int):
@@ -162,10 +173,20 @@ class GF:
             col = self._mul[col, idx]
             self._pow[:, k] = col
 
-        self.mul_flat = self._mul.ravel()
-        self.sub_flat = self._sub.ravel()
+        lane = (p - 1).bit_length() + 1
+        bits = lane * e
+        word = np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
+        shifts = lane * np.arange(e)
+        self.lane_bits = lane
+        self.lane_code = (self.vectors.astype(word) << shifts.astype(word)).sum(
+            axis=1, dtype=word)
+        self.lane_decode = np.zeros(1 << bits, self.dtype)
+        self.lane_decode[self.lane_code] = np.arange(q)
+        self.lane_negcode = self.lane_code[self._neg[self._mul]]
+        self.lane_bias = word(sum(((1 << (lane - 1)) - p) << s for s in shifts.tolist()))
+        self.lane_ones = word(sum(1 << s for s in shifts.tolist()))
         for t in (self.vectors, self._add, self._sub, self._mul, self._neg, self._inv,
-                  self._pow, self.mul_flat, self.sub_flat):
+                  self._pow, self.lane_code, self.lane_decode, self.lane_negcode):
             t.setflags(write=False)
 
     # -- element bookkeeping -------------------------------------------

@@ -8,10 +8,11 @@ Zero-row and zero-column matrices are legal throughout.
 
 Products have one path for every field: coefficient planes over Z_p
 (``GF.vectors``) multiply exactly in float64 BLAS, and ``GF.fold`` reduces
-the polynomial products.  Elimination has one path too: on an int64 copy it
-reads the flat tables ``gf.mul_flat`` / ``gf.sub_flat`` at ``a * q + b``,
-for prime and prime-power q alike, and touches only the columns at and
-right of the pivot.
+the polynomial products.  Elimination has one path too, for prime and
+prime-power q alike: ``rref`` packs each element's coefficients into lanes
+of one uint8, uint16 or uint32 word (``GF.lane_code``), so that subtracting
+a multiple of the pivot row is a word addition and a branch-free per-lane
+reduction mod p, and decodes once at the end.
 """
 
 from __future__ import annotations
@@ -45,40 +46,56 @@ def identity(gf: GF, n: int) -> np.ndarray:
 
 
 def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form; returns (R, rank, pivot columns)."""
+    """Reduced row echelon form; returns (R, rank, pivot columns).
+
+    Eliminates on a lane-packed copy (``GF.lane_code``), touching only the
+    columns at and right of the pivot: row minus c times the pivot row adds
+    the words of -(c * pivot) lane by lane, then subtracts p from every lane
+    that reached it.  The words come from ``lane_negcode[:, pivot]``, one
+    row per factor, when at least q rows change, else from one 2-d gather.
+    """
     r = np.asarray(mat, dtype=gf.dtype)
     if r.ndim != 2:
         raise DimensionMismatchError("rref needs a 2-d matrix")
-    r = r.astype(np.int64)
-    q = gf.q
+    code, decode, negcode = gf.lane_code, gf.lane_decode, gf.lane_negcode
+    p, shift, bias, ones = gf.p, gf.lane_bits - 1, gf.lane_bias, gf.lane_ones
+    lanes = code[r]
     nrows, ncols = r.shape
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = np.flatnonzero(r[row:, col])
+        nz = lanes[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         src = row + int(nz[0])
         if src != row:
-            swap = r[src, col:].copy()
-            r[src, col:] = r[row, col:]
-            r[row, col:] = swap
-        piv = r[row, col:]
-        inv = gf.inv(int(piv[0]))
-        if inv != 1:
-            piv[:] = gf.mul_flat[inv * q + piv]
-        f = r[:, col].copy()
-        f[row] = 0
-        others = np.flatnonzero(f)
+            lanes[[row, src], col:] = lanes[[src, row], col:]
+        piv = decode[lanes[row, col:]]
+        if piv[0] != 1:
+            piv = gf._mul[gf.inv(int(piv[0])), piv]
+            lanes[row, col:] = code[piv]
+        lanes[row, col] = 0                   # leave the pivot row out of others,
+        others = lanes[:, col].nonzero()[0]
+        lanes[row, col] = 1                   # then restore its 1 (whose word is 1)
         if others.size:
-            block = r[others, col:]           # its first column holds the factors
-            multiples = gf.mul_flat[block[:, :1] * q + piv]
-            r[others, col:] = gf.sub_flat[block * q + multiples]
+            block = lanes[others, col:]
+            factors = decode[block[:, 0]]
+            if others.size < gf.q:
+                s = negcode[factors[:, None], piv]
+            else:
+                s = np.take(negcode, piv, axis=1)[factors]
+            s += block
+            np.add(s, bias, out=block)        # bit L-1 set in each lane >= p
+            block >>= shift
+            block &= ones
+            block *= p
+            s -= block
+            lanes[others, col:] = s
         pivots.append(col)
         row += 1
-    return r.astype(gf.dtype), row, pivots
+    return decode[lanes], row, pivots
 
 
 def rank(gf: GF, mat) -> int:

@@ -26,9 +26,10 @@ from .errors import (CrossCheckError, ParameterError, RankDeficientFormsError,
 from .gf import GF, field
 
 # Largest point grid (q^m points) that point_order allocates, and most bytes
-# of matrices that generator_matrix admits: G, the int64 copy that
-# linalg.rref eliminates (8 bytes a cell) and, for build_code, H.  A larger
-# request raises TooLargeError before any array is built.
+# of matrices that generator_matrix admits: G, 8 bytes a cell of G for its
+# RREF (linalg.rref's lane-packed copy, 1 to 4 bytes a cell, and the row
+# blocks each pivot updates) and, for build_code, H.  A larger request
+# raises TooLargeError before any array is built.
 MAX_POINTS = 1 << 16
 MAX_MATRIX_BYTES = 1 << 30
 
@@ -339,8 +340,9 @@ def generator_matrix(q: int, r: int, m: int, *,
     All k monomials are evaluated at once: per variable i, one gather from
     the power table gives x_i^e for every (monomial, point) pair, and the
     Cayley table multiplies it in.  Refused before it is built when the
-    k x n matrix, its int64 elimination copy and, with_parity_check, the
-    (n-k) x n parity-check matrix would together exceed MAX_MATRIX_BYTES.
+    k x n matrix, 8 bytes a cell of it budgeted for its elimination and,
+    with_parity_check, the (n-k) x n parity-check matrix would together
+    exceed MAX_MATRIX_BYTES.
     """
     validate_params(q, r, m)
     gf = field(q)

@@ -238,11 +238,8 @@ def non_purity_certificate(q: int, m: int, r: int,
     d1_brute = (codes.min_weight_bruteforce(code, max_enum=guards.max_enum)
                 if within_enum else None)
 
-    shrunk = codes.shrink_to_one_minimal(code, word)
+    shrunk, sigma_dim, shrunk_dim = codes.shrink_to_one_minimal(code, word)
     shrunk_support = codes.support(shrunk)
-    shrunk_dim = codes.shortened_dim(code, shrunk_support)
-    sigma_dim = (shrunk_dim if shrunk_support == sigma
-                 else codes.shortened_dim(code, sigma))
 
     checks = (
         ("witness_degree_is_r", witness.total_degree() == r),

@@ -95,14 +95,28 @@ def betti_sweep_gf2(h_matrix, n):
     return betti
 
 
+class _Lazy(dict):
+    """A table whose entry for key is f(key), computed on first use."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
 @functools.lru_cache(maxsize=None)
 def _scalar_tables(gf):
-    """Cayley tables as Python lists, read through the scalar GF interface."""
-    q = gf.q
-    add = [[gf.add(a, b) for b in range(q)] for a in range(q)]
-    mul = [[gf.mul(a, b) for b in range(q)] for a in range(q)]
-    inv = [None] + [gf.inv(a) for a in range(1, q)]
-    minus_one = next(x for x in range(q) if add[1][x] == 0)
+    """Cayley tables as Python lists, a row read through gf.add / gf.mul
+    when first used: a small matrix over GF(1024) touches a few of the 1024
+    rows of each 2^20-cell table."""
+    elements = np.arange(gf.q)
+    add = _Lazy(lambda a: gf.add(a, elements).tolist())
+    mul = _Lazy(lambda a: gf.mul(a, elements).tolist())
+    inv = _Lazy(gf.inv)
+    minus_one = add[1].index(0)
     return add, mul, inv, minus_one
 
 

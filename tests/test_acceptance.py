@@ -303,7 +303,7 @@ def test_nonpurity_certificates_stated_rows(q, m, r):
         wt, d1 = rb.weight(word), rb.min_distance_formula(q, r, m)
         assert wt == 2 * (q - 1) * q ** (m - t - 1)
         assert wt > d1
-        shrunk = rb.shrink_to_one_minimal(code, word)
+        shrunk = rb.shrink_to_one_minimal(code, word)[0]
         assert rb.shortened_dim(code, rb.support(shrunk)) == 1
         assert rb.weight(shrunk) > d1
         how = "certificate refused, shrunk witness still heavier"
@@ -346,7 +346,7 @@ def test_shrink_matches_restart_oracle():
     for (q, m, r), word in words:
         code = rb.build_code(q, r, m)
         word = np.asarray(word, dtype=code.gf.dtype)
-        shrunk = rb.shrink_to_one_minimal(code, word)
+        shrunk = rb.shrink_to_one_minimal(code, word)[0]
         expected = shrink_restart_scalar(code.gf, code.H, word)
         assert shrunk.dtype == expected.dtype
         assert shrunk.tobytes() == expected.tobytes(), (q, m, r, word)

@@ -388,18 +388,29 @@ def valid_or_any(valid, lo, hi):
 @st.composite
 def cli_argv(draw):
     """Any subcommand on q in 0..10 (non-prime-powers too), m in -1..3 with
-    q^m <= 81 and r in -1..m(q-1)+1, with optional small or negative guards."""
+    q^m <= 81 and r in -1..m(q-1)+1, with optional small or negative guards.
+
+    Half of the certificate draws are instances of the s = 1 band, where
+    certificates exist: q a prime power >= 3, m in 2..3 with q^m <= 81 and
+    r = t(q-1) + 1 for t in 1..m-1.  Uniform draws would rarely land there.
+    """
     command = draw(st.sampled_from(COMMANDS))
-    q = draw(valid_or_any(st.sampled_from((2, 3, 4, 5, 7, 8, 9)), 0, 10))
-    m = draw(valid_or_any(st.integers(1, 3), -1, 3).filter(
-        lambda m: m < 1 or q ** m <= 81))
-    argv = [command, f"--q={q}", f"--m={m}"]
-    if command.startswith("verify-") and draw(st.booleans()):
-        argv.append("--r-all")
+    if command == "certificate" and draw(st.booleans()):
+        q = draw(st.sampled_from((3, 4, 5, 7, 8, 9)))
+        m = draw(st.integers(2, 3).filter(lambda m: q ** m <= 81))
+        argv = [command, f"--q={q}", f"--m={m}",
+                f"--r={draw(st.integers(1, m - 1)) * (q - 1) + 1}"]
     else:
-        top = m * (q - 1)
-        r = draw(valid_or_any(st.integers(0, max(0, top)), -1, max(-1, top + 1)))
-        argv.append(f"--r={r}")
+        q = draw(valid_or_any(st.sampled_from((2, 3, 4, 5, 7, 8, 9)), 0, 10))
+        m = draw(valid_or_any(st.integers(1, 3), -1, 3).filter(
+            lambda m: m < 1 or q ** m <= 81))
+        argv = [command, f"--q={q}", f"--m={m}"]
+        if command.startswith("verify-") and draw(st.booleans()):
+            argv.append("--r-all")
+        else:
+            top = m * (q - 1)
+            r = draw(valid_or_any(st.integers(0, max(0, top)), -1, max(-1, top + 1)))
+            argv.append(f"--r={r}")
     for flag in ("--max-n-betti", "--max-enum"):
         value = draw(SMALL_GUARD)
         if value is not None:

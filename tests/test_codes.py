@@ -436,14 +436,16 @@ def test_is_i_minimal_agrees_with_nullity_shortcut():
 def test_shrink_to_one_minimal_properties():
     code = rb.build_code(3, 2, 2)
     word = rb.min_weight_poly(3, 2, 2).evaluate()
-    shrunk = rb.shrink_to_one_minimal(code, word)
+    shrunk, support_dim, dim = rb.shrink_to_one_minimal(code, word)
     assert rb.support(shrunk) == rb.support(word)
-    assert rb.shortened_dim(code, rb.support(shrunk)) == 1
+    assert rb.shortened_dim(code, rb.support(shrunk)) == 1 == support_dim == dim
 
     other = rb.min_weight_poly(3, 2, 2, pinned=[1]).evaluate()
     assert not set(rb.support(word)) & set(rb.support(other))
     combined = code.gf.add(word, other)
-    shrunk2 = rb.shrink_to_one_minimal(code, combined)
+    shrunk2, support_dim, dim = rb.shrink_to_one_minimal(code, combined)
+    assert support_dim == rb.shortened_dim(code, rb.support(combined)) > 1
+    assert dim == rb.shortened_dim(code, rb.support(shrunk2)) == 1
     s2 = set(rb.support(shrunk2))
     assert s2 <= set(rb.support(word)) or s2 <= set(rb.support(other))
     assert rb.is_i_minimal(code, shrunk2[None, :])
@@ -454,12 +456,23 @@ def test_shrink_to_one_minimal_properties():
         rb.shrink_to_one_minimal(code, np.eye(code.n, dtype=code.gf.dtype)[0])
 
 
+def test_shrink_that_ends_above_a_line_is_a_cross_check_error(monkeypatch):
+    """A raise, not an assert, so that python -O keeps it."""
+    code = rb.build_code(3, 2, 2)
+    word = rb.min_weight_poly(3, 2, 2).evaluate()
+    basis = codes.shortened_basis
+    monkeypatch.setattr(codes, "shortened_basis",
+                        lambda c, sigma: np.vstack([basis(c, sigma)] * 2))
+    with pytest.raises(CrossCheckError, match="shortened dimension 2, not 1"):
+        rb.shrink_to_one_minimal(code, word)
+
+
 def test_shrink_is_deterministic():
     code = rb.build_code(2, 2, 3)
     ones = np.ones(code.n, dtype=code.gf.dtype)
     assert code.contains(ones)
-    a = rb.shrink_to_one_minimal(code, ones)
-    b = rb.shrink_to_one_minimal(code, ones)
+    a = rb.shrink_to_one_minimal(code, ones)[0]
+    b = rb.shrink_to_one_minimal(code, ones)[0]
     assert np.array_equal(a, b)
 
 

@@ -12,6 +12,10 @@ from rmbetti.rm import monomial_basis, point_order
 from oracles import monomial_row, rank_profile, rref_scalar
 
 ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 257)   # GF(257): a uint16 prime field
+# the lane-word boundaries of rref's packing: GF(127) fills a uint8 word with
+# one 8-bit lane, GF(128) and GF(243) take 14 and 15 bits, GF(625) fills a
+# uint16 word, GF(729) and GF(1024) take uint32 words
+LANE_FIELDS = (127, 128, 243, 625, 729, 1024)
 # GF(1021): the largest prime the table guard admits; GF(1024): the longest
 # coefficient vectors (e = 10)
 PRODUCT_FIELDS = ORACLE_FIELDS + (1021, 1024)
@@ -48,17 +52,28 @@ def test_rref_idempotent_and_pivots_increase():
 
 
 def _assert_rref_matches_oracle(gf, m):
+    """rref, rank and null_space against rref_scalar; m is left unchanged."""
+    before = m.copy()
     r, rk, piv = linalg.rref(gf, m)
     r0, rk0, piv0 = rref_scalar(gf, m)
     assert r.dtype == r0.dtype == gf.dtype and r.shape == r0.shape
     assert r.tobytes() == r0.tobytes() and rk == rk0 and piv == piv0
+    assert linalg.rank(gf, m) == rk0
+    free = sorted(set(range(m.shape[1])) - set(piv0))
+    basis = linalg.null_space(gf, m)
+    assert np.array_equal(basis[:, free], np.eye(len(free)))
+    assert np.array_equal(basis[:, piv0], gf.neg(r0[:rk0, free].T))
+    assert np.array_equal(m, before)
 
 
 def test_rref_matches_scalar_oracle():
+    """Includes shapes with more rows to update than q (the multiples are
+    rows of lane_negcode[:, pivot]) and fewer (one 2-d gather)."""
     rng = np.random.default_rng(61)
-    for q in ORACLE_FIELDS:
+    for q in ORACLE_FIELDS + LANE_FIELDS:
         gf = field(q)
-        for shape in [(0, 5), (4, 0), (0, 0), (9, 4), (3, 10), (6, 6)]:
+        for shape in [(0, 5), (4, 0), (0, 0), (9, 4), (3, 10), (6, 6), (40, 12),
+                      (6, 30)]:
             for _ in range(3):
                 m = rng.integers(0, q, size=shape).astype(gf.dtype)
                 _assert_rref_matches_oracle(gf, m)
@@ -69,6 +84,25 @@ def test_rref_matches_scalar_oracle():
                     _assert_rref_matches_oracle(gf, m)
                     sparse = m * (rng.random(shape) < 0.3)
                     _assert_rref_matches_oracle(gf, sparse.astype(gf.dtype))
+
+
+@pytest.mark.parametrize("q,bits,word", [(2, 2, np.uint8), (7, 4, np.uint8),
+                                          (16, 8, np.uint8), (127, 8, np.uint8),
+                                          (128, 14, np.uint16), (243, 15, np.uint16),
+                                          (625, 16, np.uint16), (1021, 11, np.uint16),
+                                          (729, 18, np.uint32), (1024, 20, np.uint32)])
+def test_lane_tables(q, bits, word):
+    gf = field(q)
+    assert gf.lane_bits * gf.e == bits
+    assert 2 ** (gf.lane_bits - 2) < gf.p <= 2 ** (gf.lane_bits - 1)   # the smallest L
+    assert gf.lane_code.dtype == word and gf.lane_decode.size == 2 ** bits
+    assert np.array_equal(gf.lane_decode[gf.lane_code], np.arange(q))
+    neg = gf.neg(gf.mul(np.arange(q)[:, None], np.arange(q)[None, :]))
+    assert np.array_equal(gf.lane_negcode, gf.lane_code[neg])
+    for t in (gf.lane_code, gf.lane_decode, gf.lane_negcode):
+        assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        gf.lane_code[0] = 1
 
 
 @pytest.mark.parametrize("q,r,m", [(2, 2, 4), (3, 3, 2), (4, 3, 2), (5, 4, 2),

@@ -8,7 +8,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CertificateError, ParameterError, PreconditionError,
-                     TooLargeError, cli, codes, srres)
+                     TooLargeError, cli, codes, linalg, rm, srres)
 
 
 def test_purity_predicate_examples():
@@ -316,3 +316,23 @@ def test_constructed_certificates_never_fail_silently(monkeypatch):
     monkeypatch.setattr(verify_mod, "certificate_witness", wrong)
     with pytest.raises(CertificateError):
         rb.non_purity_certificate(4, 2, 4)
+
+
+@pytest.mark.parametrize("q,m,r", [(4, 3, 4), (5, 2, 5), (3, 4, 3)])
+def test_certificate_op_runs_three_eliminations(monkeypatch, capsys, q, m, r):
+    """G's RREF in build_code, the shrink's null space of the witness
+    support, and check_certificate's own shortened_dim: the builder reuses
+    the dimensions the shrink measured instead of ranking them again."""
+    shapes = []
+    rref = linalg.rref
+
+    def counted(gf, mat):
+        shapes.append(np.shape(mat))
+        return rref(gf, mat)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    rm.build_code.cache_clear()  # the CLI builds its code cold
+    argv = ["certificate", f"--q={q}", f"--m={m}", f"--r={r}", "--no-timing"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(shapes) == 3, shapes
