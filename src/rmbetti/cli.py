@@ -130,7 +130,7 @@ def _cmd_dim(args, guards):
     text = (f"RM_q(r,m) with q={q}, r={r}, m={m}: [{n}, {k}, {d}]\n"
             + "\n".join(f"  {name}: {val}" for name, val in sources.items())
             + f"\n  all sources agree: {agree}")
-    return report, text, EXIT_OK if agree else EXIT_CROSS_CHECK
+    return report, text, None, EXIT_OK if agree else EXIT_CROSS_CHECK
 
 
 def _cmd_distance(args, guards):
@@ -147,7 +147,7 @@ def _cmd_distance(args, guards):
                      match=agree, guards=guards)
     text = (f"minimum distance of [{code.n}, {code.k}]_{q}: formula {formula}"
             + (f", brute force {brute}" if brute is not None else " (enumeration skipped)"))
-    return report, text, EXIT_OK if agree else EXIT_CROSS_CHECK
+    return report, text, None, EXIT_OK if agree else EXIT_CROSS_CHECK
 
 
 def _cmd_ghw(args, guards):
@@ -158,7 +158,7 @@ def _cmd_ghw(args, guards):
                      guards=guards)
     text = "generalized Hamming weights: " + ", ".join(
         f"d_{i + 1}={d}" for i, d in enumerate(profile))
-    return report, text, EXIT_OK
+    return report, text, [("i", "d_i"), *enumerate(profile, 1)], EXIT_OK
 
 
 def _cmd_betti(args, guards):
@@ -182,7 +182,7 @@ def _cmd_betti(args, guards):
     lines.append(f"  pure: {verdict.pure}" +
                  (f", type {verdict.type}, linear: {verdict.linear}"
                   if verdict.pure else f", violations: {list(verdict.violations)}"))
-    return report, "\n".join(lines), EXIT_OK
+    return report, "\n".join(lines), [("i", "j", "beta"), *table.rows()], EXIT_OK
 
 
 def _cmd_purity(args, guards):
@@ -197,7 +197,7 @@ def _cmd_purity(args, guards):
                      match=match, guards=guards)
     text = (f"purity of (q={q}, m={m}, r={r}): computed {comp.verdict.pure}, "
             f"predicted {predicted}, match: {match}")
-    return report, text, EXIT_OK if match else EXIT_VERIFICATION
+    return report, text, None, EXIT_OK if match else EXIT_VERIFICATION
 
 
 def _cmd_certificate(args, guards):
@@ -213,11 +213,12 @@ def _cmd_certificate(args, guards):
             f"witness weight {cert.weight} > d_1 = {cert.d1}; "
             f"1-minimal weight {cert.one_minimal_weight}; "
             f"re-check {'passed' if check.ok else 'FAILED: ' + ', '.join(check.reasons)}")
-    return report, text, EXIT_OK if check.ok else EXIT_VERIFICATION
+    return report, text, None, EXIT_OK if check.ok else EXIT_VERIFICATION
 
 
-def _sweep(args, guards, methods, row_obj):
-    """Run the sweep; its report is {params, rows, match, guards}.
+def _sweep(args, guards, methods, row_obj, row_cells):
+    """Run the sweep; its report is {params, rows, match, guards} and its
+    table a header and the row_cells tuple of each row.
 
     A sweep that decides no row has nothing to mismatch: it exits 3 when a
     guard skipped a row and 2 when no requested route applies to any row.
@@ -245,68 +246,47 @@ def _sweep(args, guards, methods, row_obj):
         print(f"error: no requested route ({', '.join(methods)}) applies to "
               f"any row of (q={args.q}, m={args.m})", file=sys.stderr)
         exit_code = EXIT_PARAMS
-    return sweep_report, report, exit_code
+    table = [("q", "m", "r", "n", "k", "d", "predicted", "computed",
+              "certificate_ok", "match"), *map(row_cells, rows)]
+    return sweep_report.all_match, report, table, exit_code
 
 
 def _cmd_verify_theorem(args, guards):
     methods = ("betti", "certificate") if args.method == "both" else (args.method,)
-    sweep_report, report, exit_code = _sweep(args, guards, methods,
-                                             verify.SweepRow.to_json_obj)
+    all_match, report, table, exit_code = _sweep(
+        args, guards, methods, verify.SweepRow.to_json_obj,
+        lambda row: (row.q, row.m, row.r, row.n, row.k, row.d, row.pure_predicted,
+                     row.purity.pure if row.purity else None, row.certificate_ok,
+                     row.match))
     lines = ["q m r  n   k   d  predicted computed cert  match"]
-    for row in sweep_report.rows:
-        computed = row.purity.pure if row.purity else None
-        lines.append(
-            f"{row.q} {row.m} {row.r}  {row.n:<3} {row.k:<3} {row.d:<3}"
-            f" {str(row.pure_predicted):<9} {str(computed):<8}"
-            f" {str(row.certificate_ok):<5} {row.match}")
-    lines.append(f"all rows match: {sweep_report.all_match}")
-    return report, "\n".join(lines), exit_code
+    lines += [f"{q} {m} {r}  {n:<3} {k:<3} {d:<3} {str(predicted):<9} "
+              f"{str(computed):<8} {str(cert_ok):<5} {match}"
+              for q, m, r, n, k, d, predicted, computed, cert_ok, match in table[1:]]
+    lines.append(f"all rows match: {all_match}")
+    return report, "\n".join(lines), table, exit_code
 
 
 def _cmd_verify_mds(args, guards):
-    sweep_report, report, exit_code = _sweep(args, guards, ("mds",),
-                                             lambda row: row.mds.to_json_obj())
+    all_match, report, table, exit_code = _sweep(
+        args, guards, ("mds",), lambda row: row.mds.to_json_obj(),
+        lambda row: (row.q, row.m, row.r, row.n, row.k, row.d, row.mds.mds_predicted,
+                     row.mds.mds_computed, None, row.mds.match))
     lines = ["q m r  n   k   d  predicted computed match"]
-    for row in sweep_report.rows:
-        lines.append(f"{row.q} {row.m} {row.r}  {row.n:<3} {row.k:<3} "
-                     f"{row.d:<3} {str(row.mds.mds_predicted):<9} "
-                     f"{str(row.mds.mds_computed):<8} {row.mds.match}")
-    lines.append(f"all decided rows match: {sweep_report.all_match}")
-    return report, "\n".join(lines), exit_code
+    lines += [f"{q} {m} {r}  {n:<3} {k:<3} {d:<3} {str(predicted):<9} "
+              f"{str(computed):<8} {match}"
+              for q, m, r, n, k, d, predicted, computed, _, match in table[1:]]
+    lines.append(f"all decided rows match: {all_match}")
+    return report, "\n".join(lines), table, exit_code
 
 
 # -- output plumbing ----------------------------------------------------------
 
 
-def _csv_text(args, report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if args.command == "betti":
-        writer.writerow(["i", "j", "beta"])
-        for row in report["betti"]:
-            writer.writerow([row["i"], row["j"], row["beta"]])
-    elif args.command == "ghw":
-        writer.writerow(["i", "d_i"])
-        for i, d in enumerate(report["ghw"], start=1):
-            writer.writerow([i, d])
-    elif args.command in ("verify-theorem", "verify-mds"):
-        writer.writerow(["q", "m", "r", "n", "k", "d", "predicted",
-                         "computed", "certificate_ok", "match"])
-        for row in report["rows"]:
-            pred = row["prediction"]
-            predicted = pred.get("pure_predicted", pred.get("mds_predicted"))
-            if args.command == "verify-theorem":
-                computed = (row["purity"] or {}).get("pure")
-                cert_ok = (row["certificate"] or {}).get("check_passed")
-            else:
-                computed = row["mds_computed"]
-                cert_ok = None
-            writer.writerow([row["params"]["q"], row["params"]["m"],
-                             row["params"]["r"], row["code"]["n"],
-                             row["code"]["k"], row["code"]["d"],
-                             predicted, computed, cert_ok, row["match"]])
-    else:
+def _csv_text(args, table) -> str:
+    if table is None:
         raise ParameterError(f"--output csv is not supported for '{args.command}'")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
     return buf.getvalue()
 
 
@@ -314,70 +294,60 @@ def _print_too_large(message: str) -> None:
     print(json.dumps({"error": "too_large", "message": message}), file=sys.stderr)
 
 
+def _array_text(a: np.ndarray, pad: str) -> str:
+    if not (a.dtype.kind in "iu" and a.ndim in (1, 2) and a.size
+            and 0 <= a.min() and a.max() < a.size):
+        return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + pad)
+    cells = np.array([str(i) for i in range(a.max() + 1)], dtype=object)[a].tolist()
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if a.ndim == 1:
+        return f"[\n{inner}{sep.join(cells)}\n{pad}]"
+    row_sep = sep + "  "
+    body = sep.join([f"[\n{inner}  {row_sep.join(row)}\n{inner}]" for row in cells])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def _json_text(report) -> str:
-    """json.dumps(report, indent=2, default=np.ndarray.tolist), byte for byte,
-    with each flat list of ints joined in one pass.  A 1-d or 2-d integer
-    array whose entries lie in 0..size-1 is written row by row from a table
-    of the strings of 0..max; any other array is written as its tolist().
-    A report holding anything the walk does not handle (a non-str key, a
-    type json cannot encode) goes to json.dumps whole, which converts
-    arrays and nothing else."""
-    quote = json.encoder.encode_basestring_ascii  # json.dumps's own str encoder
+    """json.dumps(report, indent=2, default=np.ndarray.tolist), byte for byte.
 
-    def dump(obj, pad: str) -> str:
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if isinstance(obj, np.ndarray):
-            if not (obj.dtype.kind in "iu" and obj.ndim in (1, 2) and obj.size
-                    and 0 <= obj.min() and obj.max() < obj.size):
-                return dump(obj.tolist(), pad)
-            cells = np.array([str(i) for i in range(obj.max() + 1)],
-                             dtype=object)[obj].tolist()
-            if obj.ndim == 1:
-                return f"[\n{inner}{sep.join(cells)}\n{pad}]"
-            row_sep = sep + "  "
-            body = sep.join([f"[\n{inner}  {row_sep.join(row)}\n{inner}]"
-                             for row in cells])
-            return f"[\n{inner}{body}\n{pad}]"
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            if all(type(x) is int for x in obj):  # bools print as true/false
-                body = sep.join(map(str, obj))
-            else:
-                body = sep.join([dump(x, inner) for x in obj])
-            return f"[\n{inner}{body}\n{pad}]"
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            # quote raises TypeError on a key that is not a str
-            body = sep.join([f"{quote(key)}: {dump(value, inner)}"
-                             for key, value in obj.items()])
-            return f"{{\n{inner}{body}\n{pad}}}"
-        if type(obj) is int:
-            return str(obj)
-        if isinstance(obj, str):
-            return quote(obj)
-        if obj is None:
-            return "null"
-        if isinstance(obj, (int, float)):  # bools and floats in json's spelling
-            return json.dumps(obj)
-        raise TypeError(f"unhandled {type(obj).__name__}")
+    One json.dumps writes each array as a placeholder string, a run of NULs;
+    the placeholders are then replaced in order by the arrays' text, each
+    indented as its placeholder's line.  A 1-d or 2-d integer array whose
+    entries lie in 0..size-1 is written row by row from a table of the
+    strings of 0..max, any other as json.dumps(a.tolist(), indent=2).  A
+    report string or key that spells the placeholder shows in its count, and
+    the report is written again with one NUL more.  Any other value json
+    cannot encode raises TypeError, as it does in json.dumps.
+    """
+    def stash(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return mark
 
-    try:
-        return dump(report, "")
-    except TypeError:
-        # ndarray.tolist raises TypeError on anything that is not an array
-        return json.dumps(report, indent=2, default=np.ndarray.tolist)
+    mark = "\x00"
+    while True:
+        arrays: list[np.ndarray] = []
+        text = json.dumps(report, indent=2, default=stash)
+        if text.count(json.dumps(mark)) == len(arrays):
+            break
+        mark += "\x00"
+    pieces = text.split(json.dumps(mark))
+    out = [pieces[0]]
+    for a, before, after in zip(arrays, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        out += [_array_text(a, " " * (len(line) - len(line.lstrip(" ")))), after]
+    return "".join(out)
 
 
-def _emit(args, report, text, started) -> None:
+def _emit(args, report, text, table, started) -> None:
     if args.output == "json":
         if not args.no_timing:
             report["timing_ms"] = int((time.monotonic() - started) * 1000)
         payload = _json_text(report) + "\n"
     elif args.output == "csv":
-        payload = _csv_text(args, report)
+        payload = _csv_text(args, table)
     else:
         payload = text + "\n"
     if args.out:
@@ -404,8 +374,8 @@ def main(argv=None) -> int:
         "verify-mds": _cmd_verify_mds,
     }
     try:
-        report, text, exit_code = handlers[args.command](args, _guards(args))
-        _emit(args, report, text, started)
+        report, text, table, exit_code = handlers[args.command](args, _guards(args))
+        _emit(args, report, text, table, started)
         return exit_code
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

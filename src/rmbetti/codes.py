@@ -77,12 +77,6 @@ class LinearCode:
         self.H.setflags(write=False)
         self._nullity = None
 
-    @classmethod
-    def from_generator(cls, gf: GF, rows) -> "LinearCode":
-        """Code spanned by the given rows; the stored G is their RREF basis."""
-        r, rk, _ = linalg.rref(gf, linalg.as_matrix(gf, rows))
-        return cls(gf, r[:rk])
-
     def contains(self, v) -> bool:
         v = np.asarray(v)
         if v.shape != (self.n,):

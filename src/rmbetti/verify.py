@@ -104,7 +104,7 @@ class NonPurityCertificate:
 
     The ARRAY_FIELDS are read-only integer arrays: G and H are the code's
     own frozen matrices, not copies.  to_json_dict returns them as those
-    arrays, and the CLI's JSON emitter writes them; from_json_dict reads
+    arrays, and the CLI's JSON writer writes them; from_json_dict reads
     them back as nested tuples, unchecked, so that a malformed file reaches
     check_certificate as reasons rather than exceptions.  Equality compares
     the array fields by value, so a certificate equals its round trip.
@@ -147,7 +147,8 @@ class NonPurityCertificate:
 
     def to_json_dict(self) -> dict:
         """Keys in field order; the field_* fields nest under "field" and
-        witness_terms is written as "witness_poly".  Arrays pass through."""
+        witness_terms is written as "witness_poly".  Arrays and tuples pass
+        through: json writes a tuple as a list."""
         out: dict = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -155,9 +156,6 @@ class NonPurityCertificate:
                 value = [{"exponents": list(e), "coeff": c} for e, c in value]
             elif f.name == "checks":
                 value = dict(value)
-            elif isinstance(value, tuple):  # one list() per flat tuple or row
-                value = ([list(row) for row in value]
-                         if value and isinstance(value[0], tuple) else list(value))
             if f.name.startswith("field_"):
                 out.setdefault("field", {})[f.name[len("field_"):]] = value
             else:

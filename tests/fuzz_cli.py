@@ -8,9 +8,10 @@ code, the wall time and each input that ended outside the documented exit
 codes or raised.  Every `certificate ... --output=json` that exits 0 is read
 back through NonPurityCertificate.from_json_dict and re-checked with
 check_certificate under the report's own guards; a failed re-check is a
-finding too.  Exits 1 if there was any finding.  pytest does not
-collect this file; the tier-1 test draws 50 fixed inputs from the same
-strategy.
+finding too.  So is JSON stdout that json.dumps(json.loads(out), indent=2)
+does not write back byte for byte.  Exits 1 if there was any finding.
+pytest does not collect this file; the tier-1 test draws 50 fixed inputs
+from the same strategy.
 """
 
 import collections
@@ -32,6 +33,7 @@ def main(argv: list[str]) -> int:
     counts: collections.Counter = collections.Counter()
     bad = []
     rechecked = []
+    round_tripped = []
 
     @seed(random_seed)
     @settings(max_examples=examples, deadline=None, database=None,
@@ -45,10 +47,20 @@ def main(argv: list[str]) -> int:
         except Exception as exc:          # an escaped exception is a finding too
             code = f"raised {type(exc).__name__}"
         counts[code] += 1
+        stdout = out.getvalue()
         if code not in DOCUMENTED_EXITS:
             bad.append((f"UNDOCUMENTED {code}", args, err.getvalue()[-300:]))
-        elif code == 0 and args[0] == "certificate" and args[-1] == "--output=json":
-            report = json.loads(out.getvalue())
+            return
+        if args[-1] == "--output=json" and stdout:
+            round_tripped.append(args)
+            try:
+                same = stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+            except ValueError:            # not JSON at all
+                same = False
+            if not same:
+                bad.append(("JSON ROUND TRIP DIFFERS", args, stdout[-300:]))
+        if code == 0 and args[0] == "certificate" and args[-1] == "--output=json":
+            report = json.loads(stdout)
             guards = verify.Guards(report["guards"]["max_n_betti"],
                                    report["guards"]["max_enum"])
             cert = verify.NonPurityCertificate.from_json_dict(report["certificate"])
@@ -62,6 +74,7 @@ def main(argv: list[str]) -> int:
     print(f"{sum(counts.values())} inputs in {time.monotonic() - started:.1f} s, "
           f"seed {random_seed}; exit codes: "
           + ", ".join(f"{code}: {n}" for code, n in sorted(counts.items(), key=str))
+          + f"; {len(round_tripped)} JSON outputs written back byte for byte"
           + f"; {len(rechecked)} certificates re-checked from their JSON")
     for heading, args, detail in bad:
         print(f"{heading}: {' '.join(args)}\n  {detail.strip()}")

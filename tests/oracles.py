@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rmbetti import ExponentPoly, field, ts_split
+from rmbetti import ExponentPoly, LinearCode, field, ts_split
 from rmbetti.errors import PreconditionError, WitnessParameterError
 from rmbetti.rm import point_order, validate_params
 
@@ -144,6 +144,13 @@ def rref_scalar(gf, rows):
         pivots.append(c)
         rank += 1
     return np.array(r, dtype=gf.dtype).reshape(nrows, ncols), rank, pivots
+
+
+def code_from_rows(gf, rows):
+    """The LinearCode spanned by rows that may be dependent: its G is their
+    RREF basis, eliminated by rref_scalar."""
+    r, rank, _ = rref_scalar(gf, rows)
+    return LinearCode(gf, r[:rank])
 
 
 def rank_profile(gf, mat):

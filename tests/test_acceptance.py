@@ -27,8 +27,8 @@ import rmbetti as rb
 from rmbetti import linalg
 from rmbetti.rm import pinned_roots
 
-from oracles import (betti_sweep_gf2, monomial_row, rank_profile,
-                     shrink_restart_scalar)
+from oracles import (betti_sweep_gf2, code_from_rows, monomial_row,
+                     rank_profile, shrink_restart_scalar)
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9)
 THEOREM_PAIRS = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2))
@@ -175,7 +175,7 @@ def test_ghw_subset_search_equals_subspace_enumeration():
         gf = rb.field(q)
         rows = int(rng.integers(1, 5))
         cols = int(rng.integers(4, 11))
-        code = rb.LinearCode.from_generator(
+        code = code_from_rows(
             gf, rng.integers(0, q, size=(rows, cols)).astype(gf.dtype))
         if not 1 <= code.k <= 4:
             continue

@@ -159,7 +159,8 @@ def test_homology_backend_bounded_by_cross_check_n(backend):
     ("dim --q 40009 --m 1 --r 0", "1048576 cells"),   # field tables, ~3 GiB
     ("dim --q 2 --m 28 --r 1", "65536 points"),       # point grid, ~56 GiB
     ("distance --q 2 --m 16 --r 1", "1073741824 bytes"),  # parity-check matrix, 4 GiB
-    ("dim --q 2 --m 16 --r 4", "1073741824 bytes"),   # G and its int64 copy, 1.4 GiB
+    # G and its elimination budget of 8 bytes a cell, 1.4 GiB
+    ("dim --q 2 --m 16 --r 4", "1073741824 bytes"),
     # the grid is refused before m(q-1)+1 rows or an m-variable witness
     ("verify-theorem --q 2 --m 30000000 --r-all", "65536 points"),
     ("certificate --q 3 --m 3000000 --r 3", "65536 points"),
@@ -356,6 +357,15 @@ def test_json_emitter_matches_json_dumps(monkeypatch, capsys):
     }
     for report in (hand_built, arrays):
         assert cli._json_text(report) == dumps(report)
+    # arrays anywhere, and report strings and keys that spell a placeholder
+    # (a run of NULs, with or without digits after it) next to them
+    spliced = (np.arange(5), [np.arange(3), np.eye(2, dtype=np.uint8)],
+               [{"a": [{"b": [{"c": np.arange(4)}]}]}], np.array([5, 0, 9]),
+               {"s": "\x000", "array": np.arange(2), "t": "\x00", "u": ["\x001", "\x00\x00"]},
+               {"\x00": np.arange(3), "\x00\x00": [np.eye(2, dtype=np.int64)]},
+               {1: np.arange(3), None: "int and null keys"})
+    for report in spliced:
+        assert cli._json_text(report) == dumps(report)
     for fallback in ({1: "int key"}, {"ok": [{"a": 1, None: 2}]},
                      {"arrays": arrays, 3: "int key"}):
         assert cli._json_text(fallback) == dumps(fallback)
@@ -426,3 +436,6 @@ def test_every_input_ends_in_a_documented_exit_code(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())
+    if code == 0 and argv[-1] == "--output=json":
+        stdout = out.getvalue()
+        assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n", argv

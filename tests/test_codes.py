@@ -11,7 +11,7 @@ from rmbetti import (CrossCheckError, ParameterError, TooLargeError, cli, codes,
 from rmbetti.bits import popcount_table, subset_sum_accumulate
 from rmbetti.codes import gaussian_binomial, rref_generators
 
-from oracles import min_weight_enumerated
+from oracles import code_from_rows, min_weight_enumerated
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +46,7 @@ def test_linear_code_validation_and_contains(even_weight):
         rb.LinearCode(gf, np.array([[1, 1], [1, 1]], dtype=gf.dtype))
     assert even_weight.contains(np.array([1, 1, 0, 0], dtype=gf.dtype))
     assert not even_weight.contains(np.array([1, 0, 0, 0], dtype=gf.dtype))
-    derived = rb.LinearCode.from_generator(gf, [[1, 1, 0, 0], [0, 0, 1, 1],
-                                                [1, 1, 1, 1]])
+    derived = code_from_rows(gf, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
     assert derived.k == 2
     # entries outside 0..q-1 are refused, never read modulo p or wrapped
     for q in (3, 4):
@@ -94,8 +93,7 @@ def test_nullity_table_vs_direct():
     rng = np.random.default_rng(9)
     for q in (2, 3):
         gf = field(q)
-        code = rb.LinearCode.from_generator(
-            gf, rng.integers(0, q, size=(4, 7)).astype(gf.dtype))
+        code = code_from_rows(gf, rng.integers(0, q, size=(4, 7)).astype(gf.dtype))
         nullity = code.nullity_table()
         for mask in range(1 << 7):
             cols = [i for i in range(7) if mask >> i & 1]
@@ -133,7 +131,7 @@ def _kernel_cases():
             g = rng.integers(0, q, size=(int(rng.integers(1, n + 1)), n))
             zero_col = g.copy()
             zero_col[:, int(rng.integers(0, n))] = 0
-            out += [rb.LinearCode.from_generator(gf, x) for x in (g, zero_col)]
+            out += [code_from_rows(gf, x) for x in (g, zero_col)]
     out += [rb.build_code(q, r, m) for (q, m) in [(2, 3), (2, 4), (3, 2), (4, 2)]
             for r in range(m * (q - 1) + 1)]
     return [code for code in out if codes._counting_admits(code)]
@@ -302,7 +300,7 @@ def _walk_cases():
             zero_col, copied = g.copy(), g.copy()
             zero_col[:, int(rng.integers(0, n))] = 0
             copied[:, -1] = copied[:, 0]
-            out += [rb.LinearCode.from_generator(gf, x) for x in (g, zero_col, copied)]
+            out += [code_from_rows(gf, x) for x in (g, zero_col, copied)]
     return [code for code in out if code.k]
 
 
@@ -351,7 +349,7 @@ def test_ghw_past_the_table_by_wei_duality():
         if n == 24:
             g[:, 5] = 0
             g[:, -1] = g[:, 0]
-        code = rb.LinearCode.from_generator(gf, g)
+        code = code_from_rows(gf, g)
         dual = rb.LinearCode(gf, code.H)
         profile = rb.ghw_profile(code)
         dual_profile = [rb.ghw_by_subspaces(dual, j) for j in range(1, dual.k + 1)]
@@ -384,7 +382,7 @@ def test_ghw_by_subspaces_matches_subset_search():
         for _ in range(8):
             rows = int(rng.integers(1, 5))
             cols = int(rng.integers(4, 11))
-            code = rb.LinearCode.from_generator(
+            code = code_from_rows(
                 gf, rng.integers(0, q, size=(rows, cols)).astype(gf.dtype))
             if code.k == 0 or code.k > 4:
                 continue
@@ -482,7 +480,7 @@ def test_mds_and_nondegeneracy():
     assert rb.is_mds(rb.build_code(3, 3, 2))
     for (q, r, m) in [(2, 1, 2), (3, 2, 2), (4, 4, 2), (2, 4, 4)]:
         assert rb.is_nondegenerate(rb.build_code(q, r, m))
-    degenerate = rb.LinearCode.from_generator(field(2), [[1, 0, 1]])
+    degenerate = code_from_rows(field(2), [[1, 0, 1]])
     assert not rb.is_nondegenerate(degenerate)
 
 

@@ -198,7 +198,8 @@ def test_build_code_rank_deficient_generator_is_a_cross_check_error(monkeypatch)
 
 
 def test_matrix_byte_limit(monkeypatch):
-    # RM_2(1, 3) is [8, 4]: G and H take 32 bytes each, G's int64 copy 256
+    # RM_2(1, 3) is [8, 4]: G and H take 32 bytes each, G's elimination at
+    # 8 bytes a cell 256
     monkeypatch.setattr(rm, "MAX_MATRIX_BYTES", 319)
     assert rm.generator_matrix(2, 1, 3).shape == (4, 8)
     with pytest.raises(TooLargeError, match="320 bytes of matrices, above the limit 319"):
