@@ -9,7 +9,9 @@ homological position recovers the weight hierarchy.
 The nullity table, dim C(W) for every column set W, is built once per code.
 When the smaller of C and its dual has at most 2^n words, q^dim C(W) is
 the number of words supported inside W, counted by one histogram and one
-subset-sum transform; otherwise a walk over the faces builds it.
+subset-sum transform; otherwise a walk over the faces builds it.  The
+homology backend can be handed column permutations that fix the code; it
+then ranks one restriction per orbit.
 """
 
 import rmbetti as rb
@@ -41,6 +43,15 @@ print(f"\n{ternary}:")
 for i, j, beta in table.rows():
     print(f"  beta_{{{i},{j}}} = {beta}")
 print("pure:", v.pure, " violating positions:", v.violations)
+
+# The affine group AGL(2, 3) fixes the code, and a column permutation that
+# fixes it maps each restriction onto one with the same homology, so the
+# homology backend ranks one restriction per orbit.
+generators = rb.rm.affine_generators(3, 2)
+reps, sizes = rb.srres.restriction_orbits(ternary, generators)
+print(f"orbits swept: {len(reps)} of 2^{ternary.n} = {1 << ternary.n} restrictions")
+print("orbit sweep == unreduced sweep:",
+      rb.betti_hochster(ternary, 2, generators) == rb.betti_hochster(ternary, 2) == table)
 
 # Homology conventions at the degenerate end.
 print("\none-face complex:", rb.reduced_homology_dims([()], 2))

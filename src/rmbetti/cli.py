@@ -167,13 +167,14 @@ def _cmd_betti(args, guards):
     if code.n > guards.max_n_betti:
         raise TooLargeError(f"n = {code.n} exceeds Betti guard {guards.max_n_betti}")
     if args.backend == "homology":
-        table = srres.betti_hochster(code, args.char)
+        table = verify.betti_by_homology(code, args.char)
     else:
         table = srres.betti_fastpath(code)
         if args.backend == "both":
-            slow = srres.betti_hochster(code, args.char)
+            slow = verify.betti_by_homology(code, args.char)
             if slow != table:
-                raise CrossCheckError("Betti backends disagree")
+                raise CrossCheckError(f"Betti backends disagree for "
+                                      f"(q={q}, m={m}, r={r}, char={args.char})")
     verdict = srres.purity_verdict(table)
     report = _report(q, m, r, code=_code_obj(code), betti=table.to_json_obj(),
                      purity=verdict.to_json_obj(), guards=guards)

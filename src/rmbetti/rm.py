@@ -140,6 +140,37 @@ def point_order(q: int, m: int) -> PointOrder:
     return PointOrder(gf, m, pts)
 
 
+def affine_generators(q: int, m: int) -> tuple[np.ndarray, ...]:
+    """Generators of AGL(m, q) as read-only permutations of the grid of
+    point_order(q, m): perm[i] is the index of the image of point i.
+
+    The maps are x_i += 1 for each i, x_0 -> a x_0 for a = 2..q-1, the swaps
+    of adjacent coordinates and x_0 += x_1 (no swap and no shear for m = 1).
+    By conjugation they give every translation, diagonal map and elementary
+    transvection, so they generate AGL(m, q), under which every RM_q(r, m)
+    is invariant (Kasami-Lin-Peterson 1968): an affine substitution does not
+    raise the total degree.
+    """
+    order = point_order(q, m)
+    gf, pts = order.gf, order.points
+
+    def moved(i, values):
+        out = pts.copy()
+        out[:, i] = values
+        return out
+
+    images = [moved(i, gf.add(pts[:, i], 1)) for i in range(m)]
+    images += [moved(0, gf.mul(a, pts[:, 0])) for a in range(2, q)]
+    images += [pts[:, [*range(i), i + 1, i, *range(i + 2, m)]] for i in range(m - 1)]
+    if m > 1:
+        images.append(moved(0, gf.add(pts[:, 0], pts[:, 1])))
+    place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    perms = tuple(image.astype(np.int64) @ place for image in images)
+    for perm in perms:
+        perm.setflags(write=False)
+    return perms
+
+
 class ExponentPoly:
     """Polynomial as a map exponent-vector -> nonzero coefficient.
 

@@ -5,12 +5,16 @@ the independent column sets, read as the masks of nullity 0 from the code's
 cached nullity table (LinearCode.nullity_table), which also supplies every
 rank.  Two backends compute the Betti table:
 
-* betti_hochster sweeps every vertex subset W and sums reduced homology
+* betti_hochster sweeps the vertex subsets W and sums reduced homology
   dimensions of the restricted complex over a prime field (the slow,
-  assumption-free oracle).  Each call builds the boundary columns once;
-  the restriction to W keeps the columns of the faces inside W, and one
-  sparse kernel ranks them (XOR bitmasks over GF(2), dicts over odd
-  primes), as it ranks whole boundaries in reduced_homology_dims;
+  assumption-free oracle).  Given column permutations, it keeps those it
+  checks preserve the code (H G[:, perm]^T = 0) and ranks one W per orbit
+  of the group they generate, counted once per orbit member; an RM code
+  passes the generators of AGL(m, q).  Each call builds the boundary
+  columns once; the restriction to W keeps the columns of the faces
+  inside W, and one sparse kernel ranks them (XOR bitmasks over GF(2),
+  dicts over odd primes), as it ranks whole boundaries in
+  reduced_homology_dims;
 * betti_fastpath uses that restrictions of this complex are again of the
   same kind, so homology is concentrated in top degree and its dimension is
   the absolute value of the reduced Euler characteristic.  Euler
@@ -29,8 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .bits import indices_of, mask_of, popcount_table, subset_sum_accumulate
-from .codes import LinearCode
+from .codes import MAX_TABLE_N, LinearCode
 from .errors import (CrossCheckError, DegenerateTypeError, ParameterError,
                      TooLargeError)
 from .gf import is_prime
@@ -183,26 +188,70 @@ class BettiTable:
         return [{"i": i, "j": j, "beta": b} for i, j, b in self.rows()]
 
 
-def betti_hochster(code: LinearCode, ell: int = 2) -> BettiTable:
+def restriction_orbits(code: LinearCode, symmetries=()) -> tuple[np.ndarray, np.ndarray]:
+    """One vertex mask per orbit, and the orbit sizes, of the group generated
+    by those symmetries that preserve the code.
+
+    A symmetry is a permutation perm of the n columns, column j moving to
+    perm[j]; it is kept only if H G[:, perm]^T = 0, i.e. the code is closed
+    under it, which makes it an automorphism of the complex (faces are the
+    masks of nullity 0, and nullity is carried along).  The others are
+    dropped.  Each orbit is labelled by its smallest mask: every mask takes
+    the least label among its images, then the label of its label, until
+    nothing moves.  With no symmetry kept, every mask is its own orbit.
+    n > MAX_TABLE_N is refused before the masks are allocated.
+    """
+    n = code.n
+    if n > MAX_TABLE_N:
+        raise TooLargeError(f"orbits of the 2^n masks need n <= {MAX_TABLE_N}, n = {n}")
+    masks = np.arange(1 << n, dtype=np.int64)
+    images = []
+    for perm in symmetries:
+        perm = np.asarray(perm)
+        if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ParameterError(f"a symmetry must permute the {n} columns")
+        if np.any(linalg.matmul(code.gf, code.H, code.G[:, perm].T)):
+            continue
+        image = np.zeros_like(masks)
+        for j, to in enumerate(perm.tolist()):
+            image |= (masks >> j & 1) << to
+        images.append(image)
+    label, previous = masks, None
+    while not np.array_equal(label, previous):
+        previous = label
+        for image in images:
+            label = np.minimum(label, label[image])
+        label = label[label]
+    reps = np.flatnonzero(label == masks)
+    return reps, np.bincount(label, minlength=1 << n)[reps]
+
+
+def betti_hochster(code: LinearCode, ell: int = 2, symmetries=()) -> BettiTable:
     """Restriction sweep: beta_{i,j} sums dim H~_{j-i-1} of Delta restricted
     to each j-subset, homology taken over GF(ell); n <= MAX_HOMOLOGY_N.
 
-    The boundary columns are built once, from the face masks alone (no rank
-    is read from the nullity table); for each W, _rank ranks the columns of
-    the faces inside W in every degree.
+    A column permutation that preserves the code maps Delta|W onto
+    Delta|perm(W), so only one W per orbit of restriction_orbits(code,
+    symmetries) is ranked, and its homology counts once per orbit member;
+    a symmetry that fails the check against this code is dropped, and with
+    none every W is its own orbit.  The boundary columns are built once,
+    from the face masks alone (no rank is read from the nullity table); for
+    each ranked W, _rank ranks the columns of the faces inside W in every
+    degree.
     """
     n = code.n
     if n > MAX_HOMOLOGY_N:
         raise TooLargeError(f"2^n restriction sweep needs n <= {MAX_HOMOLOGY_N}, n = {n}")
     if not is_prime(ell):
         raise ParameterError(f"homology coefficients need a prime, got {ell}")
+    reps, sizes = restriction_orbits(code, symmetries)
     levels, columns = _boundary_complex(
         np.flatnonzero(code.nullity_table() == 0), ell)
     # per face size: the face masks, and their columns ready to be selected
     by_size = [(np.array(level, dtype=np.int64), np.array(level_columns, dtype=object))
                for level, level_columns in zip(levels, columns)]
     entries: dict[tuple[int, int], int] = {}
-    for w in range(1 << n):
+    for w, size in zip(reps.tolist(), sizes.tolist()):
         outside = ~w
         chains, ranks = [], []
         for masks, level_columns in by_size:
@@ -217,7 +266,7 @@ def betti_hochster(code: LinearCode, ell: int = 2) -> BettiTable:
             h = chain_count - ranks[s] - ranks[s + 1]
             if h:
                 key = (j - s, j)  # degree d = s - 1 lands at i = j - d - 1
-                entries[key] = entries.get(key, 0) + h
+                entries[key] = entries.get(key, 0) + h * size
     return BettiTable(n=n, k=code.k, entries=entries)
 
 

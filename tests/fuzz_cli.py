@@ -5,13 +5,15 @@
 Draws EXAMPLES argument lists (default 1000) from a random seed (default 0),
 runs each through cli.main in process, and prints the count of every exit
 code, the wall time and each input that ended outside the documented exit
-codes or raised.  Every `certificate ... --output=json` that exits 0 is read
-back through NonPurityCertificate.from_json_dict and re-checked with
-check_certificate under the report's own guards; a failed re-check is a
-finding too.  So is JSON stdout that json.dumps(json.loads(out), indent=2)
-does not write back byte for byte.  Exits 1 if there was any finding.
-pytest does not collect this file; the tier-1 test draws 50 fixed inputs
-from the same strategy.
+codes or raised.  Every `betti` draw also gets a `--backend` (fast,
+homology or both) and a `--char` (2, 3, 5, 4 or 0); exit 5, a disagreement
+between two routes, is a finding on any input.  Every
+`certificate ... --output=json` that exits 0 is read back through
+NonPurityCertificate.from_json_dict and re-checked with check_certificate
+under the report's own guards; a failed re-check is a finding too.  So is
+JSON stdout that json.dumps(json.loads(out), indent=2) does not write back
+byte for byte.  Exits 1 if there was any finding.  pytest does not collect
+this file; the tier-1 test draws 50 fixed inputs from cli_argv itself.
 """
 
 import collections
@@ -22,9 +24,21 @@ import sys
 import time
 
 from hypothesis import HealthCheck, Phase, given, seed, settings
+from hypothesis import strategies as st
 
 from rmbetti import cli, verify
 from test_cli import DOCUMENTED_EXITS, cli_argv
+
+
+@st.composite
+def fuzz_argv(draw):
+    """cli_argv, with a backend and a homology prime on every betti draw."""
+    argv = draw(cli_argv())
+    if argv[0] == "betti":
+        backend = draw(st.sampled_from(("fast", "homology", "both")))
+        char = draw(st.sampled_from((2, 3, 5, 4, 0)))
+        argv[-1:-1] = [f"--backend={backend}", f"--char={char}"]
+    return argv
 
 
 def main(argv: list[str]) -> int:
@@ -38,7 +52,7 @@ def main(argv: list[str]) -> int:
     @seed(random_seed)
     @settings(max_examples=examples, deadline=None, database=None,
               phases=[Phase.generate], suppress_health_check=list(HealthCheck))
-    @given(args=cli_argv())
+    @given(args=fuzz_argv())
     def draw(args):
         out, err = io.StringIO(), io.StringIO()
         try:
@@ -51,6 +65,8 @@ def main(argv: list[str]) -> int:
         if code not in DOCUMENTED_EXITS:
             bad.append((f"UNDOCUMENTED {code}", args, err.getvalue()[-300:]))
             return
+        if code == 5:
+            bad.append(("CROSS-CHECK FAILED", args, err.getvalue()[-300:]))
         if args[-1] == "--output=json" and stdout:
             round_tripped.append(args)
             try:

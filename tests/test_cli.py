@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmbetti import cli, codes
+from rmbetti import cli, codes, srres, verify
 
 CLI = [sys.executable, "-m", "rmbetti"]
 
@@ -75,6 +75,16 @@ def test_betti_both_backends_and_json():
                                {"i": 2, "j": 3, "beta": 8},
                                {"i": 3, "j": 4, "beta": 3}]
     assert report["purity"]["pure"] and report["purity"]["linear"]
+
+
+def test_betti_backend_mismatch_names_the_row(monkeypatch, capsys):
+    wrong = srres.BettiTable(n=4, k=3, entries={(0, 0): 1})
+    monkeypatch.setattr(verify, "betti_by_homology", lambda code, ell: wrong)
+    argv = ["betti", "--q", "2", "--m", "2", "--r", "1", "--backend", "both",
+            "--char", "3"]
+    assert cli.main(argv) == 5
+    assert ("Betti backends disagree for (q=2, m=2, r=1, char=3)"
+            in capsys.readouterr().err)
 
 
 def test_purity_match_exit_zero():

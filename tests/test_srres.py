@@ -7,7 +7,8 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CrossCheckError, DegenerateTypeError, ParameterError,
-                     TooLargeError, codes, field, linalg, srres)
+                     TooLargeError, codes, field, linalg, rm, srres)
+from rmbetti.gf import is_prime
 
 from oracles import betti_sweep_gf2, code_from_rows, rref_scalar
 
@@ -225,8 +226,74 @@ def test_betti_guards():
         rb.betti_hochster(big, 2)
     with pytest.raises(TooLargeError):  # the nullity table stops at n = 20
         rb.betti_fastpath(rb.build_code(23, 5, 1))
+    with pytest.raises(TooLargeError, match="n <= 20"):  # so do the orbits
+        srres.restriction_orbits(rb.build_code(23, 5, 1))
     with pytest.raises(ParameterError):
         rb.betti_hochster(rb.build_code(2, 1, 2), ell=6)
+
+
+# -- restriction orbits ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2)]
+                         + [(q, 1) for q in (2, 3, 4, 5, 7, 8, 9, 11)])
+def test_orbit_sweep_equals_unreduced_sweep(q, m):
+    generators = rm.affine_generators(q, m)
+    for r in range(m * (q - 1) + 1):
+        code = rb.build_code(q, r, m)
+        for ell in (2, 3):
+            assert (rb.betti_hochster(code, ell, generators)
+                    == rb.betti_hochster(code, ell)), (q, m, r, ell)
+
+
+@pytest.mark.parametrize("q,m,orbits", [(2, 3, 10), (3, 2, 14), (2, 4, 32), (4, 2, 77)])
+def test_restriction_orbit_counts(q, m, orbits):
+    code = rb.build_code(q, 1, m)
+    reps, sizes = srres.restriction_orbits(code, rm.affine_generators(q, m))
+    assert len(reps) == orbits
+    assert sizes.sum() == 1 << code.n
+    assert reps[0] == 0 and sizes[0] == 1  # the empty set is alone
+
+
+def test_affine_generators_preserve_every_rm_code():
+    # V holds the evaluations of all monomials, graded.  Rows of degree <= r
+    # span RM_q(r, m); those of degree <= top - 1 - r are orthogonal to them
+    # (checked with the identity below) and their counts add up to n, so
+    # they span its dual.  A permutation therefore preserves every
+    # RM_q(r, m) exactly when each moved row of degree b is orthogonal to
+    # every row of degree a with a + b < top.
+    families = [(q, m) for q in range(2, 82) for m in range(1, 7)
+                if q ** m <= 81
+                and sum(q % p == 0 and is_prime(p) for p in range(2, q + 1)) == 1]
+    for q, m in families:
+        n, top = q ** m, m * (q - 1)
+        degree = np.array([sum(e) for e in rm.monomial_basis(q, top, m)])
+        for r in range(top):
+            assert np.sum(degree <= r) + np.sum(degree <= top - 1 - r) == n
+        low = degree[:, None] + degree[None, :] < top
+        V = rm.generator_matrix(q, top, m)
+        generators = rm.affine_generators(q, m)
+        assert len(generators) == m + (q - 2) + (m - 1) + (m > 1)
+        for perm in (np.arange(n), *generators):
+            assert sorted(perm.tolist()) == list(range(n))
+            assert not linalg.matmul(field(q), V, V[:, perm].T)[low].any(), (q, m)
+        assert not any(perm.flags.writeable for perm in generators)
+
+
+def test_symmetry_that_moves_the_code_is_dropped():
+    # swapping the points 0 and 1 of AG(3, 2) maps the affine plane
+    # {0, 2, 4, 6} (x_2 = 0) onto {1, 2, 4, 6}, which is no plane
+    code = rb.build_code(2, 1, 3)
+    swap = np.array([1, 0, *range(2, 8)])
+    reps, sizes = srres.restriction_orbits(code, [swap])
+    assert reps.tolist() == list(range(256)) and set(sizes.tolist()) == {1}
+    assert rb.betti_hochster(code, 2, [swap]) == rb.betti_hochster(code, 2)
+    # the same swap fixes the full space, so it is kept there
+    full = rb.build_code(2, 3, 3)
+    assert len(srres.restriction_orbits(full, [swap])[0]) < 256
+    for bad in (np.arange(7), np.arange(8.0), np.zeros(8, int)):
+        with pytest.raises(ParameterError, match="permute"):
+            srres.restriction_orbits(code, [bad])
 
 
 def test_min_shifts_bounded_below_by_distance():
