@@ -164,14 +164,18 @@ def _nullity_by_counting(code: LinearCode) -> np.ndarray:
     support masks and one subset-sum transform give that count N(W) for
     every W, and N(W) must be an exact power of q, else CrossCheckError.
     From the dual, dim C(W) = |W| - (n - k) + dim C-perp(E minus W), and
-    E minus W is the reversed array.
+    E minus W is the reversed array.  The counts and the powers of q are
+    int32: the counting rule bounds every N(W) by the q^min(k, n-k) <= 2^n
+    words enumerated, and n <= MAX_TABLE_N = 20.
     """
     gf, n = code.gf, code.n
     dual = n - code.k < code.k
     rows = code.H if dual else code.G
-    counts = np.bincount(_support_masks(_span(gf, rows)), minlength=1 << n)
+    # every count is at most q^min(k, n-k) <= 2^n <= 2^20, far inside int32
+    counts = np.bincount(_support_masks(_span(gf, rows)),
+                         minlength=1 << n).astype(np.int32)
     subset_sum_accumulate(counts, n)
-    powers = gf.q ** np.arange(len(rows) + 1, dtype=np.int64)
+    powers = gf.q ** np.arange(len(rows) + 1, dtype=np.int32)
     dims = np.minimum(np.searchsorted(powers, counts), len(rows))
     bad = np.flatnonzero(powers[dims] != counts)
     if bad.size:

@@ -53,14 +53,13 @@ def circuits(code: LinearCode) -> list[tuple[int, ...]]:
     """
     n = code.n
     nullity = code.nullity_table()
-    masks = np.arange(1 << n, dtype=np.int64)
     minimal = nullity >= 1
     for b in range(n):
-        bit = 1 << b
-        has_bit = (masks & bit) != 0
-        # every one-element deletion must be independent
-        minimal &= ~has_bit | (nullity[masks ^ bit] == 0)
-    out = [indices_of(int(mask)) for mask in masks[minimal]]
+        # every one-element deletion must be independent: a mask with bit b
+        # stays only if the same mask without it has nullity 0
+        without_b = nullity.reshape(-1, 2, 1 << b)[:, 0]
+        minimal.reshape(-1, 2, 1 << b)[:, 1] &= without_b == 0
+    out = [indices_of(mask) for mask in np.flatnonzero(minimal).tolist()]
     return sorted(out, key=lambda s: (len(s), s))
 
 
@@ -174,12 +173,6 @@ class BettiTable:
             out.setdefault(i, []).append(j)
         return {i: tuple(sorted(js)) for i, js in out.items()}
 
-    def proj_dim(self) -> int:
-        return max(i for i, _ in self.entries)
-
-    def alternating_sum(self) -> int:
-        return sum((-1 if i % 2 else 1) * b for (i, _), b in self.entries.items())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BettiTable) and self.n == other.n
                 and self.k == other.k and self.entries == other.entries)
@@ -277,29 +270,33 @@ def betti_fastpath(code: LinearCode) -> BettiTable:
     rank(W) - 1 and has dimension |chi~(W)|, so one subset-sum transform
     (signed face counts) and the code's nullity table (ranks) give the whole
     table.  The sign of every nonzero chi~ is checked against the rank
-    parity; a violation would mean the complex is not of the expected kind
-    and raises instead of producing numbers.  The nullity table's own guard
-    bounds n.
+    parity, all W at once; a violation would mean the complex is not of the
+    expected kind and raises instead of producing numbers.  chi~ is int32
+    (|chi~(W)| <= 2^n), and one bincount over nullity * (n + 1) + |W|,
+    weighted by |chi~|, fills the (i, j) grid.  The nullity table's own
+    guard bounds n.
     """
     n = code.n
     nullity = code.nullity_table()
     pc = popcount_table(n)
-    ranks = pc - nullity
 
-    chi = np.zeros(1 << n, dtype=np.int64)
-    faces = nullity == 0
-    chi[faces] = np.where(pc[faces] % 2 == 0, -1, 1)  # (-1)^(|face| - 1)
+    # each face F counts (-1)^(|F| - 1); |chi~(W)| <= #faces inside W <= 2^n,
+    # so int32 holds every value
+    chi = np.where(nullity == 0, 2 * (pc & 1).astype(np.int32) - 1, 0)
     subset_sum_accumulate(chi, n)
 
-    nonzero = chi != 0
-    expected_sign = np.where(ranks % 2 == 1, 1, -1)
-    if not np.array_equal(np.sign(chi[nonzero]), expected_sign[nonzero]):
+    # chi~(W) times (-1)^(rank(W) - 1): |chi~(W)| when the sign is right
+    magnitude = np.where((pc - nullity) & 1 == 1, chi, -chi)
+    if (magnitude < 0).any():
         raise CrossCheckError(
             "Euler characteristic signs disagree with rank parity")
 
-    # beta_{i,j} sums |chi~(W)| over the j-subsets W of nullity i
-    grid = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(grid, (nullity[nonzero], pc[nonzero]), np.abs(chi[nonzero]))
+    # beta_{i,j} sums |chi~(W)| over the j-subsets W of nullity i; a cell is
+    # at most 2^n * 2^n < 2^53, so the float bincount is exact
+    # (bincount casts a narrower index array slowly, so the cells are intp)
+    cells = nullity.astype(np.intp) * (n + 1) + pc
+    grid = np.bincount(cells, weights=magnitude,
+                       minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
     entries = {(int(i), int(j)): int(grid[i, j])
                for i, j in zip(*np.nonzero(grid))}
     return BettiTable(n=n, k=code.k, entries=entries)

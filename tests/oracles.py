@@ -95,6 +95,16 @@ def betti_sweep_gf2(h_matrix, n):
     return betti
 
 
+def proj_dim(table):
+    """Projective dimension: the last homological position of a BettiTable."""
+    return max(i for i, _ in table.entries)
+
+
+def alternating_sum(table):
+    """sum_i (-1)^i beta_{i,j} over the whole BettiTable."""
+    return sum((-1 if i % 2 else 1) * b for (i, _), b in table.entries.items())
+
+
 class _Lazy(dict):
     """A table whose entry for key is f(key), computed on first use."""
 

@@ -7,10 +7,12 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CrossCheckError, DegenerateTypeError, ParameterError,
-                     TooLargeError, codes, field, linalg, rm, srres)
+                     TooLargeError, cli, codes, field, linalg, rm, srres)
+from rmbetti.bits import subset_sum_accumulate
 from rmbetti.gf import is_prime
 
-from oracles import betti_sweep_gf2, code_from_rows, rref_scalar
+from oracles import (alternating_sum, betti_sweep_gf2, code_from_rows,
+                     proj_dim, rref_scalar)
 
 
 def test_even_weight_betti_table_against_independent_oracle():
@@ -103,7 +105,7 @@ def test_circuits_examples():
 
 
 def test_circuits_equal_minimal_codeword_supports():
-    for (q, r, m) in [(3, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2)]:
+    for (q, r, m) in [(3, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (2, 1, 4)]:
         code = rb.build_code(q, r, m)
         assert rb.circuits(code) == rb.minimal_codeword_supports(code)
 
@@ -197,8 +199,8 @@ def test_backends_agree_on_sample_instances():
         fast = rb.betti_fastpath(code)
         assert (fast == rb.betti_hochster(code, 2) == rb.betti_hochster(code, 3)
                 == rb.betti_hochster(code, 5))
-        assert fast.proj_dim() == code.k
-        assert fast.alternating_sum() == 0
+        assert proj_dim(fast) == code.k
+        assert alternating_sum(fast) == 0
 
 
 def test_backends_agree_on_random_codes():
@@ -364,6 +366,35 @@ def test_herzog_kuhl_matches_computed_tables():
         for i, beta in enumerate(predicted, start=1):
             assert beta.denominator == 1
             assert table.entries[(i, verdict.type[i])] == beta
+
+
+def test_herzog_kuhl_matches_tables_at_the_table_limit():
+    """Reed-Solomon codes of dimension (q + 1) // 2 are MDS, hence pure; at
+    n = 16, 17 and 19 the walk builds their tables, and their largest Betti
+    numbers run into the millions."""
+    largest = {}
+    for q in (16, 17, 19):
+        table = rb.betti_fastpath(rb.build_code(q, (q - 1) // 2, 1))
+        verdict = rb.purity_verdict(table)
+        assert verdict.pure
+        predicted = rb.herzog_kuhl_predicted(verdict.type)
+        assert table.entries == {(0, 0): 1} | {
+            (i, verdict.type[i]): beta for i, beta in enumerate(predicted, start=1)}
+        largest[q] = max(table.entries.values())
+    assert largest[19] == 8_314_020
+
+
+def test_fastpath_refuses_a_sign_against_rank_parity(monkeypatch, capsys):
+    def corrupted(values, n):
+        subset_sum_accumulate(values, n)
+        w = np.flatnonzero(values)[-1]
+        values[w] = -values[w]
+
+    monkeypatch.setattr(srres, "subset_sum_accumulate", corrupted)
+    with pytest.raises(CrossCheckError, match="signs disagree with rank parity"):
+        rb.betti_fastpath(rb.build_code(3, 2, 2))
+    assert cli.main(["betti", "--q", "3", "--m", "2", "--r", "2", "--no-timing"]) == 5
+    assert "signs disagree with rank parity" in capsys.readouterr().err
 
 
 def test_purity_missing_row_is_hard_error():
