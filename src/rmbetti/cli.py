@@ -34,48 +34,6 @@ EXIT_VERIFICATION = 4
 EXIT_CROSS_CHECK = 5
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rmbetti",
-        description="Exact Reed-Muller code resolutions: Betti tables, "
-                    "purity verdicts, certificates, sweeps.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_r=True, r_all=False):
-        p.add_argument("--q", type=int, required=True, help="field size (prime power)")
-        p.add_argument("--m", type=int, required=True, help="number of variables")
-        if with_r:
-            if r_all:
-                group = p.add_mutually_exclusive_group(required=True)
-                group.add_argument("--r", type=int, help="single order r")
-                group.add_argument("--r-all", action="store_true",
-                                   help="sweep every 0 <= r <= m(q-1)")
-            else:
-                p.add_argument("--r", type=int, required=True, help="order r")
-        p.add_argument("--output", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", type=str, default=None, help="write to this path")
-        p.add_argument("--no-timing", action="store_true",
-                       help="omit timing_ms from JSON (for byte comparison)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-        p.add_argument("--max-n-betti", type=int, default=None)
-        p.add_argument("--max-enum", type=int, default=None)
-
-    common(sub.add_parser("dim", help="dimension by all four sources"))
-    common(sub.add_parser("distance", help="minimum distance: formula and brute force"))
-    common(sub.add_parser("ghw", help="generalized Hamming weight profile"))
-    p = sub.add_parser("betti", help="graded Betti table")
-    common(p)
-    p.add_argument("--backend", choices=("fast", "homology", "both"), default="fast")
-    p.add_argument("--char", type=int, default=2, help="homology coefficient prime")
-    common(sub.add_parser("purity", help="purity verdict vs predicted purity"))
-    common(sub.add_parser("certificate", help="build and check a non-purity certificate"))
-    p = sub.add_parser("verify-theorem", help="purity characterization sweep")
-    common(p, r_all=True)
-    p.add_argument("--method", choices=("betti", "certificate", "both"), default="both")
-    common(sub.add_parser("verify-mds", help="MDS characterization sweep"), r_all=True)
-    return parser
-
-
 def _guards(args) -> verify.Guards:
     """Default guards, overridden by explicit flags; a negative value is a
     parameter error."""
@@ -361,21 +319,60 @@ def _emit(args, report, text, table, started) -> None:
         sys.stdout.write(payload)
 
 
+# name: (help, handler, whether --r-all may replace --r, extra options)
+_COMMANDS = {
+    "dim": ("dimension by all four sources", _cmd_dim, False),
+    "distance": ("minimum distance: formula and brute force", _cmd_distance, False),
+    "ghw": ("generalized Hamming weight profile", _cmd_ghw, False),
+    "betti": ("graded Betti table", _cmd_betti, False,
+              ("--backend", dict(choices=("fast", "homology", "both"), default="fast")),
+              ("--char", dict(type=int, default=2, help="homology coefficient prime"))),
+    "purity": ("purity verdict vs predicted purity", _cmd_purity, False),
+    "certificate": ("build and check a non-purity certificate", _cmd_certificate, False),
+    "verify-theorem": ("purity characterization sweep", _cmd_verify_theorem, True, (
+        "--method", dict(choices=("betti", "certificate", "both"), default="both"))),
+    "verify-mds": ("MDS characterization sweep", _cmd_verify_mds, True),
+}
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `only` alone when it names one:
+    an invocation builds just the options it can use, while help and errors
+    above the subcommand still list all of them."""
+    parser = argparse.ArgumentParser(
+        prog="rmbetti",
+        description="Exact Reed-Muller code resolutions: Betti tables, "
+                    "purity verdicts, certificates, sweeps.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [only] if only in _COMMANDS else _COMMANDS:
+        help_text, _, r_all, *extra = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--q", type=int, required=True, help="field size (prime power)")
+        p.add_argument("--m", type=int, required=True, help="number of variables")
+        group = p.add_mutually_exclusive_group(required=True) if r_all else p
+        group.add_argument("--r", type=int, required=not r_all,
+                           help="single order r" if r_all else "order r")
+        if r_all:
+            group.add_argument("--r-all", action="store_true",
+                               help="sweep every 0 <= r <= m(q-1)")
+        p.add_argument("--output", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", type=str, default=None, help="write to this path")
+        p.add_argument("--no-timing", action="store_true",
+                       help="omit timing_ms from JSON (for byte comparison)")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+        p.add_argument("--max-n-betti", type=int, default=None)
+        p.add_argument("--max-enum", type=int, default=None)
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.monotonic()
-    handlers = {
-        "dim": _cmd_dim,
-        "distance": _cmd_distance,
-        "ghw": _cmd_ghw,
-        "betti": _cmd_betti,
-        "purity": _cmd_purity,
-        "certificate": _cmd_certificate,
-        "verify-theorem": _cmd_verify_theorem,
-        "verify-mds": _cmd_verify_mds,
-    }
     try:
-        report, text, table, exit_code = handlers[args.command](args, _guards(args))
+        report, text, table, exit_code = _COMMANDS[args.command][1](args, _guards(args))
         _emit(args, report, text, table, started)
         return exit_code
     except (ValueError, IndexError) as exc:

@@ -176,7 +176,10 @@ def _nullity_by_counting(code: LinearCode) -> np.ndarray:
                          minlength=1 << n).astype(np.int32)
     subset_sum_accumulate(counts, n)
     powers = gf.q ** np.arange(len(rows) + 1, dtype=np.int32)
-    dims = np.minimum(np.searchsorted(powers, counts), len(rows))
+    # dims = how many of q^1, q^2, ... N(W) reaches, so N(W) = q^dims iff exact
+    dims = np.zeros(1 << n, dtype=np.int8)
+    for power in powers[1:]:
+        dims += counts >= power
     bad = np.flatnonzero(powers[dims] != counts)
     if bad.size:
         raise CrossCheckError(
@@ -293,8 +296,15 @@ def _ghw_prefix(code: LinearCode, top: int) -> tuple[int, ...]:
     the counting rule admits building it (q^min(k, n-k) <= 2^n and
     n <= MAX_TABLE_N), else from _ghw_by_walk."""
     if code._nullity is not None or (code.n <= MAX_TABLE_N and _counting_admits(code)):
-        sizes, nullity = popcount_table(code.n), code.nullity_table()
-        return tuple(int(sizes[nullity >= i].min()) for i in range(1, top + 1))
+        n, nullity = code.n, code.nullity_table()
+        # which (nullity, |W|) cells occur, from one bincount (cells < 21^2);
+        # every nullity 0..k occurs, as it climbs by at most 1 per column
+        # added, so argmax is the smallest |W| at each nullity, and a suffix
+        # minimum makes it min{|W| : nullity(W) >= i}
+        cells = (nullity * (n + 1) + popcount_table(n)).astype(np.intp)
+        present = np.bincount(cells, minlength=(code.k + 1) * (n + 1)).reshape(-1, n + 1) > 0
+        smallest = np.minimum.accumulate(present.argmax(axis=1)[::-1])[::-1]
+        return tuple(smallest[1:top + 1].tolist())
     return _ghw_by_walk(code, top)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -449,3 +450,97 @@ def test_every_input_ends_in_a_documented_exit_code(argv):
     if code == 0 and argv[-1] == "--output=json":
         stdout = out.getvalue()
         assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n", argv
+
+
+# (argv, exit code, sha256 of stdout + NUL + stderr + NUL + exit code) with
+# COLUMNS=80, recorded once from `python -m rmbetti` and never re-recorded:
+# the per-command parser must print what the eight-command one printed.
+# argparse lays out help differently from one Python minor version to the
+# next; these are Python 3.11's bytes.
+PINNED_HELP = [
+    ("--help", 0, "c170cbabf5452cc4ffc13723ff18d0229efc16b267ded1eddb93b331e38cb2d0"),
+    ("dim --help", 0, "66678630b515a025887c23a4091e857feb1ac66702d2834136a86b8943597650"),
+    ("distance --help", 0, "2824991e941c35ff9873489e18ce3efdb32c678aa038ebf13b60515c49d234d2"),
+    ("ghw --help", 0, "daea6555573b846304d2178437f60980e01fe86d74be95ee2618cf23eb5e87c7"),
+    ("betti --help", 0, "f59ff03ca06340777479f1ad081fa69e477bdfcbe5559537b693e17f31701626"),
+    ("purity --help", 0, "4d8635d862b466de62f3f902c1473678b53779507860a2da6efc4b38f9e14646"),
+    ("certificate --help", 0, "6021597b5a3fe393aa944190c127d6bae04613597f3f88662dbdfe182a2dc206"),
+    ("verify-theorem --help", 0,
+     "0b5d89a8189e493b1821923ec547e0ed8821c79cf748343088c38cc7351471d0"),
+    ("verify-mds --help", 0, "d9e1d70f072f4467bf6672c5409b5ee10a9b6d9a8a05560b11441a7ad70c927e"),
+    ("", 2, "743de6dcbea9444de369e2f320d550574867cbe6fe7da378ac5f881a56af27a6"),
+    ("frobnicate", 2, "0ba3ceb68be5b027b832a67113ca2ed5662e02362ba377483942dfae5dac9c78"),
+    ("ghw --q 2", 2, "3b091a6a1001cd24ffc26fa904ac36e68aa59cd680cd90a6c70b2d2e8a845507"),
+    ("betti --q 2 --m 2 --r 1 --backend nope", 2,
+     "c1ecbea83f7b67371643c800c836423880b24597e4c5e0d86b527fb211907e6c"),
+    ("verify-mds --q 5 --m 2", 2,
+     "de17f336324c83c65fc918ebbfb257c59c721cff059b879229a4e672b92e3e4e"),
+]
+
+# Runs each argv list of argv[1] through cli.main in one child process, as
+# `python -m rmbetti` would (argparse exits through SystemExit), and prints
+# the exit code and digest of each.
+HELP_CHILD = """
+import contextlib, hashlib, io, json, sys
+from rmbetti import cli
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    blob = f"{out.getvalue()}\\0{err.getvalue()}\\0{code}".encode()
+    print(code, hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_help_and_usage_errors_pinned():
+    argvs = [argv.split() for argv, _, _ in PINNED_HELP]
+    proc = subprocess.run([sys.executable, "-c", HELP_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, COLUMNS="80"))
+    assert proc.returncode == 0, proc.stderr
+    got = [line.split() for line in proc.stdout.splitlines()]
+    assert got == [[str(code), digest] for _, code, digest in PINNED_HELP]
+
+
+def test_a_call_builds_only_its_subcommand_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert cli.main(["dim", "--q", "2", "--m", "2", "--r", "1"]) == 0
+    assert [p.prog for p in built] == ["rmbetti", "rmbetti dim"] * 2
+    assert not {id(p) for p in built[:2]} & {id(p) for p in built[2:]}
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert len(built) == 1 + len(COMMANDS)
+    assert "verify-mds" in capsys.readouterr().out
+
+
+def assert_same_namespace(argv):
+    assert cli._build_parser(argv[0]).parse_args(argv) == cli._build_parser().parse_args(argv)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_per_command_parser_reads_what_the_full_parser_reads(argv):
+    assert_same_namespace(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "betti --q 2 --m 2 --r 1 --no-t --backend=both --char 3",
+    "betti --q=2 --m=2 --r=1 --back both --output json",
+    "verify-theorem --q 3 --m 2 --r-all --meth betti --jobs 2",
+    "verify-mds --q 3 --m 2 --r-a --no-timing",
+    "verify-mds --q 3 --m 2 --r 1 --max-n 4 --max-e 9",
+])
+def test_per_command_parser_reads_abbreviations_alike(argv):
+    assert_same_namespace(argv.split())

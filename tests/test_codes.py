@@ -316,6 +316,18 @@ def test_ghw_level_walk_agrees_with_table():
         assert all(rb.ghw(code, i) == table[i - 1] for i in range(1, code.k + 1))
 
 
+@pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 2), (4, 2)])
+def test_ghw_table_readout_is_the_definition_on_every_row(q, m):
+    """d_i = min{|W| : nullity(W) >= i}, scanned per i, on every r."""
+    for r in range(m * (q - 1) + 1):
+        code = rb.build_code(q, r, m)
+        sizes, nullity = popcount_table(code.n), code.nullity_table()
+        expected = tuple(int(sizes[nullity >= i].min()) for i in range(1, code.k + 1))
+        assert rb.ghw_profile(code) == expected, (q, m, r)
+        assert all(codes._ghw_prefix(code, i) == expected[:i]
+                   for i in range(1, code.k + 1)), (q, m, r)
+
+
 def test_ghw_profile_walks_the_faces_once(monkeypatch):
     calls = []
 
