@@ -10,9 +10,8 @@ for pure types, and self-contained machine-checkable certificates of
 non-purity.
 """
 
-from .codes import (LinearCode, enumerate_codewords, ghw, ghw_by_subspaces,
-                    ghw_profile, is_i_minimal, is_mds, is_nondegenerate,
-                    min_weight_bruteforce, minimal_codeword_supports,
+from .codes import (LinearCode, ghw, ghw_by_subspaces, ghw_profile,
+                    is_i_minimal, is_mds, min_weight_bruteforce,
                     minimum_distance, shortened_basis, shortened_dim,
                     shrink_to_one_minimal, support, weight)
 from .errors import (CertificateError, CrossCheckError, DegenerateTypeError,
@@ -21,12 +20,12 @@ from .errors import (CertificateError, CrossCheckError, DegenerateTypeError,
                      RankDeficientFormsError, TooLargeError,
                      WitnessParameterError)
 from .gf import GF, field
-from .rm import (ExponentPoly, PointOrder, RMCode, build_code, codeword_degree,
-                 dim_assmus_key, dim_inclusion_exclusion,
-                 full_space_binomial_identity, interpolate, interpolation_basis,
-                 linear_product, min_distance_formula, min_weight_poly,
-                 monomial_basis, point_order, substitute_linear_forms,
-                 sum_zero_code_equal, ts_split)
+from .rm import (ExponentPoly, PointOrder, RMCode, build_code, dim_assmus_key,
+                 dim_inclusion_exclusion, full_space_binomial_identity,
+                 interpolate, interpolation_basis, linear_product,
+                 min_distance_formula, min_weight_poly, monomial_basis,
+                 point_order, substitute_linear_forms, sum_zero_code_equal,
+                 ts_split)
 from .srres import (BettiTable, PurityVerdict, betti_fastpath, betti_hochster,
                     circuits, ghw_from_betti, herzog_kuhl_predicted,
                     purity_verdict, reduced_homology_dims)

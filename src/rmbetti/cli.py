@@ -6,8 +6,8 @@ and run verification sweeps.  Text output is a convenience; JSON is the
 contract (stable field names, deterministic byte-for-byte given the same
 arguments, timing excluded under --no-timing).
 
-Exit codes: 0 success/match, 2 bad parameters, 3 guard exceeded,
-4 verification failure, 5 internal cross-check mismatch.
+Exit codes: 0 success/match, 2 bad parameters, 3 guard exceeded or out of
+memory, 4 verification failure, 5 internal cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ EXIT_CROSS_CHECK = 5
 
 
 def _guards(args) -> verify.Guards:
-    """Default guards, overridden by explicit flags; a negative value is a
-    parameter error."""
+    """Default guards, overridden by explicit flags; a negative guard, or
+    --jobs below 1, is a parameter error."""
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     overrides = {name: getattr(args, name) for name in ("max_n_betti", "max_enum")
                  if getattr(args, name) is not None}
     for name, value in overrides.items():
@@ -135,7 +137,7 @@ def _cmd_betti(args, guards):
                                       f"(q={q}, m={m}, r={r}, char={args.char})")
     verdict = srres.purity_verdict(table)
     report = _report(q, m, r, code=_code_obj(code), betti=table.to_json_obj(),
-                     purity=verdict.to_json_obj(), guards=guards)
+                     purity=dataclasses.asdict(verdict), guards=guards)
     lines = [f"graded Betti numbers of the [{code.n}, {code.k}]_{q} code:"]
     lines += [f"  beta_{{{i},{j}}} = {b}" for i, j, b in table.rows()]
     lines.append(f"  pure: {verdict.pure}" +
@@ -151,7 +153,7 @@ def _cmd_purity(args, guards):
     match = comp.verdict.pure == predicted
     report = _report(q, m, r, code=_code_obj(rm.build_code(q, r, m)),
                      betti=comp.table.to_json_obj(),
-                     purity=comp.verdict.to_json_obj(),
+                     purity=dataclasses.asdict(comp.verdict),
                      prediction={"pure_predicted": predicted},
                      match=match, guards=guards)
     text = (f"purity of (q={q}, m={m}, r={r}): computed {comp.verdict.pure}, "
@@ -380,6 +382,9 @@ def main(argv=None) -> int:
         return EXIT_PARAMS
     except TooLargeError as exc:
         _print_too_large(str(exc))
+        return EXIT_TOO_LARGE
+    except MemoryError as exc:           # an allocation no guard foresaw
+        _print_too_large(f"out of memory: {exc}" if str(exc) else "out of memory")
         return EXIT_TOO_LARGE
     except CertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)

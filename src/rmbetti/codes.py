@@ -1,5 +1,5 @@
 """Code-agnostic analytics: supports, shortening, generalized Hamming weights,
-support-minimal subcodes, MDS and nondegeneracy predicates.
+support-minimal subcodes and the MDS predicate.
 
 A code's matroid is its nullity table, dim C(W) for every coordinate set W,
 built by one of two kernels chosen from the sizes of the code.  When the
@@ -190,14 +190,6 @@ def _nullity_by_counting(code: LinearCode) -> np.ndarray:
     return dims
 
 
-def _check_enum(code: LinearCode, max_enum: int) -> None:
-    """Refuse, before anything is allocated, a code of more than max_enum words."""
-    total = code.gf.q ** code.k
-    if total > max_enum:
-        raise TooLargeError(
-            f"q^k = {total} exceeds the enumeration guard {max_enum}")
-
-
 def _span(gf: GF, rows) -> np.ndarray:
     """Every combination of the given rows, the zero word first; the word
     with coefficients c_i sits at index sum c_i q^i.  Filled in place, so
@@ -223,12 +215,6 @@ def _support_masks(words: np.ndarray) -> np.ndarray:
     return masks
 
 
-def enumerate_codewords(code: LinearCode, *, max_enum: int = MAX_ENUM) -> np.ndarray:
-    """All q**k codewords as rows (the zero word first); guarded."""
-    _check_enum(code, max_enum)
-    return _span(code.gf, code.G)
-
-
 def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     """Smallest weight of a nonzero codeword, by meet in the middle.
 
@@ -241,7 +227,9 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     """
     if code.k == 0:
         raise ParameterError("the zero code has no nonzero codeword")
-    _check_enum(code, max_enum)
+    if code.gf.q ** code.k > max_enum:
+        raise TooLargeError(
+            f"q^k = {code.gf.q ** code.k} exceeds the enumeration guard {max_enum}")
     gf, half = code.gf, (code.k + 1) // 2
     a = _span(gf, code.G[:half])
     lead_one = np.array([w for i in range(code.k - half)
@@ -253,23 +241,6 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
         block = a[None] != b[start:start + step, None]
         best = min(best, int(block.sum(axis=2, dtype=np.int32).min()))
     return best
-
-
-def minimal_codeword_supports(code: LinearCode) -> list[tuple[int, ...]]:
-    """Supports of nonzero codewords that contain no smaller codeword support."""
-    if code.n > MAX_TABLE_N:
-        raise TooLargeError(
-            f"support masks need n <= {MAX_TABLE_N}, n = {code.n}")
-    masks = np.unique(_support_masks(enumerate_codewords(code)))
-    masks = masks[masks != 0]
-    order = np.argsort([int(m).bit_count() for m in masks], kind="stable")
-    kept: list[int] = []
-    for mask in masks[order]:
-        mask = int(mask)
-        if not any(kmask & mask == kmask for kmask in kept):
-            kept.append(mask)
-    supports = [tuple(i for i in range(code.n) if mask >> i & 1) for mask in kept]
-    return sorted(supports, key=lambda s: (len(s), s))
 
 
 # -- generalized Hamming weights --------------------------------------------
@@ -450,11 +421,6 @@ def shrink_to_one_minimal(code: LinearCode, v) -> tuple[np.ndarray, int, int]:
         raise CrossCheckError(
             f"greedy shrink ended at shortened dimension {basis.shape[0]}, not 1")
     return basis[0], support_dim, basis.shape[0]
-
-
-def is_nondegenerate(code: LinearCode) -> bool:
-    """No coordinate vanishes on the whole code."""
-    return bool(code.G.any(axis=0).all()) if code.k else False
 
 
 def minimum_distance(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:

@@ -198,12 +198,6 @@ class GF:
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(self.vectors[int(a)].tolist())
 
-    def element_from_coeffs(self, coeffs) -> int:
-        c = list(coeffs)
-        if len(c) > self.e:
-            raise ValueError(f"coefficient vector longer than degree {self.e}")
-        return int(self.from_vectors(c + [0] * (self.e - len(c))))
-
     def from_vectors(self, v):
         """Elements whose coefficient vectors (last axis) are the integers v mod p."""
         return self._of_lex[np.asarray(v) % self.p @ self._lex_weights]

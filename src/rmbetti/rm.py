@@ -231,13 +231,7 @@ class ExponentPoly:
     def __sub__(self, other: "ExponentPoly") -> "ExponentPoly":
         return self + (-other)
 
-    def scaled(self, c: int) -> "ExponentPoly":
-        gf = self.gf
-        return self._like({e: gf.mul(c, v) for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
+    def __mul__(self, other: "ExponentPoly") -> "ExponentPoly":
         gf = self.gf
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
@@ -246,22 +240,9 @@ class ExponentPoly:
                 out[exps] = gf.add(out.get(exps, 0), gf.mul(c1, c2))
         return self._like(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "ExponentPoly":
-        if k < 0:
-            raise ParameterError("negative power of a polynomial")
-        out = ExponentPoly.constant(self.gf, self.m, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExponentPoly) and self.gf is other.gf
                 and self.m == other.m and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.gf.q, self.m, tuple(sorted(self.terms.items()))))
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
@@ -335,14 +316,6 @@ def interpolate(order: PointOrder, values) -> ExponentPoly:
     terms = {tuple(int(e) for e in idx): int(c)
              for idx, c in np.ndenumerate(t) if c}
     return ExponentPoly(gf, m, terms)
-
-
-def codeword_degree(order: PointOrder, values) -> int:
-    """Total degree of the interpolating reduced polynomial (-1 for zero).
-
-    A vector lies in the order-r code exactly when this is <= r.
-    """
-    return interpolate(order, values).total_degree()
 
 
 # -- the codes ---------------------------------------------------------------

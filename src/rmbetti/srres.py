@@ -66,6 +66,15 @@ def circuits(code: LinearCode) -> list[tuple[int, ...]]:
 # -- reduced simplicial homology ---------------------------------------------
 
 
+def _check_char(ell: int) -> None:
+    """Refuse homology coefficients other than a prime below 2^31; the bound
+    is checked first, so the primality test trial-divides below 2^16 only."""
+    if ell >= 1 << 31:
+        raise ParameterError(f"homology coefficients must be below 2^31, got {ell}")
+    if not is_prime(ell):
+        raise ParameterError(f"homology coefficients need a prime, got {ell}")
+
+
 def _boundary_complex(faces, ell: int) -> tuple[list[list[int]], list[list]]:
     """Faces by size and the boundary column of every face.
 
@@ -146,8 +155,7 @@ def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
     complex has a single dimension in degree -1 and any complex with a
     vertex has none there.  Each boundary map is ranked whole by _rank.
     """
-    if not is_prime(ell):
-        raise ParameterError(f"homology coefficients need a prime, got {ell}")
+    _check_char(ell)
     levels, columns = _boundary_complex(faces, ell)
     ranks = [_rank(level_columns, ell) for level_columns in columns] + [0]
     return {s - 1: len(levels[s]) - ranks[s] - ranks[s + 1]
@@ -157,7 +165,7 @@ def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
 # -- Betti tables ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BettiTable:
     """Sparse graded Betti numbers: entries maps (i, j) to beta_{i,j} >= 1."""
     n: int
@@ -172,10 +180,6 @@ class BettiTable:
         for (i, j) in self.entries:
             out.setdefault(i, []).append(j)
         return {i: tuple(sorted(js)) for i, js in out.items()}
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BettiTable) and self.n == other.n
-                and self.k == other.k and self.entries == other.entries)
 
     def to_json_obj(self) -> list[dict]:
         return [{"i": i, "j": j, "beta": b} for i, j, b in self.rows()]
@@ -235,8 +239,7 @@ def betti_hochster(code: LinearCode, ell: int = 2, symmetries=()) -> BettiTable:
     n = code.n
     if n > MAX_HOMOLOGY_N:
         raise TooLargeError(f"2^n restriction sweep needs n <= {MAX_HOMOLOGY_N}, n = {n}")
-    if not is_prime(ell):
-        raise ParameterError(f"homology coefficients need a prime, got {ell}")
+    _check_char(ell)
     reps, sizes = restriction_orbits(code, symmetries)
     levels, columns = _boundary_complex(
         np.flatnonzero(code.nullity_table() == 0), ell)
@@ -311,14 +314,6 @@ class PurityVerdict:
     type: tuple[int, ...] | None
     linear: bool
     violations: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "pure": self.pure,
-            "type": list(self.type) if self.type else None,
-            "linear": self.linear,
-            "violations": [[i, list(js)] for i, js in self.violations],
-        }
 
 
 def purity_verdict(table: BettiTable) -> PurityVerdict:

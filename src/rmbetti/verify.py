@@ -13,7 +13,7 @@ predicates, and never drops a row silently.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -403,7 +403,6 @@ class MdsCheck:
     mds_computed: bool | None
     match: bool | None
     ghw: tuple | None
-    ghw_formula: tuple | None
     ghw_matches_formula: bool | None
     shifts_consecutive: bool | None
 
@@ -436,15 +435,14 @@ def mds_check(q: int, m: int, r: int,
     except TooLargeError:
         computed = None
     match = None if computed is None else computed == predicted
-    ghw = ghw_formula = ghw_ok = consecutive = None
+    ghw = ghw_ok = consecutive = None
     if r == 1 and m >= 2 and code.n <= codes.MAX_TABLE_N:
         ghw = codes.ghw_profile(code)
-        ghw_formula = tuple(q ** m - q ** (m - i) if m - i >= 0 else q ** m
-                            for i in range(1, code.k + 1))
-        ghw_ok = ghw == ghw_formula
+        ghw_ok = ghw == tuple(q ** m - q ** (m - i) if m - i >= 0 else q ** m
+                              for i in range(1, code.k + 1))
         consecutive = all(ghw[i + 1] == ghw[i] + 1 for i in range(len(ghw) - 1))
     return MdsCheck(q, m, r, code.n, code.k, code.d, predicted, computed,
-                    match, ghw, ghw_formula, ghw_ok, consecutive)
+                    match, ghw, ghw_ok, consecutive)
 
 
 # -- the sweep ----------------------------------------------------------------
@@ -475,7 +473,7 @@ class SweepRow:
             "code": {"n": self.n, "k": self.k, "d": self.d},
             "ghw": list(mds.ghw) if mds and mds.ghw else None,
             "betti": None,
-            "purity": self.purity.to_json_obj() if self.purity else None,
+            "purity": asdict(self.purity) if self.purity else None,
             "certificate": self.certificate,
             "prediction": {"pure_predicted": self.pure_predicted,
                            "mds_predicted": mds.mds_predicted if mds else None},
@@ -551,10 +549,11 @@ def sweep(q: int, m: int, rs=None, *, guards: Guards = DEFAULT_GUARDS,
     """Run every (q, m, r) row in increasing r.
 
     methods picks the routes from SWEEP_METHODS that each row runs.  rs =
-    None sweeps all 0 <= r <= m(q-1); jobs > 1 distributes rows over
-    processes, which cannot change the output (rows are independent and
-    reassembled in order).  The point grid is checked before any row is
-    listed, so an oversized (q, m) is refused without listing m(q-1)+1 rows.
+    None sweeps all 0 <= r <= m(q-1); jobs > 1 distributes rows over at
+    most one process per row, which cannot change the output (rows are
+    independent and reassembled in order).  The point grid is checked
+    before any row is listed, so an oversized (q, m) is refused without
+    listing m(q-1)+1 rows.
     """
     unknown = sorted(set(methods) - set(SWEEP_METHODS))
     if unknown:
@@ -569,7 +568,7 @@ def sweep(q: int, m: int, rs=None, *, guards: Guards = DEFAULT_GUARDS,
         rm.validate_params(q, r, m)
         tasks.append((q, m, r, guards, tuple(methods)))
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = tuple(pool.map(_sweep_row, tasks))
     else:
         rows = tuple(_sweep_row(t) for t in tasks)

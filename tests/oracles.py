@@ -230,32 +230,58 @@ def monomial_row(gf, order, exps):
     return ExponentPoly(gf, order.m, {tuple(exps): 1}).evaluate(order)
 
 
-def min_weight_enumerated(gf, generator):
-    """Minimum weight of a nonzero codeword by the plain scan: each of the
-    q^k information vectors is multiplied into the generator rows one scalar
-    field operation at a time, and its nonzero coordinates counted."""
+def _codewords(gf, generator):
+    """Every combination of the generator rows as a list, the zero word
+    first: each of the q^k information vectors (itertools.product order) is
+    multiplied into the rows one scalar field operation at a time."""
     add, mul, _, _ = _scalar_tables(gf)
     rows = [[int(x) for x in row] for row in generator]
-    best = None
     for info in itertools.product(range(gf.q), repeat=len(rows)):
-        if not any(info):
-            continue
         word = [0] * len(rows[0])
         for c, row in zip(info, rows):
             word = [add[x][mul[c][y]] for x, y in zip(word, row)]
-        wt = sum(1 for x in word if x)
-        best = wt if best is None else min(best, wt)
-    return best
+        yield word
+
+
+def min_weight_enumerated(gf, generator):
+    """Minimum weight of a nonzero codeword by the plain scan of every word."""
+    words = _codewords(gf, generator)
+    next(words)                                   # the zero word
+    return min(sum(1 for x in word if x) for word in words)
+
+
+def enumerate_codewords(code):
+    """All q^k codewords of a LinearCode as the rows of an array, the zero
+    word first."""
+    return np.array(list(_codewords(code.gf, code.G)), dtype=code.gf.dtype)
+
+
+def minimal_codeword_supports(code):
+    """Supports of nonzero codewords that contain no other nonzero
+    codeword's support, sorted by (size, indices): the circuits of the
+    code's matroid, found from the words alone."""
+    supports = {frozenset(j for j, x in enumerate(word) if x)
+                for word in _codewords(code.gf, code.G)} - {frozenset()}
+    minimal = [s for s in supports if not any(t < s for t in supports)]
+    return sorted((tuple(sorted(s)) for s in minimal), key=lambda s: (len(s), s))
 
 
 # -- explicit codewords, built symbolically --------------------------------
+
+
+def power(f, k):
+    """f multiplied by itself k times; the constant 1 for k = 0."""
+    out = ExponentPoly.constant(f.gf, f.m, 1)
+    for _ in range(k):
+        out = out * f
+    return out
 
 
 def _coordinate_indicator(gf, m, var, value):
     """1 - (X_var - value)^(q-1): one at points with that coordinate, else zero."""
     x = ExponentPoly.variable(gf, m, var)
     shifted = x - ExponentPoly.constant(gf, m, value)
-    return ExponentPoly.constant(gf, m, 1) - shifted ** (gf.q - 1)
+    return ExponentPoly.constant(gf, m, 1) - power(shifted, gf.q - 1)
 
 
 def min_weight_poly_symbolic(q, r, m, *, scale=1, pinned=None, excluded=None):
@@ -311,7 +337,7 @@ def witness_poly_large_field_symbolic(q, m, r):
     f = ExponentPoly.constant(gf, m, 1)
     for i in range(t - 1):
         x = ExponentPoly.variable(gf, m, i)
-        f = f * (x ** (q - 1) - ExponentPoly.constant(gf, m, 1))
+        f = f * (power(x, q - 1) - ExponentPoly.constant(gf, m, 1))
     for j in range(2, q):
         f = f * (ExponentPoly.variable(gf, m, t - 1)
                  - ExponentPoly.constant(gf, m, elems[j]))
@@ -337,7 +363,7 @@ def witness_poly_ternary_symbolic(m, r):
     f = ExponentPoly.constant(gf, m, 1)
     for i in range(t - 1):
         x = ExponentPoly.variable(gf, m, i)
-        f = f * (x ** 2 - ExponentPoly.constant(gf, m, 1))
+        f = f * (power(x, 2) - ExponentPoly.constant(gf, m, 1))
     for var in (t - 1, t, t + 1):
         f = f * (ExponentPoly.variable(gf, m, var)
                  - ExponentPoly.constant(gf, m, third))

@@ -194,6 +194,44 @@ def test_dim_ranks_the_generator_matrix_of_long_codes(m, k):
     assert report["match"] is True
 
 
+def test_out_of_memory_exits_3_with_one_line():
+    # the half-span of 16^11 words of 256 bytes (4 PiB) fails to allocate
+    # when --max-enum lets the enumeration through
+    proc = run_bounded("distance --q 16 --m 2 --r 5 --max-enum 1" + "0" * 40)
+    assert_refused_too_large(proc)
+    assert "out of memory" in proc.stderr
+
+
+def test_homology_char_bounded_before_the_primality_test(monkeypatch, capsys):
+    tested = []
+    monkeypatch.setattr(srres, "is_prime", lambda n: tested.append(n) or True)
+    argv = "betti --q 2 --m 2 --r 1 --backend homology --char 1000000000000000003"
+    assert cli.main(argv.split()) == 2
+    assert tested == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_largest_admitted_char_answers_like_char_2(capsys):
+    outputs = []
+    for char in ("2", "2147483647"):
+        assert cli.main(["betti", "--q", "2", "--m", "2", "--r", "1", "--backend",
+                         "homology", "--char", char, "--output", "json",
+                         "--no-timing"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["betti"][-1] == {"i": 3, "j": 4, "beta": 3}
+
+
+@pytest.mark.parametrize("argv", ["verify-theorem --q 3 --m 2 --r-all --jobs 0",
+                                  "dim --q 2 --m 2 --r 1 --jobs -4"])
+def test_jobs_below_one_exits_2(argv, capsys):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --jobs must be >= 1, got {argv.split()[-1]}"]
+
+
 @pytest.mark.parametrize("argv,exit_code", [
     ("verify-mds --q 9 --m 2 --r 8 --max-enum 100", 3),
     ("verify-theorem --q 3 --m 2 --r-all --max-n-betti 0 --method betti", 3),

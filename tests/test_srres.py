@@ -12,7 +12,7 @@ from rmbetti.bits import subset_sum_accumulate
 from rmbetti.gf import is_prime
 
 from oracles import (alternating_sum, betti_sweep_gf2, code_from_rows,
-                     proj_dim, rref_scalar)
+                     minimal_codeword_supports, proj_dim, rref_scalar)
 
 
 def test_even_weight_betti_table_against_independent_oracle():
@@ -107,7 +107,7 @@ def test_circuits_examples():
 def test_circuits_equal_minimal_codeword_supports():
     for (q, r, m) in [(3, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (2, 1, 4)]:
         code = rb.build_code(q, r, m)
-        assert rb.circuits(code) == rb.minimal_codeword_supports(code)
+        assert rb.circuits(code) == minimal_codeword_supports(code)
 
 
 # -- homology conventions -------------------------------------------------------

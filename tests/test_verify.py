@@ -8,7 +8,7 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CertificateError, ParameterError, PreconditionError,
-                     TooLargeError, cli, codes, linalg, rm, srres)
+                     TooLargeError, cli, codes, linalg, rm, srres, verify)
 
 
 def test_purity_predicate_examples():
@@ -302,6 +302,31 @@ def test_sweep_jobs_do_not_change_rows():
                  for report in (seq, par)]
     assert rows_json[0] == rows_json[1]
     assert seq.all_match == par.all_match
+
+
+@pytest.mark.parametrize("jobs,workers", [(2, 2), (5, 5), (100_000, 5)])
+def test_sweep_starts_at_most_one_worker_per_row(monkeypatch, jobs, workers):
+    # a stand-in pool records max_workers and maps in-process, so a large
+    # --jobs is checked without starting a single worker
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    report = rb.sweep(3, 2, jobs=jobs)                 # 5 rows
+    assert started == [workers]
+    assert report.rows == rb.sweep(3, 2).rows
 
 
 def test_constructed_certificates_never_fail_silently(monkeypatch):
