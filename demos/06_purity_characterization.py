@@ -24,17 +24,17 @@ print("all rows match:", report.all_match)
 
 # The certificate route in detail for the s = 1 instance above.
 cert = rb.non_purity_certificate(4, 2, 4)
-print(f"\ncertificate for (q=4, m=2, r=4): witness weight {cert.weight} "
-      f"(expected {cert.formula_weight}), minimum distance {cert.d1}")
-print(f"shrunk word: weight {cert.one_minimal_weight}, "
-      f"shortened dimension {cert.one_minimal_shortened_dim}")
-print("witness support's own shortened dimension:", cert.support_shortened_dim)
+print(f"\ncertificate for (q=4, m=2, r=4): witness weight {cert['weight']} "
+      f"(expected {cert['formula_weight']}), minimum distance {cert['d1']}")
+print(f"shrunk word: weight {cert['one_minimal_weight']}, "
+      f"shortened dimension {cert['one_minimal_shortened_dim']}")
+print("witness support's own shortened dimension:", cert["support_shortened_dim"])
 print("independent re-check:", rb.check_certificate(cert).ok)
 
 # The ternary variant needs three free variables (t <= m - 2).
 cert3 = rb.non_purity_certificate(3, 3, 3)
-print(f"\nternary certificate (q=3, m=3, r=3): weight {cert3.weight} > "
-      f"d_1 = {cert3.d1}; re-check {rb.check_certificate(cert3).ok}")
+print(f"\nternary certificate (q=3, m=3, r=3): weight {cert3['weight']} > "
+      f"d_1 = {cert3['d1']}; re-check {rb.check_certificate(cert3).ok}")
 
 # MDS characterization on a small family: exactly r = 0 and the top band.
 print("\nMDS sweep for q = 3, m = 2:")

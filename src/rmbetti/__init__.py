@@ -29,10 +29,9 @@ from .rm import (ExponentPoly, PointOrder, RMCode, build_code, dim_assmus_key,
 from .srres import (BettiTable, PurityVerdict, betti_fastpath, betti_hochster,
                     circuits, ghw_from_betti, herzog_kuhl_predicted,
                     purity_verdict, reduced_homology_dims)
-from .verify import (DEFAULT_GUARDS, Guards, MdsCheck, NonPurityCertificate,
-                     SweepReport, SweepRow, certificate_witness,
-                     check_certificate, mds_check, mds_predicate,
-                     non_purity_certificate, purity_by_betti,
+from .verify import (DEFAULT_GUARDS, Guards, MdsCheck, SweepReport, SweepRow,
+                     certificate_witness, check_certificate, mds_check,
+                     mds_predicate, non_purity_certificate, purity_by_betti,
                      purity_predicate, sweep)
 
 __version__ = "0.1.0"

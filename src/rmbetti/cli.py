@@ -123,6 +123,7 @@ def _cmd_ghw(args, guards):
 
 def _cmd_betti(args, guards):
     q, m, r = args.q, args.m, args.r
+    srres.check_char(args.char)      # on every backend, fast included
     code = rm.build_code(q, r, m)
     if code.n > guards.max_n_betti:
         raise TooLargeError(f"n = {code.n} exceeds Betti guard {guards.max_n_betti}")
@@ -166,13 +167,13 @@ def _cmd_certificate(args, guards):
     cert = verify.non_purity_certificate(q, m, r, guards)
     check = verify.check_certificate(cert, guards)
     report = _report(q, m, r,
-                     code={"n": cert.n, "k": cert.k, "d": cert.d1},
-                     certificate=cert.to_json_dict(),
+                     code={"n": cert["n"], "k": cert["k"], "d": cert["d1"]},
+                     certificate=cert,
                      prediction={"pure_predicted": verify.purity_predicate(q, m, r)},
                      match=check.ok, guards=guards)
     text = (f"non-purity certificate for (q={q}, m={m}, r={r}): "
-            f"witness weight {cert.weight} > d_1 = {cert.d1}; "
-            f"1-minimal weight {cert.one_minimal_weight}; "
+            f"witness weight {cert['weight']} > d_1 = {cert['d1']}; "
+            f"1-minimal weight {cert['one_minimal_weight']}; "
             f"re-check {'passed' if check.ok else 'FAILED: ' + ', '.join(check.reasons)}")
     return report, text, None, EXIT_OK if check.ok else EXIT_VERIFICATION
 

@@ -66,7 +66,7 @@ def circuits(code: LinearCode) -> list[tuple[int, ...]]:
 # -- reduced simplicial homology ---------------------------------------------
 
 
-def _check_char(ell: int) -> None:
+def check_char(ell: int) -> None:
     """Refuse homology coefficients other than a prime below 2^31; the bound
     is checked first, so the primality test trial-divides below 2^16 only."""
     if ell >= 1 << 31:
@@ -155,7 +155,7 @@ def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
     complex has a single dimension in degree -1 and any complex with a
     vertex has none there.  Each boundary map is ranked whole by _rank.
     """
-    _check_char(ell)
+    check_char(ell)
     levels, columns = _boundary_complex(faces, ell)
     ranks = [_rank(level_columns, ell) for level_columns in columns] + [0]
     return {s - 1: len(levels[s]) - ranks[s] - ranks[s + 1]
@@ -239,7 +239,7 @@ def betti_hochster(code: LinearCode, ell: int = 2, symmetries=()) -> BettiTable:
     n = code.n
     if n > MAX_HOMOLOGY_N:
         raise TooLargeError(f"2^n restriction sweep needs n <= {MAX_HOMOLOGY_N}, n = {n}")
-    _check_char(ell)
+    check_char(ell)
     reps, sizes = restriction_orbits(code, symmetries)
     levels, columns = _boundary_complex(
         np.flatnonzero(code.nullity_table() == 0), ell)

@@ -13,7 +13,7 @@ predicates, and never drops a row silently.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,101 +96,6 @@ def purity_by_betti(q: int, m: int, r: int,
 # -- certificates -------------------------------------------------------------
 
 
-# the certificate fields that hold integer arrays
-ARRAY_FIELDS = ("codeword", "one_minimal_word", "generator_matrix",
-                "parity_check_matrix")
-
-
-@dataclass(frozen=True, eq=False)
-class NonPurityCertificate:
-    """Everything needed to re-verify non-purity without rebuilding the code.
-
-    The witness codeword beats the minimum distance; its greedily shrunk
-    support carries a 1-dimensional shortened code that still beats it, so
-    some support-minimal subcode is heavier than its generalized Hamming
-    weight.  support_shortened_dim records the shortened dimension of the
-    witness's own support (1 would mean the witness span is itself
-    support-minimal) without asserting a value.
-
-    The ARRAY_FIELDS are read-only integer arrays: G and H are the code's
-    own frozen matrices, not copies.  to_json_dict returns them as those
-    arrays, and the CLI's JSON writer writes them; from_json_dict reads
-    them back as nested tuples, unchecked, so that a malformed file reaches
-    check_certificate as reasons rather than exceptions.  Equality compares
-    the array fields by value, so a certificate equals its round trip.
-    """
-    q: int
-    m: int
-    r: int
-    t: int
-    s: int
-    case: int
-    n: int
-    k: int
-    field_char: int
-    field_degree: int
-    field_modulus: tuple
-    witness_terms: tuple
-    codeword: np.ndarray | tuple
-    support: tuple
-    weight: int
-    formula_weight: int
-    d1: int
-    d1_source: str
-    d1_bruteforce: int | None
-    one_minimal_word: np.ndarray | tuple
-    one_minimal_support: tuple
-    one_minimal_weight: int
-    support_shortened_dim: int
-    one_minimal_shortened_dim: int
-    generator_matrix: np.ndarray | tuple
-    parity_check_matrix: np.ndarray | tuple
-    checks: tuple
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NonPurityCertificate):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   if f.name in ARRAY_FIELDS
-                   else getattr(self, f.name) == getattr(other, f.name)
-                   for f in fields(self))
-
-    def to_json_dict(self) -> dict:
-        """Keys in field order; the field_* fields nest under "field" and
-        witness_terms is written as "witness_poly".  Arrays and tuples pass
-        through: json writes a tuple as a list."""
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "witness_terms":
-                value = [{"exponents": list(e), "coeff": c} for e, c in value]
-            elif f.name == "checks":
-                value = dict(value)
-            if f.name.startswith("field_"):
-                out.setdefault("field", {})[f.name[len("field_"):]] = value
-            else:
-                out["witness_poly" if f.name == "witness_terms" else f.name] = value
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NonPurityCertificate":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name.startswith("field_"):
-                value = obj["field"][f.name[len("field_"):]]
-            else:
-                value = obj["witness_poly" if f.name == "witness_terms" else f.name]
-            if f.name == "witness_terms":
-                value = tuple((tuple(t["exponents"]), t["coeff"]) for t in value)
-            elif f.name == "checks":
-                value = tuple(value.items())
-            elif isinstance(value, list):
-                value = (tuple(tuple(row) for row in value)
-                         if value and isinstance(value[0], list) else tuple(value))
-            kwargs[f.name] = value
-        return cls(**kwargs)
-
-
 def certificate_witness(q: int, m: int, r: int) -> tuple[int, list, int] | None:
     """(case, roots, formula_weight) of the witness for (q, m, r), or None
     outside the s = 1 band (invalid parameters included).
@@ -219,9 +124,23 @@ def certificate_witness(q: int, m: int, r: int) -> tuple[int, list, int] | None:
             2 * (q - 2) * q ** (m - t - 1))
 
 
+def _field_obj(gf) -> dict:
+    return {"char": gf.p, "degree": gf.e, "modulus": list(gf.modulus)}
+
+
 def non_purity_certificate(q: int, m: int, r: int,
-                           guards: Guards = DEFAULT_GUARDS) -> NonPurityCertificate:
-    """Build and internally verify a certificate of non-purity.
+                           guards: Guards = DEFAULT_GUARDS) -> dict:
+    """Build and internally verify a certificate of non-purity: the JSON
+    object that re-verifies it without rebuilding the code.
+
+    The witness codeword beats the minimum distance; its greedily shrunk
+    support carries a 1-dimensional shortened code that still beats it, so
+    some support-minimal subcode is heavier than its generalized Hamming
+    weight.  support_shortened_dim records the shortened dimension of the
+    witness's own support (1 would mean the witness span is itself
+    support-minimal) without asserting a value.  The two words and the
+    matrices are read-only integer arrays: G and H are the code's own
+    frozen matrices, not copies.
 
     Raises PreconditionError when the witness construction does not apply
     and CertificateError if any of its own checks fails (which would be
@@ -249,44 +168,46 @@ def non_purity_certificate(q: int, m: int, r: int,
     shrunk, sigma_dim, shrunk_dim = codes.shrink_to_one_minimal(code, word)
     shrunk_support = codes.support(shrunk)
 
-    checks = (
-        ("witness_degree_is_r", witness.total_degree() == r),
-        ("codeword_in_code", code.contains(word)),
-        ("weight_matches_formula", wt == formula_weight),
-        ("weight_exceeds_d1", wt > d1),
-        ("d1_bruteforce_agrees", d1_brute is None or d1_brute == d1),
-        ("shrunk_word_in_code", code.contains(shrunk)),
-        ("shrunk_support_inside_witness", set(shrunk_support) <= set(sigma)),
-        ("one_minimal_dim_is_1", shrunk_dim == 1),
-        ("one_minimal_weight_exceeds_d1", len(shrunk_support) > d1),
-    )
-    failed = [name for name, ok in checks if not ok]
+    checks = {
+        "witness_degree_is_r": witness.total_degree() == r,
+        "codeword_in_code": code.contains(word),
+        "weight_matches_formula": wt == formula_weight,
+        "weight_exceeds_d1": wt > d1,
+        "d1_bruteforce_agrees": d1_brute is None or d1_brute == d1,
+        "shrunk_word_in_code": code.contains(shrunk),
+        "shrunk_support_inside_witness": set(shrunk_support) <= set(sigma),
+        "one_minimal_dim_is_1": shrunk_dim == 1,
+        "one_minimal_weight_exceeds_d1": len(shrunk_support) > d1,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise CertificateError(
             f"certificate checks failed for (q={q}, m={m}, r={r}): {failed}")
     word.setflags(write=False)
     shrunk.setflags(write=False)
 
-    return NonPurityCertificate(
-        q=q, m=m, r=r, t=t, s=s, case=case, n=code.n, k=code.k,
-        witness_terms=tuple(witness.sorted_terms()),
-        codeword=word,
-        support=sigma,
-        weight=wt,
-        formula_weight=formula_weight,
-        d1=d1,
-        d1_source="formula+bruteforce" if within_enum else "formula",
-        d1_bruteforce=d1_brute,
-        one_minimal_word=shrunk,
-        one_minimal_support=shrunk_support,
-        one_minimal_weight=len(shrunk_support),
-        support_shortened_dim=sigma_dim,
-        one_minimal_shortened_dim=shrunk_dim,
-        generator_matrix=code.G,
-        parity_check_matrix=code.H,
-        field_char=gf.p, field_degree=gf.e, field_modulus=gf.modulus,
-        checks=checks,
-    )
+    return {
+        "q": q, "m": m, "r": r, "t": t, "s": s, "case": case,
+        "n": code.n, "k": code.k,
+        "field": _field_obj(gf),
+        "witness_poly": [{"exponents": list(e), "coeff": c}
+                         for e, c in witness.sorted_terms()],
+        "codeword": word,
+        "support": sigma,
+        "weight": wt,
+        "formula_weight": formula_weight,
+        "d1": d1,
+        "d1_source": "formula+bruteforce" if within_enum else "formula",
+        "d1_bruteforce": d1_brute,
+        "one_minimal_word": shrunk,
+        "one_minimal_support": shrunk_support,
+        "one_minimal_weight": len(shrunk_support),
+        "support_shortened_dim": sigma_dim,
+        "one_minimal_shortened_dim": shrunk_dim,
+        "generator_matrix": code.G,
+        "parity_check_matrix": code.H,
+        "checks": checks,
+    }
 
 
 @dataclass(frozen=True)
@@ -298,9 +219,11 @@ class CertificateCheck:
         return self.ok
 
 
-def check_certificate(cert: NonPurityCertificate,
+def check_certificate(cert: dict,
                       guards: Guards = DEFAULT_GUARDS) -> CertificateCheck:
-    """Re-verify a certificate from scratch; collects every failing reason."""
+    """Re-verify a certificate from scratch, as built or as read back from
+    its JSON (lists where the builder put tuples or arrays); collects every
+    failing reason."""
     reasons: list[str] = []
 
     def flag(reason: str, ok: bool) -> bool:
@@ -309,20 +232,19 @@ def check_certificate(cert: NonPurityCertificate,
         return ok
 
     # every later check reads the code that these parameters build
-    q, m, r = cert.q, cert.m, cert.r
+    q, m, r = cert["q"], cert["m"], cert["r"]
     planned = certificate_witness(q, m, r)
     gf = field(q) if planned is not None else None
     if not flag("params", gf is not None
-                and rm.ts_split(q, r) == (cert.t, cert.s)
-                and (gf.p, gf.e, gf.modulus) == (cert.field_char, cert.field_degree,
-                                                 tuple(cert.field_modulus))):
+                and rm.ts_split(q, r) == (cert["t"], cert["s"])
+                and cert["field"] == _field_obj(gf)):
         return CertificateCheck(False, tuple(reasons))
 
     # shape and range are checked on the raw integers, before the narrow cast
     try:
-        raw = [np.array(a, dtype=np.int64) for a in (
-            cert.generator_matrix, cert.parity_check_matrix, cert.codeword,
-            cert.one_minimal_word)]
+        raw = [np.array(cert[name], dtype=np.int64) for name in (
+            "generator_matrix", "parity_check_matrix", "codeword",
+            "one_minimal_word")]
     except OverflowError:               # beyond int64, so outside 0..q-1 too
         return CertificateCheck(False, ("entry_range",))
     except (TypeError, ValueError):     # ragged rows or non-integer entries
@@ -343,8 +265,9 @@ def check_certificate(cert: NonPurityCertificate,
     flag("parity_mismatch", linalg.row_space_equal(gf, H, code.H))
 
     try:
-        witness = rm.ExponentPoly(gf, m, dict(cert.witness_terms))
-    except (ParameterError, TypeError, ValueError):
+        witness = rm.ExponentPoly(gf, m, {tuple(term["exponents"]): term["coeff"]
+                                          for term in cert["witness_poly"]})
+    except (KeyError, ParameterError, TypeError, ValueError):
         witness = None
     if flag("witness_terms", witness is not None):
         flag("witness_degree", witness.total_degree() == r)
@@ -354,36 +277,35 @@ def check_certificate(cert: NonPurityCertificate,
     member_shrunk = not np.any(linalg.matvec(gf, H, shrunk))
     flag("membership", member_word and member_shrunk)
 
-    flag("support_mismatch", codes.support(word) == tuple(cert.support)
-         and codes.support(shrunk) == tuple(cert.one_minimal_support))
-    flag("weight_mismatch", codes.weight(word) == cert.weight
-         and codes.weight(shrunk) == cert.one_minimal_weight)
+    support, shrunk_support = tuple(cert["support"]), tuple(cert["one_minimal_support"])
+    flag("support_mismatch", codes.support(word) == support
+         and codes.support(shrunk) == shrunk_support)
+    flag("weight_mismatch", codes.weight(word) == cert["weight"]
+         and codes.weight(shrunk) == cert["one_minimal_weight"])
 
     case, _, formula_weight = planned
-    flag("weight_formula", case == cert.case
-         and formula_weight == cert.formula_weight == cert.weight)
+    flag("weight_formula", case == cert["case"]
+         and formula_weight == cert["formula_weight"] == cert["weight"])
 
     d1 = rm.min_distance_formula(q, r, m)
-    flag("d1_mismatch", d1 == cert.d1)
+    flag("d1_mismatch", d1 == cert["d1"])
     if gf.q ** k <= guards.max_enum:
         brute = codes.min_weight_bruteforce(code, max_enum=guards.max_enum)
         flag("d1_bruteforce", brute == d1
-             and cert.d1_bruteforce in (None, brute))
+             and cert["d1_bruteforce"] in (None, brute))
 
-    flag("not_above_d1", cert.weight > d1)
-    flag("one_minimal_not_above_d1", cert.one_minimal_weight > d1)
+    flag("not_above_d1", cert["weight"] > d1)
+    flag("one_minimal_not_above_d1", cert["one_minimal_weight"] > d1)
 
-    flag("support_containment",
-         set(cert.one_minimal_support) <= set(cert.support))
+    flag("support_containment", set(shrunk_support) <= set(support))
     # a coordinate outside 0..n-1 is already a support_mismatch
-    if all(0 <= c < n for c in (*cert.support, *cert.one_minimal_support)):
-        measured_shrunk = codes.shortened_dim(code, cert.one_minimal_support)
-        measured_sigma = (measured_shrunk
-                          if tuple(cert.support) == tuple(cert.one_minimal_support)
-                          else codes.shortened_dim(code, cert.support))
+    if all(0 <= c < n for c in (*support, *shrunk_support)):
+        measured_shrunk = codes.shortened_dim(code, shrunk_support)
+        measured_sigma = (measured_shrunk if support == shrunk_support
+                          else codes.shortened_dim(code, support))
         flag("one_minimal_dim", measured_shrunk == 1
-             and cert.one_minimal_shortened_dim == 1)
-        flag("shortened_dim_mismatch", measured_sigma == cert.support_shortened_dim)
+             and cert["one_minimal_shortened_dim"] == 1)
+        flag("shortened_dim_mismatch", measured_sigma == cert["support_shortened_dim"])
 
     return CertificateCheck(not reasons, tuple(reasons))
 
@@ -510,7 +432,7 @@ def _sweep_row(args) -> SweepRow:
     if "certificate" in methods and certificate_witness(q, m, r) is not None:
         cert = non_purity_certificate(q, m, r, guards)
         certificate_ok = bool(check_certificate(cert, guards))
-        certificate = {name: getattr(cert, name) for name in CERTIFICATE_SUMMARY}
+        certificate = {name: cert[name] for name in CERTIFICATE_SUMMARY}
         certificate["check_passed"] = certificate_ok
 
     mds = mds_check(q, m, r, guards) if "mds" in methods else None

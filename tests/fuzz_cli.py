@@ -1,4 +1,4 @@
-"""Fuzz the CLI with the cli_argv strategy of test_cli.py, outside tier-1.
+"""Fuzz the CLI with the cli_argv strategy of test_cli.py.
 
     PYTHONPATH=src python tests/fuzz_cli.py [EXAMPLES [SEED]]
 
@@ -6,18 +6,20 @@ Draws EXAMPLES argument lists (default 1000) from a random seed (default 0),
 runs each through cli.main in process, and prints the count of every exit
 code, the wall time and each input that ended outside the documented exit
 codes or raised.  Every `betti` draw also gets a `--backend` (fast,
-homology or both) and a `--char` (2, 3, 5, 4 or 0); exit 5, a disagreement
-between two routes, is a finding on any input.  Some draws (64 of the 1000
-at seed 0) are malformed: an unknown or missing first token, `-h` at any
-place, or one of --q, --m and --r (or --r-all) dropped.  argparse ends
-those with SystemExit, whose code is counted apart as an argparse exit; one
-other than 0 (help) or 2 (usage error) is a finding.  Every
-`certificate ... --output=json` that exits 0 is read back through
-NonPurityCertificate.from_json_dict and re-checked with check_certificate
-under the report's own guards; a failed re-check is a finding too.  So is
-JSON stdout that json.dumps(json.loads(out), indent=2) does not write back
-byte for byte.  Exits 1 if there was any finding.  pytest does not collect
-this file; the tier-1 test draws 50 fixed inputs from cli_argv itself.
+homology or both) and a `--char` (2, 3, 5, 4 or 0); 4 and 0 exit 2 on
+every backend, and exit 5, a disagreement between two routes, is a finding
+on any input.  Some draws (64 of the 1000 at seed 0) are malformed: an
+unknown or missing first token, `-h` at any place, or one of --q, --m and
+--r (or --r-all) dropped.  argparse ends those with SystemExit, whose code
+is counted apart as an argparse exit; one other than 0 (help) or 2 (usage
+error) is a finding.  The `certificate` object of every
+`certificate ... --output=json` that exits 0 is re-checked, as json.loads
+reads it, with check_certificate under the report's own guards; a failed
+re-check is a finding too.  So is JSON stdout that
+json.dumps(json.loads(out), indent=2) does not write back byte for byte.
+Exits 1 if there was any finding.  pytest does not collect this file:
+test_cli.py runs main(["300", "0"]) and asserts that it finds nothing and
+re-checks at least one certificate, beside its own 50 fixed draws.
 """
 
 import collections
@@ -101,8 +103,7 @@ def main(argv: list[str]) -> int:
             report = json.loads(stdout)
             guards = verify.Guards(report["guards"]["max_n_betti"],
                                    report["guards"]["max_enum"])
-            cert = verify.NonPurityCertificate.from_json_dict(report["certificate"])
-            check = verify.check_certificate(cert, guards)
+            check = verify.check_certificate(report["certificate"], guards)
             rechecked.append(args)
             if not check.ok:
                 bad.append(("RE-CHECK FAILED", args, ", ".join(check.reasons)))

@@ -11,6 +11,7 @@ the symbolic way, as sums and powers of ExponentPoly, with no root lists.
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -264,6 +265,12 @@ def minimal_codeword_supports(code):
                 for word in _codewords(code.gf, code.G)} - {frozenset()}
     minimal = [s for s in supports if not any(t < s for t in supports)]
     return sorted((tuple(sorted(s)) for s in minimal), key=lambda s: (len(s), s))
+
+
+def certificate_json(cert):
+    """A certificate's JSON text: two certificates are equal when it is,
+    whether either holds arrays, tuples or the lists json.load gives."""
+    return json.dumps(cert, default=np.ndarray.tolist)
 
 
 # -- explicit codewords, built symbolically --------------------------------

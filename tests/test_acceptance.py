@@ -14,7 +14,6 @@ weights 8 and 24 -- (3,3,3) and (3,4,3) -- are verified in the companion
 test.
 """
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -285,12 +284,12 @@ def test_nonpurity_certificates_stated_rows(q, m, r):
     if rb.certificate_witness(q, m, r) is not None:
         cert = rb.non_purity_certificate(q, m, r)
         if q == 3:
-            assert cert.weight == 8 * 3 ** (m - t - 2)
+            assert cert["weight"] == 8 * 3 ** (m - t - 2)
         else:
-            assert cert.weight == 2 * (q - 2) * q ** (m - t - 1)
-        assert cert.one_minimal_weight > cert.d1
+            assert cert["weight"] == 2 * (q - 2) * q ** (m - t - 1)
+        assert cert["one_minimal_weight"] > cert["d1"]
         assert rb.check_certificate(cert).ok
-        wt, d1, how = cert.weight, cert.d1, "re-check passed"
+        wt, d1, how = cert["weight"], cert["d1"], "re-check passed"
     else:
         assert s == 0, (q, m, r)
         with pytest.raises(rb.PreconditionError):
@@ -331,7 +330,7 @@ def test_shrink_matches_restart_oracle():
         for m in (2, 3, 4):
             for r in range(m * (q - 1) + 1):
                 if q ** m <= 81 and rb.certificate_witness(q, m, r) is not None:
-                    words.append(((q, m, r), rb.non_purity_certificate(q, m, r).codeword))
+                    words.append(((q, m, r), rb.non_purity_certificate(q, m, r)["codeword"]))
     for q, m, r in [(3, 2, 2), (4, 2, 3)]:
         words.append(((q, m, r), _s0_witness(q, m, r).evaluate(rb.build_code(q, r, m).order)))
     rng = np.random.default_rng(19)
@@ -360,10 +359,10 @@ def test_shrink_matches_restart_oracle():
 def test_nonpurity_certificates_ternary_s1_instances(q, m, r, wt, d1):
     started = time.monotonic()
     cert = rb.non_purity_certificate(q, m, r)
-    assert cert.case == 2
-    assert cert.weight == cert.formula_weight == wt
-    assert cert.d1 == d1
-    assert cert.one_minimal_weight > d1
+    assert cert["case"] == 2
+    assert cert["weight"] == cert["formula_weight"] == wt
+    assert cert["d1"] == d1
+    assert cert["one_minimal_weight"] > d1
     assert rb.check_certificate(cert).ok
     elapsed = time.monotonic() - started
     assert elapsed < 10
@@ -373,12 +372,11 @@ def test_nonpurity_certificates_ternary_s1_instances(q, m, r, wt, d1):
 
 def test_certificate_negative_controls():
     cert = rb.non_purity_certificate(4, 2, 4)
-    tampered = rb.check_certificate(dataclasses.replace(cert, d1=cert.d1 + 1))
+    tampered = rb.check_certificate({**cert, "d1": cert["d1"] + 1})
     assert not tampered.ok and "d1_mismatch" in tampered.reasons
-    unit = [0] * cert.n
+    unit = [0] * cert["n"]
     unit[0] = 1
-    broken = rb.check_certificate(
-        dataclasses.replace(cert, one_minimal_word=tuple(unit)))
+    broken = rb.check_certificate({**cert, "one_minimal_word": tuple(unit)})
     assert not broken.ok and "membership" in broken.reasons
     _ok("certificate negative controls",
         "tampered d1 and non-codeword both rejected with reasons")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -212,6 +213,30 @@ def test_homology_char_bounded_before_the_primality_test(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("char", ["4", "0", "2147483648"])
+def test_char_is_checked_on_every_backend(monkeypatch, capsys, char):
+    tested = []
+    is_prime = srres.is_prime
+    monkeypatch.setattr(srres, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert cli.main(["betti", "--q", "2", "--m", "2", "--r", "1", "--char", char]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    # the bound is checked first, so 2^31 never reaches the primality test
+    assert tested == ([] if char == "2147483648" else [int(char)])
+
+
+def test_fast_backend_answers_alike_for_every_admitted_char(capsys):
+    outputs = []
+    for char in ("2", "3"):
+        assert cli.main(["betti", "--q", "2", "--m", "2", "--r", "1", "--backend",
+                         "fast", "--char", char, "--output", "json",
+                         "--no-timing"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_largest_admitted_char_answers_like_char_2(capsys):
     outputs = []
     for char in ("2", "2147483647"):
@@ -276,6 +301,27 @@ def test_out_file_writing(tmp_path):
     assert proc.returncode == 0 and proc.stdout == ""
     report = json.loads(target.read_text())
     assert report["match"] is True
+
+
+def test_certificate_file_rechecks_and_malformed_keys_give_reasons(tmp_path):
+    target = tmp_path / "cert.json"
+    assert cli.main(["certificate", "--q", "4", "--m", "2", "--r", "4", "--output",
+                     "json", "--out", str(target)]) == 0
+    with open(target, encoding="utf-8") as fh:
+        report = json.load(fh)
+    guards = verify.Guards(report["guards"]["max_n_betti"], report["guards"]["max_enum"])
+    cert = report["certificate"]
+    assert verify.check_certificate(cert, guards).ok
+
+    # a malformed file gives reasons, not exceptions
+    field = cert["field"]
+    without_modulus = {name: v for name, v in field.items() if name != "modulus"}
+    for bad in (list(field.values()), without_modulus):
+        assert verify.check_certificate({**cert, "field": bad}, guards).reasons \
+            == ("params",), bad
+    without_coeff = [{"exponents": term["exponents"]} for term in cert["witness_poly"]]
+    assert verify.check_certificate({**cert, "witness_poly": without_coeff},
+                                    guards).reasons == ("witness_terms",)
 
 
 def test_unwritable_out_exits_2(tmp_path):
@@ -488,6 +534,15 @@ def test_every_input_ends_in_a_documented_exit_code(argv):
     if code == 0 and argv[-1] == "--output=json":
         stdout = out.getvalue()
         assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n", argv
+
+
+def test_fuzzer_finds_nothing_and_rechecks_certificates(capsys):
+    import fuzz_cli                     # here, since fuzz_cli imports this module
+    assert fuzz_cli.main(["300", "0"]) == 0
+    summary = capsys.readouterr().out
+    rechecked = int(re.search(r"; (\d+) certificates re-checked from their JSON",
+                              summary).group(1))
+    assert rechecked >= 1, summary
 
 
 # (argv, exit code, sha256 of stdout + NUL + stderr + NUL + exit code) with

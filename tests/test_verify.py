@@ -10,6 +10,8 @@ import rmbetti as rb
 from rmbetti import (CertificateError, ParameterError, PreconditionError,
                      TooLargeError, cli, codes, linalg, rm, srres, verify)
 
+from oracles import certificate_json
+
 
 def test_purity_predicate_examples():
     assert not rb.purity_predicate(2, 4, 2)
@@ -57,14 +59,14 @@ def test_certificate_applicable():
 ])
 def test_certificate_contents(q, m, r, case, wt, d1):
     cert = rb.non_purity_certificate(q, m, r)
-    assert cert.case == case
-    assert cert.weight == cert.formula_weight == wt
-    assert cert.d1 == d1
-    assert cert.weight > cert.d1
-    assert cert.one_minimal_weight > cert.d1
-    assert cert.one_minimal_shortened_dim == 1
-    assert set(cert.one_minimal_support) <= set(cert.support)
-    assert all(ok for _, ok in cert.checks)
+    assert cert["case"] == case
+    assert cert["weight"] == cert["formula_weight"] == wt
+    assert cert["d1"] == d1
+    assert cert["weight"] > cert["d1"]
+    assert cert["one_minimal_weight"] > cert["d1"]
+    assert cert["one_minimal_shortened_dim"] == 1
+    assert set(cert["one_minimal_support"]) <= set(cert["support"])
+    assert all(cert["checks"].values())
     assert rb.check_certificate(cert).ok
 
 
@@ -84,9 +86,9 @@ def test_certificate_d1_sources():
     # always leaves d1 on the formula route and records that explicitly
     for (q, m, r) in [(4, 2, 4), (3, 3, 3)]:
         cert = rb.non_purity_certificate(q, m, r)
-        assert cert.d1_source == "formula"
-        assert cert.d1_bruteforce is None
-        assert cert.q ** cert.k > rb.DEFAULT_GUARDS.max_enum
+        assert cert["d1_source"] == "formula"
+        assert cert["d1_bruteforce"] is None
+        assert cert["q"] ** cert["k"] > rb.DEFAULT_GUARDS.max_enum
 
 
 def test_certificate_precondition_errors():
@@ -97,66 +99,66 @@ def test_certificate_precondition_errors():
 
 def test_certificate_negative_controls():
     cert = rb.non_purity_certificate(4, 2, 4)
-    tampered_d1 = dataclasses.replace(cert, d1=cert.d1 + 1)
+    tampered_d1 = {**cert, "d1": cert["d1"] + 1}
     result = rb.check_certificate(tampered_d1)
     assert not result.ok and "d1_mismatch" in result.reasons
 
-    unit = [0] * cert.n
+    unit = [0] * cert["n"]
     unit[0] = 1
-    tampered_word = dataclasses.replace(cert, one_minimal_word=tuple(unit))
+    tampered_word = {**cert, "one_minimal_word": tuple(unit)}
     result = rb.check_certificate(tampered_word)
     assert not result.ok and "membership" in result.reasons
 
-    tampered_weight = dataclasses.replace(cert, weight=cert.weight + 1,
-                                          formula_weight=cert.weight + 1)
+    tampered_weight = {**cert, "weight": cert["weight"] + 1,
+                       "formula_weight": cert["weight"] + 1}
     result = rb.check_certificate(tampered_weight)
     assert not result.ok and "weight_mismatch" in result.reasons
 
-    tampered_params = dataclasses.replace(cert, r=3)
+    tampered_params = {**cert, "r": 3}
     assert not rb.check_certificate(tampered_params).ok
 
     # r = 1 keeps s = 1 but leaves the band 1 < r < m(q-1) - 1
-    below_band = dataclasses.replace(cert, r=1, t=0)
-    assert rb.ts_split(below_band.q, below_band.r) == (0, 1)
+    below_band = {**cert, "r": 1, "t": 0}
+    assert rb.ts_split(below_band["q"], below_band["r"]) == (0, 1)
     assert rb.check_certificate(below_band).reasons == ("params",)
 
     # an entry outside 0..q-1 is refused, not read modulo the characteristic
-    rows = [list(row) for row in cert.generator_matrix]
-    rows[0][0] += cert.q
-    tampered_entry = dataclasses.replace(
-        cert, generator_matrix=tuple(tuple(row) for row in rows))
+    rows = [list(row) for row in cert["generator_matrix"]]
+    rows[0][0] += cert["q"]
+    tampered_entry = {**cert, "generator_matrix": tuple(tuple(row) for row in rows)}
     result = rb.check_certificate(tampered_entry)
     assert not result.ok and result.reasons == ("entry_range",)
 
     # malformed values give reasons, not exceptions
     for value in (-1, 300, 2 ** 70):
-        rows = [list(row) for row in cert.generator_matrix]
+        rows = [list(row) for row in cert["generator_matrix"]]
         rows[0][0] = value
-        bad = dataclasses.replace(cert, generator_matrix=tuple(map(tuple, rows)))
+        bad = {**cert, "generator_matrix": tuple(map(tuple, rows))}
         assert rb.check_certificate(bad).reasons == ("entry_range",)
-    rows = tuple(map(tuple, cert.generator_matrix.tolist()))
+    rows = tuple(map(tuple, cert["generator_matrix"].tolist()))
     ragged = rows[:1] + (rows[1][:-1],) + rows[2:]
-    bad = dataclasses.replace(cert, generator_matrix=ragged)
+    bad = {**cert, "generator_matrix": ragged}
     assert rb.check_certificate(bad).reasons == ("matrix_shapes",)
-    bad = dataclasses.replace(cert, generator_matrix=cert.generator_matrix[0])
+    bad = {**cert, "generator_matrix": cert["generator_matrix"][0]}
     assert rb.check_certificate(bad).reasons == ("matrix_shapes",)
-    result = rb.check_certificate(dataclasses.replace(cert, support=(0, 99)))
+    result = rb.check_certificate({**cert, "support": (0, 99)})
     assert not result.ok and "support_mismatch" in result.reasons
     assert "shortened_dim_mismatch" not in result.reasons
-    three_exponents = tuple((exps + (0,), c) for exps, c in cert.witness_terms)
-    bad = dataclasses.replace(cert, witness_terms=three_exponents)
+    three_exponents = [{**term, "exponents": term["exponents"] + [0]}
+                       for term in cert["witness_poly"]]
+    bad = {**cert, "witness_poly": three_exponents}
     assert rb.check_certificate(bad).reasons == ("witness_terms",)
-    for coef in (cert.q, -1):               # refused by the ExponentPoly constructor
-        terms = ((cert.witness_terms[0][0], coef),) + cert.witness_terms[1:]
-        bad = dataclasses.replace(cert, witness_terms=terms)
+    for coef in (cert["q"], -1):            # refused by the ExponentPoly constructor
+        terms = [{**cert["witness_poly"][0], "coeff": coef}] + cert["witness_poly"][1:]
+        bad = {**cert, "witness_poly": terms}
         assert rb.check_certificate(bad).reasons == ("witness_terms",)
 
 
 def test_certificate_json_roundtrip():
     cert = rb.non_purity_certificate(3, 3, 3)
-    blob = json.dumps(cert.to_json_dict(), indent=2, default=np.ndarray.tolist)
-    restored = rb.NonPurityCertificate.from_json_dict(json.loads(blob))
-    assert restored == cert
+    blob = json.dumps(cert, indent=2, default=np.ndarray.tolist)
+    restored = json.loads(blob)
+    assert certificate_json(restored) == certificate_json(cert)
     assert rb.check_certificate(restored).ok
 
 
@@ -164,35 +166,37 @@ def test_certificate_holds_the_codes_arrays_read_only():
     q, m, r = 4, 2, 4
     cert = rb.non_purity_certificate(q, m, r)
     code = rb.build_code(q, r, m)
-    assert np.shares_memory(cert.generator_matrix, code.G)
-    assert np.shares_memory(cert.parity_check_matrix, code.H)
-    for name in rb.verify.ARRAY_FIELDS:
-        assert isinstance(getattr(cert, name), np.ndarray)
-        assert not getattr(cert, name).flags.writeable, name
+    assert np.shares_memory(cert["generator_matrix"], code.G)
+    assert np.shares_memory(cert["parity_check_matrix"], code.H)
+    for name in ("codeword", "one_minimal_word", "generator_matrix",
+                 "parity_check_matrix"):
+        assert isinstance(cert[name], np.ndarray)
+        assert not cert[name].flags.writeable, name
 
-    # the CLI's emitter writes the arrays; the file reads back as tuples
-    report = json.loads(cli._json_text({"certificate": cert.to_json_dict()}))
-    restored = rb.NonPurityCertificate.from_json_dict(report["certificate"])
-    assert isinstance(restored.generator_matrix, tuple)
-    assert restored == cert and cert == restored
+    # the CLI's emitter writes the arrays; the file reads back as lists
+    report = json.loads(cli._json_text({"certificate": cert}))
+    restored = report["certificate"]
+    assert isinstance(restored["generator_matrix"], list)
+    assert certificate_json(restored) == certificate_json(cert)
     assert rb.check_certificate(restored).ok
-    assert restored != dataclasses.replace(cert, codeword=(0,) * cert.n)
+    assert certificate_json(restored) != certificate_json(
+        {**cert, "codeword": (0,) * cert["n"]})
 
-    # every negative control reads the same from the arrays and the tuples
-    rows = cert.generator_matrix.tolist()
+    # every negative control reads the same from the arrays and the lists
+    rows = cert["generator_matrix"].tolist()
     shifted = [rows[0][:1] + [rows[0][1] + q]] + rows[1:]
-    controls = [{"d1": cert.d1 + 1}, {"one_minimal_word": (1,) + (0,) * (cert.n - 1)},
-                {"weight": cert.weight + 1, "formula_weight": cert.weight + 1},
+    controls = [{"d1": cert["d1"] + 1},
+                {"one_minimal_word": (1,) + (0,) * (cert["n"] - 1)},
+                {"weight": cert["weight"] + 1, "formula_weight": cert["weight"] + 1},
                 {"r": 3}, {"r": 1, "t": 0}, {"support": (0, 99)},
                 {"generator_matrix": tuple(map(tuple, shifted))},
                 {"generator_matrix": tuple(map(tuple, rows[:1] + [rows[1][:-1]] + rows[2:]))},
                 {"generator_matrix": tuple(rows[0])}]
     for changes in controls:
-        reasons = rb.check_certificate(dataclasses.replace(cert, **changes)).reasons
+        reasons = rb.check_certificate({**cert, **changes}).reasons
         assert reasons, changes
-        assert rb.check_certificate(dataclasses.replace(restored, **changes)).reasons \
-            == reasons, changes
-        assert dataclasses.replace(restored, **changes) != cert, changes
+        assert rb.check_certificate({**restored, **changes}).reasons == reasons, changes
+        assert certificate_json({**restored, **changes}) != certificate_json(cert), changes
 
 
 def test_pure_top_band_rows_are_mds_and_linear():
