@@ -10,17 +10,19 @@ analogue replaces "pure" with "r = 0 instead of r <= 1".
 
 import rmbetti as rb
 
-# One sweep runs every route per row: Betti table, certificate and MDS check.
-report = rb.sweep(4, 2, methods=("betti", "certificate", "mds"))
-print("q m r |  n  k  d | pure?  predicted | cert | MDS  predicted | match")
-for row in report.rows:
-    cert = "-" if row.certificate is None else ("ok" if row.certificate_ok else "BAD")
-    pure = row.purity.pure if row.purity else None
-    print(f"{row.q} {row.m} {row.r} | {row.n:2d} {row.k:2d} {row.d:2d} |"
-          f" {str(pure):5s}  {str(row.pure_predicted):9s} |"
-          f" {cert:4s} | {str(row.mds.mds_computed):5s} {str(row.mds.mds_predicted):9s} |"
-          f" {row.match}")
-print("all rows match:", report.all_match)
+# The theorem sweep runs both purity routes per row: Betti table and
+# certificate.  Each row is the JSON object that `verify-theorem` writes.
+rows = rb.sweep(rb.theorem_row, 4, 2)
+print("q m r |  n  k  d | pure?  predicted | cert | match")
+for row in rows:
+    params, code, cert = row["params"], row["code"], row["certificate"]
+    cert = "-" if cert is None else ("ok" if cert["check_passed"] else "BAD")
+    pure = row["purity"]["pure"] if row["purity"] else None
+    print(f"{params['q']} {params['m']} {params['r']} |"
+          f" {code['n']:2d} {code['k']:2d} {code['d']:2d} |"
+          f" {str(pure):5s}  {str(row['prediction']['pure_predicted']):9s} |"
+          f" {cert:4s} | {row['match']}")
+print("all rows match:", all(row["match"] == "match" for row in rows))
 
 # The certificate route in detail for the s = 1 instance above.
 cert = rb.non_purity_certificate(4, 2, 4)
@@ -37,9 +39,10 @@ print(f"\nternary certificate (q=3, m=3, r=3): weight {cert3['weight']} > "
       f"d_1 = {cert3['d1']}; re-check {rb.check_certificate(cert3).ok}")
 
 # MDS characterization on a small family: exactly r = 0 and the top band.
+# The MDS sweep's rows are the JSON objects that `verify-mds` writes.
 print("\nMDS sweep for q = 3, m = 2:")
-for r in range(5):
-    row = rb.mds_check(3, 2, r)
-    print(f"  r={r}: computed {row.mds_computed}, predicted {row.mds_predicted}"
-          + (f", hierarchy {row.ghw} (consecutive: {row.shifts_consecutive})"
-             if row.ghw else ""))
+for row in rb.sweep(rb.mds_check, 3, 2):
+    print(f"  r={row['params']['r']}: computed {row['mds_computed']}, "
+          f"predicted {row['prediction']['mds_predicted']}"
+          + (f", hierarchy {row['ghw']} (consecutive: {row['shifts_consecutive']})"
+             if row["ghw"] else ""))

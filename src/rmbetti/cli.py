@@ -178,66 +178,76 @@ def _cmd_certificate(args, guards):
     return report, text, None, EXIT_OK if check.ok else EXIT_VERIFICATION
 
 
-def _sweep(args, guards, methods, row_obj, row_cells):
-    """Run the sweep; its report is {params, rows, match, guards} and its
-    table a header and the row_cells tuple of each row.
+# a row's match as a verdict: verify-theorem writes words, verify-mds booleans
+_VERDICTS = {"match": True, "mismatch": False, "skipped": None,
+             True: True, False: False, None: None}
 
-    A sweep that decides no row has nothing to mismatch: it exits 3 when a
-    guard skipped a row and 2 when no requested route applies to any row.
+
+def _sweep(args, guards, row, *row_args, routes, guard_skipped, cells):
+    """Sweep row(q, m, r, guards, *row_args); the report is {params, rows,
+    match, guards} and the table a header and, per row, its parameters,
+    cells(row) and match.
+
+    The rows' verdicts decide both the exit code and the report's match,
+    which is true exactly when the exit code is 0.  A sweep that decides no
+    row has nothing to mismatch: it exits 3 when a guard skipped a row and 2
+    when none of the requested routes applies to any row.
     """
-    sweep_report = verify.sweep(args.q, args.m, None if args.r_all else args.r,
-                                guards=guards, methods=methods, jobs=args.jobs)
-    rows = sweep_report.rows
-    report = {"params": {"q": args.q, "m": args.m,
-                         "r": "all" if args.r_all else args.r},
-              "rows": [row_obj(row) for row in rows],
-              "match": sweep_report.all_match,
-              "guards": guards.to_json_obj()}
-    guard_skipped = sum(row.betti_method == "skipped:guard"
-                        or (row.mds is not None and row.mds.mds_computed is None)
-                        for row in rows)
-    if any(row.match == "mismatch" for row in rows):
+    rows = verify.sweep(row, args.q, args.m, None if args.r_all else args.r,
+                        guards, *row_args, jobs=args.jobs)
+    verdicts = [_VERDICTS[row["match"]] for row in rows]
+    skipped = sum(map(guard_skipped, rows))
+    if False in verdicts:
         exit_code = EXIT_VERIFICATION
-    elif any(row.match == "match" for row in rows):
+    elif True in verdicts:
         exit_code = EXIT_OK
-    elif guard_skipped:
-        _print_too_large(f"no row was decided: a guard skipped {guard_skipped} "
+    elif skipped:
+        _print_too_large(f"no row was decided: a guard skipped {skipped} "
                          f"of {len(rows)} rows of (q={args.q}, m={args.m})")
         exit_code = EXIT_TOO_LARGE
     else:
-        print(f"error: no requested route ({', '.join(methods)}) applies to "
+        print(f"error: no requested route ({', '.join(routes)}) applies to "
               f"any row of (q={args.q}, m={args.m})", file=sys.stderr)
         exit_code = EXIT_PARAMS
+    report = {"params": {"q": args.q, "m": args.m,
+                         "r": "all" if args.r_all else args.r},
+              "rows": rows,
+              "match": exit_code == EXIT_OK,
+              "guards": guards.to_json_obj()}
     table = [("q", "m", "r", "n", "k", "d", "predicted", "computed",
-              "certificate_ok", "match"), *map(row_cells, rows)]
-    return sweep_report.all_match, report, table, exit_code
+              "certificate_ok", "match"),
+             *((row["params"]["q"], row["params"]["m"], row["params"]["r"],
+                row["code"]["n"], row["code"]["k"], row["code"]["d"],
+                *cells(row), row["match"]) for row in rows)]
+    return report, table, exit_code
 
 
 def _cmd_verify_theorem(args, guards):
     methods = ("betti", "certificate") if args.method == "both" else (args.method,)
-    all_match, report, table, exit_code = _sweep(
-        args, guards, methods, verify.SweepRow.to_json_obj,
-        lambda row: (row.q, row.m, row.r, row.n, row.k, row.d, row.pure_predicted,
-                     row.purity.pure if row.purity else None, row.certificate_ok,
-                     row.match))
+    report, table, exit_code = _sweep(
+        args, guards, verify.theorem_row, methods, routes=methods,
+        guard_skipped=lambda row: row["betti_method"] == "skipped:guard",
+        cells=lambda row: (row["prediction"]["pure_predicted"],
+                           row["purity"] and row["purity"]["pure"],
+                           row["certificate"] and row["certificate"]["check_passed"]))
     lines = ["q m r  n   k   d  predicted computed cert  match"]
     lines += [f"{q} {m} {r}  {n:<3} {k:<3} {d:<3} {str(predicted):<9} "
               f"{str(computed):<8} {str(cert_ok):<5} {match}"
               for q, m, r, n, k, d, predicted, computed, cert_ok, match in table[1:]]
-    lines.append(f"all rows match: {all_match}")
+    lines.append(f"all rows match: {report['match']}")
     return report, "\n".join(lines), table, exit_code
 
 
 def _cmd_verify_mds(args, guards):
-    all_match, report, table, exit_code = _sweep(
-        args, guards, ("mds",), lambda row: row.mds.to_json_obj(),
-        lambda row: (row.q, row.m, row.r, row.n, row.k, row.d, row.mds.mds_predicted,
-                     row.mds.mds_computed, None, row.mds.match))
+    report, table, exit_code = _sweep(
+        args, guards, verify.mds_check, routes=("mds",),
+        guard_skipped=lambda row: row["mds_computed"] is None,
+        cells=lambda row: (row["prediction"]["mds_predicted"], row["mds_computed"], None))
     lines = ["q m r  n   k   d  predicted computed match"]
     lines += [f"{q} {m} {r}  {n:<3} {k:<3} {d:<3} {str(predicted):<9} "
               f"{str(computed):<8} {match}"
               for q, m, r, n, k, d, predicted, computed, _, match in table[1:]]
-    lines.append(f"all decided rows match: {all_match}")
+    lines.append(f"all decided rows match: {report['match']}")
     return report, "\n".join(lines), table, exit_code
 
 

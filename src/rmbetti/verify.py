@@ -219,11 +219,38 @@ class CertificateCheck:
         return self.ok
 
 
+# the keys check_certificate reads as integers and as lists of integers
+_INT_KEYS = ("q", "m", "r", "t", "s", "case", "n", "k", "weight",
+             "formula_weight", "d1", "one_minimal_weight",
+             "support_shortened_dim", "one_minimal_shortened_dim")
+_SUPPORT_KEYS = ("support", "one_minimal_support")
+
+
+def _has_fields(cert) -> bool:
+    """cert is a dict holding every key check_certificate reads, with an
+    integer wherever it reads one, so that no later check raises."""
+    def is_int(value):
+        return isinstance(value, (int, np.integer))
+
+    return (isinstance(cert, dict)
+            and all(is_int(cert.get(key)) for key in _INT_KEYS)
+            and all(isinstance(cert.get(key), (list, tuple))
+                    and all(map(is_int, cert[key])) for key in _SUPPORT_KEYS)
+            and (cert.get("d1_bruteforce") is None or is_int(cert["d1_bruteforce"]))
+            and all(key in cert for key in (
+                "field", "witness_poly", "d1_bruteforce", "generator_matrix",
+                "parity_check_matrix", "codeword", "one_minimal_word")))
+
+
 def check_certificate(cert: dict,
                       guards: Guards = DEFAULT_GUARDS) -> CertificateCheck:
     """Re-verify a certificate from scratch, as built or as read back from
     its JSON (lists where the builder put tuples or arrays); collects every
-    failing reason."""
+    failing reason.  A certificate that is not a dict, lacks a key or holds
+    a non-integer where an integer belongs fails with the one reason
+    "fields"; a q^m grid too large to build still raises TooLargeError."""
+    if not _has_fields(cert):
+        return CertificateCheck(False, ("fields",))
     reasons: list[str] = []
 
     def flag(reason: str, ok: bool) -> bool:
@@ -252,8 +279,8 @@ def check_certificate(cert: dict,
 
     code = rm.build_code(q, r, m)
     n, k = code.n, code.k
-    if not flag("matrix_shapes", [a.shape for a in raw]
-                == [(k, n), (n - k, n), (n,), (n,)]):
+    if not flag("matrix_shapes", (cert["n"], cert["k"]) == (n, k)
+                and [a.shape for a in raw] == [(k, n), (n - k, n), (n,), (n,)]):
         return CertificateCheck(False, tuple(reasons))
     if not flag("entry_range", all(0 <= a.min(initial=0) and a.max(initial=0) < q
                                    for a in raw)):
@@ -310,40 +337,12 @@ def check_certificate(cert: dict,
     return CertificateCheck(not reasons, tuple(reasons))
 
 
-# -- MDS corollary ------------------------------------------------------------
+# -- the sweeps ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MdsCheck:
-    q: int
-    m: int
-    r: int
-    n: int
-    k: int
-    d_formula: int
-    mds_predicted: bool
-    mds_computed: bool | None
-    match: bool | None
-    ghw: tuple | None
-    ghw_matches_formula: bool | None
-    shifts_consecutive: bool | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "params": {"q": self.q, "m": self.m, "r": self.r},
-            "code": {"n": self.n, "k": self.k, "d": self.d_formula},
-            "prediction": {"mds_predicted": self.mds_predicted},
-            "mds_computed": self.mds_computed,
-            "ghw": list(self.ghw) if self.ghw else None,
-            "ghw_matches_formula": self.ghw_matches_formula,
-            "shifts_consecutive": self.shifts_consecutive,
-            "match": self.match,
-        }
-
-
-def mds_check(q: int, m: int, r: int,
-              guards: Guards = DEFAULT_GUARDS) -> MdsCheck:
-    """Compare computed MDS-ness against the closed-form predicate.
+def mds_check(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS) -> dict:
+    """The verify-mds row of (q, m, r): computed MDS-ness against the
+    closed-form predicate; match is None when the guards skip the computation.
 
     For r = 1 and m >= 2 the generalized Hamming weights are also measured
     against q^m - floor(q^(m-i)); whether those shifts happen to be
@@ -356,142 +355,102 @@ def mds_check(q: int, m: int, r: int,
         computed = codes.is_mds(code, max_enum=guards.max_enum)
     except TooLargeError:
         computed = None
-    match = None if computed is None else computed == predicted
     ghw = ghw_ok = consecutive = None
     if r == 1 and m >= 2 and code.n <= codes.MAX_TABLE_N:
-        ghw = codes.ghw_profile(code)
-        ghw_ok = ghw == tuple(q ** m - q ** (m - i) if m - i >= 0 else q ** m
-                              for i in range(1, code.k + 1))
-        consecutive = all(ghw[i + 1] == ghw[i] + 1 for i in range(len(ghw) - 1))
-    return MdsCheck(q, m, r, code.n, code.k, code.d, predicted, computed,
-                    match, ghw, ghw_ok, consecutive)
+        ghw = list(codes.ghw_profile(code))
+        ghw_ok = ghw == [q ** m - q ** (m - i) if m - i >= 0 else q ** m
+                         for i in range(1, code.k + 1)]
+        consecutive = all(b == a + 1 for a, b in zip(ghw, ghw[1:]))
+    return {
+        "params": {"q": q, "m": m, "r": r},
+        "code": {"n": code.n, "k": code.k, "d": code.d},
+        "prediction": {"mds_predicted": predicted},
+        "mds_computed": computed,
+        "ghw": ghw,
+        "ghw_matches_formula": ghw_ok,
+        "shifts_consecutive": consecutive,
+        "match": None if computed is None else computed == predicted,
+    }
 
 
-# -- the sweep ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (q, m, r) row; purity and mds are None where their route did
-    not run."""
-    q: int
-    m: int
-    r: int
-    n: int
-    k: int
-    d: int
-    pure_predicted: bool
-    betti_method: str
-    purity: srres.PurityVerdict | None
-    certificate: dict | None
-    certificate_ok: bool | None
-    mds: MdsCheck | None
-    match: str
-
-    def to_json_obj(self) -> dict:
-        mds = self.mds
-        return {
-            "params": {"q": self.q, "m": self.m, "r": self.r},
-            "code": {"n": self.n, "k": self.k, "d": self.d},
-            "ghw": list(mds.ghw) if mds and mds.ghw else None,
-            "betti": None,
-            "purity": asdict(self.purity) if self.purity else None,
-            "certificate": self.certificate,
-            "prediction": {"pure_predicted": self.pure_predicted,
-                           "mds_predicted": mds.mds_predicted if mds else None},
-            "betti_method": self.betti_method,
-            "mds_computed": mds.mds_computed if mds else None,
-            "match": self.match,
-        }
-
-
-SWEEP_METHODS = ("betti", "certificate", "mds")
-# certificate fields a sweep row reports, next to its own check_passed
+# certificate fields a theorem row reports, next to its own check_passed
 CERTIFICATE_SUMMARY = ("case", "weight", "formula_weight", "d1", "d1_source",
                        "one_minimal_weight", "support_shortened_dim")
 
 
-def _sweep_row(args) -> SweepRow:
-    q, m, r, guards, methods = args
+def theorem_row(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS,
+                methods=("betti", "certificate")) -> dict:
+    """The verify-theorem row of (q, m, r): the routes in methods (betti,
+    certificate) against the purity predicate.
+
+    purity and certificate are None where their route did not run;
+    betti_method says why not ("skipped", or "skipped:guard" past
+    max_n_betti).  match is "skipped" when no route decided the row.  ghw,
+    betti, mds_predicted and mds_computed are always null, kept because
+    perfbench/golden.json pins the bytes of these rows.  Unknown methods
+    raise ParameterError before anything is built.
+    """
+    unknown = sorted(set(methods) - {"betti", "certificate"})
+    if unknown:
+        raise ParameterError(f"unknown sweep methods {unknown}; "
+                             "choose from ('betti', 'certificate')")
     code = rm.build_code(q, r, m)
     pure_predicted = purity_predicate(q, m, r)
+    verdicts = []
 
     purity = None
     betti_method = "skipped"
     if "betti" in methods:
         if code.n <= guards.max_n_betti:
             comp = purity_by_betti(q, m, r, guards)
-            purity = comp.verdict
+            purity = asdict(comp.verdict)
             betti_method = ("fastpath+homology" if comp.cross_checked
                             else "fastpath")
+            verdicts.append(comp.verdict.pure == pure_predicted)
         else:
             betti_method = "skipped:guard"
 
     certificate = None
-    certificate_ok = None
     if "certificate" in methods and certificate_witness(q, m, r) is not None:
         cert = non_purity_certificate(q, m, r, guards)
-        certificate_ok = bool(check_certificate(cert, guards))
         certificate = {name: cert[name] for name in CERTIFICATE_SUMMARY}
-        certificate["check_passed"] = certificate_ok
-
-    mds = mds_check(q, m, r, guards) if "mds" in methods else None
-
-    verdicts = []
-    if purity is not None:
-        verdicts.append(purity.pure == pure_predicted)
-    if certificate_ok is not None:
+        certificate["check_passed"] = check_certificate(cert, guards).ok
         # a verified certificate asserts non-purity
-        verdicts.append(certificate_ok and not pure_predicted)
-    if mds is not None and mds.match is not None:
-        verdicts.append(mds.match)
-    if not verdicts:
-        match = "skipped"
-    else:
-        match = "match" if all(verdicts) else "mismatch"
+        verdicts.append(certificate["check_passed"] and not pure_predicted)
 
-    return SweepRow(q=q, m=m, r=r, n=code.n, k=code.k, d=code.d,
-                    pure_predicted=pure_predicted, betti_method=betti_method,
-                    purity=purity, certificate=certificate,
-                    certificate_ok=certificate_ok, mds=mds, match=match)
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(row.match == "match" for row in self.rows if row.match != "skipped") \
-            and any(row.match == "match" for row in self.rows)
+    return {
+        "params": {"q": q, "m": m, "r": r},
+        "code": {"n": code.n, "k": code.k, "d": code.d},
+        "ghw": None,
+        "betti": None,
+        "purity": purity,
+        "certificate": certificate,
+        "prediction": {"pure_predicted": pure_predicted, "mds_predicted": None},
+        "betti_method": betti_method,
+        "mds_computed": None,
+        "match": ("skipped" if not verdicts
+                  else "match" if all(verdicts) else "mismatch"),
+    }
 
 
-def sweep(q: int, m: int, rs=None, *, guards: Guards = DEFAULT_GUARDS,
-          methods=("betti", "certificate"), jobs: int = 1) -> SweepReport:
-    """Run every (q, m, r) row in increasing r.
+def sweep(row, q: int, m: int, rs=None, *row_args, jobs: int = 1) -> list:
+    """[row(q, m, r, *row_args) for r in rs], in increasing r.
 
-    methods picks the routes from SWEEP_METHODS that each row runs.  rs =
-    None sweeps all 0 <= r <= m(q-1); jobs > 1 distributes rows over at
-    most one process per row, which cannot change the output (rows are
-    independent and reassembled in order).  The point grid is checked
-    before any row is listed, so an oversized (q, m) is refused without
-    listing m(q-1)+1 rows.
+    row is theorem_row or mds_check.  rs = None sweeps all 0 <= r <= m(q-1);
+    jobs > 1 distributes rows over at most one process per row, which cannot
+    change the output (rows are independent and reassembled in order).  The
+    point grid and every r are checked before any row is built, so an
+    oversized (q, m) is refused without listing m(q-1)+1 rows.
     """
-    unknown = sorted(set(methods) - set(SWEEP_METHODS))
-    if unknown:
-        raise ParameterError(f"unknown sweep methods {unknown}; "
-                             f"choose from {SWEEP_METHODS}")
     rm.validate_params(q, 0, m)
     rm.point_order(q, m)
     r_values = range(m * (q - 1) + 1) if rs is None else \
         ([rs] if isinstance(rs, int) else sorted(rs))
-    tasks = []
     for r in r_values:
         rm.validate_params(q, r, m)
-        tasks.append((q, m, r, guards, tuple(methods)))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = tuple(pool.map(_sweep_row, tasks))
-    else:
-        rows = tuple(_sweep_row(t) for t in tasks)
-    return SweepReport(rows)
+    columns = ([q] * len(r_values), [m] * len(r_values), r_values,
+               *([arg] * len(r_values) for arg in row_args))
+    if jobs > 1 and len(r_values) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(r_values))) as pool:
+            return list(pool.map(row, *columns))
+    return list(map(row, *columns))

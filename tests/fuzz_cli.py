@@ -15,11 +15,15 @@ is counted apart as an argparse exit; one other than 0 (help) or 2 (usage
 error) is a finding.  The `certificate` object of every
 `certificate ... --output=json` that exits 0 is re-checked, as json.loads
 reads it, with check_certificate under the report's own guards; a failed
-re-check is a finding too.  So is JSON stdout that
-json.dumps(json.loads(out), indent=2) does not write back byte for byte.
-Exits 1 if there was any finding.  pytest does not collect this file:
-test_cli.py runs main(["300", "0"]) and asserts that it finds nothing and
-re-checks at least one certificate, beside its own 50 fixed draws.
+re-check is a finding too.  So is, for each of its integer keys, a copy
+with that key deleted or its value turned into a string that
+check_certificate passes or raises on, instead of failing it.  So is JSON
+stdout that json.dumps(json.loads(out), indent=2) does not write back byte
+for byte, and a verify-theorem or verify-mds report whose `match` is not
+whether the sweep exited 0.  Exits 1 if there was any finding.  pytest
+does not collect this file: test_cli.py runs main(["300", "0"]) and
+asserts that it finds nothing and re-checks at least one certificate,
+beside its own 50 fixed draws.
 """
 
 import collections
@@ -99,6 +103,8 @@ def main(argv: list[str]) -> int:
                 same = False
             if not same:
                 bad.append(("JSON ROUND TRIP DIFFERS", args, stdout[-300:]))
+            elif args[0].startswith("verify-") and json.loads(stdout)["match"] != (code == 0):
+                bad.append(("SWEEP MATCH IS NOT EXIT 0", args, f"exit {code}"))
         if code == 0 and args[0] == "certificate" and args[-1] == "--output=json":
             report = json.loads(stdout)
             guards = verify.Guards(report["guards"]["max_n_betti"],
@@ -107,6 +113,16 @@ def main(argv: list[str]) -> int:
             rechecked.append(args)
             if not check.ok:
                 bad.append(("RE-CHECK FAILED", args, ", ".join(check.reasons)))
+            cert = report["certificate"]
+            for key in [key for key, value in cert.items() if type(value) is int]:
+                for tampered in ({name: v for name, v in cert.items() if name != key},
+                                 {**cert, key: str(cert[key])}):
+                    try:
+                        passed = verify.check_certificate(tampered, guards).ok
+                    except Exception as exc:
+                        passed = f"raised {type(exc).__name__}"
+                    if passed is not False:
+                        bad.append((f"MALFORMED {key!r} NOT REFUSED", args, str(passed)))
 
     started = time.monotonic()
     draw()

@@ -154,6 +154,34 @@ def test_certificate_negative_controls():
         assert rb.check_certificate(bad).reasons == ("witness_terms",)
 
 
+def _without(cert, key):
+    return {name: value for name, value in cert.items() if name != key}
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda cert: _without(cert, "d1"),
+    lambda cert: _without(cert, "case"),
+    lambda cert: {**cert, "weight": str(cert["weight"])},
+    lambda cert: {**cert, "support": ["a"]},
+    lambda cert: {**cert, "q": str(cert["q"])},
+    lambda cert: {**cert, "one_minimal_support": None},
+    lambda cert: [cert],
+], ids=["no-d1", "no-case", "str-weight", "str-support", "str-q",
+        "null-one-minimal-support", "not-a-dict"])
+def test_malformed_certificate_scalars_give_the_fields_reason(tamper):
+    result = rb.check_certificate(tamper(rb.non_purity_certificate(4, 2, 4)))
+    assert result == verify.CertificateCheck(False, ("fields",))
+
+
+def test_certificate_length_dimension_and_grid_are_checked():
+    cert = rb.non_purity_certificate(4, 2, 4)
+    for key in ("n", "k"):
+        assert rb.check_certificate({**cert, key: cert[key] + 1}).reasons == \
+            ("matrix_shapes",)
+    with pytest.raises(TooLargeError):      # the grid is refused, not built
+        rb.check_certificate({**cert, "m": 10 ** 6})
+
+
 def test_certificate_json_roundtrip():
     cert = rb.non_purity_certificate(3, 3, 3)
     blob = json.dumps(cert, indent=2, default=np.ndarray.tolist)
@@ -232,80 +260,94 @@ def test_soundness_chain_certificate_implies_betti_nonpure():
 
 def test_mds_check_rows():
     row = rb.mds_check(3, 1, 1)
-    assert row.mds_predicted and row.mds_computed and row.match
+    assert row["prediction"]["mds_predicted"] and row["mds_computed"] and row["match"]
     row = rb.mds_check(2, 3, 1)
-    assert not row.mds_predicted and row.mds_computed is False and row.match
+    assert not row["prediction"]["mds_predicted"]
+    assert row["mds_computed"] is False and row["match"]
     row = rb.mds_check(2, 2, 1)
-    assert row.match and row.ghw == (2, 3, 4) and row.shifts_consecutive
+    assert row["match"] and row["ghw"] == [2, 3, 4] and row["shifts_consecutive"]
     row = rb.mds_check(3, 2, 1)
-    assert row.match and row.ghw == (6, 8, 9) and not row.shifts_consecutive
-    assert row.ghw_matches_formula
+    assert row["match"] and row["ghw"] == [6, 8, 9] and not row["shifts_consecutive"]
+    assert row["ghw_matches_formula"]
     # enumeration too large but the support search still decides
     row = rb.mds_check(4, 2, 4, rb.Guards(max_enum=100))
-    assert row.mds_computed is False and row.match
+    assert row["mds_computed"] is False and row["match"]
     # both routes out of reach: computed side skipped, match undecided
     row = rb.mds_check(9, 2, 8, rb.Guards(max_enum=100))
-    assert row.mds_computed is None and row.match is None
+    assert row["mds_computed"] is None and row["match"] is None
+
+
+def _by_r(rows):
+    return {row["params"]["r"]: row for row in rows}
 
 
 def test_sweep_q3_m2_rows_and_match():
-    report = rb.sweep(3, 2)
-    assert len(report.rows) == 5
-    assert report.all_match
-    by_r = {row.r: row for row in report.rows}
-    assert [by_r[r].purity.pure for r in range(5)] == \
+    rows = rb.sweep(rb.theorem_row, 3, 2)
+    assert len(rows) == 5
+    assert all(row["match"] == "match" for row in rows)
+    by_r = _by_r(rows)
+    assert [by_r[r]["purity"]["pure"] for r in range(5)] == \
         [True, True, False, True, True]
-    assert all(row.betti_method == "fastpath+homology" for row in report.rows)
-    assert all(row.certificate is None for row in report.rows)  # no s=1 rows
+    assert all(row["betti_method"] == "fastpath+homology" for row in rows)
+    assert all(row["certificate"] is None for row in rows)  # no s=1 rows
 
 
 def test_sweep_q4_m2_certificate_row():
-    report = rb.sweep(4, 2, rs=[2, 3, 4])
-    by_r = {row.r: row for row in report.rows}
-    assert by_r[4].certificate is not None
-    assert by_r[4].certificate_ok
-    assert by_r[4].certificate["check_passed"]
-    assert by_r[2].certificate is None  # s = 2
-    assert by_r[3].certificate is None  # s = 0
-    assert report.all_match
+    rows = rb.sweep(rb.theorem_row, 4, 2, [2, 3, 4])
+    by_r = _by_r(rows)
+    assert by_r[4]["certificate"] is not None
+    assert by_r[4]["certificate"]["check_passed"]
+    assert by_r[2]["certificate"] is None  # s = 2
+    assert by_r[3]["certificate"] is None  # s = 0
+    assert all(row["match"] == "match" for row in rows)
 
 
 def test_sweep_guard_skips_are_visible():
     tiny = rb.Guards(max_n_betti=4)
-    report = rb.sweep(4, 2, rs=[0, 4], guards=tiny)
-    by_r = {row.r: row for row in report.rows}
-    assert by_r[0].betti_method == "skipped:guard"
-    assert by_r[0].purity is None
-    assert by_r[0].match == "skipped"
+    by_r = _by_r(rb.sweep(rb.theorem_row, 4, 2, [0, 4], tiny))
+    assert by_r[0]["betti_method"] == "skipped:guard"
+    assert by_r[0]["purity"] is None
+    assert by_r[0]["match"] == "skipped"
     # the certificate route still decides r = 4
-    assert by_r[4].betti_method == "skipped:guard"
-    assert by_r[4].certificate_ok and by_r[4].match == "match"
+    assert by_r[4]["betti_method"] == "skipped:guard"
+    assert by_r[4]["certificate"]["check_passed"] and by_r[4]["match"] == "match"
 
 
-def test_sweep_methods_selection_and_mds():
-    report = rb.sweep(3, 2, methods=("betti", "mds"))
-    for row in report.rows:
-        assert row.certificate is None
-        assert row.purity is not None
-        assert row.mds.mds_predicted is not None
-        assert row.mds.mds_computed == row.mds.mds_predicted
+def test_sweep_methods_selection_and_mds(monkeypatch):
+    rows = rb.sweep(rb.mds_check, 3, 2)
+    for row in rows:
+        assert row["prediction"]["mds_predicted"] is not None
+        assert row["mds_computed"] == row["prediction"]["mds_predicted"]
     # the hierarchy is measured on the order-1 row, where it starts at d
-    by_r = {row.r: row for row in report.rows}
-    assert by_r[1].mds.ghw is not None
-    assert by_r[1].mds.ghw[0] == by_r[1].d
-    assert by_r[1].to_json_obj()["ghw"] == list(by_r[1].mds.ghw)
-    with pytest.raises(ParameterError):
-        rb.sweep(3, 2, methods=("betti", "ghw"))
+    by_r = _by_r(rows)
+    assert by_r[1]["ghw"] is not None
+    assert by_r[1]["ghw"][0] == by_r[1]["code"]["d"]
+    # a theorem row runs betti and certificate only; any other method is
+    # refused before a code is built
+    built = []
+    monkeypatch.setattr(rm, "build_code", lambda *args: built.append(args))
+    for methods in (("betti", "mds"), ("ghw",)):
+        with pytest.raises(ParameterError):
+            rb.sweep(rb.theorem_row, 3, 2, None, rb.DEFAULT_GUARDS, methods)
+    assert built == []
 
 
 def test_sweep_jobs_do_not_change_rows():
-    seq = rb.sweep(3, 2)
-    par = rb.sweep(3, 2, jobs=2)
-    assert seq.rows == par.rows
-    rows_json = [json.dumps([row.to_json_obj() for row in report.rows])
-                 for report in (seq, par)]
-    assert rows_json[0] == rows_json[1]
-    assert seq.all_match == par.all_match
+    seq = rb.sweep(rb.theorem_row, 3, 2)
+    par = rb.sweep(rb.theorem_row, 3, 2, jobs=2)
+    assert seq == par
+    assert json.dumps(seq) == json.dumps(par)
+
+
+@pytest.mark.parametrize("command,row", [("verify-theorem", "theorem_row"),
+                                         ("verify-mds", "mds_check")])
+def test_sweep_rows_are_the_reports_rows(command, row, capsys):
+    argv = [command, "--q", "3", "--m", "2", "--r-all", "--output", "json", "--no-timing"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    for jobs in (1, 2):
+        rows = verify.sweep(getattr(verify, row), 3, 2, jobs=jobs)
+        assert json.loads(json.dumps(rows)) == report["rows"], jobs
 
 
 @pytest.mark.parametrize("jobs,workers", [(2, 2), (5, 5), (100_000, 5)])
@@ -324,13 +366,13 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch, jobs, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *columns):
+            return map(fn, *columns)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-    report = rb.sweep(3, 2, jobs=jobs)                 # 5 rows
+    rows = rb.sweep(rb.theorem_row, 3, 2, jobs=jobs)     # 5 rows
     assert started == [workers]
-    assert report.rows == rb.sweep(3, 2).rows
+    assert rows == rb.sweep(rb.theorem_row, 3, 2)
 
 
 def test_constructed_certificates_never_fail_silently(monkeypatch):
