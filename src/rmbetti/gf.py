@@ -124,8 +124,9 @@ class GF:
         entries of dtype, at most 2^20: 2 MB at GF(1024)),
         ``lane_negcode[c, a]`` the word of -(c * a) (q x q words, 4 MB at
         GF(1024)).  ``lane_bias`` holds 2^(L-1) - p and ``lane_ones`` holds
-        1 in every lane: adding the bias sets bit L-1 of exactly the lanes
-        at or above p.  All read-only.
+        1 in every lane of the 8, 4 or 2 words of one uint64, the unit rref
+        updates in: adding the bias sets bit L-1 of exactly the lanes at or
+        above p.  All read-only.
     """
 
     def __init__(self, q: int):
@@ -183,8 +184,10 @@ class GF:
         self.lane_decode = np.zeros(1 << bits, self.dtype)
         self.lane_decode[self.lane_code] = np.arange(q)
         self.lane_negcode = self.lane_code[self._neg[self._mul]]
-        self.lane_bias = word(sum(((1 << (lane - 1)) - p) << s for s in shifts.tolist()))
-        self.lane_ones = word(sum(1 << s for s in shifts.tolist()))
+        ones = sum(1 << s for s in shifts.tolist())
+        spread = np.ones(8 // np.dtype(word).itemsize, word).view(np.uint64)[0]
+        self.lane_bias = ((1 << (lane - 1)) - p) * ones * spread
+        self.lane_ones = ones * spread
         for t in (self.vectors, self._add, self._sub, self._mul, self._neg, self._inv,
                   self._pow, self.lane_code, self.lane_decode, self.lane_negcode):
             t.setflags(write=False)

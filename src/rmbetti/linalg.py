@@ -7,12 +7,15 @@ column order wins, so canonical forms are reproducible byte for byte.
 Zero-row and zero-column matrices are legal throughout.
 
 Products have one path for every field: coefficient planes over Z_p
-(``GF.vectors``) multiply exactly in float64 BLAS, and ``GF.fold`` reduces
-the polynomial products.  Elimination has one path too, for prime and
-prime-power q alike: ``rref`` packs each element's coefficients into lanes
-of one uint8, uint16 or uint32 word (``GF.lane_code``), so that subtracting
-a multiple of the pivot row is a word addition and a branch-free per-lane
-reduction mod p, and decodes once at the end.
+(``GF.vectors``) multiply exactly in float64 BLAS, as many planes of the
+left factor packed into one float as keep every sum below 2^53, and
+``GF.fold`` reduces the polynomial products.  Elimination has one path too,
+for prime and prime-power q alike: ``rref`` packs each element's
+coefficients into lanes of one uint8, uint16 or uint32 word
+(``GF.lane_code``) and updates rows a uint64 at a time, so that
+subtracting a multiple of the pivot row is a word addition and a
+branch-free per-lane reduction mod p, or one XOR when p = 2, and decodes
+once at the end.
 """
 
 from __future__ import annotations
@@ -48,19 +51,26 @@ def identity(gf: GF, n: int) -> np.ndarray:
 def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
-    Eliminates on a lane-packed copy (``GF.lane_code``), touching only the
-    columns at and right of the pivot: row minus c times the pivot row adds
-    the words of -(c * pivot) lane by lane, then subtracts p from every lane
-    that reached it.  The words come from ``lane_negcode[:, pivot]``, one
-    row per factor, when at least q rows change, else from one 2-d gather.
+    Eliminates on a lane-packed copy (``GF.lane_code``) whose rows are
+    padded with zero words to whole uint64s, and updates the other rows
+    eight bytes at a time, from the uint64 at or left of the pivot column:
+    the pivot row is zero left of its pivot, so the extra columns add zero.
+    Row minus c times the pivot row adds the words of -(c * pivot) lane by
+    lane, then subtracts p from every lane that reached it; in
+    characteristic 2 it is one XOR.  The words come from
+    ``lane_negcode[:, pivot]``, one row per factor, when at least q rows
+    change, else from one 2-d gather.
     """
     r = np.asarray(mat, dtype=gf.dtype)
     if r.ndim != 2:
         raise DimensionMismatchError("rref needs a 2-d matrix")
     code, decode, negcode = gf.lane_code, gf.lane_decode, gf.lane_negcode
     p, shift, bias, ones = gf.p, gf.lane_bits - 1, gf.lane_bias, gf.lane_ones
-    lanes = code[r]
     nrows, ncols = r.shape
+    per = 8 // code.itemsize                  # packed elements in one uint64
+    lanes = np.zeros((nrows, -(-ncols // per) * per), code.dtype)
+    lanes[:, :ncols] = code[r]
+    words = lanes.view(np.uint64)
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -72,30 +82,36 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
         src = row + int(nz[0])
         if src != row:
             lanes[[row, src], col:] = lanes[[src, row], col:]
-        piv = decode[lanes[row, col:]]
-        if piv[0] != 1:
-            piv = gf._mul[gf.inv(int(piv[0])), piv]
-            lanes[row, col:] = code[piv]
+        start = col - col % per
+        piv = decode[lanes[row, start:]]
+        if piv[col - start] != 1:
+            piv = gf._mul[gf.inv(int(piv[col - start])), piv]
+            lanes[row, start:] = code[piv]
         lanes[row, col] = 0                   # leave the pivot row out of others,
         others = lanes[:, col].nonzero()[0]
         lanes[row, col] = 1                   # then restore its 1 (whose word is 1)
         if others.size:
-            block = lanes[others, col:]
-            factors = decode[block[:, 0]]
+            factors = decode[lanes[others, col]]
             if others.size < gf.q:
                 s = negcode[factors[:, None], piv]
             else:
                 s = np.take(negcode, piv, axis=1)[factors]
-            s += block
-            np.add(s, bias, out=block)        # bit L-1 set in each lane >= p
-            block >>= shift
-            block &= ones
-            block *= p
-            s -= block
-            lanes[others, col:] = s
+            s = s.view(np.uint64)
+            block = words[others, start // per:]
+            if p == 2:
+                s ^= block
+            else:
+                s += block
+                np.add(s, bias, out=block)    # bit L-1 set in each lane >= p
+                block >>= shift
+                block &= ones
+                block *= p
+                s -= block
+            words[others, start // per:] = s
+            del s, block                      # two copies alive at most
         pivots.append(col)
         row += 1
-    return decode[lanes], row, pivots
+    return decode[lanes[:, :ncols]], row, pivots
 
 
 def rank(gf: GF, mat) -> int:
@@ -130,25 +146,37 @@ def row_space_equal(gf: GF, a, b) -> bool:
 
 
 def matmul(gf: GF, a, b) -> np.ndarray:
-    """a @ b over GF(q): the e^2 plane products a_s @ b_t accumulate into
-    polynomial planes s + t, which gf.fold reduces.
+    """a @ b over GF(q): the coefficient planes a_s and b_t multiply in
+    float64 BLAS, and their products accumulate into polynomial planes
+    s + t, which gf.fold reduces.
 
-    Exact in float64: an entry sums at most e * n products below (p - 1)^2,
-    and e * (p - 1)^2 < 2^20 for every field gf.MAX_TABLE_CELLS admits, so
-    every partial sum is an integer below 2^53 for any inner dimension
-    n < 2^33, whatever order BLAS sums in.
+    A plane product's entries are integers below 2^bits, bits being the bit
+    length of n (p - 1)^2 for inner dimension n.  So g = 53 // bits planes
+    of a (at most e) pack into one float, plane s scaled by 2^(bits (s mod
+    g)), and each packed product is exact: every partial sum is a
+    non-negative integer below 2^(g bits) <= 2^53, whatever order BLAS sums
+    in.  Integer shifts and masks unpack it, so a field takes ceil(e / g) e
+    products; a prime field (e = 1) takes one.
     """
     a = np.asarray(a, dtype=gf.dtype)
     b = np.asarray(b, dtype=gf.dtype)
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
+    e = gf.e
+    bits = max(1, (a.shape[1] * (gf.p - 1) ** 2).bit_length())
+    g = max(1, min(e, 53 // bits))
     planes_of = gf.vectors.T.astype(np.float64)     # planes_of[s][x]: x's coefficient s
-    va, vb = np.take(planes_of, a, axis=1), np.take(planes_of, b, axis=1)
-    planes = np.zeros((2 * gf.e - 1, a.shape[0], b.shape[1]))
-    for s in range(gf.e):
-        for t in range(gf.e):
-            planes[s + t] += va[s] @ vb[t]
-    return gf.fold(planes.astype(np.int64))
+    # packed_of[j // g][x]: x's coefficients j..j+g-1, coefficient s times 2^(bits (s - j))
+    packed_of = np.array([[2.0 ** (bits * (s - j)) if j <= s < j + g else 0.0
+                           for s in range(e)] for j in range(0, e, g)]) @ planes_of
+    vb = np.take(planes_of, b, axis=1)
+    mask = (1 << bits) - 1
+    planes = np.zeros((2 * e - 1, a.shape[0], b.shape[1]), np.int64)
+    for j, packed in zip(range(0, e, g), np.take(packed_of, a, axis=1)):
+        prod = (packed @ vb).astype(np.int64)       # prod[t] = packed @ b_t: e products
+        for s in range(j, min(e, j + g)):
+            planes[s:s + e] += prod >> bits * (s - j) & mask
+    return gf.fold(planes)
 
 
 def matvec(gf: GF, a, v) -> np.ndarray:

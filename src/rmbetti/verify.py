@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import codes, linalg, rm, srres
-from .errors import (CertificateError, CrossCheckError, ParameterError,
-                     PreconditionError, TooLargeError)
+from .errors import (CertificateError, CrossCheckError, NotPrimePowerError,
+                     ParameterError, PreconditionError, TooLargeError)
 from .gf import field
 
 
@@ -238,7 +238,7 @@ def _has_fields(cert) -> bool:
                     and all(map(is_int, cert[key])) for key in _SUPPORT_KEYS)
             and (cert.get("d1_bruteforce") is None or is_int(cert["d1_bruteforce"]))
             and all(key in cert for key in (
-                "field", "witness_poly", "d1_bruteforce", "generator_matrix",
+                "field", "witness_poly", "d1_bruteforce", "d1_source", "generator_matrix",
                 "parity_check_matrix", "codeword", "one_minimal_word")))
 
 
@@ -248,7 +248,8 @@ def check_certificate(cert: dict,
     its JSON (lists where the builder put tuples or arrays); collects every
     failing reason.  A certificate that is not a dict, lacks a key or holds
     a non-integer where an integer belongs fails with the one reason
-    "fields"; a q^m grid too large to build still raises TooLargeError."""
+    "fields", and a q that is not a prime power with "params"; a q^m grid
+    too large to build still raises TooLargeError."""
     if not _has_fields(cert):
         return CertificateCheck(False, ("fields",))
     reasons: list[str] = []
@@ -260,7 +261,10 @@ def check_certificate(cert: dict,
 
     # every later check reads the code that these parameters build
     q, m, r = cert["q"], cert["m"], cert["r"]
-    planned = certificate_witness(q, m, r)
+    try:
+        planned = certificate_witness(q, m, r)
+    except NotPrimePowerError:
+        planned = None
     gf = field(q) if planned is not None else None
     if not flag("params", gf is not None
                 and rm.ts_split(q, r) == (cert["t"], cert["s"])
@@ -316,10 +320,13 @@ def check_certificate(cert: dict,
 
     d1 = rm.min_distance_formula(q, r, m)
     flag("d1_mismatch", d1 == cert["d1"])
+    # a stated brute-force distance must be d1, and d1_source must name it
+    claimed = cert["d1_bruteforce"]
+    source = "formula" if claimed is None else "formula+bruteforce"
+    ok = claimed in (None, d1) and cert["d1_source"] == source
     if gf.q ** k <= guards.max_enum:
-        brute = codes.min_weight_bruteforce(code, max_enum=guards.max_enum)
-        flag("d1_bruteforce", brute == d1
-             and cert["d1_bruteforce"] in (None, brute))
+        ok = ok and codes.min_weight_bruteforce(code, max_enum=guards.max_enum) == d1
+    flag("d1_bruteforce", ok)
 
     flag("not_above_d1", cert["weight"] > d1)
     flag("one_minimal_not_above_d1", cert["one_minimal_weight"] > d1)

@@ -378,8 +378,11 @@ def test_certificate_negative_controls():
     unit[0] = 1
     broken = rb.check_certificate({**cert, "one_minimal_word": tuple(unit)})
     assert not broken.ok and "membership" in broken.reasons
+    # claims of a brute-force distance that nothing enumerated
+    for bad in ({"d1_bruteforce": 2 ** 80}, {"d1_source": "nonsense"}):
+        assert rb.check_certificate({**cert, **bad}).reasons == ("d1_bruteforce",)
     _ok("certificate negative controls",
-        "tampered d1 and non-codeword both rejected with reasons")
+        "tampered d1, non-codeword and unchecked d1 claims rejected with reasons")
 
 
 # -- 10: MDS characterization --------------------------------------------------------

@@ -86,6 +86,21 @@ def test_rref_matches_scalar_oracle():
                     _assert_rref_matches_oracle(gf, sparse.astype(gf.dtype))
 
 
+def test_rref_matches_scalar_oracle_on_unaligned_widths():
+    """Widths 1..17 end inside a uint64 of 8, 4 or 2 packed elements, and
+    the zero columns put pivots at unaligned columns, so updates start left
+    of the pivot; GF(2^e) takes the XOR update."""
+    rng = np.random.default_rng(25)
+    for q in ORACLE_FIELDS + LANE_FIELDS:
+        gf = field(q)
+        for width in range(1, 18):
+            for nrows in (5, 12):
+                m = rng.integers(0, q, size=(nrows, width)).astype(gf.dtype)
+                m[:, [c for c in (1, 3, 6, 9, 15) if c < width]] = 0
+                m[-1] = m[0]                           # rank deficient
+                _assert_rref_matches_oracle(gf, m)   # also: m unchanged, dtype gf.dtype
+
+
 @pytest.mark.parametrize("q,bits,word", [(2, 2, np.uint8), (7, 4, np.uint8),
                                           (16, 8, np.uint8), (127, 8, np.uint8),
                                           (128, 14, np.uint16), (243, 15, np.uint16),
@@ -99,6 +114,11 @@ def test_lane_tables(q, bits, word):
     assert np.array_equal(gf.lane_decode[gf.lane_code], np.arange(q))
     neg = gf.neg(gf.mul(np.arange(q)[:, None], np.arange(q)[None, :]))
     assert np.array_equal(gf.lane_negcode, gf.lane_code[neg])
+    # bias and ones fill every word of the uint64 that rref updates in
+    ones = gf.lane_code[gf.from_vectors(np.ones(gf.e, dtype=int))]
+    spread = np.full(8 // gf.lane_code.itemsize, ones).view(np.uint64)[0]
+    assert gf.lane_ones.dtype == gf.lane_bias.dtype == np.uint64
+    assert gf.lane_ones == spread and gf.lane_bias == (2 ** (gf.lane_bits - 1) - gf.p) * spread
     for t in (gf.lane_code, gf.lane_decode, gf.lane_negcode):
         assert not t.flags.writeable
     with pytest.raises(ValueError):
@@ -204,6 +224,20 @@ def test_matmul_matches_scalar_definition():
         # entries near q - 1 with a long inner dimension: the largest sums
         a = np.full((2, 300), q - 1, dtype=gf.dtype)
         assert linalg.matmul(gf, a, a.T).tolist() == [[_scalar_dot(gf, a[0], a[0])] * 2] * 2
+    # matmul packs 53 // bits coefficient planes of a into one float, bits
+    # being the bit length of n (p - 1)^2: GF(8) at n = 512 packs all three
+    # planes (10 bits each); GF(1024) at n = 4096 and 8191 packs groups of
+    # 4, 4 and 2 planes of 13 bits, and at 8191 every plane product of the
+    # all-ones element fills its 13 bits
+    for q, inner in ((8, 512), (1024, 4096), (1024, 8191)):
+        gf = field(q)
+        top = gf.from_vectors(np.full(gf.e, gf.p - 1))
+        a = rng.integers(0, q, size=(2, inner)).astype(gf.dtype)
+        b = rng.integers(0, q, size=(inner, 2)).astype(gf.dtype)
+        a[1], b[:, 1] = top, top
+        out = linalg.matmul(gf, a, b)
+        assert out.tolist() == [[_scalar_dot(gf, a[i], b[:, j]) for j in range(2)]
+                                for i in range(2)]
     # GF(1021) with inner dimension 4096: the largest products a field admits
     gf = field(1021)
     a = np.full((2, 4096), gf.q - 1, dtype=gf.dtype)

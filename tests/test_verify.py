@@ -165,9 +165,10 @@ def _without(cert, key):
     lambda cert: {**cert, "support": ["a"]},
     lambda cert: {**cert, "q": str(cert["q"])},
     lambda cert: {**cert, "one_minimal_support": None},
+    lambda cert: _without(cert, "d1_source"),
     lambda cert: [cert],
 ], ids=["no-d1", "no-case", "str-weight", "str-support", "str-q",
-        "null-one-minimal-support", "not-a-dict"])
+        "null-one-minimal-support", "no-d1-source", "not-a-dict"])
 def test_malformed_certificate_scalars_give_the_fields_reason(tamper):
     result = rb.check_certificate(tamper(rb.non_purity_certificate(4, 2, 4)))
     assert result == verify.CertificateCheck(False, ("fields",))
@@ -180,6 +181,27 @@ def test_certificate_length_dimension_and_grid_are_checked():
             ("matrix_shapes",)
     with pytest.raises(TooLargeError):      # the grid is refused, not built
         rb.check_certificate({**cert, "m": 10 ** 6})
+
+
+def test_certificate_d1_bruteforce_claims_are_checked_beyond_max_enum():
+    cert = rb.non_purity_certificate(4, 2, 4)
+    assert cert["q"] ** cert["k"] > rb.DEFAULT_GUARDS.max_enum   # not re-enumerated
+    d1 = cert["d1"]
+    for bad in ({"d1_bruteforce": 2 ** 80},
+                {"d1_bruteforce": 2 ** 80, "d1_source": "formula+bruteforce"},
+                {"d1_bruteforce": d1 + 1, "d1_source": "formula+bruteforce"},
+                {"d1_bruteforce": d1},                    # source still "formula"
+                {"d1_source": "nonsense"},
+                {"d1_source": "formula+bruteforce"}):     # names no brute force
+        assert rb.check_certificate({**cert, **bad}).reasons == ("d1_bruteforce",)
+    claimed = {**cert, "d1_bruteforce": d1, "d1_source": "formula+bruteforce"}
+    assert rb.check_certificate(claimed).ok
+
+
+def test_certificate_q_not_a_prime_power_gives_params():
+    cert = rb.non_purity_certificate(4, 2, 4)
+    for q, r in ((6, 6), (10, 10)):             # inside the s = 1 band
+        assert rb.check_certificate({**cert, "q": q, "r": r}).reasons == ("params",)
 
 
 def test_certificate_json_roundtrip():
