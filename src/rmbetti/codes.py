@@ -19,11 +19,12 @@ instead of Gaussian-binomial in k, and a direct subspace-enumeration oracle
 (ghw_by_subspaces) re-establishes correctness at tiny scale.
 
 The minimum weight is found by meet in the middle: the spans of the two
-halves of G are enumerated (at most q^ceil(k/2) words each) and compared byte
-for byte, since weight(a - b) counts the coordinates where a and b differ;
-the comparison runs in blocks of at most MIN_WEIGHT_BLOCK_BYTES.  Every
-enumeration is guarded and fails loudly with TooLargeError rather than
-truncating.
+halves of G are enumerated (at most q^ceil(k/2) words each) and packed into
+bit planes of their element indices, 64 coordinates to a uint64; weight(a - b)
+counts the coordinates where a and b differ, which is the popcount of the OR
+over the planes of a XOR b.  The XOR runs in blocks of at most
+MIN_WEIGHT_BLOCK_BYTES.  Every enumeration is guarded and fails loudly with
+TooLargeError rather than truncating.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ MAX_SEARCH_N = 25          # ghw's face walk
 MAX_ENUM = 2_000_000       # codewords enumerated (q^k); default of max_enum
 MAX_SUBSPACES = 1_000_000  # subspaces enumerated by canonical RREF bases
 
-# Working-set size, not a guard: min_weight_bruteforce compares words of B
-# against the span A in blocks whose bool temporary stays under this many
-# bytes (one row at a time once A alone is larger).
-MIN_WEIGHT_BLOCK_BYTES = 1 << 22
+# Working-set size, not a guard: min_weight_bruteforce XORs the packed words
+# of B against the packed span A in blocks whose uint64 XOR block stays under
+# this many bytes (one word of B at a time once A alone is larger); 256 KiB
+# keeps the block in cache and its pages reused from call to call.
+MIN_WEIGHT_BLOCK_BYTES = 1 << 18
 
 
 class LinearCode:
@@ -215,15 +217,28 @@ def _support_masks(words: np.ndarray) -> np.ndarray:
     return masks
 
 
+def _bit_planes(words: np.ndarray, bits: int) -> np.ndarray:
+    """Bit t of every element index of the words, packed 64 coordinates to
+    a uint64 with the tail of the last one zero: a (bits, W, len(words))
+    array, so that plane t of packed word w is contiguous over the words."""
+    count, n = words.shape
+    packed = np.zeros((bits, count, 8 * -(-n // 64)), dtype=np.uint8)
+    for t in range(bits):
+        packed[t, :, :-(-n // 8)] = np.packbits(words & (1 << t), axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).transpose(0, 2, 1))
+
+
 def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     """Smallest weight of a nonzero codeword, by meet in the middle.
 
     Every codeword is a - b with a in the span A of the first ceil(k/2)
     generators and b in the span B of the rest, and weight(a - b) is the
-    number of coordinates where a and b differ: each cross term is a byte
-    comparison of A against a word of B, with no field table read.  Scaling
-    keeps the weight, so b runs over the words of B whose last nonzero
-    coefficient is 1.  Refused before any allocation when q^k > max_enum.
+    number of coordinates where a and b differ.  Two element indices differ
+    exactly when one of their (q-1).bit_length() bits does, so on the bit
+    planes of A and B weight(a - b) = sum_w popcount(OR_t (A_t,w XOR B_t,w)),
+    exact for every q with no field table read.  Scaling keeps the weight,
+    so b runs over the words of B whose last nonzero coefficient is 1.
+    Refused before any allocation when q^k > max_enum.
     """
     if code.k == 0:
         raise ParameterError("the zero code has no nonzero codeword")
@@ -236,10 +251,20 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
                          for w in range(gf.q ** i, 2 * gf.q ** i)], dtype=np.intp)
     b = _span(gf, code.G[half:])[lead_one]
     best = int(np.count_nonzero(a[1:], axis=1).min())
-    step = max(1, MIN_WEIGHT_BLOCK_BYTES // a.size)
-    for start in range(0, len(b), step):
-        block = a[None] != b[start:start + step, None]
-        best = min(best, int(block.sum(axis=2, dtype=np.int32).min()))
+    bits = (gf.q - 1).bit_length()
+    a, b = _bit_planes(a, bits), _bit_planes(b, bits)
+    step = max(1, MIN_WEIGHT_BLOCK_BYTES // a[0, 0].nbytes)
+    for start in range(0, b.shape[2], step):
+        block = b[:, :, start:start + step, None]
+        # every weight is at most n, so n's own type holds the sums
+        weights = np.zeros((block.shape[2], a.shape[2]),
+                           dtype=np.min_scalar_type(code.n))
+        for w in range(a.shape[1]):
+            differ = a[0, w] ^ block[0, w]
+            for t in range(1, bits):
+                differ |= a[t, w] ^ block[t, w]
+            weights += np.bitwise_count(differ)
+        best = min(best, int(weights.min()))
     return best
 
 

@@ -128,6 +128,15 @@ def _field_obj(gf) -> dict:
     return {"char": gf.p, "degree": gf.e, "modulus": list(gf.modulus)}
 
 
+# the checks non_purity_certificate runs, in the order of its "checks" dict;
+# check_certificate accepts only that dict with every value true
+CERTIFICATE_CHECKS = (
+    "witness_degree_is_r", "codeword_in_code", "weight_matches_formula",
+    "weight_exceeds_d1", "d1_bruteforce_agrees", "shrunk_word_in_code",
+    "shrunk_support_inside_witness", "one_minimal_dim_is_1",
+    "one_minimal_weight_exceeds_d1")
+
+
 def non_purity_certificate(q: int, m: int, r: int,
                            guards: Guards = DEFAULT_GUARDS) -> dict:
     """Build and internally verify a certificate of non-purity: the JSON
@@ -168,17 +177,17 @@ def non_purity_certificate(q: int, m: int, r: int,
     shrunk, sigma_dim, shrunk_dim = codes.shrink_to_one_minimal(code, word)
     shrunk_support = codes.support(shrunk)
 
-    checks = {
-        "witness_degree_is_r": witness.total_degree() == r,
-        "codeword_in_code": code.contains(word),
-        "weight_matches_formula": wt == formula_weight,
-        "weight_exceeds_d1": wt > d1,
-        "d1_bruteforce_agrees": d1_brute is None or d1_brute == d1,
-        "shrunk_word_in_code": code.contains(shrunk),
-        "shrunk_support_inside_witness": set(shrunk_support) <= set(sigma),
-        "one_minimal_dim_is_1": shrunk_dim == 1,
-        "one_minimal_weight_exceeds_d1": len(shrunk_support) > d1,
-    }
+    checks = dict(zip(CERTIFICATE_CHECKS, (
+        witness.total_degree() == r,
+        code.contains(word),
+        wt == formula_weight,
+        wt > d1,
+        d1_brute is None or d1_brute == d1,
+        code.contains(shrunk),
+        set(shrunk_support) <= set(sigma),
+        shrunk_dim == 1,
+        len(shrunk_support) > d1,
+    ), strict=True))
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise CertificateError(
@@ -239,7 +248,7 @@ def _has_fields(cert) -> bool:
             and (cert.get("d1_bruteforce") is None or is_int(cert["d1_bruteforce"]))
             and all(key in cert for key in (
                 "field", "witness_poly", "d1_bruteforce", "d1_source", "generator_matrix",
-                "parity_check_matrix", "codeword", "one_minimal_word")))
+                "parity_check_matrix", "codeword", "one_minimal_word", "checks")))
 
 
 def check_certificate(cert: dict,
@@ -249,7 +258,8 @@ def check_certificate(cert: dict,
     failing reason.  A certificate that is not a dict, lacks a key or holds
     a non-integer where an integer belongs fails with the one reason
     "fields", and a q that is not a prime power with "params"; a q^m grid
-    too large to build still raises TooLargeError."""
+    too large to build still raises TooLargeError.  "checks" must be the
+    builder's dict: exactly the CERTIFICATE_CHECKS keys, each value true."""
     if not _has_fields(cert):
         return CertificateCheck(False, ("fields",))
     reasons: list[str] = []
@@ -258,6 +268,10 @@ def check_certificate(cert: dict,
         if not ok:
             reasons.append(reason)
         return ok
+
+    checks = cert["checks"]
+    flag("checks", isinstance(checks, dict) and checks.keys() == set(CERTIFICATE_CHECKS)
+         and all(value is True for value in checks.values()))
 
     # every later check reads the code that these parameters build
     q, m, r = cert["q"], cert["m"], cert["r"]

@@ -381,8 +381,12 @@ def test_certificate_negative_controls():
     # claims of a brute-force distance that nothing enumerated
     for bad in ({"d1_bruteforce": 2 ** 80}, {"d1_source": "nonsense"}):
         assert rb.check_certificate({**cert, **bad}).reasons == ("d1_bruteforce",)
+    # the builder's own checks, reported failing or not a dict
+    for bad in ({name: False for name in cert["checks"]}, "junk"):
+        assert rb.check_certificate({**cert, "checks": bad}).reasons == ("checks",)
     _ok("certificate negative controls",
-        "tampered d1, non-codeword and unchecked d1 claims rejected with reasons")
+        "tampered d1, non-codeword, unchecked d1 claims and failed checks rejected "
+        "with reasons")
 
 
 # -- 10: MDS characterization --------------------------------------------------------

@@ -240,10 +240,32 @@ def test_min_weight_bruteforce_matches_the_plain_scan():
         assert rb.min_weight_bruteforce(code) == min_weight_enumerated(gf, g) <= 6, (q, g)
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 8, 9, 16, 512))
+def test_min_weight_bruteforce_bit_planes_cross_word_boundaries(q):
+    """The packed kernel against the plain scan at lengths around the
+    64-coordinate word: k = 1 (B empty) up to k = 3, or 4 for q <= 4, with
+    q^k <= 10000; each code once as drawn and once with its last column,
+    the lone coordinate of the last word at n = 65 and 129, zeroed.  GF(512)
+    has uint16 elements and nine planes."""
+    rng = np.random.default_rng(q)
+    gf = field(q)
+    top = 4 if q <= 4 else 3
+    for n in (63, 64, 65, 129):
+        for k in range(1, top + 1):
+            if q ** k > 10000:
+                break
+            g = _random_full_rank(rng, gf, k, n)
+            zero_last = np.insert(_random_full_rank(rng, gf, k, n - 1), n - 1, 0, axis=1)
+            for rows in (g, zero_last):
+                code = rb.LinearCode(gf, rows)
+                assert rb.min_weight_bruteforce(code) == min_weight_enumerated(gf, rows), \
+                    (q, n, k, rows)
+
+
 def test_min_weight_bruteforce_working_set():
     """A refusal allocates no span.  Within the guard the two half-spans
     are 729 and 81 words of n = 6561 bytes, and the kernel peaks at about
-    14 MB; enumerating the span of the first k - 1 generators and scanning
+    12.6 MB; enumerating the span of the first k - 1 generators and scanning
     its q - 1 cosets by table lookups peaks at about 123 MB on this code."""
     code = rb.build_code(9, 1, 4)  # [6561, 5, 5832]
     tracemalloc.start()

@@ -166,12 +166,30 @@ def _without(cert, key):
     lambda cert: {**cert, "q": str(cert["q"])},
     lambda cert: {**cert, "one_minimal_support": None},
     lambda cert: _without(cert, "d1_source"),
+    lambda cert: _without(cert, "checks"),
     lambda cert: [cert],
 ], ids=["no-d1", "no-case", "str-weight", "str-support", "str-q",
-        "null-one-minimal-support", "no-d1-source", "not-a-dict"])
+        "null-one-minimal-support", "no-d1-source", "no-checks", "not-a-dict"])
 def test_malformed_certificate_scalars_give_the_fields_reason(tamper):
     result = rb.check_certificate(tamper(rb.non_purity_certificate(4, 2, 4)))
     assert result == verify.CertificateCheck(False, ("fields",))
+
+
+def test_certificate_checks_must_be_the_builders_all_true():
+    cert = rb.non_purity_certificate(4, 2, 4)
+    assert tuple(cert["checks"]) == verify.CERTIFICATE_CHECKS
+    checks = cert["checks"]
+    first, *rest = verify.CERTIFICATE_CHECKS
+    for bad in ({name: False for name in checks},
+                {**checks, "one_minimal_dim_is_1": False},
+                {**checks, first: 1},                   # truthy is not true
+                {**checks, first: "true"},
+                {name: True for name in rest},          # a check missing
+                {**checks, "extra": True},
+                list(checks), "junk", None):
+        assert rb.check_certificate({**cert, "checks": bad}).reasons == ("checks",), bad
+    reordered = dict(reversed(list(checks.items())))
+    assert rb.check_certificate({**cert, "checks": reordered}).ok
 
 
 def test_certificate_length_dimension_and_grid_are_checked():
