@@ -23,10 +23,10 @@ print("\nr < q: dimension is C(m+r, m):",
       all(rb.dim_inclusion_exclusion(5, r, 3) == rb.rm.binom(3 + r, 3)
           for r in range(5)))
 
-# At the top degree the code is the whole space, which forces a binomial
-# identity that holds for every q and m.
+# At the top degree the code is the whole space, which forces the binomial
+# identity sum_i (-1)^i C(m,i) C((m-i)q, m) = q^m for every q and m.
 print("full-space binomial identity for q <= 9, m <= 6:",
-      all(rb.full_space_binomial_identity(q_, m_)
+      all(rb.dim_inclusion_exclusion(q_, m_ * (q_ - 1), m_) == q_ ** m_
           for q_ in range(2, 10) for m_ in range(1, 7)))
 
 # The distance formula against exhaustive search, exact and guarded.

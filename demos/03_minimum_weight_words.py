@@ -1,53 +1,51 @@
-"""Explicit minimum-weight codewords and their images under substitutions.
+"""Explicit minimum-weight codewords and their images under affine maps.
 
 A word of exactly the minimum weight: pin the first t coordinates with
-indicator factors and exclude s values in the next coordinate.  Composing
-with independent linear forms (optionally affine) permutes the point grid,
-so the image stays a minimum-weight codeword; both facts are checked
-numerically, never assumed.
+indicator factors and exclude s values in the next coordinate, all as one
+product of linear factors.  Affine maps of the point grid fix every
+Reed-Muller code, so moving the word by one keeps a minimum-weight
+codeword; both facts are checked numerically, never assumed.
 """
 
 import numpy as np
 
 import rmbetti as rb
-from rmbetti import linalg
+from rmbetti.rm import affine_generators, pinned_roots
 
 q, r, m = 4, 4, 2
 code = rb.build_code(q, r, m)
+gf = code.gf
 t, s = rb.ts_split(q, r)
 print(f"RM_{q}(r={r}, m={m}) = [{code.n}, {code.k}, {code.d}], split (t, s) = ({t}, {s})")
 
-f = rb.min_weight_poly(q, r, m)
+# (-1)^t [X_1..X_t = 0] * prod_{j < s} (X_{t+1} - a_j): pinned_roots gives the
+# indicator's factors, the excluded values the rest.
+f = rb.linear_product(gf, m, pinned_roots(gf, [0] * t) + [(t, v) for v in range(s)])
 word = f.evaluate(code.order)
 print("default construction: weight", rb.weight(word), "support", rb.support(word))
-print("parity check annihilates it:", not np.any(linalg.matvec(code.gf, code.H, word)))
+print("parity check annihilates it:", code.contains(word))
 
 # Different constants move the support but never the weight (s = 1 here,
 # so exactly one excluded value).
-g = rb.min_weight_poly(q, r, m, scale=3, pinned=[2], excluded=[3])
+g = rb.linear_product(gf, m, pinned_roots(gf, [2]) + [(t, 3)], 3)
 word2 = g.evaluate(code.order)
 print("custom constants: weight", rb.weight(word2), "support", rb.support(word2))
 
-# Substitute independent linear forms for the active variables.
-rng = np.random.default_rng(1)
-gf = code.gf
-for shifts in (None, [1, 2]):
-    while True:
-        forms = rng.integers(0, q, size=(t + 1, m)).astype(gf.dtype)
-        if linalg.rank(gf, forms) == t + 1:
-            break
-    image = rb.substitute_linear_forms(f, forms, shifts)
-    kind = "affine" if shifts else "homogeneous"
-    print(f"{kind} substitution: weight {rb.weight(image)}, "
-          f"in code: {code.contains(image)}")
+# The generators of AGL(m, q) as permutations of the grid: the word moved by
+# each stays a minimum-weight codeword.
+moved = [word[perm] for perm in affine_generators(q, m)]
+print(f"\n{len(moved)} affine generators: weights {[rb.weight(w) for w in moved]}, "
+      f"all in the code: {all(code.contains(w) for w in moved)}")
 
 # One-point indicators: evaluations stack to the identity matrix, which is
 # exactly why the top-degree code is the whole ambient space.
-indicators = rb.interpolation_basis(2, 2)
+gf2 = rb.field(2)
+indicators = [rb.linear_product(gf2, 2, pinned_roots(gf2, point.tolist()))
+              for point in rb.point_order(2, 2).points]
 stacked = np.stack([p.evaluate() for p in indicators])
-print("\nindicator stack is the 4x4 identity:",
-      np.array_equal(stacked, linalg.identity(rb.field(2), 4)))
+print("\nindicator stack is the 4x4 identity:", np.array_equal(stacked, np.eye(4)))
 
-# One order below the top, the code is precisely the sum-zero hyperplane.
-print("codimension-one code equals the sum-zero code (q=3, m=2):",
-      rb.sum_zero_code_equal(3, 2))
+# One order below the top, the code is precisely the sum-zero hyperplane:
+# its parity check is the single all-ones row.
+below_top = rb.build_code(3, 3, 2)
+print("codimension-one code (q=3, m=2) has parity check", below_top.H.tolist())

@@ -13,20 +13,8 @@ class DimensionMismatchError(ValueError):
     """Matrix or vector shapes are incompatible."""
 
 
-class WitnessParameterError(ValueError):
-    """Invalid constants supplied to a codeword construction."""
-
-
-class RankDeficientFormsError(ValueError):
-    """Linear forms supplied for substitution are dependent."""
-
-
 class PreconditionError(ValueError):
     """A construction's mathematical preconditions do not hold."""
-
-
-class DegenerateTypeError(ValueError):
-    """Shift type with repeated or non-increasing entries."""
 
 
 class TooLargeError(RuntimeError):

@@ -29,23 +29,8 @@ from .gf import GF
 MAX_LEVEL_BYTES = 1 << 27
 
 
-def as_matrix(gf: GF, data) -> np.ndarray:
-    m = np.array(data, dtype=gf.dtype)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.size and int(m.max(initial=0)) >= gf.q:
-        raise ValueError("entry out of range for GF(%d)" % gf.q)
-    return m
-
-
 def zeros(gf: GF, rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=gf.dtype)
-
-
-def identity(gf: GF, n: int) -> np.ndarray:
-    m = zeros(gf, n, n)
-    np.fill_diagonal(m, 1)
-    return m
 
 
 def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:

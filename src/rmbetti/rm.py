@@ -3,11 +3,11 @@
 Everything here is exact: the reduced polynomial space (total degree <= r,
 every variable degree < q), the evaluation map over the ordered point grid,
 two independent closed-form dimension formulas, the (t, s) split behind the
-minimum distance, explicit minimum-weight polynomials and their images under
-linear substitutions, one-point indicator polynomials, and the sum-zero
-description of the codimension-one code.  Every explicit codeword is a
-product of linear factors (linear_product); the witnesses of the purity
-analysis are listed as such factors by verify.certificate_witness.
+minimum distance, the affine maps that fix every code, and the codes
+themselves with their cross-checked dimension.  Every explicit codeword is
+a product of linear factors (linear_product, pinned_roots); the witnesses of
+the purity analysis are listed as such factors by
+verify.certificate_witness.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import linalg
 from .codes import LinearCode
-from .errors import (CrossCheckError, ParameterError, RankDeficientFormsError,
-                     TooLargeError, WitnessParameterError)
+from .errors import CrossCheckError, ParameterError, TooLargeError
 from .gf import GF, field
 
 # Largest point grid (q^m points) that point_order allocates, and most bytes
@@ -82,15 +81,6 @@ def dim_inclusion_exclusion(q: int, r: int, m: int) -> int:
         sign = -1 if i % 2 else 1
         total += sign * binom(m, i) * binom(m + r - i * q, m)
     return total
-
-
-def full_space_binomial_identity(q: int, m: int) -> bool:
-    """Exact check of sum_i (-1)^i C(m,i) C((m-i)q, m) = q^m."""
-    if q < 2 or m < 1:
-        raise ParameterError("need q >= 2 and m >= 1")
-    lhs = sum((-1 if i % 2 else 1) * binom(m, i) * binom((m - i) * q, m)
-              for i in range(m + 1))
-    return lhs == q ** m
 
 
 def ts_split(q: int, r: int) -> tuple[int, int]:
@@ -204,14 +194,6 @@ class ExponentPoly:
     def constant(cls, gf: GF, m: int, c: int) -> "ExponentPoly":
         return cls(gf, m, {(0,) * m: c})
 
-    @classmethod
-    def variable(cls, gf: GF, m: int, i: int) -> "ExponentPoly":
-        if not 0 <= i < m:
-            raise ParameterError(f"variable index {i} out of range for m={m}")
-        exps = [0] * m
-        exps[i] = 1
-        return cls(gf, m, {tuple(exps): 1})
-
     # ring operations
 
     def _like(self, terms) -> "ExponentPoly":
@@ -282,40 +264,6 @@ def _evaluate_terms(gf: GF, values: np.ndarray, terms) -> np.ndarray:
                 col = gf.mul(col, gf.pow(values[:, i], e))
         out = gf.add(out, col)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_vandermonde(q: int) -> np.ndarray:
-    gf = field(q)
-    v = np.array(gf._pow, dtype=gf.dtype)  # v[i, j] = element_i ** j
-    aug = np.hstack([v, linalg.identity(gf, q)])
-    r, rk, _ = linalg.rref(gf, aug)
-    assert rk == q, "evaluation-by-powers matrix must be invertible"
-    w = r[:, q:].copy()
-    w.setflags(write=False)
-    return w
-
-
-def interpolate(order: PointOrder, values) -> ExponentPoly:
-    """The unique reduced polynomial with the given evaluation vector.
-
-    Exact inverse of ExponentPoly.evaluate: per-axis application of the
-    inverse of the powers matrix recovers the coefficient tensor.
-    """
-    gf = order.gf
-    q, m = gf.q, order.m
-    t = np.asarray(values, dtype=gf.dtype)
-    if t.shape != (q ** m,):
-        raise ParameterError(f"expected a length-{q ** m} vector")
-    t = t.reshape((q,) * m)
-    w = _inverse_vandermonde(q)
-    for axis in range(m):
-        moved = np.moveaxis(t, axis, 0).reshape(q, -1)
-        moved = linalg.matmul(gf, w, moved)
-        t = np.moveaxis(moved.reshape((q,) * m), 0, axis)
-    terms = {tuple(int(e) for e in idx): int(c)
-             for idx, c in np.ndenumerate(t) if c}
-    return ExponentPoly(gf, m, terms)
 
 
 # -- the codes ---------------------------------------------------------------
@@ -423,101 +371,3 @@ def pinned_roots(gf: GF, values) -> list[tuple[int, int]]:
     the leading coordinates equalling the values.
     """
     return [(i, b) for i, v in enumerate(values) for b in gf.elements() if b != v]
-
-
-def min_weight_poly(q: int, r: int, m: int, *, scale: int = 1,
-                    pinned=None, excluded=None) -> ExponentPoly:
-    """A polynomial whose evaluation has exactly the minimum weight.
-
-    With (t, s) from the split of r, the word is scale * [indicator of
-    X_1..X_t = pinned] * prod_j (X_{t+1} - excluded_j): nonzero exactly on
-    the (q - s) * q^(m-t-1) points fixing the first t coordinates and
-    avoiding the s excluded values in coordinate t+1.
-    """
-    validate_params(q, r, m)
-    gf = field(q)
-    t, s = ts_split(q, r)
-    pinned = [0] * t if pinned is None else [int(x) for x in pinned]
-    excluded = gf.elements()[:s] if excluded is None else [int(x) for x in excluded]
-    if int(scale) == 0:
-        raise WitnessParameterError("leading scale must be nonzero")
-    if len(pinned) != t:
-        raise WitnessParameterError(f"need {t} pinned values, got {len(pinned)}")
-    if len(excluded) != s or len(set(excluded)) != s:
-        raise WitnessParameterError(f"need {s} distinct excluded values")
-    for x in pinned + excluded:
-        if not 0 <= x < q:
-            raise WitnessParameterError(f"{x} is not an element of GF({q})")
-    f = linear_product(gf, m, pinned_roots(gf, pinned) + [(t, v) for v in excluded],
-                       int(scale))
-    return -f if t % 2 else f   # pinned_roots carries the sign (-1)^t
-
-
-def substitute_linear_forms(f: ExponentPoly, forms, shifts=None) -> np.ndarray:
-    """Evaluation vector of f(L_1, ..., L_w) computed pointwise.
-
-    forms is a w x m coefficient matrix over the field (rows must be
-    independent); optional shifts turn the forms affine.  No symbolic
-    reduction happens: coordinate nu is f evaluated at the form values at
-    point nu, so membership and weight are for the caller to verify.
-    """
-    gf = f.gf
-    forms = linalg.as_matrix(gf, forms)
-    w, m = forms.shape
-    if linalg.rank(gf, forms) != w:
-        raise RankDeficientFormsError("substituted linear forms are dependent")
-    if any(any(exps[w:]) for exps in f.terms):
-        raise ParameterError(
-            f"polynomial uses variables beyond the {w} substituted forms")
-    if shifts is None:
-        shifts = [0] * w
-    shifts = [int(x) for x in shifts]
-    if len(shifts) != w:
-        raise ParameterError(f"need {w} shifts, got {len(shifts)}")
-    if any(not 0 <= x < gf.q for x in shifts):
-        raise ParameterError(f"shifts must lie in 0..{gf.q - 1}")
-    values = gf.add(linalg.matmul(gf, point_order(gf.q, m).points, forms.T),
-                    np.array(shifts, dtype=gf.dtype))
-    return _evaluate_terms(gf, values, f.sorted_terms())
-
-
-def interpolation_basis(q: int, m: int) -> list[ExponentPoly]:
-    """One polynomial per grid point: 1 at that point, 0 elsewhere.
-
-    Stacked evaluations form the identity, which is how the evaluation map
-    is seen to be onto at the top degree m(q-1).
-    """
-    gf = field(q)
-    sign = gf.neg(1) if m % 2 else 1
-    return [linear_product(gf, m, pinned_roots(gf, pt.tolist()), sign)
-            for pt in point_order(q, m).points]
-
-
-def sum_zero_code_equal(q: int, m: int) -> bool:
-    """Does the order m(q-1) - 1 code equal the sum-zero hyperplane code?
-
-    Compares row spaces directly, then rebuilds explicit generators (point
-    indicator minus origin indicator) and confirms they stay within the
-    degree bound and span the same hyperplane.
-    """
-    if q < 2 or m < 1:
-        raise ParameterError("need q >= 2 and m >= 1")
-    r = m * (q - 1) - 1
-    code = build_code(q, r, m)
-    gf, n = code.gf, code.n
-    lam = linalg.zeros(gf, n - 1, n)
-    for i in range(n - 1):
-        lam[i, i] = 1
-        lam[i, i + 1] = gf.neg(1)
-    equal = linalg.row_space_equal(gf, code.G, lam)
-    indicators = interpolation_basis(q, m)
-    origin = indicators[0]  # points[0] is the origin
-    gens = []
-    for f in indicators:
-        g = f - origin
-        if g.total_degree() > r:
-            return False
-        gens.append(g.evaluate(code.order))
-    span = np.stack(gens)
-    return equal and linalg.row_space_equal(gf, span, lam)
-

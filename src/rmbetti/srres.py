@@ -36,8 +36,7 @@ import numpy as np
 from . import linalg
 from .bits import indices_of, mask_of, popcount_table, subset_sum_accumulate
 from .codes import MAX_TABLE_N, LinearCode
-from .errors import (CrossCheckError, DegenerateTypeError, ParameterError,
-                     TooLargeError)
+from .errors import CrossCheckError, ParameterError, TooLargeError
 from .gf import is_prime
 
 # largest n whose 2^n restrictions the homology backend sweeps
@@ -88,7 +87,10 @@ def _boundary_complex(faces, ell: int) -> tuple[list[list[int]], list[list]]:
     """
     by_size: dict[int, set[int]] = {0: {0}}
     for face in faces:
-        f = int(face) if isinstance(face, (int, np.integer)) else mask_of(face)
+        is_mask = isinstance(face, (int, np.integer))
+        if (face < 0) if is_mask else any(int(v) < 0 for v in face):
+            raise ParameterError(f"face {face}: masks and vertices must be non-negative")
+        f = int(face) if is_mask else mask_of(face)
         by_size.setdefault(f.bit_count(), set()).add(f)
     levels = [sorted(by_size.get(s, ())) for s in range(max(by_size) + 1)]
     columns: list[list] = [[0 if ell == 2 else {}]]  # the empty face bounds nothing
@@ -340,7 +342,7 @@ def herzog_kuhl_predicted(shift_type) -> list[Fraction]:
     """
     d = [int(x) for x in shift_type]
     if len(d) < 1 or any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
-        raise DegenerateTypeError(f"shift type must be strictly increasing, got {d}")
+        raise ParameterError(f"shift type must be strictly increasing, got {d}")
     k = len(d) - 1
     out = []
     for i in range(1, k + 1):

@@ -35,7 +35,8 @@ class Guards:
 
     def to_json_obj(self) -> dict:
         """Both limits, beside the fixed homology cross-check length and
-        prime and the subspace limit, which no sweep or command reaches."""
+        prime and codes.MAX_SUBSPACES, which bounds only the subspace oracle
+        of the test suite; no command reaches it, and reports print it."""
         return {"max_n_betti": self.max_n_betti,
                 "cross_check_n": srres.MAX_HOMOLOGY_N,
                 "max_enum": self.max_enum,
@@ -238,8 +239,8 @@ _SUPPORT_KEYS = ("support", "one_minimal_support")
 def _has_fields(cert) -> bool:
     """cert is a dict holding every key check_certificate reads, with an
     integer wherever it reads one, so that no later check raises."""
-    def is_int(value):
-        return isinstance(value, (int, np.integer))
+    def is_int(value):                  # JSON true and false are not integers
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
     return (isinstance(cert, dict)
             and all(is_int(cert.get(key)) for key in _INT_KEYS)

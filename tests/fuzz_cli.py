@@ -16,8 +16,8 @@ error) is a finding.  The `certificate` object of every
 `certificate ... --output=json` that exits 0 is re-checked, as json.loads
 reads it, with check_certificate under the report's own guards; a failed
 re-check is a finding too.  So is, for each of its integer keys, a copy
-with that key deleted or its value turned into a string that
-check_certificate passes or raises on, instead of failing it.  So is JSON
+with that key deleted or its value turned into a string or into true
+that check_certificate passes or raises on, instead of failing it.  So is JSON
 stdout that json.dumps(json.loads(out), indent=2) does not write back byte
 for byte, and a verify-theorem or verify-mds report whose `match` is not
 whether the sweep exited 0.  Exits 1 if there was any finding.  pytest
@@ -116,7 +116,7 @@ def main(argv: list[str]) -> int:
             cert = report["certificate"]
             for key in [key for key, value in cert.items() if type(value) is int]:
                 for tampered in ({name: v for name, v in cert.items() if name != key},
-                                 {**cert, key: str(cert[key])}):
+                                 {**cert, key: str(cert[key])}, {**cert, key: True}):
                     try:
                         passed = verify.check_certificate(tampered, guards).ok
                     except Exception as exc:

@@ -3,10 +3,14 @@
 Everything here is deliberately independent of the library's linear algebra:
 ranks over Q use Fractions, independence over GF(2) uses brute force over
 coefficient vectors, eliminations over GF(q) go one scalar field operation
-at a time, and the Betti sweep below builds boundary matrices from first
-principles.  These exist so the fast library paths are checked against code
-that shares nothing with them.  The explicit codewords at the end are built
-the symbolic way, as sums and powers of ExponentPoly, with no root lists.
+at a time, products over GF(q) are Cayley-table lookups summed one inner
+index at a time, and the Betti sweep below builds boundary matrices from
+first principles.  These exist so the fast library paths are checked against
+code that shares nothing with them.  The reference routes that follow (the
+subspace enumeration behind generalized Hamming weights and minimal
+subcodes, interpolation, substitution of linear forms) are built on those
+eliminations and products.  The explicit codewords at the end are built the
+symbolic way, as sums and powers of ExponentPoly, with no root lists.
 """
 
 import functools
@@ -16,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from rmbetti import ExponentPoly, LinearCode, field, ts_split
-from rmbetti.errors import PreconditionError, WitnessParameterError
-from rmbetti.rm import point_order, validate_params
+from rmbetti import ExponentPoly, LinearCode, codes, field, ts_split
+from rmbetti.errors import ParameterError, PreconditionError, TooLargeError
+from rmbetti.rm import linear_product, pinned_roots, point_order, validate_params
 
 
 def rank_rational(rows):
@@ -267,6 +271,201 @@ def minimal_codeword_supports(code):
     return sorted((tuple(sorted(s)) for s in minimal), key=lambda s: (len(s), s))
 
 
+def matmul_tables(gf, a, b):
+    """a @ b over GF(q) by Cayley-table lookups: the products a[:, j] b[j]
+    from gf.mul, summed over j one gf.add at a time."""
+    a = np.asarray(a, dtype=gf.dtype)
+    b = np.asarray(b, dtype=gf.dtype)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=gf.dtype)
+    for j in range(a.shape[1]):
+        out = gf.add(out, gf.mul(a[:, j, None], b[j]))
+    return out
+
+
+def null_space_scalar(gf, mat):
+    """Row basis of {v : mat @ v = 0} from rref_scalar: one row per free
+    column, 1 there and 0 on the other free columns."""
+    r, _, pivots = rref_scalar(gf, mat)
+    _, _, _, minus_one = _scalar_tables(gf)
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), r.shape[1]), dtype=gf.dtype)
+    for row, c in enumerate(free):
+        basis[row, c] = 1
+        basis[row, pivots] = gf.mul(minus_one, r[:len(pivots), c])
+    return basis
+
+
+# -- reference routes: subspaces, interpolation, substitution ---------------
+
+
+def gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of GF(q)^n."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for j in range(k):
+        num *= q ** (n - j) - 1
+        den *= q ** (j + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def rref_generators(gf, rows, cols):
+    """Yield every full-rank rows x cols matrix in reduced row echelon form:
+    one canonical basis per rows-dimensional subspace of GF(q)^cols, in a
+    deterministic order (pivot columns, then free entries)."""
+    for pivots in itertools.combinations(range(cols), rows):
+        free_pos = [(r, c) for r in range(rows)
+                    for c in range(pivots[r] + 1, cols) if c not in pivots]
+        for values in itertools.product(range(gf.q), repeat=len(free_pos)):
+            mat = np.zeros((rows, cols), dtype=gf.dtype)
+            mat[range(rows), pivots] = 1
+            for (r, c), v in zip(free_pos, values):
+                mat[r, c] = v
+            yield mat
+
+
+def _check_subspace_count(count):
+    """codes.MAX_SUBSPACES bounds every enumeration of subspaces here."""
+    if count > codes.MAX_SUBSPACES:
+        raise TooLargeError(
+            f"{count} subspaces to enumerate exceeds guard {codes.MAX_SUBSPACES}")
+
+
+def _row_space(gf, rows):
+    """The canonical basis of the row space: the nonzero rows of the RREF."""
+    r, rank, _ = rref_scalar(gf, rows)
+    return r[:rank]
+
+
+def ghw_by_subspaces(code, i):
+    """d_i as the smallest support of an i-dimensional subcode, each one
+    spanned by a canonical basis times G."""
+    if not 1 <= i <= code.k:
+        raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
+    gf = code.gf
+    _check_subspace_count(gaussian_binomial(code.k, i, gf.q))
+    return min(int(np.count_nonzero(matmul_tables(gf, u, code.G).any(axis=0)))
+               for u in rref_generators(gf, i, code.k))
+
+
+def is_i_minimal(code, subcode_rows):
+    """True iff no other subcode of the same dimension has its support
+    inside the support sigma of the given one.
+
+    For dimension 1 that is "the shortened code on sigma is a line"; for
+    higher dimension every same-dimensional subspace of the shortened code
+    is enumerated by canonical bases and compared with the given one."""
+    gf = code.gf
+    d = np.asarray(subcode_rows, dtype=gf.dtype)
+    if d.ndim != 2 or d.shape[1] != code.n:
+        raise ParameterError("subcode rows have the wrong length")
+    if np.any(matmul_tables(gf, d, code.H.T)):
+        raise ParameterError("subcode rows must be codewords")
+    i = d.shape[0]
+    if rref_scalar(gf, d)[1] != i:
+        raise ParameterError("subcode rows are dependent")
+    sigma = np.flatnonzero(d.any(axis=0))
+    inside = null_space_scalar(gf, code.H[:, sigma])  # the shortened code, on sigma
+    kappa = inside.shape[0]
+    if i == 1:
+        return kappa == 1
+    _check_subspace_count(gaussian_binomial(kappa, i, gf.q))
+    target = _row_space(gf, d[:, sigma])
+    return all(np.array_equal(_row_space(gf, matmul_tables(gf, u, inside)), target)
+               for u in rref_generators(gf, i, kappa))
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_vandermonde(gf):
+    """V^-1 for V[a, j] = a ** j, read off rref_scalar of [V | I]."""
+    q = gf.q
+    v = np.array([[gf.pow(a, j) for j in range(q)] for a in range(q)], dtype=gf.dtype)
+    r, rank, _ = rref_scalar(gf, np.hstack([v, np.eye(q, dtype=gf.dtype)]))
+    assert rank == q, "evaluation-by-powers matrix must be invertible"
+    return r[:, q:]
+
+
+def interpolate(order, values):
+    """The unique reduced polynomial with the given evaluation vector: V^-1
+    applied along each axis of the values, read as a q x ... x q tensor,
+    gives the coefficient tensor."""
+    gf, m = order.gf, order.m
+    q = gf.q
+    t = np.asarray(values, dtype=gf.dtype)
+    if t.shape != (q ** m,):
+        raise ParameterError(f"expected a length-{q ** m} vector")
+    t = t.reshape((q,) * m)
+    w = _inverse_vandermonde(gf)
+    for axis in range(m):
+        moved = matmul_tables(gf, w, np.moveaxis(t, axis, 0).reshape(q, -1))
+        t = np.moveaxis(moved.reshape((q,) * m), 0, axis)
+    return ExponentPoly(gf, m, {idx: int(c) for idx, c in np.ndenumerate(t) if c})
+
+
+def _min_weight_constants(q, r, m, scale, pinned, excluded):
+    """(field, t, pinned, excluded) of a minimum-weight word, defaults
+    filled in and every constant checked."""
+    validate_params(q, r, m)
+    gf = field(q)
+    t, s = ts_split(q, r)
+    pinned = [0] * t if pinned is None else [int(x) for x in pinned]
+    excluded = gf.elements()[:s] if excluded is None else [int(x) for x in excluded]
+    if int(scale) == 0:
+        raise ParameterError("leading scale must be nonzero")
+    if len(pinned) != t:
+        raise ParameterError(f"need {t} pinned values, got {len(pinned)}")
+    if len(excluded) != s or len(set(excluded)) != s:
+        raise ParameterError(f"need {s} distinct excluded values")
+    for x in pinned + excluded:
+        if not 0 <= x < q:
+            raise ParameterError(f"{x} is not an element of GF({q})")
+    return gf, t, pinned, excluded
+
+
+def min_weight_poly(q, r, m, *, scale=1, pinned=None, excluded=None):
+    """scale * [indicator of X_1..X_t = pinned] * prod_j (X_{t+1} - excluded_j)
+    as one linear_product: nonzero exactly on the (q - s) q^(m-t-1) points
+    fixing the first t coordinates and avoiding the s excluded values in
+    coordinate t+1, the minimum weight."""
+    gf, t, pinned, excluded = _min_weight_constants(q, r, m, scale, pinned, excluded)
+    f = linear_product(gf, m, pinned_roots(gf, pinned) + [(t, v) for v in excluded],
+                       int(scale))
+    return -f if t % 2 else f   # pinned_roots carries the sign (-1)^t
+
+
+def substitute_linear_forms(f, forms, shifts=None):
+    """Evaluation vector of f(L_1 + c_1, ..., L_w + c_w), point by point.
+
+    forms is a w x m matrix of independent linear forms and shifts the
+    optional constants c; f may use only its first w variables.  Nothing is
+    reduced symbolically, so membership and weight are the caller's to
+    check."""
+    gf = f.gf
+    forms = np.asarray(forms, dtype=gf.dtype)
+    w, m = forms.shape
+    if rref_scalar(gf, forms)[1] != w:
+        raise ParameterError("substituted linear forms are dependent")
+    if any(any(exps[w:]) for exps in f.terms):
+        raise ParameterError(
+            f"polynomial uses variables beyond the {w} substituted forms")
+    shifts = [0] * w if shifts is None else [int(x) for x in shifts]
+    if len(shifts) != w:
+        raise ParameterError(f"need {w} shifts, got {len(shifts)}")
+    if any(not 0 <= x < gf.q for x in shifts):
+        raise ParameterError(f"shifts must lie in 0..{gf.q - 1}")
+    values = gf.add(matmul_tables(gf, point_order(gf.q, m).points, forms.T),
+                    np.array(shifts, dtype=gf.dtype))
+    out = np.zeros(len(values), dtype=gf.dtype)
+    for exps, coef in f.sorted_terms():
+        term = np.full(len(values), coef, dtype=gf.dtype)
+        for i, e in enumerate(exps[:w]):
+            if e:
+                term = gf.mul(term, gf.pow(values[:, i], e))
+        out = gf.add(out, term)
+    return out
+
+
 def certificate_json(cert):
     """A certificate's JSON text: two certificates are equal when it is,
     whether either holds arrays, tuples or the lists json.load gives."""
@@ -284,34 +483,26 @@ def power(f, k):
     return out
 
 
+def variable(gf, m, i):
+    """The polynomial X_i, by the ExponentPoly constructor."""
+    return ExponentPoly(gf, m, {tuple(int(j == i) for j in range(m)): 1})
+
+
 def _coordinate_indicator(gf, m, var, value):
     """1 - (X_var - value)^(q-1): one at points with that coordinate, else zero."""
-    x = ExponentPoly.variable(gf, m, var)
+    x = variable(gf, m, var)
     shifted = x - ExponentPoly.constant(gf, m, value)
     return ExponentPoly.constant(gf, m, 1) - power(shifted, gf.q - 1)
 
 
 def min_weight_poly_symbolic(q, r, m, *, scale=1, pinned=None, excluded=None):
     """scale * [indicator of X_1..X_t = pinned] * prod_j (X_{t+1} - excluded_j)."""
-    validate_params(q, r, m)
-    gf = field(q)
-    t, s = ts_split(q, r)
-    pinned = [0] * t if pinned is None else [int(x) for x in pinned]
-    excluded = gf.elements()[:s] if excluded is None else [int(x) for x in excluded]
-    if int(scale) == 0:
-        raise WitnessParameterError("leading scale must be nonzero")
-    if len(pinned) != t:
-        raise WitnessParameterError(f"need {t} pinned values, got {len(pinned)}")
-    if len(excluded) != s or len(set(excluded)) != s:
-        raise WitnessParameterError(f"need {s} distinct excluded values")
-    for x in pinned + excluded:
-        if not 0 <= x < q:
-            raise WitnessParameterError(f"{x} is not an element of GF({q})")
+    gf, t, pinned, excluded = _min_weight_constants(q, r, m, scale, pinned, excluded)
     f = ExponentPoly.constant(gf, m, int(scale))
     for i in range(t):
         f = f * _coordinate_indicator(gf, m, i, pinned[i])
     for val in excluded:
-        f = f * (ExponentPoly.variable(gf, m, t) - ExponentPoly.constant(gf, m, val))
+        f = f * (variable(gf, m, t) - ExponentPoly.constant(gf, m, val))
     return f
 
 
@@ -343,13 +534,13 @@ def witness_poly_large_field_symbolic(q, m, r):
     elems = gf.elements()
     f = ExponentPoly.constant(gf, m, 1)
     for i in range(t - 1):
-        x = ExponentPoly.variable(gf, m, i)
+        x = variable(gf, m, i)
         f = f * (power(x, q - 1) - ExponentPoly.constant(gf, m, 1))
     for j in range(2, q):
-        f = f * (ExponentPoly.variable(gf, m, t - 1)
+        f = f * (variable(gf, m, t - 1)
                  - ExponentPoly.constant(gf, m, elems[j]))
     for val in elems[:2]:
-        f = f * (ExponentPoly.variable(gf, m, t)
+        f = f * (variable(gf, m, t)
                  - ExponentPoly.constant(gf, m, val))
     return f
 
@@ -369,9 +560,9 @@ def witness_poly_ternary_symbolic(m, r):
     third = gf.elements()[2]
     f = ExponentPoly.constant(gf, m, 1)
     for i in range(t - 1):
-        x = ExponentPoly.variable(gf, m, i)
+        x = variable(gf, m, i)
         f = f * (power(x, 2) - ExponentPoly.constant(gf, m, 1))
     for var in (t - 1, t, t + 1):
-        f = f * (ExponentPoly.variable(gf, m, var)
+        f = f * (variable(gf, m, var)
                  - ExponentPoly.constant(gf, m, third))
     return f

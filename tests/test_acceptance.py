@@ -26,8 +26,9 @@ import rmbetti as rb
 from rmbetti import linalg
 from rmbetti.rm import pinned_roots
 
-from oracles import (betti_sweep_gf2, code_from_rows, monomial_row,
-                     proj_dim, rank_profile, shrink_restart_scalar)
+from oracles import (betti_sweep_gf2, code_from_rows, ghw_by_subspaces,
+                     min_weight_poly, monomial_row, proj_dim, rank_profile,
+                     shrink_restart_scalar, substitute_linear_forms)
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9)
 THEOREM_PAIRS = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2))
@@ -70,10 +71,12 @@ def test_dimension_sources_agree_across_fields():
 
 
 def test_full_space_binomial_identity_sweep():
+    # at r = m(q-1) inclusion-exclusion is sum_i (-1)^i C(m,i) C((m-i)q, m),
+    # and the code is the whole space
     started = time.monotonic()
     for q in range(2, 10):
         for m in range(1, 7):
-            assert rb.full_space_binomial_identity(q, m), (q, m)
+            assert rb.dim_inclusion_exclusion(q, m * (q - 1), m) == q ** m, (q, m)
     elapsed = time.monotonic() - started
     assert elapsed < 1, f"identity sweep took {elapsed:.2f}s, budget 1s"
     _ok("binomial identity", f"q in 2..9, m in 1..6, {elapsed * 1000:.0f}ms")
@@ -111,15 +114,15 @@ def test_minimum_weight_constructions_and_substitutions():
                 code = rb.build_code(q, r, m)
                 gf = code.gf
                 t, s = rb.ts_split(q, r)
-                f = rb.min_weight_poly(q, r, m)
+                f = min_weight_poly(q, r, m)
                 word = f.evaluate(code.order)
                 assert rb.weight(word) == code.d, (q, m, r)
                 assert not np.any(linalg.matvec(gf, code.H, word)), (q, m, r)
 
                 pinned = rng.integers(0, q, size=t).tolist()
                 excluded = rng.permutation(q)[:s].tolist()
-                f2 = rb.min_weight_poly(q, r, m, scale=int(rng.integers(1, q)),
-                                        pinned=pinned, excluded=excluded)
+                f2 = min_weight_poly(q, r, m, scale=int(rng.integers(1, q)),
+                                     pinned=pinned, excluded=excluded)
                 word2 = f2.evaluate(code.order)
                 assert rb.weight(word2) == code.d
                 assert not np.any(linalg.matvec(gf, code.H, word2))
@@ -132,7 +135,7 @@ def test_minimum_weight_constructions_and_substitutions():
                                 break
                         shifts = (rng.integers(0, q, size=t + 1).tolist()
                                   if trial % 2 else None)
-                        sub = rb.substitute_linear_forms(f, forms, shifts)
+                        sub = substitute_linear_forms(f, forms, shifts)
                         assert rb.weight(sub) == code.d, (q, m, r, trial)
                         assert not np.any(linalg.matvec(gf, code.H, sub))
                         substitutions += 1
@@ -165,7 +168,7 @@ def test_ghw_subset_search_equals_subspace_enumeration():
                 if code.k > 4:
                     continue
                 for i in range(1, code.k + 1):
-                    assert rb.ghw(code, i) == rb.ghw_by_subspaces(code, i)
+                    assert rb.ghw(code, i) == ghw_by_subspaces(code, i)
                 cases += 1
             m += 1
     rng = np.random.default_rng(99)
@@ -179,7 +182,7 @@ def test_ghw_subset_search_equals_subspace_enumeration():
         if not 1 <= code.k <= 4:
             continue
         for i in range(1, code.k + 1):
-            assert rb.ghw(code, i) == rb.ghw_by_subspaces(code, i)
+            assert rb.ghw(code, i) == ghw_by_subspaces(code, i)
         cases += 1
     _ok("weight-hierarchy oracle", f"{cases} codes, both routes equal")
 
@@ -403,7 +406,9 @@ def test_mds_characterization_and_sum_zero_code():
                 rb.mds_predicate(q, m, r), (q, m, r)
             checked += 1
     for (q, m) in [(2, 2), (2, 3), (3, 2), (4, 2)]:
-        assert rb.sum_zero_code_equal(q, m), (q, m)
+        # one order below the top, the dual is spanned by the all-ones word
+        code = rb.build_code(q, m * (q - 1) - 1, m)
+        assert np.array_equal(code.H, np.ones((1, code.n))), (q, m)
     _ok("MDS characterization",
         f"{checked} enumerable rows match; sum-zero equality on 4 pairs")
 

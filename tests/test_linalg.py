@@ -1,6 +1,8 @@
 """Exact row reduction, null spaces, products and the face walk."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from rmbetti import DimensionMismatchError, TooLargeError, field
 from rmbetti import linalg
 from rmbetti.rm import monomial_basis, point_order
 
-from oracles import monomial_row, rank_profile, rref_scalar
+from oracles import (matmul_tables, monomial_row, null_space_scalar, rank_profile,
+                     rref_scalar)
 
 ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 257)   # GF(257): a uint16 prime field
 # the lane-word boundaries of rref's packing: GF(127) fills a uint8 word with
@@ -27,7 +30,7 @@ def mat(gf, rows):
 
 def test_rref_identity_and_zero():
     gf = field(3)
-    r, rk, piv = linalg.rref(gf, linalg.identity(gf, 2))
+    r, rk, piv = linalg.rref(gf, np.eye(2, dtype=gf.dtype))
     assert rk == 2 and piv == [0, 1]
     r, rk, piv = linalg.rref(gf, linalg.zeros(gf, 3, 4))
     assert rk == 0 and piv == []
@@ -136,10 +139,10 @@ def test_rref_matches_scalar_oracle_on_evaluation_matrices(q, r, m):
 
 def test_null_space_examples():
     gf = field(2)
-    assert linalg.null_space(gf, linalg.identity(gf, 3)).shape == (0, 3)
+    assert linalg.null_space(gf, np.eye(3, dtype=gf.dtype)).shape == (0, 3)
     # no constraints: 0 x 3 matrix has the full space as kernel
     empty = linalg.zeros(gf, 0, 3)
-    assert np.array_equal(linalg.null_space(gf, empty), linalg.identity(gf, 3))
+    assert np.array_equal(linalg.null_space(gf, empty), np.eye(3, dtype=gf.dtype))
     gf3 = field(3)
     m = mat(gf3, [[1, 1, 1]])
     basis = linalg.null_space(gf3, m)
@@ -186,7 +189,7 @@ def test_matmul_and_matvec():
     gf = field(2)
     a = mat(gf, [[1, 1]])
     assert np.array_equal(linalg.matmul(gf, a, mat(gf, [[1], [1]])), [[0]])
-    ident = linalg.identity(gf, 2)
+    ident = np.eye(2, dtype=gf.dtype)
     b = mat(gf, [[1, 0], [1, 1]])
     assert np.array_equal(linalg.matmul(gf, b, ident), b)
     v = np.array([1, 1], dtype=gf.dtype)
@@ -323,7 +326,7 @@ def test_face_levels_refuse_63_columns():
 
 def test_face_levels_refuse_a_level_above_the_byte_limit(monkeypatch):
     gf = field(2)
-    m = linalg.identity(gf, 4)
+    m = np.eye(4, dtype=gf.dtype)
     # level 1: the three faces that can still grow carry 3 x 4 reduced matrices
     monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", 3 * 3 * 4 - 1)
     levels = linalg.face_levels(gf, m)
@@ -332,3 +335,27 @@ def test_face_levels_refuse_a_level_above_the_byte_limit(monkeypatch):
         next(levels)
     monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", 36)
     assert [f.size for f, _ in linalg.face_levels(gf, m)] == [1, 4, 6, 4, 1]
+
+
+def test_table_oracles_match_the_library():
+    # the products and null spaces the reference routes of tests/oracles.py
+    # are built on, against the packed kernels
+    rng = np.random.default_rng(12)
+    for q in PRODUCT_FIELDS:
+        gf = field(q)
+        for rows, inner, cols in ((3, 5, 4), (2, 0, 3), (6, 9, 7)):
+            a = rng.integers(0, q, size=(rows, inner)).astype(gf.dtype)
+            b = rng.integers(0, q, size=(inner, cols)).astype(gf.dtype)
+            assert np.array_equal(matmul_tables(gf, a, b), linalg.matmul(gf, a, b))
+            a[-1] = a[0]
+            assert np.array_equal(null_space_scalar(gf, a), linalg.null_space(gf, a))
+
+
+def test_oracles_never_use_the_library_linear_algebra():
+    """tests/oracles.py says it shares nothing with the library's linear
+    algebra: it neither imports rmbetti.linalg nor names linalg."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    names = [getattr(node, key, None) for node in ast.walk(tree)
+             for key in ("id", "attr", "name", "module")]
+    assert [name for name in names if isinstance(name, str)
+            and (name == "linalg" or name.startswith("rmbetti.linalg"))] == []

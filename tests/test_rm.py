@@ -5,13 +5,13 @@ import pytest
 
 import rmbetti as rb
 from rmbetti import (CrossCheckError, ExponentPoly, ParameterError, PreconditionError,
-                     RankDeficientFormsError, TooLargeError, WitnessParameterError,
-                     field)
+                     TooLargeError, field)
 from rmbetti import linalg, rm
-from rmbetti.rm import binom, validate_params
+from rmbetti.rm import binom, pinned_roots, validate_params
 
-from oracles import (interpolation_basis_symbolic, min_weight_poly_symbolic,
-                     monomial_row, power, witness_poly_large_field_symbolic,
+from oracles import (interpolate, interpolation_basis_symbolic, min_weight_poly,
+                     min_weight_poly_symbolic, monomial_row, power,
+                     substitute_linear_forms, witness_poly_large_field_symbolic,
                      witness_poly_ternary_symbolic)
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
@@ -68,19 +68,12 @@ def test_dimension_simplifies_below_q():
 
 
 def test_dimension_full_space():
+    # q=3, m=2: C(6,2) - 2*C(3,2) + C(0,2) = 15 - 6 + 0 = 9
+    assert binom(6, 2) - 2 * binom(3, 2) + binom(0, 2) == 9
     for q, m in [(2, 3), (3, 2), (4, 2), (5, 1)]:
         r = m * (q - 1)
         assert rb.dim_inclusion_exclusion(q, r, m) == q ** m
         assert rb.dim_assmus_key(q, r, m) == q ** m
-
-
-def test_full_space_binomial_identity_by_hand():
-    # q=3, m=2: C(6,2) - 2*C(3,2) + C(0,2) = 15 - 6 + 0 = 9
-    assert binom(6, 2) - 2 * binom(3, 2) + binom(0, 2) == 9
-    assert rb.full_space_binomial_identity(3, 2)
-    # q=2, m=1: C(2,1) - C(0,1) = 2
-    assert rb.full_space_binomial_identity(2, 1)
-    assert rb.full_space_binomial_identity(5, 4)
 
 
 def test_ts_split():
@@ -114,13 +107,13 @@ def test_evaluate_examples():
     gf = field(2)
     ones = ExponentPoly.constant(gf, 2, 1)
     assert np.array_equal(ones.evaluate(), [1, 1, 1, 1])
-    x1 = ExponentPoly.variable(gf, 2, 0)
+    x1 = ExponentPoly(gf, 2, {(1, 0): 1})
     assert np.array_equal(x1.evaluate(), [0, 0, 1, 1])
 
 
 def test_exponent_poly_reduction_and_arithmetic():
     gf = field(3)
-    x = ExponentPoly.variable(gf, 1, 0)
+    x = ExponentPoly(gf, 1, {(1,): 1})
     assert (x * x * x).terms == x.terms  # X^3 = X on values
     assert power(x, 5).terms == (power(x, 3) * power(x, 2)
                                  * ExponentPoly.constant(gf, 1, 1)).terms
@@ -241,7 +234,7 @@ def test_dimension_monotone_and_distance_antitone():
 
 
 def test_min_weight_poly_support_pins_first_coordinates():
-    f = rb.min_weight_poly(3, 2, 2)  # t=1, s=0, pinned value 0
+    f = min_weight_poly(3, 2, 2)  # t=1, s=0, pinned value 0
     vals = f.evaluate()
     order = rb.point_order(3, 2)
     supp = rb.support(vals)
@@ -251,32 +244,32 @@ def test_min_weight_poly_support_pins_first_coordinates():
 
 def test_min_weight_poly_gf2_is_affine_coordinate():
     # q=2, r=1: pinning X_1 = 1 gives exactly the polynomial X_1
-    f = rb.min_weight_poly(2, 1, 2, pinned=[1])
+    f = min_weight_poly(2, 1, 2, pinned=[1])
     assert f.terms == {(1, 0): 1}
     assert rb.weight(f.evaluate()) == 2
 
 
 def test_min_weight_poly_q4_mixed_split():
-    f = rb.min_weight_poly(4, 4, 2)  # t=1, s=1
+    f = min_weight_poly(4, 4, 2)  # t=1, s=1
     vals = f.evaluate()
     assert rb.weight(vals) == 3 == rb.min_distance_formula(4, 4, 2)
     assert rb.build_code(4, 4, 2).contains(vals)
 
 
 def test_min_weight_poly_validation():
-    with pytest.raises(WitnessParameterError):
-        rb.min_weight_poly(4, 4, 2, scale=0)
-    with pytest.raises(WitnessParameterError):
-        rb.min_weight_poly(5, 2, 2, excluded=[1, 1])
-    with pytest.raises(WitnessParameterError):
-        rb.min_weight_poly(3, 2, 2, pinned=[0, 0])  # t = 1, not 2
+    with pytest.raises(ParameterError, match="scale must be nonzero"):
+        min_weight_poly(4, 4, 2, scale=0)
+    with pytest.raises(ParameterError, match="distinct excluded"):
+        min_weight_poly(5, 2, 2, excluded=[1, 1])
+    with pytest.raises(ParameterError, match="need 1 pinned"):
+        min_weight_poly(3, 2, 2, pinned=[0, 0])  # t = 1, not 2
 
 
 def test_min_weight_poly_scale_outside_the_field():
     # refused by the ExponentPoly constructor before any table lookup
     for scale in (4, -1):
         with pytest.raises(ParameterError, match="not an element of GF"):
-            rb.min_weight_poly(4, 4, 2, scale=scale)
+            min_weight_poly(4, 4, 2, scale=scale)
 
 
 def test_min_weight_poly_randomized_parameters():
@@ -288,8 +281,8 @@ def test_min_weight_poly_randomized_parameters():
             pinned = rng.integers(0, q, size=t).tolist()
             excluded = rng.permutation(q)[:s].tolist()
             scale = int(rng.integers(1, q))
-            f = rb.min_weight_poly(q, r, m, scale=scale, pinned=pinned,
-                                   excluded=excluded)
+            f = min_weight_poly(q, r, m, scale=scale, pinned=pinned,
+                                excluded=excluded)
             vals = f.evaluate(code.order)
             assert rb.weight(vals) == code.d
             assert code.contains(vals)
@@ -297,30 +290,29 @@ def test_min_weight_poly_randomized_parameters():
 
 def test_substitute_linear_forms_examples():
     gf = field(2)
-    f = ExponentPoly.variable(gf, 2, 0)
-    ident = linalg.identity(gf, 2)
-    assert np.array_equal(rb.substitute_linear_forms(f, ident[:1]), f.evaluate())
+    f = ExponentPoly(gf, 2, {(1, 0): 1})
+    assert np.array_equal(substitute_linear_forms(f, [[1, 0]]), f.evaluate())
     mixed = np.array([[1, 1]], dtype=gf.dtype)
-    assert np.array_equal(rb.substitute_linear_forms(f, mixed), [0, 1, 1, 0])
-    with pytest.raises(RankDeficientFormsError):
-        rb.substitute_linear_forms(f, np.zeros((1, 2), dtype=gf.dtype))
+    assert np.array_equal(substitute_linear_forms(f, mixed), [0, 1, 1, 0])
+    with pytest.raises(ParameterError, match="dependent"):
+        substitute_linear_forms(f, np.zeros((1, 2), dtype=gf.dtype))
 
 
 def test_substitute_linear_forms_shift_range():
     gf = field(4)
-    f = ExponentPoly.variable(gf, 2, 0)
-    shifted = rb.substitute_linear_forms(f, [[1, 0]], [3])
+    f = ExponentPoly(gf, 2, {(1, 0): 1})
+    shifted = substitute_linear_forms(f, [[1, 0]], [3])
     assert np.array_equal(shifted, gf.add(f.evaluate(), 3))
     for shift in (5, 4, -1):
         with pytest.raises(ParameterError, match="shifts must lie in 0..3"):
-            rb.substitute_linear_forms(f, [[1, 0]], [shift])
+            substitute_linear_forms(f, [[1, 0]], [shift])
 
 
 def test_substitute_linear_forms_preserves_weight_and_membership():
     rng = np.random.default_rng(77)
     for (q, r, m) in [(3, 2, 2), (4, 4, 2), (2, 2, 3)]:
         code = rb.build_code(q, r, m)
-        f = rb.min_weight_poly(q, r, m)
+        f = min_weight_poly(q, r, m)
         t, _ = rb.ts_split(q, r)
         w = t + 1
         for trial in range(8):
@@ -329,17 +321,25 @@ def test_substitute_linear_forms_preserves_weight_and_membership():
                 if linalg.rank(code.gf, forms) == w:
                     break
             shifts = rng.integers(0, q, size=w).tolist() if trial % 2 else None
-            word = rb.substitute_linear_forms(f, forms, shifts)
+            word = substitute_linear_forms(f, forms, shifts)
             assert rb.weight(word) == code.d
             assert code.contains(word)
+
+
+def point_indicators(q, m):
+    """One linear_product per grid point: 1 at that point, 0 elsewhere."""
+    gf = field(q)
+    sign = gf.neg(1) if m % 2 else 1
+    return [rb.linear_product(gf, m, pinned_roots(gf, point.tolist()), sign)
+            for point in rb.point_order(q, m).points]
 
 
 def test_interpolation_basis_identity_and_unity():
     for (q, m) in [(2, 1), (2, 2), (3, 2)]:
         gf = field(q)
-        basis = rb.interpolation_basis(q, m)
+        basis = point_indicators(q, m)
         stacked = np.stack([f.evaluate() for f in basis])
-        assert np.array_equal(stacked, linalg.identity(gf, q ** m))
+        assert np.array_equal(stacked, np.eye(q ** m))
         total = basis[0]
         for f in basis[1:]:
             total = total + f
@@ -347,7 +347,7 @@ def test_interpolation_basis_identity_and_unity():
 
 
 def test_interpolation_basis_gf2_m1_explicit():
-    one_plus_x, x = rb.interpolation_basis(2, 1)
+    one_plus_x, x = point_indicators(2, 1)
     assert one_plus_x.terms == {(0,): 1, (1,): 1}
     assert x.terms == {(1,): 1}
 
@@ -364,11 +364,11 @@ def test_interpolate_inverts_evaluate():
                 coef = int(rng.integers(1, q))
                 terms[exps] = coef
             f = ExponentPoly(gf, m, terms)
-            assert rb.interpolate(order, f.evaluate(order)) == f
+            assert interpolate(order, f.evaluate(order)) == f
         # degree detection: membership in the order-r code
         for r in range(m * (q - 1) + 1):
-            word = rb.min_weight_poly(q, r, m).evaluate(order)
-            assert rb.interpolate(order, word).total_degree() <= r
+            word = min_weight_poly(q, r, m).evaluate(order)
+            assert interpolate(order, word).total_degree() <= r
 
 
 def test_interpolation_degree_agrees_with_parity_membership():
@@ -376,19 +376,22 @@ def test_interpolation_degree_agrees_with_parity_membership():
     # of the interpolating polynomial
     rng = np.random.default_rng(31)
     code = rb.build_code(3, 2, 2)
-    words = [rb.min_weight_poly(3, 2, 2, pinned=[p]).evaluate() for p in range(3)]
+    words = [min_weight_poly(3, 2, 2, pinned=[p]).evaluate() for p in range(3)]
     words.append(np.zeros(9, dtype=code.gf.dtype))
     for _ in range(30):
         words.append(rng.integers(0, 3, size=9).astype(code.gf.dtype))
     for w in words:
         by_parity = code.contains(w)
-        by_degree = rb.interpolate(code.order, w).total_degree() <= code.r
+        by_degree = interpolate(code.order, w).total_degree() <= code.r
         assert by_parity == by_degree
 
 
 def test_sum_zero_code_equality():
-    for (q, m) in [(2, 2), (3, 2), (2, 3)]:
-        assert rb.sum_zero_code_equal(q, m)
+    # one order below the top the dual is spanned by the all-ones word, so
+    # the code is the sum-zero hyperplane
+    for (q, m) in [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3), (7, 1)]:
+        code = rb.build_code(q, m * (q - 1) - 1, m)
+        assert np.array_equal(code.H, np.ones((1, q ** m))), (q, m)
     # dimension check: [q^m, q^m - 1, 2]
     code = rb.build_code(3, 3, 2)
     assert (code.n, code.k, code.d) == (9, 8, 2)
@@ -479,7 +482,7 @@ def test_min_weight_poly_matches_symbolic_construction():
         for m in (1, 2, 3):
             for r in range(m * (q - 1) + 1):
                 t, s = rb.ts_split(q, r)
-                assert_same_construction(lambda: rb.min_weight_poly(q, r, m),
+                assert_same_construction(lambda: min_weight_poly(q, r, m),
                                          lambda: min_weight_poly_symbolic(q, r, m))
                 for trial in range(4):
                     if trial < 3:   # valid constants
@@ -492,7 +495,7 @@ def test_min_weight_poly_matches_symbolic_construction():
                                   pinned=rng.integers(-1, q + 1, size=size).tolist(),
                                   excluded=rng.integers(-1, q + 1, size=s).tolist())
                     assert_same_construction(
-                        lambda: rb.min_weight_poly(q, r, m, **kw),
+                        lambda: min_weight_poly(q, r, m, **kw),
                         lambda: min_weight_poly_symbolic(q, r, m, **kw))
 
 
@@ -543,7 +546,7 @@ def test_interpolation_basis_matches_symbolic_construction():
     for q in PRIME_POWERS:
         for m in range(1, 5):
             if q ** m <= 25:
-                built = rb.interpolation_basis(q, m)
+                built = point_indicators(q, m)
                 expected = interpolation_basis_symbolic(q, m)
                 assert [f.sorted_terms() for f in built] == \
                     [f.sorted_terms() for f in expected], (q, m)

@@ -168,8 +168,12 @@ def _without(cert, key):
     lambda cert: _without(cert, "d1_source"),
     lambda cert: _without(cert, "checks"),
     lambda cert: [cert],
+    lambda cert: {**cert, "t": True},
+    lambda cert: {**cert, "case": True},
+    lambda cert: {**cert, "support": [True, *cert["support"][1:]]},
 ], ids=["no-d1", "no-case", "str-weight", "str-support", "str-q",
-        "null-one-minimal-support", "no-d1-source", "no-checks", "not-a-dict"])
+        "null-one-minimal-support", "no-d1-source", "no-checks", "not-a-dict",
+        "bool-t", "bool-case", "bool-in-support"])
 def test_malformed_certificate_scalars_give_the_fields_reason(tamper):
     result = rb.check_certificate(tamper(rb.non_purity_certificate(4, 2, 4)))
     assert result == verify.CertificateCheck(False, ("fields",))
