@@ -2,9 +2,10 @@
 
 Subcommands construct codes, print dimension/distance/weight data, emit
 Betti tables and purity verdicts, build and check non-purity certificates,
-and run verification sweeps.  Text output is a convenience; JSON is the
-contract (stable field names, deterministic byte-for-byte given the same
-arguments, timing excluded under --no-timing).
+and run verification sweeps; betti and purity print what the one Betti
+route, verify.purity_by_betti, returns.  Text output is a convenience; JSON
+is the contract (stable field names, deterministic byte-for-byte given the
+same arguments, timing excluded under --no-timing).
 
 Exit codes: 0 success/match, 2 bad parameters, 3 guard exceeded or out of
 memory, 4 verification failure, 5 internal cross-check mismatch.
@@ -22,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import codes, linalg, rm, srres, verify
+from . import codes, linalg, rm, verify
 from .errors import (CertificateError, CrossCheckError, ParameterError,
                      TooLargeError)
 from .gf import field
@@ -123,20 +124,8 @@ def _cmd_ghw(args, guards):
 
 def _cmd_betti(args, guards):
     q, m, r = args.q, args.m, args.r
-    srres.check_char(args.char)      # on every backend, fast included
-    code = rm.build_code(q, r, m)
-    if code.n > guards.max_n_betti:
-        raise TooLargeError(f"n = {code.n} exceeds Betti guard {guards.max_n_betti}")
-    if args.backend == "homology":
-        table = verify.betti_by_homology(code, args.char)
-    else:
-        table = srres.betti_fastpath(code)
-        if args.backend == "both":
-            slow = verify.betti_by_homology(code, args.char)
-            if slow != table:
-                raise CrossCheckError(f"Betti backends disagree for "
-                                      f"(q={q}, m={m}, r={r}, char={args.char})")
-    verdict = srres.purity_verdict(table)
+    comp = verify.purity_by_betti(q, m, r, guards, args.backend, args.char)
+    code, table, verdict = rm.build_code(q, r, m), comp.table, comp.verdict
     report = _report(q, m, r, code=_code_obj(code), betti=table.to_json_obj(),
                      purity=dataclasses.asdict(verdict), guards=guards)
     lines = [f"graded Betti numbers of the [{code.n}, {code.k}]_{q} code:"]

@@ -247,12 +247,17 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
         raise TooLargeError(
             f"q^k = {code.gf.q ** code.k} exceeds the enumeration guard {max_enum}")
     gf, half = code.gf, (code.k + 1) // 2
+    q, rest = gf.q, code.G[half:]
     a = _span(gf, code.G[:half])
-    lead_one = np.array([w for i in range(code.k - half)
-                         for w in range(gf.q ** i, 2 * gf.q ** i)], dtype=np.intp)
-    b = _span(gf, code.G[half:])[lead_one]
+    # B's lead-one words: row i plus each combination of the rows before it
+    span = _span(gf, rest[:-1])
+    b = np.empty(((q ** len(rest) - 1) // (q - 1), code.n), dtype=gf.dtype)
+    for i, row in enumerate(rest):
+        start = (q ** i - 1) // (q - 1)
+        b[start:start + q ** i] = gf.add(span[:q ** i], row[None, :])
+    del span
     best = int(np.count_nonzero(a[1:], axis=1).min())
-    bits = (gf.q - 1).bit_length()
+    bits = (q - 1).bit_length()
     a, b = _bit_planes(a, bits), _bit_planes(b, bits)
     step = max(1, MIN_WEIGHT_BLOCK_BYTES // a[0, 0].nbytes)
     for start in range(0, b.shape[2], step):

@@ -11,19 +11,18 @@ rank.  Two backends compute the Betti table:
   checks preserve the code (H G[:, perm]^T = 0) and ranks one W per orbit
   of the group they generate, counted once per orbit member; an RM code
   passes the generators of AGL(m, q).  Each call builds the boundary
-  columns once; the restriction to W keeps the columns of the faces
-  inside W, and one sparse kernel ranks them (XOR bitmasks over GF(2),
-  dicts over odd primes), as it ranks whole boundaries in
-  reduced_homology_dims;
+  columns once, and _restricted_homology ranks those of the faces inside
+  each W (XOR bitmasks over GF(2), dicts over odd primes), as it ranks a
+  whole complex for reduced_homology_dims;
 * betti_fastpath uses that restrictions of this complex are again of the
   same kind, so homology is concentrated in top degree and its dimension is
   the absolute value of the reduced Euler characteristic.  Euler
   characteristics for all 2^n restrictions come from one subset-sum
   transform over the face indicator; ranks are read off the nullity table.
 
-The two must agree wherever both run; purity and linearity verdicts,
-closed-form Betti predictions for pure shift types, and weight extraction
-from the table live here too.
+The two must agree wherever both run (verify.purity_by_betti compares
+them); purity and linearity verdicts, closed-form Betti predictions for
+pure shift types, and weight extraction from the table live here too.
 """
 
 from __future__ import annotations
@@ -74,17 +73,15 @@ def check_char(ell: int) -> None:
         raise ParameterError(f"homology coefficients need a prime, got {ell}")
 
 
-def _boundary_complex(faces, ell: int) -> tuple[list[list[int]], list[list]]:
-    """Faces by size and the boundary column of every face.
-
-    levels[s] lists the s-element faces as ascending bitmasks (level 0 is
-    the empty face, always present); a face's row is its position in its
-    level.  columns[s][i], the boundary of levels[s][i], gives the face
-    minus its pos-th smallest vertex the sign (-1)^pos, in _rank's form for
-    ell.  Every subface of a face inside a vertex set W lies inside W, so
-    the columns of the faces inside W are the boundary of Delta|W as they
-    stand: their rows outside W are zero.
-    """
+def _boundary_complex(faces, ell: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per face size s, after ell is checked: the s-element faces as an
+    array of ascending bitmasks (size 0 holds the empty face, always
+    present), a face's row being its position there, and the array of
+    their boundary columns.  A column gives the face minus its pos-th
+    smallest vertex the sign (-1)^pos, in _rank's form for ell.  Every
+    subface of a face inside a vertex set W lies inside W, so the columns
+    of the faces inside W are the boundary of Delta|W as they stand."""
+    check_char(ell)
     by_size: dict[int, set[int]] = {0: {0}}
     for face in faces:
         is_mask = isinstance(face, (int, np.integer))
@@ -106,7 +103,10 @@ def _boundary_complex(faces, ell: int) -> tuple[list[list[int]], list[list]]:
                 col[row] = 1 if pos % 2 == 0 else ell - 1
             level_columns.append(sum(1 << row for row in col) if ell == 2 else col)
         columns.append(level_columns)
-    return levels, columns
+    # a level with a vertex above 62 keeps its masks as Python ints
+    return [(np.array(level, dtype=np.int64 if level[-1] < 1 << 63 else object),
+             np.array(level_columns, dtype=object))
+            for level, level_columns in zip(levels, columns)]
 
 
 def _rank(columns, ell: int) -> int:
@@ -149,19 +149,30 @@ def _rank(columns, ell: int) -> int:
     return len(pivots)
 
 
+def _restricted_homology(complex_, ell: int, w: int = -1) -> list[int]:
+    """dim H~_{s-1} over GF(ell) of the _boundary_complex restricted to the
+    vertex mask w (-1 keeps every vertex), for s = 0 up to its largest
+    face: the s-chains minus the ranks of the boundaries out and in."""
+    chains, ranks = [], []
+    for masks, level_columns in complex_:
+        inside = level_columns[(masks & ~w) == 0]
+        if not inside.size:
+            break  # restrictions stay downward closed: no larger face either
+        chains.append(inside.size)
+        ranks.append(_rank(inside.tolist(), ell))
+    ranks.append(0)
+    return [count - ranks[s] - ranks[s + 1] for s, count in enumerate(chains)]
+
+
 def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
     """Reduced homology dimensions by degree over GF(ell), ell prime.
 
     Faces are bitmasks (Python or numpy ints) or index tuples.  The empty
     face is always part of the complex (added if missing), so the one-face
     complex has a single dimension in degree -1 and any complex with a
-    vertex has none there.  Each boundary map is ranked whole by _rank.
+    vertex has none there.
     """
-    check_char(ell)
-    levels, columns = _boundary_complex(faces, ell)
-    ranks = [_rank(level_columns, ell) for level_columns in columns] + [0]
-    return {s - 1: len(levels[s]) - ranks[s] - ranks[s + 1]
-            for s in range(len(levels))}
+    return dict(enumerate(_restricted_homology(_boundary_complex(faces, ell), ell), -1))
 
 
 # -- Betti tables ------------------------------------------------------------
@@ -234,34 +245,17 @@ def betti_hochster(code: LinearCode, ell: int = 2, symmetries=()) -> BettiTable:
     symmetries) is ranked, and its homology counts once per orbit member;
     a symmetry that fails the check against this code is dropped, and with
     none every W is its own orbit.  The boundary columns are built once,
-    from the face masks alone (no rank is read from the nullity table); for
-    each ranked W, _rank ranks the columns of the faces inside W in every
-    degree.
+    from the face masks alone (no rank is read from the nullity table).
     """
     n = code.n
     if n > MAX_HOMOLOGY_N:
         raise TooLargeError(f"2^n restriction sweep needs n <= {MAX_HOMOLOGY_N}, n = {n}")
-    check_char(ell)
+    complex_ = _boundary_complex(np.flatnonzero(code.nullity_table() == 0), ell)
     reps, sizes = restriction_orbits(code, symmetries)
-    levels, columns = _boundary_complex(
-        np.flatnonzero(code.nullity_table() == 0), ell)
-    # per face size: the face masks, and their columns ready to be selected
-    by_size = [(np.array(level, dtype=np.int64), np.array(level_columns, dtype=object))
-               for level, level_columns in zip(levels, columns)]
     entries: dict[tuple[int, int], int] = {}
     for w, size in zip(reps.tolist(), sizes.tolist()):
-        outside = ~w
-        chains, ranks = [], []
-        for masks, level_columns in by_size:
-            inside = level_columns[(masks & outside) == 0]
-            if not inside.size:
-                break  # restrictions stay downward closed: no larger face either
-            chains.append(inside.size)
-            ranks.append(_rank(inside.tolist(), ell))
-        ranks.append(0)
         j = w.bit_count()
-        for s, chain_count in enumerate(chains):
-            h = chain_count - ranks[s] - ranks[s + 1]
+        for s, h in enumerate(_restricted_homology(complex_, ell, w)):
             if h:
                 key = (j - s, j)  # degree d = s - 1 lands at i = j - d - 1
                 entries[key] = entries.get(key, 0) + h * size

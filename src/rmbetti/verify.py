@@ -1,13 +1,14 @@
 """Mechanized checks of the purity characterization and the MDS corollary.
 
-Two independent routes decide purity for a given (q, m, r): the computed
-graded Betti table, and a self-contained certificate built from a witness
-codeword whose shrunk support carries a 1-dimensional shortened code heavier
-than the minimum distance.  certificate_witness alone decides which (q, m, r)
-get a witness, its case, its linear factors and its expected weight; building
-and re-checking a certificate both read it.  A parameter sweep runs both
-routes wherever their guards allow, compares against the closed-form
-predicates, and never drops a row silently.
+Two independent routes decide purity for a given (q, m, r): the Betti
+table, which purity_by_betti alone computes and cross-checks, and a
+self-contained certificate built from a witness codeword whose shrunk
+support carries a 1-dimensional shortened code heavier than the minimum
+distance.  certificate_witness alone decides which (q, m, r) get a witness,
+its case, its linear factors and its expected weight; building and
+re-checking a certificate both read it.  A parameter sweep runs both routes
+wherever their guards allow, compares against the closed-form predicates,
+and never drops a row silently.
 """
 
 from __future__ import annotations
@@ -63,35 +64,36 @@ def mds_predicate(q: int, m: int, r: int) -> bool:
 class PurityComputation:
     table: srres.BettiTable
     verdict: srres.PurityVerdict
-    cross_checked: bool
+    route: str                          # "fastpath", "homology" or "fastpath+homology"
 
 
-def betti_by_homology(code: rm.RMCode, ell: int) -> srres.BettiTable:
-    """srres.betti_hochster over GF(ell), handed the generators of AGL(m, q),
-    which fix every RM code, so that it ranks one restriction per orbit.
-    They are built only for a length the sweep admits; a longer code gets
-    the sweep's own refusal."""
-    symmetries = (rm.affine_generators(code.q, code.m)
-                  if code.n <= srres.MAX_HOMOLOGY_N else ())
-    return srres.betti_hochster(code, ell, symmetries)
-
-
-def purity_by_betti(q: int, m: int, r: int,
-                    guards: Guards = DEFAULT_GUARDS) -> PurityComputation:
-    """Betti table via the fast backend, cross-checked against the homology
-    backend when the length allows; returns the purity verdict."""
+def purity_by_betti(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS,
+                    backend: str | None = None,
+                    ell: int = HOMOLOGY_CHAR) -> PurityComputation:
+    """The Betti table of RM_q(r, m) from the named backends, its purity
+    verdict and the route taken.  backend is "fast", "homology" or "both";
+    None runs both where n <= srres.MAX_HOMOLOGY_N, else the fast path.  The
+    prime ell is checked before the code is built, then the Betti guard.
+    The homology sweep gets the AGL(m, q) generators, which fix every RM
+    code, where its length bound admits them; tables that differ raise
+    CrossCheckError."""
+    if backend not in (None, "fast", "homology", "both"):
+        raise ParameterError(f"unknown Betti backend {backend!r}")
+    srres.check_char(ell)
     code = rm.build_code(q, r, m)
     if code.n > guards.max_n_betti:
-        raise TooLargeError(
-            f"n = {code.n} exceeds the Betti guard {guards.max_n_betti}")
-    table = srres.betti_fastpath(code)
-    cross_checked = code.n <= srres.MAX_HOMOLOGY_N
-    if cross_checked:
-        slow = betti_by_homology(code, HOMOLOGY_CHAR)
-        if slow != table:
-            raise CrossCheckError(
-                f"Betti backends disagree for (q={q}, m={m}, r={r})")
-    return PurityComputation(table, srres.purity_verdict(table), cross_checked)
+        raise TooLargeError(f"n = {code.n} exceeds the Betti guard {guards.max_n_betti}")
+    short = code.n <= srres.MAX_HOMOLOGY_N
+    tables = {}
+    if backend != "homology":
+        tables["fastpath"] = srres.betti_fastpath(code)
+    if backend in ("homology", "both") or backend is None and short:
+        tables["homology"] = srres.betti_hochster(
+            code, ell, rm.affine_generators(q, m) if short else ())
+    table, *others = tables.values()
+    if any(other != table for other in others):
+        raise CrossCheckError(f"Betti backends disagree for (q={q}, m={m}, r={r}, char={ell})")
+    return PurityComputation(table, srres.purity_verdict(table), "+".join(tables))
 
 
 # -- certificates -------------------------------------------------------------
@@ -236,17 +238,25 @@ _INT_KEYS = ("q", "m", "r", "t", "s", "case", "n", "k", "weight",
 _SUPPORT_KEYS = ("support", "one_minimal_support")
 
 
+def _is_int(value) -> bool:                # JSON true and false are not integers
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _int_entries(value) -> bool:
+    """An integer array, or lists nested to any depth of integers."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_int_entries, value))
+    return value.dtype.kind in "iu" if isinstance(value, np.ndarray) else _is_int(value)
+
+
 def _has_fields(cert) -> bool:
     """cert is a dict holding every key check_certificate reads, with an
     integer wherever it reads one, so that no later check raises."""
-    def is_int(value):                  # JSON true and false are not integers
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
     return (isinstance(cert, dict)
-            and all(is_int(cert.get(key)) for key in _INT_KEYS)
+            and all(_is_int(cert.get(key)) for key in _INT_KEYS)
             and all(isinstance(cert.get(key), (list, tuple))
-                    and all(map(is_int, cert[key])) for key in _SUPPORT_KEYS)
-            and (cert.get("d1_bruteforce") is None or is_int(cert["d1_bruteforce"]))
+                    and all(map(_is_int, cert[key])) for key in _SUPPORT_KEYS)
+            and (cert.get("d1_bruteforce") is None or _is_int(cert["d1_bruteforce"]))
             and all(key in cert for key in (
                 "field", "witness_poly", "d1_bruteforce", "d1_source", "generator_matrix",
                 "parity_check_matrix", "codeword", "one_minimal_word", "checks")))
@@ -286,15 +296,14 @@ def check_certificate(cert: dict,
                 and cert["field"] == _field_obj(gf)):
         return CertificateCheck(False, tuple(reasons))
 
-    # shape and range are checked on the raw integers, before the narrow cast
+    # shape and range are checked on the raw integers, before the narrow
+    # cast; an array with an entry that is not an integer is left out
     try:
-        raw = [np.array(cert[name], dtype=np.int64) for name in (
-            "generator_matrix", "parity_check_matrix", "codeword",
-            "one_minimal_word")]
-    except OverflowError:               # beyond int64, so outside 0..q-1 too
-        return CertificateCheck(False, ("entry_range",))
-    except (TypeError, ValueError):     # ragged rows or non-integer entries
-        return CertificateCheck(False, ("matrix_shapes",))
+        raw = [np.array(cert[name]) for name in ("generator_matrix", "parity_check_matrix",
+                                                 "codeword", "one_minimal_word")
+               if _int_entries(cert[name])]
+    except ValueError:                  # ragged rows
+        raw = []
 
     code = rm.build_code(q, r, m)
     n, k = code.n, code.k
@@ -310,10 +319,12 @@ def check_certificate(cert: dict,
     flag("generator_mismatch", linalg.row_space_equal(gf, G, code.G))
     flag("parity_mismatch", linalg.row_space_equal(gf, H, code.H))
 
-    try:
-        witness = rm.ExponentPoly(gf, m, {tuple(term["exponents"]): term["coeff"]
-                                          for term in cert["witness_poly"]})
-    except (KeyError, ParameterError, TypeError, ValueError):
+    try:        # integer terms, each exponent vector once, each coefficient nonzero
+        terms = cert["witness_poly"]
+        poly = {tuple(term["exponents"]): term["coeff"] for term in terms}
+        witness = (rm.ExponentPoly(gf, m, poly) if len(poly) == len(terms) and all(
+            _is_int(c) and c and all(map(_is_int, e)) for e, c in poly.items()) else None)
+    except (KeyError, ParameterError, TypeError):
         witness = None
     if flag("witness_terms", witness is not None):
         flag("witness_degree", witness.total_degree() == r)
@@ -406,11 +417,11 @@ def theorem_row(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS,
     certificate) against the purity predicate.
 
     purity and certificate are None where their route did not run;
-    betti_method says why not ("skipped", or "skipped:guard" past
-    max_n_betti).  match is "skipped" when no route decided the row.  ghw,
-    betti, mds_predicted and mds_computed are always null, kept because
-    perfbench/golden.json pins the bytes of these rows.  Unknown methods
-    raise ParameterError before anything is built.
+    betti_method is purity_by_betti's route, "skipped", or "skipped:guard"
+    when a guard refused it.  match is "skipped" when no route decided the
+    row.  ghw, betti, mds_predicted and mds_computed are always null, kept
+    because perfbench/golden.json pins the bytes of these rows.  Unknown
+    methods raise ParameterError before anything is built.
     """
     unknown = sorted(set(methods) - {"betti", "certificate"})
     if unknown:
@@ -420,17 +431,16 @@ def theorem_row(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS,
     pure_predicted = purity_predicate(q, m, r)
     verdicts = []
 
-    purity = None
-    betti_method = "skipped"
+    purity, betti_method = None, "skipped"
     if "betti" in methods:
-        if code.n <= guards.max_n_betti:
+        try:
             comp = purity_by_betti(q, m, r, guards)
-            purity = asdict(comp.verdict)
-            betti_method = ("fastpath+homology" if comp.cross_checked
-                            else "fastpath")
-            verdicts.append(comp.verdict.pure == pure_predicted)
-        else:
+        except TooLargeError:
             betti_method = "skipped:guard"
+        else:
+            purity = asdict(comp.verdict)
+            betti_method = comp.route
+            verdicts.append(comp.verdict.pure == pure_predicted)
 
     certificate = None
     if "certificate" in methods and certificate_witness(q, m, r) is not None:

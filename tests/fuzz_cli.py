@@ -17,7 +17,11 @@ error) is a finding.  The `certificate` object of every
 reads it, with check_certificate under the report's own guards; a failed
 re-check is a finding too.  So is, for each of its integer keys, a copy
 with that key deleted or its value turned into a string or into true
-that check_certificate passes or raises on, instead of failing it.  So is JSON
+that check_certificate passes or raises on, instead of failing it, and a
+copy from test_verify.NON_INTEGER_TAMPERS (an array entry made a float, a
+bool or a string; a witness coefficient or exponent that is not an
+integer; a witness term repeated or zero) that does not fail with exactly
+its reason, matrix_shapes or witness_terms.  So is JSON
 stdout that json.dumps(json.loads(out), indent=2) does not write back byte
 for byte, and a verify-theorem or verify-mds report whose `match` is not
 whether the sweep exited 0.  Exits 1 if there was any finding.  pytest
@@ -38,6 +42,7 @@ from hypothesis import strategies as st
 
 from rmbetti import cli, verify
 from test_cli import DOCUMENTED_EXITS, cli_argv
+from test_verify import NON_INTEGER_TAMPERS
 
 
 @st.composite
@@ -123,6 +128,13 @@ def main(argv: list[str]) -> int:
                         passed = f"raised {type(exc).__name__}"
                     if passed is not False:
                         bad.append((f"MALFORMED {key!r} NOT REFUSED", args, str(passed)))
+            for name, tamper, reason in NON_INTEGER_TAMPERS:
+                try:
+                    reasons = verify.check_certificate(tamper(cert), guards).reasons
+                except Exception as exc:
+                    reasons = f"raised {type(exc).__name__}"
+                if reasons != (reason,):
+                    bad.append((f"NON-INTEGER {name} NOT REFUSED", args, str(reasons)))
 
     started = time.monotonic()
     draw()

@@ -10,12 +10,13 @@ import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmbetti import cli, codes, srres, verify
+from rmbetti import cli, codes, rm, srres, verify
 
 CLI = [sys.executable, "-m", "rmbetti"]
 
@@ -81,12 +82,29 @@ def test_betti_both_backends_and_json():
 
 def test_betti_backend_mismatch_names_the_row(monkeypatch, capsys):
     wrong = srres.BettiTable(n=4, k=3, entries={(0, 0): 1})
-    monkeypatch.setattr(verify, "betti_by_homology", lambda code, ell: wrong)
+    monkeypatch.setattr(srres, "betti_hochster", lambda code, ell, symmetries=(): wrong)
     argv = ["betti", "--q", "2", "--m", "2", "--r", "1", "--backend", "both",
             "--char", "3"]
     assert cli.main(argv) == 5
     assert ("Betti backends disagree for (q=2, m=2, r=1, char=3)"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,exit_code,homology_sweeps", [
+    ("purity --q 4 --m 2 --r 3", 0, 0),        # n = 16: the fast path alone
+    # the prime is refused before the 2^20-point grid, which is refused too
+    ("betti --q 2 --m 20 --r 1 --char 4", 2, 0),
+    ("betti --q 2 --m 20 --r 1", 3, 0),
+    ("betti --q 4 --m 2 --r 3 --backend homology", 3, 1),   # n = 16 > 12
+    ("betti --q 2 --m 3 --r 1 --backend both --char 2147483647", 0, 1),
+])
+def test_betti_route_exit_codes(monkeypatch, capsys, argv, exit_code, homology_sweeps):
+    calls = []
+    hochster = srres.betti_hochster
+    monkeypatch.setattr(srres, "betti_hochster",
+                        lambda *args: calls.append(args) or hochster(*args))
+    assert cli.main(argv.split()) == exit_code, capsys.readouterr().err
+    assert len(calls) == homology_sweeps
 
 
 def test_purity_match_exit_zero():
@@ -427,6 +445,23 @@ def test_output_bytes_pinned(argv, exit_code, digest, capsys):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
 
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def test_benchmark_golden_ops_keep_their_bytes(capsys):
+    """Every op of the benchmark's golden file, run in process with its
+    cli_flags and a cold code cache, keeps its exit code and the sha256 of
+    its stdout; the file is only read."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = {}
+    for op in golden["ops"]:
+        rm.build_code.cache_clear()
+        code = cli.main(op.split() + golden["cli_flags"])
+        got[op] = {"exit": code,
+                   "sha256": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    assert len(got) == 41 and got == golden["ops"]
 
 
 def test_json_emitter_matches_json_dumps(monkeypatch, capsys):

@@ -128,6 +128,10 @@ def test_reduced_homology_conventions():
     assert rb.reduced_homology_dims(np.array(circle_masks), 3) == circle
     edge = rb.reduced_homology_dims([np.int64(1), (1,), 0b11], 2)
     assert edge == {-1: 0, 0: 0, 1: 0}
+    # vertices past bit 62 of an int64 mask
+    for u, v in ((62, 63), (63, 64), (70, 200)):
+        assert rb.reduced_homology_dims([(u,), (v,)], 3) == {-1: 0, 0: 1}
+        assert rb.reduced_homology_dims([(0,), (u,), (v,), (u, v)], 2) == {-1: 0, 0: 1, 1: 0}
 
 
 def test_reduced_homology_depends_on_the_prime():

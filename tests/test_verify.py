@@ -35,10 +35,43 @@ def test_purity_by_betti_examples():
     assert rb.purity_by_betti(2, 1, 1).verdict.pure      # [2,2,1] full space
     assert not rb.purity_by_betti(3, 2, 2).verdict.pure
     comp = rb.purity_by_betti(2, 2, 1)
-    assert comp.cross_checked and comp.verdict.linear
+    assert comp.route == "fastpath+homology" and comp.verdict.linear
     tiny = rb.Guards(max_n_betti=4)
     with pytest.raises(TooLargeError):
         rb.purity_by_betti(3, 2, 2, tiny)
+    with pytest.raises(ParameterError):
+        rb.purity_by_betti(2, 2, 1, backend="Fast")
+
+
+@pytest.mark.parametrize("q,m,r", [(2, 3, 1), (4, 2, 3)], ids=["n=8", "n=16"])
+@pytest.mark.parametrize("ell", [2, 3, 2147483647, 4])
+@pytest.mark.parametrize("backend", [None, "fast", "homology", "both"])
+def test_betti_route_names_the_backends_it_ran(monkeypatch, backend, ell, q, m, r):
+    """purity_by_betti over backend x homology prime x length: the prime is
+    refused before a code is built, homology refuses n = 16 > 12, and the
+    route names exactly the backends that ran."""
+    code = rb.build_code(q, r, m)
+    hochster, build = srres.betti_hochster, rm.build_code
+    calls, built = [], []
+    monkeypatch.setattr(srres, "betti_hochster",
+                        lambda *args: calls.append(args) or hochster(*args))
+    monkeypatch.setattr(rm, "build_code", lambda *args: built.append(args) or build(*args))
+    short = code.n <= srres.MAX_HOMOLOGY_N
+    if ell == 4:
+        with pytest.raises(ParameterError):
+            verify.purity_by_betti(q, m, r, backend=backend, ell=ell)
+        assert built == []
+        return
+    if backend in ("homology", "both") and not short:
+        with pytest.raises(TooLargeError, match="n <= 12"):
+            verify.purity_by_betti(q, m, r, backend=backend, ell=ell)
+        return
+    comp = verify.purity_by_betti(q, m, r, backend=backend, ell=ell)
+    route = {"fast": "fastpath", "homology": "homology", "both": "fastpath+homology",
+             None: "fastpath+homology" if short else "fastpath"}[backend]
+    assert comp.route == route
+    assert len(calls) == ("homology" in route)
+    assert comp.table == srres.betti_fastpath(code)
 
 
 def test_certificate_applicable():
@@ -97,6 +130,45 @@ def test_certificate_precondition_errors():
             rb.non_purity_certificate(q, m, r)
 
 
+def _first_entry(key, change):
+    """The certificate, as JSON lists, with the first entry of key's array
+    changed."""
+    def tamper(cert):
+        rows = json.loads(json.dumps(cert[key], default=np.ndarray.tolist))
+        row = rows[0] if isinstance(rows[0], list) else rows
+        row[0] = change(row[0])
+        return {**cert, key: rows}
+    return tamper
+
+
+def _terms(change):
+    return lambda cert: {**cert, "witness_poly": change(cert)}
+
+
+# (id, tamper, reason): array entries and witness terms that are not JSON
+# integers, and terms repeated or zero; int() and a dict would read each as
+# the builder's own value, so each fails the check with the reason given
+NON_INTEGER_TAMPERS = [
+    *((f"{key}-{kind}", _first_entry(key, change), "matrix_shapes")
+      for key in ("generator_matrix", "parity_check_matrix", "codeword",
+                  "one_minimal_word")
+      for kind, change in (("float", lambda x: x + 0.25), ("bool", bool), ("str", str))),
+    ("coeff-float", _terms(lambda cert: [
+        {**term, "coeff": term["coeff"] + 0.5} for term in cert["witness_poly"]]),
+     "witness_terms"),
+    ("coeff-str", _terms(lambda cert: [
+        {**term, "coeff": str(term["coeff"])} for term in cert["witness_poly"]]),
+     "witness_terms"),
+    ("exponent-bool", _terms(lambda cert: [
+        {**term, "exponents": [bool(e) if e in (0, 1) else e for e in term["exponents"]]}
+        for term in cert["witness_poly"]]), "witness_terms"),
+    ("zero-term", _terms(lambda cert: cert["witness_poly"] + [
+        {"exponents": [cert["q"] - 1] * cert["m"], "coeff": 0}]), "witness_terms"),
+    ("repeated-term", _terms(lambda cert: cert["witness_poly"] + cert["witness_poly"][:1]),
+     "witness_terms"),
+]
+
+
 def test_certificate_negative_controls():
     cert = rb.non_purity_certificate(4, 2, 4)
     tampered_d1 = {**cert, "d1": cert["d1"] + 1}
@@ -152,6 +224,10 @@ def test_certificate_negative_controls():
         terms = [{**cert["witness_poly"][0], "coeff": coef}] + cert["witness_poly"][1:]
         bad = {**cert, "witness_poly": terms}
         assert rb.check_certificate(bad).reasons == ("witness_terms",)
+
+    # a float, bool or string is not read as the integer it rounds to
+    for name, tamper, reason in NON_INTEGER_TAMPERS:
+        assert rb.check_certificate(tamper(cert)).reasons == (reason,), name
 
 
 def _without(cert, key):
@@ -355,6 +431,10 @@ def test_sweep_guard_skips_are_visible():
     # the certificate route still decides r = 4
     assert by_r[4]["betti_method"] == "skipped:guard"
     assert by_r[4]["certificate"]["check_passed"] and by_r[4]["match"] == "match"
+    # past the nullity table's own limit (n = 25 > 20) the row is skipped
+    # alike, and the sweep goes on
+    row = rb.theorem_row(5, 2, 5, rb.Guards(max_n_betti=25))
+    assert row["betti_method"] == "skipped:guard" and row["match"] == "match"
 
 
 def test_sweep_methods_selection_and_mds(monkeypatch):
