@@ -53,6 +53,7 @@ print(f"orbits swept: {len(reps)} of 2^{ternary.n} = {1 << ternary.n} restrictio
 print("orbit sweep == unreduced sweep:",
       rb.betti_hochster(ternary, 2, generators) == rb.betti_hochster(ternary, 2) == table)
 
-# Homology conventions at the degenerate end.
-print("\none-face complex:", rb.reduced_homology_dims([()], 2))
-print("two isolated points:", rb.reduced_homology_dims([(0,), (1,)], 2))
+# Homology conventions at the degenerate end.  Faces are int64 bitmasks,
+# bit v standing for vertex v; the empty face (mask 0) is always present.
+print("\none-face complex:", rb.reduced_homology_dims([0], 2))
+print("two isolated points:", rb.reduced_homology_dims([0b01, 0b10], 2))

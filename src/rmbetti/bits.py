@@ -44,20 +44,3 @@ def subset_max_accumulate(values: np.ndarray, n: int) -> None:
         pairs = values.reshape(-1, 2, 1 << b, copy=False)
         np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1], order=_order(b))
 
-
-def mask_of(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return mask
-
-
-def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)

@@ -161,6 +161,10 @@ def affine_generators(q: int, m: int) -> tuple[np.ndarray, ...]:
     return perms
 
 
+def is_int(value) -> bool:                 # JSON true and false are not integers
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class ExponentPoly:
     """Polynomial as a map exponent-vector -> nonzero coefficient.
 
@@ -175,12 +179,14 @@ class ExponentPoly:
         self.m = m
         clean: dict[tuple[int, ...], int] = {}
         for exps, coef in (terms or {}).items():
+            if not all(map(is_int, (coef, *exps))):
+                raise ParameterError(f"term {exps}: {coef!r}: entries must be integers")
             coef = int(coef)
             if not 0 <= coef < gf.q:
                 raise ParameterError(f"coefficient {coef} is not an element of GF({gf.q})")
             if coef == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != m:
                 raise ParameterError(f"exponent vector {exps} does not have {m} entries")
             if any(not 0 <= e < gf.q for e in exps):

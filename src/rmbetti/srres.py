@@ -11,9 +11,10 @@ rank.  Two backends compute the Betti table:
   checks preserve the code (H G[:, perm]^T = 0) and ranks one W per orbit
   of the group they generate, counted once per orbit member; an RM code
   passes the generators of AGL(m, q).  Each call builds the boundary
-  columns once, and _restricted_homology ranks those of the faces inside
-  each W (XOR bitmasks over GF(2), dicts over odd primes), as it ranks a
-  whole complex for reduced_homology_dims;
+  columns once from the int64 face masks by array operations, and
+  _restricted_homology ranks those of the faces inside each W (XOR
+  bitmasks over GF(2), dicts over odd primes), as it ranks a whole complex
+  for reduced_homology_dims;
 * betti_fastpath uses that restrictions of this complex are again of the
   same kind, so homology is concentrated in top degree and its dimension is
   the absolute value of the reduced Euler characteristic.  Euler
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .bits import indices_of, mask_of, popcount_table, subset_sum_accumulate
+from .bits import popcount_table, subset_sum_accumulate
 from .codes import MAX_TABLE_N, LinearCode
 from .errors import CrossCheckError, ParameterError, TooLargeError
 from .gf import is_prime
@@ -57,7 +58,8 @@ def circuits(code: LinearCode) -> list[tuple[int, ...]]:
         # stays only if the same mask without it has nullity 0
         without_b = nullity.reshape(-1, 2, 1 << b)[:, 0]
         minimal.reshape(-1, 2, 1 << b)[:, 1] &= without_b == 0
-    out = [indices_of(mask) for mask in np.flatnonzero(minimal).tolist()]
+    out = [tuple(v for v in range(n) if mask >> v & 1)
+           for mask in np.flatnonzero(minimal).tolist()]
     return sorted(out, key=lambda s: (len(s), s))
 
 
@@ -73,39 +75,37 @@ def check_char(ell: int) -> None:
         raise ParameterError(f"homology coefficients need a prime, got {ell}")
 
 
-def _boundary_complex(faces, ell: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per face size s, after ell is checked: the s-element faces as an
-    array of ascending bitmasks (size 0 holds the empty face, always
-    present), a face's row being its position there, and the array of
+def _boundary_complex(masks: np.ndarray, ell: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per face size s, after ell is checked: the s-element int64 masks and
+    the empty face, ascending, a face's row being its position there, and
     their boundary columns.  A column gives the face minus its pos-th
-    smallest vertex the sign (-1)^pos, in _rank's form for ell.  Every
-    subface of a face inside a vertex set W lies inside W, so the columns
-    of the faces inside W are the boundary of Delta|W as they stand."""
+    smallest vertex the sign (-1)^pos, in _rank's form for ell; one
+    searchsorted on level s - 1 finds these rows, and a miss means the
+    faces are not downward closed.  Every subface of a face inside a vertex
+    set W lies inside W, so the columns of the faces inside W are the
+    boundary of Delta|W as they stand."""
     check_char(ell)
-    by_size: dict[int, set[int]] = {0: {0}}
-    for face in faces:
-        is_mask = isinstance(face, (int, np.integer))
-        if (face < 0) if is_mask else any(int(v) < 0 for v in face):
-            raise ParameterError(f"face {face}: masks and vertices must be non-negative")
-        f = int(face) if is_mask else mask_of(face)
-        by_size.setdefault(f.bit_count(), set()).add(f)
-    levels = [sorted(by_size.get(s, ())) for s in range(max(by_size) + 1)]
-    columns: list[list] = [[0 if ell == 2 else {}]]  # the empty face bounds nothing
+    masks = np.sort(np.append(masks, 0))
+    masks = masks[np.append(True, masks[1:] != masks[:-1])]
+    sizes = np.bitwise_count(masks)
+    levels = np.split(masks[np.argsort(sizes, kind="stable")], np.cumsum(np.bincount(sizes))[:-1])
+    columns = [[0 if ell == 2 else {}]]  # the empty face bounds nothing
     for s in range(1, len(levels)):
-        row_of = {f: row for row, f in enumerate(levels[s - 1])}
-        level_columns = []
-        for f in levels[s]:
-            col = {}
-            for pos, v in enumerate(indices_of(f)):
-                row = row_of.get(f ^ (1 << v))
-                if row is None:
-                    raise ParameterError("faces are not downward closed")
-                col[row] = 1 if pos % 2 == 0 else ell - 1
-            level_columns.append(sum(1 << row for row in col) if ell == 2 else col)
-        columns.append(level_columns)
-    # a level with a vertex above 62 keeps its masks as Python ints
-    return [(np.array(level, dtype=np.int64 if level[-1] < 1 << 63 else object),
-             np.array(level_columns, dtype=object))
+        previous, level = levels[s - 1], levels[s]
+        subfaces, rest = np.empty((level.size, s), dtype=np.int64), level
+        for pos in range(s):  # drop the lowest vertex left
+            low = rest & -rest
+            subfaces[:, pos], rest = level ^ low, rest ^ low
+        rows = np.searchsorted(previous, subfaces)
+        if not previous.size or not np.array_equal(
+                previous[np.minimum(rows, previous.size - 1)], subfaces):
+            raise ParameterError("faces are not downward closed")
+        if ell == 2:
+            columns.append([sum(1 << row for row in face_rows) for face_rows in rows.tolist()])
+        else:
+            signs = [1 if pos % 2 == 0 else ell - 1 for pos in range(s)]
+            columns.append([dict(zip(face_rows, signs)) for face_rows in rows.tolist()])
+    return [(level, np.array(level_columns, dtype=object))
             for level, level_columns in zip(levels, columns)]
 
 
@@ -164,15 +164,27 @@ def _restricted_homology(complex_, ell: int, w: int = -1) -> list[int]:
     return [count - ranks[s] - ranks[s + 1] for s, count in enumerate(chains)]
 
 
-def reduced_homology_dims(faces, ell: int) -> dict[int, int]:
+def reduced_homology_dims(masks, ell: int) -> dict[int, int]:
     """Reduced homology dimensions by degree over GF(ell), ell prime.
 
-    Faces are bitmasks (Python or numpy ints) or index tuples.  The empty
-    face is always part of the complex (added if missing), so the one-face
-    complex has a single dimension in degree -1 and any complex with a
-    vertex has none there.
+    Faces are int64 bitmasks in a 1-d array or list, bit v for vertex v.
+    The empty face is always part of the complex (added if missing), so the
+    one-face complex has a single dimension in degree -1 and any complex
+    with a vertex has none there.
     """
-    return dict(enumerate(_restricted_homology(_boundary_complex(faces, ell), ell), -1))
+    try:
+        masks = np.asarray(masks)
+    except ValueError:  # ragged index tuples
+        masks = np.empty((0, 0))
+    if masks.ndim != 1:  # before np.append flattens [(0, 1)] into masks 0 and 1
+        raise ParameterError("faces must be a 1-d array of bitmasks, not index tuples")
+    if masks.size and masks.dtype.kind not in "iu":
+        raise ParameterError(f"faces must be integer bitmasks below 2^63, got {masks.dtype}")
+    outside = masks[(masks < 0) | (masks >= 1 << 63)]
+    if outside.size:
+        raise ParameterError(f"face {outside[0]}: a mask must lie in 0..2^63 - 1")
+    complex_ = _boundary_complex(masks.astype(np.int64), ell)
+    return dict(enumerate(_restricted_homology(complex_, ell), -1))
 
 
 # -- Betti tables ------------------------------------------------------------

@@ -84,12 +84,12 @@ def purity_by_betti(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS,
     if code.n > guards.max_n_betti:
         raise TooLargeError(f"n = {code.n} exceeds the Betti guard {guards.max_n_betti}")
     short = code.n <= srres.MAX_HOMOLOGY_N
-    tables = {}
-    if backend != "homology":
-        tables["fastpath"] = srres.betti_fastpath(code)
+    tables = {}  # homology first: its length refusal comes before the fast path's work
     if backend in ("homology", "both") or backend is None and short:
         tables["homology"] = srres.betti_hochster(
             code, ell, rm.affine_generators(q, m) if short else ())
+    if backend != "homology":
+        tables = {"fastpath": srres.betti_fastpath(code), **tables}
     table, *others = tables.values()
     if any(other != table for other in others):
         raise CrossCheckError(f"Betti backends disagree for (q={q}, m={m}, r={r}, char={ell})")
@@ -238,25 +238,21 @@ _INT_KEYS = ("q", "m", "r", "t", "s", "case", "n", "k", "weight",
 _SUPPORT_KEYS = ("support", "one_minimal_support")
 
 
-def _is_int(value) -> bool:                # JSON true and false are not integers
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _int_entries(value) -> bool:
     """An integer array, or lists nested to any depth of integers."""
     if isinstance(value, (list, tuple)):
         return all(map(_int_entries, value))
-    return value.dtype.kind in "iu" if isinstance(value, np.ndarray) else _is_int(value)
+    return value.dtype.kind in "iu" if isinstance(value, np.ndarray) else rm.is_int(value)
 
 
 def _has_fields(cert) -> bool:
     """cert is a dict holding every key check_certificate reads, with an
     integer wherever it reads one, so that no later check raises."""
     return (isinstance(cert, dict)
-            and all(_is_int(cert.get(key)) for key in _INT_KEYS)
+            and all(rm.is_int(cert.get(key)) for key in _INT_KEYS)
             and all(isinstance(cert.get(key), (list, tuple))
-                    and all(map(_is_int, cert[key])) for key in _SUPPORT_KEYS)
-            and (cert.get("d1_bruteforce") is None or _is_int(cert["d1_bruteforce"]))
+                    and all(map(rm.is_int, cert[key])) for key in _SUPPORT_KEYS)
+            and (cert.get("d1_bruteforce") is None or rm.is_int(cert["d1_bruteforce"]))
             and all(key in cert for key in (
                 "field", "witness_poly", "d1_bruteforce", "d1_source", "generator_matrix",
                 "parity_check_matrix", "codeword", "one_minimal_word", "checks")))
@@ -323,7 +319,7 @@ def check_certificate(cert: dict,
         terms = cert["witness_poly"]
         poly = {tuple(term["exponents"]): term["coeff"] for term in terms}
         witness = (rm.ExponentPoly(gf, m, poly) if len(poly) == len(terms) and all(
-            _is_int(c) and c and all(map(_is_int, e)) for e, c in poly.items()) else None)
+            rm.is_int(c) and c for c in poly.values()) else None)
     except (KeyError, ParameterError, TypeError):
         witness = None
     if flag("witness_terms", witness is not None):

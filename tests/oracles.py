@@ -4,13 +4,14 @@ Everything here is deliberately independent of the library's linear algebra:
 ranks over Q use Fractions, independence over GF(2) uses brute force over
 coefficient vectors, eliminations over GF(q) go one scalar field operation
 at a time, products over GF(q) are Cayley-table lookups summed one inner
-index at a time, and the Betti sweep below builds boundary matrices from
-first principles.  These exist so the fast library paths are checked against
-code that shares nothing with them.  The reference routes that follow (the
-subspace enumeration behind generalized Hamming weights and minimal
-subcodes, interpolation, substitution of linear forms) are built on those
-eliminations and products.  The explicit codewords at the end are built the
-symbolic way, as sums and powers of ExponentPoly, with no root lists.
+index at a time, and the Betti sweep and the dense reduced homology below
+build boundary matrices from first principles.  These exist so the fast
+library paths are checked against code that shares nothing with them.  The
+reference routes that follow (the subspace enumeration behind generalized
+Hamming weights and minimal subcodes, interpolation, substitution of linear
+forms) are built on those eliminations and products.  The explicit
+codewords at the end are built the symbolic way, as sums and powers of
+ExponentPoly, with no root lists.
 """
 
 import functools
@@ -166,6 +167,30 @@ def code_from_rows(gf, rows):
     RREF basis, eliminated by rref_scalar."""
     r, rank, _ = rref_scalar(gf, rows)
     return LinearCode(gf, r[:rank])
+
+
+def reduced_homology_dense(masks, ell):
+    """Reduced homology dimensions by degree over GF(ell) of the complex
+    whose faces are the bitmasks and the empty face, which must be
+    downward closed.  Each boundary matrix is dense: a face's subfaces are
+    itertools.combinations of its vertices, which omit them last to first,
+    and the omitted vertex's position gives the sign.  rref_scalar ranks it.
+    """
+    gf = field(ell)
+    faces = {tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+             for mask in map(int, masks)} | {()}
+    levels = [sorted(f for f in faces if len(f) == s)
+              for s in range(max(map(len, faces)) + 1)]
+    ranks = [0]                                  # the empty face bounds nothing
+    for s in range(1, len(levels)):
+        row_of = {face: row for row, face in enumerate(levels[s - 1])}
+        matrix = np.zeros((len(levels[s - 1]), len(levels[s])), dtype=np.int64)
+        for col, face in enumerate(levels[s]):
+            for i, sub in enumerate(itertools.combinations(face, s - 1)):
+                matrix[row_of[sub], col] = 1 if (s - 1 - i) % 2 == 0 else ell - 1
+        ranks.append(rref_scalar(gf, matrix)[1])
+    ranks.append(0)
+    return {s - 1: len(level) - ranks[s] - ranks[s + 1] for s, level in enumerate(levels)}
 
 
 def rank_profile(gf, mat):

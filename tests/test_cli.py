@@ -90,21 +90,30 @@ def test_betti_backend_mismatch_names_the_row(monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("argv,exit_code,homology_sweeps", [
-    ("purity --q 4 --m 2 --r 3", 0, 0),        # n = 16: the fast path alone
+ROUTES = [
+    ("purity --q 4 --m 2 --r 3", 0, 1, 0),        # n = 16: the fast path alone
     # the prime is refused before the 2^20-point grid, which is refused too
-    ("betti --q 2 --m 20 --r 1 --char 4", 2, 0),
-    ("betti --q 2 --m 20 --r 1", 3, 0),
-    ("betti --q 4 --m 2 --r 3 --backend homology", 3, 1),   # n = 16 > 12
-    ("betti --q 2 --m 3 --r 1 --backend both --char 2147483647", 0, 1),
-])
-def test_betti_route_exit_codes(monkeypatch, capsys, argv, exit_code, homology_sweeps):
+    ("betti --q 2 --m 20 --r 1 --char 4", 2, 0, 0),
+    ("betti --q 2 --m 20 --r 1", 3, 0, 0),
+    ("betti --q 4 --m 2 --r 3 --backend homology", 3, 0, 1),   # n = 16 > 12
+    # the homology refusal comes before the fast path builds its table
+    ("betti --q 2 --m 4 --r 2 --backend both", 3, 0, 1),
+    ("betti --q 2 --m 3 --r 1 --backend both --char 2147483647", 0, 1, 1),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,fast_paths,homology_sweeps", ROUTES,
+                         ids=[f"{argv}-{code}-{sweeps}" for argv, code, _, sweeps in ROUTES])
+def test_betti_route_exit_codes(monkeypatch, capsys, argv, exit_code, fast_paths,
+                                homology_sweeps):
     calls = []
-    hochster = srres.betti_hochster
-    monkeypatch.setattr(srres, "betti_hochster",
-                        lambda *args: calls.append(args) or hochster(*args))
+    for name in ("betti_fastpath", "betti_hochster"):
+        backend = getattr(srres, name)
+        monkeypatch.setattr(srres, name, lambda *args, name=name, backend=backend:
+                            calls.append(name) or backend(*args))
     assert cli.main(argv.split()) == exit_code, capsys.readouterr().err
-    assert len(calls) == homology_sweeps
+    assert calls.count("betti_fastpath") == fast_paths
+    assert calls.count("betti_hochster") == homology_sweeps
 
 
 def test_purity_match_exit_zero():

@@ -131,6 +131,15 @@ def test_exponent_poly_coefficients_are_field_elements():
     for coef in (300, 7, 4, -1):
         with pytest.raises(ParameterError, match="not an element of GF"):
             ExponentPoly(gf, 2, {(1, 0): coef})
+    # numpy integers are integers; floats, bools and strings are refused,
+    # never truncated, in a coefficient or an exponent
+    terms = {(np.int64(1), np.uint8(0)): np.int32(3)}
+    assert ExponentPoly(gf, 2, terms).terms == {(1, 0): 3}
+    for terms in ({(1.5, True): 1.9}, {(1, 0): 1.9}, {(1, 0): 1.0}, {(1, 0): True},
+                  {(1, 0): np.True_}, {(1, 0): "1"}, {(1.0, 0): 1}, {(True, 0): 1},
+                  {("1", 0): 1}, {(1, np.float64(0)): 0}):
+        with pytest.raises(ParameterError, match="must be integers"):
+            ExponentPoly(gf, 2, terms)
 
 
 def test_build_code_examples():

@@ -1,7 +1,5 @@
 """Matroid complex, homology, Betti backends, purity, closed-form checks."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,8 @@ from rmbetti.bits import subset_sum_accumulate
 from rmbetti.gf import is_prime
 
 from oracles import (alternating_sum, betti_sweep_gf2, code_from_rows,
-                     minimal_codeword_supports, proj_dim, rref_scalar)
+                     minimal_codeword_supports, proj_dim, reduced_homology_dense,
+                     rref_scalar)
 
 
 def test_even_weight_betti_table_against_independent_oracle():
@@ -114,36 +113,53 @@ def test_circuits_equal_minimal_codeword_supports():
 
 
 def test_reduced_homology_conventions():
-    assert rb.reduced_homology_dims([()], 2) == {-1: 1}
-    two_points = rb.reduced_homology_dims([(), (0,), (1,)], 2)
+    assert rb.reduced_homology_dims([0], 2) == {-1: 1}
+    two_points = rb.reduced_homology_dims([0, 0b01, 0b10], 2)
     assert two_points == {-1: 0, 0: 1}
-    circle = rb.reduced_homology_dims(
-        [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)], 2)
+    circle = rb.reduced_homology_dims([0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110], 2)
     assert circle == {-1: 0, 0: 0, 1: 1}
-    # the empty face is implied
-    assert rb.reduced_homology_dims([(0,), (1,)], 3) == {-1: 0, 0: 1}
-    # faces given as bitmasks, Python or numpy ints
+    # the empty face is implied, and a repeated face counts once
+    assert rb.reduced_homology_dims([], 3) == {-1: 1}
+    assert rb.reduced_homology_dims([0b01, 0b10, 0b10], 3) == {-1: 0, 0: 1}
+    # masks as a list of Python or numpy ints, or as an array
     circle_masks = [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
-    assert rb.reduced_homology_dims(circle_masks, 2) == circle
+    assert rb.reduced_homology_dims(circle_masks[::-1], 2) == circle
     assert rb.reduced_homology_dims(np.array(circle_masks), 3) == circle
-    edge = rb.reduced_homology_dims([np.int64(1), (1,), 0b11], 2)
+    assert rb.reduced_homology_dims(np.array(circle_masks, dtype=np.uint64), 2) == circle
+    edge = rb.reduced_homology_dims([np.int64(1), 0b10, 0b11], 2)
     assert edge == {-1: 0, 0: 0, 1: 0}
-    # vertices past bit 62 of an int64 mask
-    for u, v in ((62, 63), (63, 64), (70, 200)):
-        assert rb.reduced_homology_dims([(u,), (v,)], 3) == {-1: 0, 0: 1}
-        assert rb.reduced_homology_dims([(0,), (u,), (v,), (u, v)], 2) == {-1: 0, 0: 1, 1: 0}
+    # vertices up to bit 62 of an int64 mask
+    for u, v in ((1, 62), (61, 62)):
+        assert rb.reduced_homology_dims([1 << u, 1 << v], 3) == {-1: 0, 0: 1}
+        faces = [1, 1 << u, 1 << v, 1 << u | 1 << v]
+        assert rb.reduced_homology_dims(faces, 2) == {-1: 0, 0: 1, 1: 0}
 
 
 def test_reduced_homology_depends_on_the_prime():
     # six-vertex real projective plane: H~_1 = Z/2, so only GF(2) sees homology
-    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
-    faces = {sub for t in triangles for size in range(4)
-             for sub in itertools.combinations(t, size)}
+    triangles = [0b000111, 0b001101, 0b011001, 0b110001, 0b100011,
+                 0b010110, 0b101100, 0b011010, 0b110100, 0b101010]
+    faces = sorted({sub for t in triangles for sub in range(t + 1) if sub & t == sub})
     assert len(faces) == 1 + 6 + 15 + 10
     assert rb.reduced_homology_dims(faces, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
     for ell in (3, 5):
         assert rb.reduced_homology_dims(faces, ell) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_reduced_homology_matches_dense_reference(ell):
+    # seeded random complexes on at most 8 vertices: the faces below a few
+    # random facets, shuffled, some repeated, the empty face sometimes left
+    # out.  Their homology spans degrees -1 to 2, so a flipped sign or a
+    # column written one row off changes some answer.
+    rng = np.random.default_rng(ell)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        facets = rng.integers(0, 1 << n, size=int(rng.integers(1, 2 * n + 1))).tolist()
+        faces = [w for w in range(1 << n) if any(w & f == w for f in facets)]
+        masks = rng.permutation(faces + rng.choice(faces, size=3).tolist())
+        masks = masks[masks != 0] if rng.random() < 0.5 else masks
+        assert rb.reduced_homology_dims(masks, ell) == reduced_homology_dense(masks, ell)
 
 
 def _kernel_column(dense, ell):
@@ -174,14 +190,25 @@ def test_rank_kernel_matches_scalar_oracle(ell):
 
 def test_reduced_homology_validation():
     with pytest.raises(ParameterError):
-        rb.reduced_homology_dims([()], 4)
-    with pytest.raises(ParameterError):
-        rb.reduced_homology_dims([(0, 1)], 2)  # vertices missing
-    # a negative mask would shift forever, a negative vertex by a negative count
-    for faces, named in (([-1], "face -1"), ([np.int64(-3)], "face -3"),
-                         ([(-1,)], r"face \(-1,\)")):
-        with pytest.raises(ParameterError, match=named):
+        rb.reduced_homology_dims([0], 4)
+    # a face with its vertices missing, or a face size skipped
+    for faces in ([0b11], [0b001, 0b010, 0b100, 0b111], np.array([0b1000, 0b0111])):
+        with pytest.raises(ParameterError, match="^faces are not downward closed$"):
             rb.reduced_homology_dims(faces, 2)
+    # index tuples, ragged or not: np.append would flatten [(0, 1)] into the
+    # masks 0 and 1, so the shape is checked before the empty face is added
+    for faces in ([(0, 1)], [()], [(0,), (1,)], [(), (0,)], {0, 1}):
+        with pytest.raises(ParameterError, match="^faces must be a 1-d array of bitmasks"):
+            rb.reduced_homology_dims(faces, 2)
+    # a negative mask, or one of 2^63 or more, has no int64 bitmask
+    for faces, named in (([-1], "face -1:"), ([np.int64(-3)], "face -3:"),
+                         ([1 << 63], f"face {1 << 63}:"),
+                         (np.array([1, 1 << 63], dtype=np.uint64), f"face {1 << 63}:"),
+                         ([1 << 64], "below 2"), ([1 << 62, 1 << 63], "below 2"),
+                         ([1.0], "below 2"), (["1"], "below 2"), ([True], "below 2")):
+        with pytest.raises(ParameterError, match=named) as refused:
+            rb.reduced_homology_dims(faces, 2)
+        assert "\n" not in str(refused.value)
 
 
 # -- Betti backends --------------------------------------------------------------
