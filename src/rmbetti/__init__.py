@@ -14,9 +14,7 @@ interpolation, symbolic constructions) live in tests/oracles.py.
 from .codes import (LinearCode, ghw, ghw_profile, is_mds, min_weight_bruteforce,
                     minimum_distance, shortened_basis, shortened_dim,
                     shrink_to_one_minimal, support, weight)
-from .errors import (CertificateError, CrossCheckError, DimensionMismatchError,
-                     NotPrimePowerError, ParameterError, PreconditionError,
-                     TooLargeError)
+from .errors import CertificateError, CrossCheckError, ParameterError, TooLargeError
 from .gf import GF, field
 from .rm import (ExponentPoly, PointOrder, RMCode, build_code, dim_assmus_key,
                  dim_inclusion_exclusion, linear_product, min_distance_formula,

@@ -48,9 +48,8 @@ def _guards(args) -> verify.Guards:
     return dataclasses.replace(verify.DEFAULT_GUARDS, **overrides)
 
 
-def _report(q, m, r, *, code=None, ghw=None, betti=None, purity=None,
-            certificate=None, prediction=None, match=None, details=None,
-            guards=None):
+def _report(q, m, r, *, guards, code=None, ghw=None, betti=None, purity=None,
+            certificate=None, prediction=None, match=None, details=None):
     return {
         "params": {"q": q, "m": m, "r": r},
         "code": code,
@@ -61,12 +60,8 @@ def _report(q, m, r, *, code=None, ghw=None, betti=None, purity=None,
         "prediction": prediction,
         "match": match,
         "details": details,
-        "guards": guards.to_json_obj() if guards else None,
+        "guards": dataclasses.asdict(guards),
     }
-
-
-def _code_obj(code) -> dict:
-    return {"n": code.n, "k": code.k, "d": getattr(code, "d", None)}
 
 
 # -- command bodies ----------------------------------------------------------
@@ -98,13 +93,11 @@ def _cmd_distance(args, guards):
     q, m, r = args.q, args.m, args.r
     code = rm.build_code(q, r, m)
     formula = rm.min_distance_formula(q, r, m)
-    brute = None
-    if q ** code.k <= guards.max_enum:
-        brute = codes.min_weight_bruteforce(code, max_enum=guards.max_enum)
+    brute = codes.bruteforce_distance(code, guards.max_enum)
     agree = brute is None or brute == formula
     details = {"formula": formula, "bruteforce": brute,
-               "method": "formula+bruteforce" if brute is not None else "formula"}
-    report = _report(q, m, r, code=_code_obj(code), details=details,
+               "method": codes.distance_source(brute)}
+    report = _report(q, m, r, code=verify.code_obj(code), details=details,
                      match=agree, guards=guards)
     text = (f"minimum distance of [{code.n}, {code.k}]_{q}: formula {formula}"
             + (f", brute force {brute}" if brute is not None else " (enumeration skipped)"))
@@ -115,7 +108,7 @@ def _cmd_ghw(args, guards):
     q, m, r = args.q, args.m, args.r
     code = rm.build_code(q, r, m)
     profile = codes.ghw_profile(code)
-    report = _report(q, m, r, code=_code_obj(code), ghw=list(profile),
+    report = _report(q, m, r, code=verify.code_obj(code), ghw=list(profile),
                      guards=guards)
     text = "generalized Hamming weights: " + ", ".join(
         f"d_{i + 1}={d}" for i, d in enumerate(profile))
@@ -126,7 +119,7 @@ def _cmd_betti(args, guards):
     q, m, r = args.q, args.m, args.r
     comp = verify.purity_by_betti(q, m, r, guards, args.backend, args.char)
     code, table, verdict = rm.build_code(q, r, m), comp.table, comp.verdict
-    report = _report(q, m, r, code=_code_obj(code), betti=table.to_json_obj(),
+    report = _report(q, m, r, code=verify.code_obj(code), betti=table.to_json_obj(),
                      purity=dataclasses.asdict(verdict), guards=guards)
     lines = [f"graded Betti numbers of the [{code.n}, {code.k}]_{q} code:"]
     lines += [f"  beta_{{{i},{j}}} = {b}" for i, j, b in table.rows()]
@@ -141,7 +134,7 @@ def _cmd_purity(args, guards):
     comp = verify.purity_by_betti(q, m, r, guards)
     predicted = verify.purity_predicate(q, m, r)
     match = comp.verdict.pure == predicted
-    report = _report(q, m, r, code=_code_obj(rm.build_code(q, r, m)),
+    report = _report(q, m, r, code=verify.code_obj(rm.build_code(q, r, m)),
                      betti=comp.table.to_json_obj(),
                      purity=dataclasses.asdict(comp.verdict),
                      prediction={"pure_predicted": predicted},
@@ -155,8 +148,7 @@ def _cmd_certificate(args, guards):
     q, m, r = args.q, args.m, args.r
     cert = verify.non_purity_certificate(q, m, r, guards)
     check = verify.check_certificate(cert, guards)
-    report = _report(q, m, r,
-                     code={"n": cert["n"], "k": cert["k"], "d": cert["d1"]},
+    report = _report(q, m, r, code=verify.code_obj(rm.build_code(q, r, m)),
                      certificate=cert,
                      prediction={"pure_predicted": verify.purity_predicate(q, m, r)},
                      match=check.ok, guards=guards)
@@ -202,7 +194,7 @@ def _sweep(args, guards, row, *row_args, routes, guard_skipped, cells):
                          "r": "all" if args.r_all else args.r},
               "rows": rows,
               "match": exit_code == EXIT_OK,
-              "guards": guards.to_json_obj()}
+              "guards": dataclasses.asdict(guards)}
     table = [("q", "m", "r", "n", "k", "d", "predicted", "computed",
               "certificate_ok", "match"),
              *((row["params"]["q"], row["params"]["m"], row["params"]["r"],
@@ -328,7 +320,8 @@ _COMMANDS = {
     "ghw": ("generalized Hamming weight profile", _cmd_ghw, False),
     "betti": ("graded Betti table", _cmd_betti, False,
               ("--backend", dict(choices=("fast", "homology", "both"), default="fast")),
-              ("--char", dict(type=int, default=2, help="homology coefficient prime"))),
+              ("--char", dict(type=int, default=verify.HOMOLOGY_CHAR,
+                             help="homology coefficient prime"))),
     "purity": ("purity verdict vs predicted purity", _cmd_purity, False),
     "certificate": ("build and check a non-purity certificate", _cmd_certificate, False),
     "verify-theorem": ("purity characterization sweep", _cmd_verify_theorem, True, (

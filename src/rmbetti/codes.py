@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .bits import popcount_table, subset_max_accumulate, subset_sum_accumulate
 from .errors import CrossCheckError, ParameterError, TooLargeError
-from .gf import GF
+from .gf import GF, is_int
 
 # The size limits of the exact enumerations, each defined once; an input
 # beyond one raises TooLargeError before the work starts.
@@ -119,11 +119,11 @@ def support(v) -> tuple[int, ...]:
 
 
 def _coord_set(code: LinearCode, coords) -> list[int]:
-    out = sorted({int(c) for c in coords})
-    for c in out:
-        if not 0 <= c < code.n:
-            raise IndexError(f"coordinate {c} out of range for length {code.n}")
-    return out
+    coords = list(coords)
+    for c in coords:
+        if not (is_int(c) and 0 <= c < code.n):
+            raise ParameterError(f"coordinate {c!r} out of range for length {code.n}")
+    return sorted(set(map(int, coords)))
 
 
 def shortened_dim(code: LinearCode, coords) -> int:
@@ -282,7 +282,7 @@ def ghw(code: LinearCode, i: int) -> int:
     nullity table when the code has one or the counting rule admits it
     (n <= MAX_TABLE_N), else a face walk that stops at the level giving d_i
     (needs n <= MAX_SEARCH_N)."""
-    if not 1 <= i <= code.k:
+    if not (is_int(i) and 1 <= i <= code.k):
         raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
     return _ghw_prefix(code, i)[-1]
 
@@ -367,12 +367,22 @@ def shrink_to_one_minimal(code: LinearCode, v) -> tuple[np.ndarray, int, int]:
     return basis[0], support_dim, basis.shape[0]
 
 
+def bruteforce_distance(code: LinearCode, max_enum: int = MAX_ENUM) -> int | None:
+    """min_weight_bruteforce(code), or None when the guard q^k <= max_enum skips it."""
+    within = code.gf.q ** code.k <= max_enum
+    return min_weight_bruteforce(code, max_enum=max_enum) if within else None
+
+
+def distance_source(bruteforce: int | None) -> str:
+    """How a reported distance was found: by formula, or also by brute force."""
+    return "formula" if bruteforce is None else "formula+bruteforce"
+
+
 def minimum_distance(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     """Exact minimum distance: codeword enumeration when q^k fits max_enum,
     otherwise ghw's support search (needs n <= MAX_SEARCH_N)."""
-    if code.gf.q ** code.k <= max_enum:
-        return min_weight_bruteforce(code, max_enum=max_enum)
-    return ghw(code, 1)
+    brute = bruteforce_distance(code, max_enum)
+    return ghw(code, 1) if brute is None else brute
 
 
 def is_mds(code: LinearCode, *, max_enum: int = MAX_ENUM) -> bool:

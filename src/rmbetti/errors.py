@@ -1,29 +1,20 @@
-"""Exception types shared across the package."""
-
-
-class NotPrimePowerError(ValueError):
-    """Requested field size is not a prime power."""
+"""Exception types shared across the package: one per nonzero exit code of
+the command line (2 to 5).  Every refusal of an argument, whatever its kind
+(a range, a shape, a type, a construction's preconditions), is a
+ParameterError."""
 
 
 class ParameterError(ValueError):
-    """A parameter is outside its documented range."""
-
-
-class DimensionMismatchError(ValueError):
-    """Matrix or vector shapes are incompatible."""
-
-
-class PreconditionError(ValueError):
-    """A construction's mathematical preconditions do not hold."""
+    """An argument is outside its documented range, shape or type (exit 2)."""
 
 
 class TooLargeError(RuntimeError):
-    """An enumeration guard was exceeded; nothing was computed."""
+    """An enumeration guard was exceeded; nothing was computed (exit 3)."""
 
 
 class CertificateError(RuntimeError):
-    """A non-purity certificate failed one of its own checks."""
+    """A non-purity certificate failed one of its own checks (exit 4)."""
 
 
 class CrossCheckError(RuntimeError):
-    """Two independent computation routes disagreed."""
+    """Two independent computation routes disagreed (exit 5)."""

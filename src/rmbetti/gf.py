@@ -20,11 +20,15 @@ import itertools
 
 import numpy as np
 
-from .errors import NotPrimePowerError, TooLargeError
+from .errors import ParameterError, TooLargeError
 
 # Cells in one q x q Cayley table; GF(q) refuses a larger q before building
 # anything (q <= 1024).
 MAX_TABLE_CELLS = 1 << 20
+
+
+def is_int(value) -> bool:                 # JSON true and false are not integers
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_prime(n: int) -> bool:
@@ -41,7 +45,7 @@ def is_prime(n: int) -> bool:
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, e) with q = p**e, p prime; raise otherwise."""
     if q < 2:
-        raise NotPrimePowerError(f"field size must be at least 2, got {q}")
+        raise ParameterError(f"field size must be at least 2, got {q}")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -55,7 +59,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
         rest //= p
         e += 1
     if rest != 1:
-        raise NotPrimePowerError(f"{q} is not a prime power")
+        raise ParameterError(f"{q} is not a prime power")
     return p, e
 
 
@@ -261,7 +265,7 @@ class GF:
     def exp_reduce(self, k: int) -> int:
         """Reduce an exponent using a**q = a (valid for every element)."""
         if k < 0:
-            raise ValueError("negative exponent")
+            raise ParameterError("negative exponent")
         if k == 0:
             return 0
         return (k - 1) % (self.q - 1) + 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import ParameterError, TooLargeError
 from .gf import GF
 
 # bytes of one level of reduced matrices in face_levels
@@ -48,7 +48,7 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     """
     r = np.asarray(mat, dtype=gf.dtype)
     if r.ndim != 2:
-        raise DimensionMismatchError("rref needs a 2-d matrix")
+        raise ParameterError("rref needs a 2-d matrix")
     code, decode, negcode = gf.lane_code, gf.lane_decode, gf.lane_negcode
     p, shift, bias, ones = gf.p, gf.lane_bits - 1, gf.lane_bias, gf.lane_ones
     nrows, ncols = r.shape
@@ -122,7 +122,7 @@ def row_space_equal(gf: GF, a, b) -> bool:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError("row spaces live in different ambient spaces")
+        raise ParameterError("row spaces live in different ambient spaces")
     if np.array_equal(a, b):
         return True
     ra, ka, _ = rref(gf, a)
@@ -146,7 +146,7 @@ def matmul(gf: GF, a, b) -> np.ndarray:
     a = np.asarray(a, dtype=gf.dtype)
     b = np.asarray(b, dtype=gf.dtype)
     if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
+        raise ParameterError(f"cannot multiply {a.shape} by {b.shape}")
     e = gf.e
     bits = max(1, (a.shape[1] * (gf.p - 1) ** 2).bit_length())
     g = max(1, min(e, 53 // bits))
@@ -169,7 +169,7 @@ def matvec(gf: GF, a, v) -> np.ndarray:
     a = np.asarray(a, dtype=gf.dtype)
     v = np.asarray(v, dtype=gf.dtype)
     if a.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(f"cannot apply {a.shape} to vector of length {v.shape[0]}")
+        raise ParameterError(f"cannot apply {a.shape} to vector of length {v.shape[0]}")
     nz = np.flatnonzero(v)
     return matmul(gf, np.take(a, nz, axis=1), v[nz, None])[:, 0]
 

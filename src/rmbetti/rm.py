@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .codes import LinearCode
 from .errors import CrossCheckError, ParameterError, TooLargeError
-from .gf import GF, field
+from .gf import GF, field, is_int
 
 # Largest point grid (q^m points) that point_order allocates, and most bytes
 # of matrices that generator_matrix admits: G, 8 bytes a cell of G for its
@@ -34,6 +34,8 @@ MAX_MATRIX_BYTES = 1 << 30
 
 
 def validate_params(q: int, r: int, m: int) -> None:
+    if not all(map(is_int, (q, r, m))):
+        raise ParameterError(f"parameters must be integers, got q={q!r}, r={r!r}, m={m!r}")
     if q < 2:
         raise ParameterError(f"field size must be at least 2, got q={q}")
     if m < 1:
@@ -159,10 +161,6 @@ def affine_generators(q: int, m: int) -> tuple[np.ndarray, ...]:
     for perm in perms:
         perm.setflags(write=False)
     return perms
-
-
-def is_int(value) -> bool:                 # JSON true and false are not integers
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ExponentPoly:
@@ -320,10 +318,10 @@ def generator_matrix(q: int, r: int, m: int, *,
     return g
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def build_code(q: int, r: int, m: int) -> RMCode:
     """Evaluate the monomial basis over the point grid; the code's one RREF
-    gives H and the rank.
+    gives H and the rank.  The cache is typed, so 4.0 and True miss 4 and 1.
 
     The rank is cross-checked against the monomial count and both dimension
     formulas; disagreement is a hard error, not a warning.
@@ -355,7 +353,8 @@ def linear_product(gf: GF, m: int, roots, scale: int = 1) -> ExponentPoly:
     list, so the product grows by one polynomial of at most q terms per
     variable.
     """
-    if any(not (0 <= var < m and 0 <= value < gf.q) for var, value in roots):
+    if not all(is_int(var) and is_int(value) and 0 <= var < m and 0 <= value < gf.q
+               for var, value in roots):
         raise ParameterError(f"roots must pair a variable in 0..{m - 1} with an "
                              f"element of GF({gf.q})")
     f = ExponentPoly.constant(gf, m, scale)
@@ -374,6 +373,9 @@ def pinned_roots(gf: GF, values) -> list[tuple[int, int]]:
 
     Each factor is (X_i - v_i)^(q-1) - 1: -1 where X_i = v_i and zero
     elsewhere, so the product is (-1)^len(values) times the indicator of
-    the leading coordinates equalling the values.
+    the leading coordinates equalling the values, each an element of GF(q).
     """
+    values = list(values)
+    if not all(is_int(v) and 0 <= v < gf.q for v in values):
+        raise ParameterError(f"pinned values must be elements of GF({gf.q}), got {values}")
     return [(i, b) for i, v in enumerate(values) for b in gf.elements() if b != v]

@@ -37,7 +37,7 @@ from . import linalg
 from .bits import popcount_table, subset_sum_accumulate
 from .codes import MAX_TABLE_N, LinearCode
 from .errors import CrossCheckError, ParameterError, TooLargeError
-from .gf import is_prime
+from .gf import is_int, is_prime
 
 # largest n whose 2^n restrictions the homology backend sweeps
 MAX_HOMOLOGY_N = 12
@@ -67,8 +67,10 @@ def circuits(code: LinearCode) -> list[tuple[int, ...]]:
 
 
 def check_char(ell: int) -> None:
-    """Refuse homology coefficients other than a prime below 2^31; the bound
-    is checked first, so the primality test trial-divides below 2^16 only."""
+    """Refuse homology coefficients other than an integer prime below 2^31;
+    the bound comes first, so the primality test trial-divides below 2^16."""
+    if not is_int(ell):
+        raise ParameterError(f"homology coefficients need an integer prime, got {ell!r}")
     if ell >= 1 << 31:
         raise ParameterError(f"homology coefficients must be below 2^31, got {ell}")
     if not is_prime(ell):

@@ -13,15 +13,15 @@ and never drops a row silently.
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import codes, linalg, rm, srres
-from .errors import (CertificateError, CrossCheckError, NotPrimePowerError,
-                     ParameterError, PreconditionError, TooLargeError)
-from .gf import field
+from .errors import CertificateError, CrossCheckError, ParameterError, TooLargeError
+from .gf import field, is_int
 
 
 # coefficient prime of the homology cross-check in purity_by_betti
@@ -30,22 +30,23 @@ HOMOLOGY_CHAR = 2
 
 @dataclass(frozen=True)
 class Guards:
-    """The limits a user can set; exceeding one raises TooLargeError, never truncates."""
+    """The limits a report prints, as asdict of this, in field order; exceeding
+    one raises TooLargeError, never truncates.  A user sets max_n_betti and
+    max_enum, the only arguments; the homology length and prime are fixed, as
+    is codes.MAX_SUBSPACES, which bounds only the test suite's subspace oracle."""
     max_n_betti: int = 16
+    cross_check_n: int = dataclasses.field(default=srres.MAX_HOMOLOGY_N, init=False)
     max_enum: int = codes.MAX_ENUM
-
-    def to_json_obj(self) -> dict:
-        """Both limits, beside the fixed homology cross-check length and
-        prime and codes.MAX_SUBSPACES, which bounds only the subspace oracle
-        of the test suite; no command reaches it, and reports print it."""
-        return {"max_n_betti": self.max_n_betti,
-                "cross_check_n": srres.MAX_HOMOLOGY_N,
-                "max_enum": self.max_enum,
-                "max_subspaces": codes.MAX_SUBSPACES,
-                "homology_char": HOMOLOGY_CHAR}
+    max_subspaces: int = dataclasses.field(default=codes.MAX_SUBSPACES, init=False)
+    homology_char: int = dataclasses.field(default=HOMOLOGY_CHAR, init=False)
 
 
 DEFAULT_GUARDS = Guards()
+
+
+def code_obj(code: rm.RMCode) -> dict:
+    """The {n, k, d} header of a code in every report and sweep row."""
+    return {"n": code.n, "k": code.k, "d": code.d}
 
 
 def purity_predicate(q: int, m: int, r: int) -> bool:
@@ -154,7 +155,7 @@ def non_purity_certificate(q: int, m: int, r: int,
     matrices are read-only integer arrays: G and H are the code's own
     frozen matrices, not copies.
 
-    Raises PreconditionError when the witness construction does not apply
+    Raises ParameterError when the witness construction does not apply
     and CertificateError if any of its own checks fails (which would be
     evidence against the characterization, never silenced).
     """
@@ -162,7 +163,7 @@ def non_purity_certificate(q: int, m: int, r: int,
     t, s = rm.ts_split(q, r)
     planned = certificate_witness(q, m, r)
     if planned is None:
-        raise PreconditionError(
+        raise ParameterError(
             "certificates need q >= 3, m >= 2, s = 1 and 1 < r < m(q-1)-1; "
             f"got q={q}, m={m}, r={r}, s={s}")
     case, roots, formula_weight = planned
@@ -173,9 +174,7 @@ def non_purity_certificate(q: int, m: int, r: int,
     sigma = codes.support(word)
     wt = len(sigma)
     d1 = rm.min_distance_formula(q, r, m)
-    within_enum = gf.q ** code.k <= guards.max_enum
-    d1_brute = (codes.min_weight_bruteforce(code, max_enum=guards.max_enum)
-                if within_enum else None)
+    d1_brute = codes.bruteforce_distance(code, guards.max_enum)
 
     shrunk, sigma_dim, shrunk_dim = codes.shrink_to_one_minimal(code, word)
     shrunk_support = codes.support(shrunk)
@@ -209,7 +208,7 @@ def non_purity_certificate(q: int, m: int, r: int,
         "weight": wt,
         "formula_weight": formula_weight,
         "d1": d1,
-        "d1_source": "formula+bruteforce" if within_enum else "formula",
+        "d1_source": codes.distance_source(d1_brute),
         "d1_bruteforce": d1_brute,
         "one_minimal_word": shrunk,
         "one_minimal_support": shrunk_support,
@@ -242,17 +241,17 @@ def _int_entries(value) -> bool:
     """An integer array, or lists nested to any depth of integers."""
     if isinstance(value, (list, tuple)):
         return all(map(_int_entries, value))
-    return value.dtype.kind in "iu" if isinstance(value, np.ndarray) else rm.is_int(value)
+    return value.dtype.kind in "iu" if isinstance(value, np.ndarray) else is_int(value)
 
 
 def _has_fields(cert) -> bool:
     """cert is a dict holding every key check_certificate reads, with an
     integer wherever it reads one, so that no later check raises."""
     return (isinstance(cert, dict)
-            and all(rm.is_int(cert.get(key)) for key in _INT_KEYS)
+            and all(is_int(cert.get(key)) for key in _INT_KEYS)
             and all(isinstance(cert.get(key), (list, tuple))
-                    and all(map(rm.is_int, cert[key])) for key in _SUPPORT_KEYS)
-            and (cert.get("d1_bruteforce") is None or rm.is_int(cert["d1_bruteforce"]))
+                    and all(map(is_int, cert[key])) for key in _SUPPORT_KEYS)
+            and (cert.get("d1_bruteforce") is None or is_int(cert["d1_bruteforce"]))
             and all(key in cert for key in (
                 "field", "witness_poly", "d1_bruteforce", "d1_source", "generator_matrix",
                 "parity_check_matrix", "codeword", "one_minimal_word", "checks")))
@@ -284,7 +283,7 @@ def check_certificate(cert: dict,
     q, m, r = cert["q"], cert["m"], cert["r"]
     try:
         planned = certificate_witness(q, m, r)
-    except NotPrimePowerError:
+    except ParameterError:              # from field(q): q is not a prime power
         planned = None
     gf = field(q) if planned is not None else None
     if not flag("params", gf is not None
@@ -319,7 +318,7 @@ def check_certificate(cert: dict,
         terms = cert["witness_poly"]
         poly = {tuple(term["exponents"]): term["coeff"] for term in terms}
         witness = (rm.ExponentPoly(gf, m, poly) if len(poly) == len(terms) and all(
-            rm.is_int(c) and c for c in poly.values()) else None)
+            is_int(c) and c for c in poly.values()) else None)
     except (KeyError, ParameterError, TypeError):
         witness = None
     if flag("witness_terms", witness is not None):
@@ -344,11 +343,9 @@ def check_certificate(cert: dict,
     flag("d1_mismatch", d1 == cert["d1"])
     # a stated brute-force distance must be d1, and d1_source must name it
     claimed = cert["d1_bruteforce"]
-    source = "formula" if claimed is None else "formula+bruteforce"
-    ok = claimed in (None, d1) and cert["d1_source"] == source
-    if gf.q ** k <= guards.max_enum:
-        ok = ok and codes.min_weight_bruteforce(code, max_enum=guards.max_enum) == d1
-    flag("d1_bruteforce", ok)
+    flag("d1_bruteforce", claimed in (None, d1)
+         and cert["d1_source"] == codes.distance_source(claimed)
+         and codes.bruteforce_distance(code, guards.max_enum) in (None, d1))
 
     flag("not_above_d1", cert["weight"] > d1)
     flag("one_minimal_not_above_d1", cert["one_minimal_weight"] > d1)
@@ -392,7 +389,7 @@ def mds_check(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS) -> dict:
         consecutive = all(b == a + 1 for a, b in zip(ghw, ghw[1:]))
     return {
         "params": {"q": q, "m": m, "r": r},
-        "code": {"n": code.n, "k": code.k, "d": code.d},
+        "code": code_obj(code),
         "prediction": {"mds_predicted": predicted},
         "mds_computed": computed,
         "ghw": ghw,
@@ -448,7 +445,7 @@ def theorem_row(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS,
 
     return {
         "params": {"q": q, "m": m, "r": r},
-        "code": {"n": code.n, "k": code.k, "d": code.d},
+        "code": code_obj(code),
         "ghw": None,
         "betti": None,
         "purity": purity,

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from rmbetti import ExponentPoly, LinearCode, codes, field, ts_split
-from rmbetti.errors import ParameterError, PreconditionError, TooLargeError
+from rmbetti.errors import ParameterError, TooLargeError
 from rmbetti.rm import linear_product, pinned_roots, point_order, validate_params
 
 
@@ -548,12 +548,12 @@ def witness_poly_large_field_symbolic(q, m, r):
     * (X_t - a_0)(X_t - a_1), with the construction's preconditions."""
     validate_params(q, r, m)
     if q <= 3:
-        raise PreconditionError(f"this construction needs q > 3, got q={q}")
+        raise ParameterError(f"this construction needs q > 3, got q={q}")
     t, s = ts_split(q, r)
     if s != 1:
-        raise PreconditionError(f"split of r={r} gives s={s}; need s = 1")
+        raise ParameterError(f"split of r={r} gives s={s}; need s = 1")
     if m < 2 or not 1 < r < m * (q - 1) - 1:
-        raise PreconditionError(
+        raise ParameterError(
             f"need m >= 2 and 1 < r < m(q-1)-1, got m={m}, r={r}")
     gf = field(q)
     elems = gf.elements()
@@ -577,9 +577,9 @@ def witness_poly_ternary_symbolic(m, r):
     validate_params(q, r, m)
     t, s = ts_split(q, r)
     if s != 1:
-        raise PreconditionError(f"split of r={r} gives s={s}; need s = 1")
+        raise ParameterError(f"split of r={r} gives s={s}; need s = 1")
     if not 1 <= t <= m - 2:
-        raise PreconditionError(
+        raise ParameterError(
             f"need 1 <= t <= m-2 for q=3, got t={t}, m={m}")
     gf = field(q)
     third = gf.elements()[2]

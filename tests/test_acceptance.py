@@ -4,7 +4,7 @@ see them live; captured output appears in failure reports otherwise).
 
 Two rows of the certificate family, (3,3,4) and (3,4,4), split r = 4 over
 GF(3) as t = 2, s = 0.  The certificate route covers only s = 1, so there
-non_purity_certificate must refuse with PreconditionError, and the ternary
+non_purity_certificate must refuse with ParameterError, and the ternary
 s = 1 weight 8 * 3^(m-t-2) cannot hold: it is 8/3 at (3,3,4), and 8 at
 (3,4,4), which is not above d1 = 9.  Those rows instead check non-purity
 at position 1 with a heavier support-minimal codeword built for s = 0
@@ -295,7 +295,7 @@ def test_nonpurity_certificates_stated_rows(q, m, r):
         wt, d1, how = cert["weight"], cert["d1"], "re-check passed"
     else:
         assert s == 0, (q, m, r)
-        with pytest.raises(rb.PreconditionError):
+        with pytest.raises(rb.ParameterError):
             rb.non_purity_certificate(q, m, r)
         f = _s0_witness(q, m, r)
         assert f.total_degree() == r

@@ -72,8 +72,15 @@ def test_shortened_dim_examples(even_weight):
     assert rb.shortened_dim(even_weight, []) == 0
     assert rb.shortened_dim(even_weight, range(4)) == even_weight.k
     assert rb.shortened_dim(even_weight, [0, 1]) == 1
-    with pytest.raises(IndexError):
-        rb.shortened_dim(even_weight, [4])
+    assert rb.shortened_dim(even_weight, np.arange(4)) == even_weight.k
+    # out of range, or not an integer: int() would truncate 1.9 to 1, and a
+    # bool would read as coordinate 0 or 1
+    code = rb.build_code(2, 1, 3)
+    for coords in ([8], [-1], [0.5, 1.9, 2.2, 3.7], [True, 1.5, 2, 3], [0, 1, 2, 3.0],
+                   [False], ["1"], [np.float64(2)]):
+        for kernel in (rb.shortened_dim, rb.shortened_basis):
+            with pytest.raises(ParameterError):
+                kernel(code, coords)
 
 
 def test_shortened_basis_examples(even_weight):
@@ -311,6 +318,10 @@ def test_ghw_validation_and_strictly_increasing():
         rb.ghw(code, 0)
     with pytest.raises(ParameterError):
         rb.ghw(code, code.k + 1)
+    for i in (True, 1.5, 2.0, "1"):
+        with pytest.raises(ParameterError):
+            rb.ghw(code, i)
+    assert rb.ghw(code, np.int64(1)) == rb.ghw(code, 1)
     profile = rb.ghw_profile(code)
     assert all(a < b for a, b in zip(profile, profile[1:]))
     assert profile[-1] == code.n  # nondegenerate

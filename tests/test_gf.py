@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rmbetti import NotPrimePowerError, field
+from rmbetti import ParameterError, field
 from rmbetti.gf import GF, factor_prime_power, is_irreducible, lowest_irreducible
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
@@ -20,8 +20,14 @@ def test_factor_prime_power():
 
 @pytest.mark.parametrize("q", [0, 1, 6, 10, 12, 15, 100])
 def test_not_prime_power_rejected(q):
-    with pytest.raises(NotPrimePowerError):
+    with pytest.raises(ParameterError):
         field(q)
+
+
+def test_negative_exponent_is_a_parameter_error():
+    assert field(5).exp_reduce(9) == 1
+    with pytest.raises(ParameterError, match="^negative exponent$"):
+        field(5).exp_reduce(-1)
 
 
 def test_gf4_modulus_is_the_unique_irreducible_quadratic():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import rmbetti as rb
-from rmbetti import (CrossCheckError, ExponentPoly, ParameterError, PreconditionError,
-                     TooLargeError, field)
+from rmbetti import CrossCheckError, ExponentPoly, ParameterError, TooLargeError, field
 from rmbetti import linalg, rm
 from rmbetti.rm import binom, pinned_roots, validate_params
 
@@ -48,6 +47,18 @@ def test_monomial_basis_validation():
         rb.monomial_basis(3, -1, 2)
     with pytest.raises(ParameterError):
         validate_params(3, 0, 0)
+    # floats and bools are refused, not read as the integers they equal
+    for q, r, m in [(3.0, 2, 1), (3, 2.0, 1), (3, 2, 1.0), (True, 0, 1), (3, True, 1),
+                    (3, 1, True), ("3", 1, 1)]:
+        with pytest.raises(ParameterError, match="must be integers"):
+            validate_params(q, r, m)
+    for args in [(4.0, 1, 2), (4, 1.0, 2), (2, True, 3), (2, 1, 3.0)]:
+        rb.build_code(int(args[0]), int(args[1]), int(args[2]))  # cached beforehand
+        with pytest.raises(ParameterError, match="must be integers"):
+            rb.build_code(*args)
+    with pytest.raises(ParameterError, match="must be integers"):
+        rb.purity_predicate(3.0, 2, 1)
+    validate_params(np.int64(3), np.int64(2), np.int64(1))
 
 
 def test_dimension_formulas_examples():
@@ -440,7 +451,7 @@ def test_witness_large_field_preconditions():
                       (4, 1, 1),   # m too small (s = 1 but m = 1)
                       (4, 2, 1)]:  # r too small
         assert rb.certificate_witness(q, m, r) is None
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ParameterError):
             rb.non_purity_certificate(q, m, r)
     assert rb.certificate_witness(3, 3, 3)[0] == 2  # q = 3 is case 2, not case 1
     assert rb.certificate_witness(4, 1, 4) is None
@@ -466,7 +477,7 @@ def test_witness_ternary_preconditions():
                    (3, 4),   # s = 0: no witness of this shape
                    (4, 4)]:  # s = 0 here as well
         assert rb.certificate_witness(3, m, r) is None
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ParameterError):
             rb.non_purity_certificate(3, m, r)
 
 
@@ -570,6 +581,13 @@ def test_linear_product():
     for scale in (5, -1):
         with pytest.raises(ParameterError):
             rb.linear_product(gf, 2, [(0, 1)], scale)
-    for root in ((2, 0), (-1, 0), (0, 5), (0, -1)):
+    for root in ((2, 0), (-1, 0), (0, 5), (0, -1), (0, 1.5), (0.0, 1), (True, 2),
+                 (0, False), (np.float64(1), 0)):
         with pytest.raises(ParameterError):
             rb.linear_product(gf, 2, [(1, 1), root])
+    # pinned values are elements of GF(q): 7, 1.5 or -1 would pin nothing
+    gf4 = field(4)
+    assert pinned_roots(gf4, [np.int64(2)]) == [(0, 0), (0, 1), (0, 3)]
+    for value in (7, 4, 1.5, -1, True, 2.0):
+        with pytest.raises(ParameterError):
+            pinned_roots(gf4, [0, value])

@@ -191,6 +191,14 @@ def test_rank_kernel_matches_scalar_oracle(ell):
 def test_reduced_homology_validation():
     with pytest.raises(ParameterError):
         rb.reduced_homology_dims([0], 4)
+    # is_prime(2.5) and is_prime(3.0) hold, but pow() needs an integer modulus
+    for ell in (2.5, 3.0, True, np.float64(3)):
+        with pytest.raises(ParameterError, match="need an integer prime"):
+            srres.check_char(ell)
+        with pytest.raises(ParameterError, match="need an integer prime"):
+            rb.reduced_homology_dims([0, 1, 2, 3], ell)
+        with pytest.raises(ParameterError, match="need an integer prime"):
+            rb.betti_hochster(rb.build_code(2, 1, 2), ell)
     # a face with its vertices missing, or a face size skipped
     for faces in ([0b11], [0b001, 0b010, 0b100, 0b111], np.array([0b1000, 0b0111])):
         with pytest.raises(ParameterError, match="^faces are not downward closed$"):

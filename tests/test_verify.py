@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import rmbetti as rb
-from rmbetti import (CertificateError, ParameterError, PreconditionError,
-                     TooLargeError, cli, codes, linalg, rm, srres, verify)
+from rmbetti import (CertificateError, ParameterError, TooLargeError, cli, codes,
+                     linalg, rm, srres, verify)
 
 from oracles import certificate_json
 
@@ -44,12 +44,12 @@ def test_purity_by_betti_examples():
 
 
 @pytest.mark.parametrize("q,m,r", [(2, 3, 1), (4, 2, 3)], ids=["n=8", "n=16"])
-@pytest.mark.parametrize("ell", [2, 3, 2147483647, 4])
+@pytest.mark.parametrize("ell", [2, 3, 2147483647, 4, 2.5, 3.0])
 @pytest.mark.parametrize("backend", [None, "fast", "homology", "both"])
 def test_betti_route_names_the_backends_it_ran(monkeypatch, backend, ell, q, m, r):
-    """purity_by_betti over backend x homology prime x length: the prime is
-    refused before a code is built, homology refuses n = 16 > 12, and the
-    route names exactly the backends that ran."""
+    """purity_by_betti over backend x homology prime x length: an ell that
+    is not an integer prime is refused before a code is built, homology
+    refuses n = 16 > 12, and the route names exactly the backends that ran."""
     code = rb.build_code(q, r, m)
     hochster, build = srres.betti_hochster, rm.build_code
     calls, built = [], []
@@ -57,7 +57,7 @@ def test_betti_route_names_the_backends_it_ran(monkeypatch, backend, ell, q, m, 
                         lambda *args: calls.append(args) or hochster(*args))
     monkeypatch.setattr(rm, "build_code", lambda *args: built.append(args) or build(*args))
     short = code.n <= srres.MAX_HOMOLOGY_N
-    if ell == 4:
+    if ell in (4, 2.5) or isinstance(ell, float):
         with pytest.raises(ParameterError):
             verify.purity_by_betti(q, m, r, backend=backend, ell=ell)
         assert built == []
@@ -105,13 +105,20 @@ def test_certificate_contents(q, m, r, case, wt, d1):
 
 def test_guard_defaults_are_the_codes_limits():
     # two settable guards; the JSON also reports the three fixed limits
-    assert [f.name for f in dataclasses.fields(rb.Guards)] == ["max_n_betti", "max_enum"]
-    assert rb.Guards().to_json_obj() == {
+    assert [f.name for f in dataclasses.fields(rb.Guards) if f.init] == [
+        "max_n_betti", "max_enum"]
+    assert dataclasses.asdict(rb.Guards()) == {
         "max_n_betti": 16, "cross_check_n": srres.MAX_HOMOLOGY_N,
         "max_enum": codes.MAX_ENUM, "max_subspaces": codes.MAX_SUBSPACES,
-        "homology_char": 2}
-    assert list(rb.Guards(3, 4).to_json_obj()) == [
+        "homology_char": verify.HOMOLOGY_CHAR}
+    assert verify.HOMOLOGY_CHAR == 2
+    assert list(dataclasses.asdict(rb.Guards(3, 4))) == [
         "max_n_betti", "cross_check_n", "max_enum", "max_subspaces", "homology_char"]
+    replaced = dataclasses.replace(rb.DEFAULT_GUARDS, max_enum=7)
+    assert (replaced.max_n_betti, replaced.max_enum, replaced.cross_check_n) == (
+        16, 7, srres.MAX_HOMOLOGY_N)
+    with pytest.raises(TypeError):
+        rb.Guards(3, 4, 5)               # the fixed limits are not arguments
 
 
 def test_certificate_d1_sources():
@@ -126,7 +133,7 @@ def test_certificate_d1_sources():
 
 def test_certificate_precondition_errors():
     for (q, m, r) in [(3, 3, 4), (3, 4, 4), (2, 4, 2), (4, 2, 3), (4, 2, 5)]:
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ParameterError):
             rb.non_purity_certificate(q, m, r)
 
 
