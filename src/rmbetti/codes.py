@@ -67,7 +67,7 @@ class LinearCode:
         g = np.asarray(G)
         if g.ndim != 2:
             raise ParameterError("generator matrix must be 2-d")
-        if g.size and (g.dtype.kind not in "bui" or not 0 <= g.min() <= g.max() < gf.q):
+        if g.size and (g.dtype.kind not in "iu" or not 0 <= g.min() <= g.max() < gf.q):
             raise ParameterError(f"generator entries must be integers in 0..{gf.q - 1}")
         self.gf = gf
         self.G = g.astype(gf.dtype)
@@ -84,7 +84,7 @@ class LinearCode:
         v = np.asarray(v)
         if v.shape != (self.n,):
             raise ParameterError(f"expected a length-{self.n} vector")
-        if v.size and (v.dtype.kind not in "bui" or not 0 <= v.min() <= v.max() < self.gf.q):
+        if v.size and (v.dtype.kind not in "iu" or not 0 <= v.min() <= v.max() < self.gf.q):
             raise ParameterError(f"entries must be integers in 0..{self.gf.q - 1}")
         return not np.any(linalg.matvec(self.gf, self.H, v.astype(self.gf.dtype)))
 
@@ -136,7 +136,7 @@ def shortened_basis(code: LinearCode, coords) -> np.ndarray:
     """Basis (rows) of the codewords supported inside the coordinate set."""
     sigma = _coord_set(code, coords)
     local = linalg.null_space(code.gf, code.H[:, sigma])
-    out = linalg.zeros(code.gf, local.shape[0], code.n)
+    out = np.zeros((local.shape[0], code.n), code.gf.dtype)
     if sigma:
         out[:, sigma] = local
     return out

@@ -10,13 +10,16 @@ There is one multiplication underneath: each element is its coefficient
 vector over Z_p (``GF.vectors``), and a product is the polynomial product of
 coefficient vectors folded by the modulus (``GF.fold``).  The Cayley tables
 are built that way once, from the e^2 outer products of coefficient columns,
-and ``linalg.matmul`` applies the same rule to whole matrices.
+and ``linalg.matmul`` applies the same rule to whole matrices.  ``fold`` is
+also the one way back from coefficients to elements: sums and negatives are
+folded coefficient planes too.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -31,34 +34,36 @@ def is_int(value) -> bool:                 # JSON true and false are not integer
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def int_cache(fn):
+    """fn cached by the integer values of its arguments: a non-integer is
+    refused before the cache is read, so field(np.int64(4)) is field(4)."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+
+    @functools.wraps(fn)
+    def call(*args):
+        if not all(map(is_int, args)):
+            raise ParameterError(f"{fn.__name__} needs integer arguments, got {args}")
+        return cached(*map(int, args))
+    call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+    return call
+
+
+def _smallest_factor(n: int) -> int:
+    """The smallest divisor d >= 2 of n >= 2: n itself when n is prime."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, e) with q = p**e, p prime; raise otherwise."""
     if q < 2:
         raise ParameterError(f"field size must be at least 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    p = _smallest_factor(q)
+    e = next(e for e in itertools.count(1) if p ** e >= q)
+    if p ** e != q:
         raise ParameterError(f"{q} is not a prime power")
     return p, e
 
@@ -82,8 +87,6 @@ def is_irreducible(poly, p) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     degree = len(poly) - 1
     if degree < 1:
-        return False
-    if poly[0] == 0 and degree > 1:
         return False
     for d in range(1, degree // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
@@ -117,20 +120,8 @@ class GF:
         For e = 1 this is the degree-1 placeholder (0, 1).
     dtype : numpy dtype used for element arrays.
     vectors : read-only q x e array; row a is the coefficient vector of a.
-    lane_bits, lane_code, lane_decode, lane_negcode, lane_bias, lane_ones :
-        the lane packing that ``linalg.rref`` eliminates in.  Coefficient i
-        of an element sits in bits ``lane_bits * i`` and up of one unsigned
-        word, ``lane_bits`` being the smallest L with 2^(L-1) >= p, so the
-        lane-wise sum of two packed elements never carries into the next
-        lane.  The word is the narrowest of uint8, uint16 and uint32 that
-        holds ``lane_bits * e`` bits.  ``lane_code[a]`` is a's word,
-        ``lane_decode[w]`` the element of word w (2^(lane_bits * e)
-        entries of dtype, at most 2^20: 2 MB at GF(1024)),
-        ``lane_negcode[c, a]`` the word of -(c * a) (q x q words, 4 MB at
-        GF(1024)).  ``lane_bias`` holds 2^(L-1) - p and ``lane_ones`` holds
-        1 in every lane of the 8, 4 or 2 words of one uint64, the unit rref
-        updates in: adding the bias sets bit L-1 of exactly the lanes at or
-        above p.  All read-only.
+    powers : read-only q x q array; powers[a, k] = a**k for 0 <= k < q,
+        with 0**0 = 1.
     """
 
     def __init__(self, q: int):
@@ -138,9 +129,7 @@ class GF:
             raise TooLargeError(
                 f"GF({q}) needs {q}x{q} tables, above {MAX_TABLE_CELLS} cells")
         p, e = factor_prime_power(q)
-        self.q = q
-        self.p = p
-        self.e = e
+        self.q, self.p, self.e = q, p, e
         self.modulus = (0, 1) if e == 1 else lowest_irreducible(p, e)
         self.dtype = np.uint8 if q < 256 else np.uint16
 
@@ -154,46 +143,26 @@ class GF:
         self._of_lex = np.empty(q, self.dtype)
         self._of_lex[order] = np.arange(q)
 
-        v = self.vectors
-        self._add = self.from_vectors(v[:, None, :] + v[None, :, :])
-        self._neg = self.from_vectors(-v)
+        v = self.vectors.T                        # v[s]: every element's coefficient s
+        self._add = self.fold(v[:, :, None] + v[:, None, :])
+        self._neg = self.fold(-v)
         self._sub = self._add[:, self._neg]
         # an entry sums at most e products of at most (p-1)^2, and fold's long
         # division stays above -e (p-1)^2, so this dtype holds every value
         planes = np.zeros((2 * e - 1, q, q), np.min_scalar_type(-e * (p - 1) ** 2))
         for s in range(e):
             for t in range(e):
-                planes[s + t] += np.multiply.outer(v[:, s], v[:, t], dtype=planes.dtype)
+                planes[s + t] += np.multiply.outer(v[s], v[t], dtype=planes.dtype)
         self._mul = self.fold(planes)
         self._inv = np.zeros(q, self.dtype)
         units, inverses = np.nonzero(self._mul == 1)
         self._inv[units] = inverses
 
-        # pow_table[a, k] = a**k for 0 <= k < q, with 0**0 = 1.
-        self._pow = np.zeros((q, q), self.dtype)
-        self._pow[:, 0] = 1
-        col = np.ones(q, self.dtype)
-        idx = np.arange(q)
+        self.powers = np.ones((q, q), self.dtype)
         for k in range(1, q):
-            col = self._mul[col, idx]
-            self._pow[:, k] = col
-
-        lane = (p - 1).bit_length() + 1
-        bits = lane * e
-        word = np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
-        shifts = lane * np.arange(e)
-        self.lane_bits = lane
-        self.lane_code = (self.vectors.astype(word) << shifts.astype(word)).sum(
-            axis=1, dtype=word)
-        self.lane_decode = np.zeros(1 << bits, self.dtype)
-        self.lane_decode[self.lane_code] = np.arange(q)
-        self.lane_negcode = self.lane_code[self._neg[self._mul]]
-        ones = sum(1 << s for s in shifts.tolist())
-        spread = np.ones(8 // np.dtype(word).itemsize, word).view(np.uint64)[0]
-        self.lane_bias = ((1 << (lane - 1)) - p) * ones * spread
-        self.lane_ones = ones * spread
-        for t in (self.vectors, self._add, self._sub, self._mul, self._neg, self._inv,
-                  self._pow, self.lane_code, self.lane_decode, self.lane_negcode):
+            self.powers[:, k] = self._mul[self.powers[:, k - 1], np.arange(q)]
+        for t in (self.vectors, self.powers, self._add, self._sub, self._mul, self._neg,
+                  self._inv):
             t.setflags(write=False)
 
     # -- element bookkeeping -------------------------------------------
@@ -205,14 +174,11 @@ class GF:
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(self.vectors[int(a)].tolist())
 
-    def from_vectors(self, v):
-        """Elements whose coefficient vectors (last axis) are the integers v mod p."""
-        return self._of_lex[np.asarray(v) % self.p @ self._lex_weights]
-
     def fold(self, planes):
         """Elements of the polynomials whose coefficients of x^w are the
-        integers planes[w] (axis 0, w < 2e - 1), reduced by the modulus.
-        The dtype of planes must hold -e (p-1)^2."""
+        integers planes[w] (axis 0), reduced by the modulus and mod p: the
+        one conversion from coefficients to elements.  e planes are read as
+        they stand; dividing more needs a dtype that holds -e (p-1)^2."""
         p, e = self.p, self.e
         c = np.array(planes)                        # reduced in place below
         low = np.array(self.modulus[:e], c.dtype).reshape((e,) + (1,) * (c.ndim - 1))
@@ -220,7 +186,7 @@ class GF:
         # entry takes at most e - 1 such terms, each at least -(p-1)^2
         for w in range(len(c) - 1, e - 1, -1):
             c[w - e:w] -= low * (c[w] % p)
-        return self.from_vectors(np.moveaxis(c[:e], 0, -1))
+        return self._of_lex[np.moveaxis(c[:e], 0, -1) % p @ self._lex_weights]
 
     def element_str(self, a: int) -> str:
         a = int(a)
@@ -264,6 +230,8 @@ class GF:
 
     def exp_reduce(self, k: int) -> int:
         """Reduce an exponent using a**q = a (valid for every element)."""
+        if not is_int(k):
+            raise ParameterError(f"exponent must be an integer, got {k!r}")
         if k < 0:
             raise ParameterError("negative exponent")
         if k == 0:
@@ -271,13 +239,14 @@ class GF:
         return (k - 1) % (self.q - 1) + 1
 
     def pow(self, a, k: int):
-        return self._out(self._pow[a, self.exp_reduce(k)])
+        return self._out(self.powers[a, self.exp_reduce(k)])
 
     def __repr__(self):
         return f"GF({self.q})"
 
 
-@functools.lru_cache(maxsize=None)
+@int_cache
 def field(q: int) -> GF:
-    """Shared GF(q) instance; fields are immutable, so caching is safe."""
+    """Shared GF(q) instance, one per integer q; fields are immutable, so
+    caching is safe."""
     return GF(q)

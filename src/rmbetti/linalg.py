@@ -10,15 +10,13 @@ Products have one path for every field: coefficient planes over Z_p
 (``GF.vectors``) multiply exactly in float64 BLAS, as many planes of the
 left factor packed into one float as keep every sum below 2^53, and
 ``GF.fold`` reduces the polynomial products.  Elimination has one path too,
-for prime and prime-power q alike: ``rref`` packs each element's
-coefficients into lanes of one uint8, uint16 or uint32 word
-(``GF.lane_code``) and updates rows a uint64 at a time, so that
-subtracting a multiple of the pivot row is a word addition and a
-branch-free per-lane reduction mod p, or one XOR when p = 2, and decodes
-once at the end.
+for prime and prime-power q alike: ``rref`` works on the lane-packed words
+of ``_lanes``, a uint64 at a time, and decodes once at the end.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,28 +27,56 @@ from .gf import GF
 MAX_LEVEL_BYTES = 1 << 27
 
 
-def zeros(gf: GF, rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=gf.dtype)
+@functools.lru_cache(maxsize=None)
+def _lanes(gf: GF):
+    """The packing rref eliminates in, built once per field:
+    (code, decode, negcode, shift, bias, ones).
+
+    Coefficient i of an element sits in bits L * i and up of one unsigned
+    word, L being the smallest lane width with 2^(L-1) >= p, so the
+    lane-wise sum of two packed elements never carries into the next lane.
+    The word is the narrowest of uint8, uint16 and uint32 that holds L * e
+    bits.  code[a] is a's word, decode[w] the element of word w (2^(L e)
+    entries of the field's dtype, at most 2^20: 2 MB at GF(1024)),
+    negcode[c, a] the word of -(c * a) (q x q words, 4 MB at GF(1024));
+    all three are read-only.  shift is L - 1; bias holds 2^(L-1) - p and
+    ones holds 1 in every lane of the 8, 4 or 2 words of one uint64, the
+    unit rref updates in: adding the bias sets bit L-1 of exactly the lanes
+    at or above p.
+    """
+    p, e = gf.p, gf.e
+    lane = (p - 1).bit_length() + 1
+    bits = lane * e
+    word = np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
+    shifts = lane * np.arange(e)
+    code = (gf.vectors.astype(word) << shifts.astype(word)).sum(axis=1, dtype=word)
+    elems = np.arange(gf.q)
+    decode = np.zeros(1 << bits, gf.dtype)
+    decode[code] = elems
+    negcode = code[gf.neg(gf.mul(elems[:, None], elems))]
+    for t in (code, decode, negcode):
+        t.setflags(write=False)
+    ones = sum(1 << s for s in shifts.tolist())
+    spread = np.ones(8 // np.dtype(word).itemsize, word).view(np.uint64)[0]
+    return code, decode, negcode, lane - 1, ((1 << (lane - 1)) - p) * ones * spread, ones * spread
 
 
 def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
-    Eliminates on a lane-packed copy (``GF.lane_code``) whose rows are
-    padded with zero words to whole uint64s, and updates the other rows
-    eight bytes at a time, from the uint64 at or left of the pivot column:
-    the pivot row is zero left of its pivot, so the extra columns add zero.
-    Row minus c times the pivot row adds the words of -(c * pivot) lane by
-    lane, then subtracts p from every lane that reached it; in
-    characteristic 2 it is one XOR.  The words come from
-    ``lane_negcode[:, pivot]``, one row per factor, when at least q rows
-    change, else from one 2-d gather.
+    Eliminates on a copy packed as ``_lanes`` describes, rows padded with
+    zero words to whole uint64s.  Each pivot updates the other rows a uint64
+    at a time, from the one at or left of the pivot column, where the pivot
+    row is zero: row minus c times the pivot row adds the words of
+    -(c * pivot) lane by lane and subtracts p from every lane that reached
+    it, or is one XOR when p = 2.  The words are rows of negcode[:, pivot]
+    when at least q rows change, else one 2-d gather.
     """
     r = np.asarray(mat, dtype=gf.dtype)
     if r.ndim != 2:
         raise ParameterError("rref needs a 2-d matrix")
-    code, decode, negcode = gf.lane_code, gf.lane_decode, gf.lane_negcode
-    p, shift, bias, ones = gf.p, gf.lane_bits - 1, gf.lane_bias, gf.lane_ones
+    code, decode, negcode, shift, bias, ones = _lanes(gf)
+    p = gf.p
     nrows, ncols = r.shape
     per = 8 // code.itemsize                  # packed elements in one uint64
     lanes = np.zeros((nrows, -(-ncols // per) * per), code.dtype)
@@ -70,7 +96,7 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
         start = col - col % per
         piv = decode[lanes[row, start:]]
         if piv[col - start] != 1:
-            piv = gf._mul[gf.inv(int(piv[col - start])), piv]
+            piv = gf.mul(gf.inv(int(piv[col - start])), piv)
             lanes[row, start:] = code[piv]
         lanes[row, col] = 0                   # leave the pivot row out of others,
         others = lanes[:, col].nonzero()[0]
@@ -110,7 +136,7 @@ def null_space(gf: GF, mat) -> np.ndarray:
     r, rk, pivots = rref(gf, mat)
     ncols = r.shape[1]
     free = sorted(set(range(ncols)) - set(pivots))
-    basis = zeros(gf, len(free), ncols)
+    basis = np.zeros((len(free), ncols), gf.dtype)
     if free:
         basis[np.arange(len(free)), free] = 1
         if pivots:

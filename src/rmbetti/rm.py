@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .codes import LinearCode
 from .errors import CrossCheckError, ParameterError, TooLargeError
-from .gf import GF, field, is_int
+from .gf import GF, field, int_cache, is_int
 
 # Largest point grid (q^m points) that point_order allocates, and most bytes
 # of matrices that generator_matrix admits: G, 8 bytes a cell of G for its
@@ -87,8 +87,8 @@ def dim_inclusion_exclusion(q: int, r: int, m: int) -> int:
 
 def ts_split(q: int, r: int) -> tuple[int, int]:
     """The unique (t, s) with r = t(q-1) + s and 0 <= s <= q-2."""
-    if q < 2 or r < 0:
-        raise ParameterError("need q >= 2 and r >= 0")
+    if not (is_int(q) and is_int(r) and q >= 2 and r >= 0):
+        raise ParameterError(f"need integers q >= 2 and r >= 0, got q={q!r}, r={r!r}")
     return divmod(r, q - 1)
 
 
@@ -120,7 +120,7 @@ class PointOrder:
         return self.points.shape[0]
 
 
-@functools.lru_cache(maxsize=None)
+@int_cache
 def point_order(q: int, m: int) -> PointOrder:
     gf = field(q)
     if m < 1:
@@ -311,10 +311,10 @@ def generator_matrix(q: int, r: int, m: int, *,
         raise TooLargeError(f"the [{n}, {k}] code needs {nbytes} bytes of matrices, "
                             f"above the limit {MAX_MATRIX_BYTES} bytes")
     exps = np.array(basis)                        # k x m
-    powers = gf._pow.T                            # powers[e, a] = a ** e
+    powers = gf.powers.T                          # powers[e, a] = a ** e
     g = powers[exps[:, 0]][:, order.points[:, 0]]
     for i in range(1, m):
-        g = gf._mul[g, powers[exps[:, i]][:, order.points[:, i]]]
+        g = gf.mul(g, powers[exps[:, i]][:, order.points[:, i]])
     return g
 
 

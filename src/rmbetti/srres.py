@@ -348,9 +348,10 @@ def herzog_kuhl_predicted(shift_type) -> list[Fraction]:
     beta_i = prod over j != i of d_j / |d_j - d_i| (j, i >= 1), as exact
     rationals; for genuine pure resolutions these must come out integral.
     """
-    d = [int(x) for x in shift_type]
-    if len(d) < 1 or any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
-        raise ParameterError(f"shift type must be strictly increasing, got {d}")
+    d = list(shift_type)
+    if not (d and all(map(is_int, d)) and all(a < b for a, b in zip(d, d[1:]))):
+        raise ParameterError(f"shift type must be strictly increasing integers, got {d}")
+    d = list(map(int, d))
     k = len(d) - 1
     out = []
     for i in range(1, k + 1):

@@ -14,6 +14,7 @@ and never drops a row silently.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -469,8 +470,10 @@ def sweep(row, q: int, m: int, rs=None, *row_args, jobs: int = 1) -> list:
     """
     rm.validate_params(q, 0, m)
     rm.point_order(q, m)
+    if not (rs is None or is_int(rs) or isinstance(rs, Iterable)):
+        raise ParameterError(f"rs must be an integer or an iterable of them, got {rs!r}")
     r_values = range(m * (q - 1) + 1) if rs is None else \
-        ([rs] if isinstance(rs, int) else sorted(rs))
+        ([int(rs)] if is_int(rs) else sorted(rs))
     for r in r_values:
         rm.validate_params(q, r, m)
     columns = ([q] * len(r_values), [m] * len(r_values), r_values,

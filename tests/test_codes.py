@@ -36,7 +36,8 @@ def test_linear_code_generator_entries_are_field_elements():
         assert (code.k, code.n, code.H.shape) == (2, 3, (1, 3))
         assert not np.any(linalg.matmul(gf, code.G, code.H.T))
         for bad in ([[1, q, 1]], [[1, -1, 1]], np.array([[1, 300, 1]]), [[1, 2 ** 70, 1]],
-                    [[1, 0.5, 1]], np.ones((1, 3)), np.array([[1, 0.5, 1]], dtype=object)):
+                    [[1, 0.5, 1]], np.ones((1, 3)), np.array([[1, 0.5, 1]], dtype=object),
+                    np.array([[True, False, True]])):
             with pytest.raises(ParameterError, match=f"integers in 0..{q - 1}"):
                 rb.LinearCode(gf, bad)
 
@@ -48,11 +49,11 @@ def test_linear_code_validation_and_contains(even_weight):
     assert even_weight.contains(np.array([1, 1, 0, 0], dtype=gf.dtype))
     assert not even_weight.contains(np.array([1, 0, 0, 0], dtype=gf.dtype))
     assert even_weight.contains(np.array([1, 1, 0, 0], dtype=np.uint64))
-    assert even_weight.contains([True, False, True, False])
-    # a float or string entry is refused as the constructor refuses it, never
-    # truncated to a field element
+    # a float, string or bool entry is refused as the constructor refuses it,
+    # never read as a field element
     for bad in (np.array([1.7, 1, 0, 0]), np.array([0.5, 0, 0, 0]), [1.0, 1.0, 0.0, 0.0],
-                np.array(["1", "1", "0", "0"]), np.array([1.7, 1, 0, 0], dtype=object)):
+                np.array(["1", "1", "0", "0"]), np.array([1.7, 1, 0, 0], dtype=object),
+                [True, False, True, False]):
         with pytest.raises(ParameterError, match="integers in 0..1"):
             even_weight.contains(bad)
     derived = code_from_rows(gf, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
@@ -140,7 +141,7 @@ def _kernel_cases():
     for q in (2, 3, 4, 5, 7, 8, 9):
         gf = field(q)
         for n in (1, 6, 12):
-            out += [rb.LinearCode(gf, linalg.zeros(gf, 0, n)),
+            out += [rb.LinearCode(gf, np.zeros((0, n), gf.dtype)),
                     rb.LinearCode(gf, np.eye(n, dtype=gf.dtype))]
         for _ in range(10):
             n = int(rng.integers(2, 13))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmbetti import ParameterError, field
-from rmbetti.gf import GF, factor_prime_power, is_irreducible, lowest_irreducible
+from rmbetti.gf import GF, factor_prime_power, is_irreducible, is_prime, lowest_irreducible
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
 
@@ -16,6 +16,8 @@ def test_factor_prime_power():
     assert factor_prime_power(4) == (2, 2)
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(1024) == (2, 10)
+    assert factor_prime_power(1021) == (1021, 1)
+    assert [n for n in range(-2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 10, 12, 15, 100])
@@ -28,6 +30,12 @@ def test_negative_exponent_is_a_parameter_error():
     assert field(5).exp_reduce(9) == 1
     with pytest.raises(ParameterError, match="^negative exponent$"):
         field(5).exp_reduce(-1)
+    assert field(5).pow(2, np.int64(3)) == 3
+    # a non-integer exponent is refused, never used as an index or returned
+    for call in (lambda: field(5).exp_reduce(2.5), lambda: field(3).pow(2, 1.5),
+                 lambda: field(3).pow(2, True)):
+        with pytest.raises(ParameterError, match="exponent must be an integer"):
+            call()
 
 
 def test_gf4_modulus_is_the_unique_irreducible_quadratic():
@@ -161,7 +169,8 @@ def test_tables_match_coefficient_arithmetic(q):
 def test_coeffs_roundtrip_and_str():
     gf = field(8)
     for a in gf.elements():
-        assert gf.from_vectors(gf.coeffs(a)) == a
+        assert gf.fold(np.array(gf.coeffs(a))) == a
+    assert np.array_equal(gf.fold(gf.vectors.T), gf.elements())
     assert gf.element_str(0) == "0"
     assert field(4).element_str(3) == "1 + a"
 
@@ -169,3 +178,10 @@ def test_coeffs_roundtrip_and_str():
 def test_field_cache_returns_same_object():
     assert field(9) is field(9)
     assert isinstance(field(9), GF)
+    # one GF per integer value: numpy integers share it, and the field's own
+    # numbers are Python ints
+    assert field(np.int64(4)) is field(4) and field(np.uint8(9)) is field(9)
+    assert type(field(np.int64(4)).q) is int
+    for bad in (4.0, 2.5, True, "4", None, np.float64(4)):
+        with pytest.raises(ParameterError, match="needs integer arguments"):
+            field(bad)

@@ -32,7 +32,7 @@ def test_rref_identity_and_zero():
     gf = field(3)
     r, rk, piv = linalg.rref(gf, np.eye(2, dtype=gf.dtype))
     assert rk == 2 and piv == [0, 1]
-    r, rk, piv = linalg.rref(gf, linalg.zeros(gf, 3, 4))
+    r, rk, piv = linalg.rref(gf, np.zeros((3, 4), gf.dtype))
     assert rk == 0 and piv == []
 
 
@@ -71,7 +71,7 @@ def _assert_rref_matches_oracle(gf, m):
 
 def test_rref_matches_scalar_oracle():
     """Includes shapes with more rows to update than q (the multiples are
-    rows of lane_negcode[:, pivot]) and fewer (one 2-d gather)."""
+    rows of negcode[:, pivot] in linalg._lanes) and fewer (one 2-d gather)."""
     rng = np.random.default_rng(61)
     for q in ORACLE_FIELDS + LANE_FIELDS:
         gf = field(q)
@@ -111,21 +111,24 @@ def test_rref_matches_scalar_oracle_on_unaligned_widths():
                                           (729, 18, np.uint32), (1024, 20, np.uint32)])
 def test_lane_tables(q, bits, word):
     gf = field(q)
-    assert gf.lane_bits * gf.e == bits
-    assert 2 ** (gf.lane_bits - 2) < gf.p <= 2 ** (gf.lane_bits - 1)   # the smallest L
-    assert gf.lane_code.dtype == word and gf.lane_decode.size == 2 ** bits
-    assert np.array_equal(gf.lane_decode[gf.lane_code], np.arange(q))
+    code, decode, negcode, shift, bias, ones = linalg._lanes(gf)
+    assert linalg._lanes(gf)[0] is code                    # built once per field
+    lane = shift + 1
+    assert lane * gf.e == bits
+    assert 2 ** (lane - 2) < gf.p <= 2 ** (lane - 1)        # the smallest L
+    assert code.dtype == word and decode.size == 2 ** bits and decode.dtype == gf.dtype
+    assert np.array_equal(decode[code], np.arange(q))
     neg = gf.neg(gf.mul(np.arange(q)[:, None], np.arange(q)[None, :]))
-    assert np.array_equal(gf.lane_negcode, gf.lane_code[neg])
+    assert np.array_equal(negcode, code[neg])
     # bias and ones fill every word of the uint64 that rref updates in
-    ones = gf.lane_code[gf.from_vectors(np.ones(gf.e, dtype=int))]
-    spread = np.full(8 // gf.lane_code.itemsize, ones).view(np.uint64)[0]
-    assert gf.lane_ones.dtype == gf.lane_bias.dtype == np.uint64
-    assert gf.lane_ones == spread and gf.lane_bias == (2 ** (gf.lane_bits - 1) - gf.p) * spread
-    for t in (gf.lane_code, gf.lane_decode, gf.lane_negcode):
+    all_ones = np.flatnonzero((gf.vectors == 1).all(axis=1))[0]
+    spread = np.full(8 // code.itemsize, code[all_ones]).view(np.uint64)[0]
+    assert ones.dtype == bias.dtype == np.uint64
+    assert ones == spread and bias == (2 ** (lane - 1) - gf.p) * spread
+    for t in (code, decode, negcode):
         assert not t.flags.writeable
     with pytest.raises(ValueError):
-        gf.lane_code[0] = 1
+        code[0] = 1
 
 
 @pytest.mark.parametrize("q,r,m", [(2, 2, 4), (3, 3, 2), (4, 3, 2), (5, 4, 2),
@@ -141,7 +144,7 @@ def test_null_space_examples():
     gf = field(2)
     assert linalg.null_space(gf, np.eye(3, dtype=gf.dtype)).shape == (0, 3)
     # no constraints: 0 x 3 matrix has the full space as kernel
-    empty = linalg.zeros(gf, 0, 3)
+    empty = np.zeros((0, 3), gf.dtype)
     assert np.array_equal(linalg.null_space(gf, empty), np.eye(3, dtype=gf.dtype))
     gf3 = field(3)
     m = mat(gf3, [[1, 1, 1]])
@@ -234,7 +237,7 @@ def test_matmul_matches_scalar_definition():
     # all-ones element fills its 13 bits
     for q, inner in ((8, 512), (1024, 4096), (1024, 8191)):
         gf = field(q)
-        top = gf.from_vectors(np.full(gf.e, gf.p - 1))
+        top = gf.fold(np.full(gf.e, gf.p - 1))
         a = rng.integers(0, q, size=(2, inner)).astype(gf.dtype)
         b = rng.integers(0, q, size=(inner, 2)).astype(gf.dtype)
         a[1], b[:, 1] = top, top
@@ -306,13 +309,13 @@ def test_face_levels_vs_bruteforce():
 def test_face_levels_zero_rows():
     gf = field(3)
     levels = [(f.tolist(), s.tolist())
-              for f, s in linalg.face_levels(gf, linalg.zeros(gf, 0, 5))]
+              for f, s in linalg.face_levels(gf, np.zeros((0, 5), gf.dtype))]
     assert levels == [([0], [5])]      # every column is a loop
 
 
 def test_face_levels_zero_columns():
     gf = field(3)
-    for m in (linalg.zeros(gf, 4, 0), linalg.zeros(gf, 0, 0)):
+    for m in (np.zeros((4, 0), gf.dtype), np.zeros((0, 0), gf.dtype)):
         levels = [(f.tolist(), s.tolist()) for f, s in linalg.face_levels(gf, m)]
         assert levels == [([0], [])]   # the empty face cannot grow
 
@@ -320,8 +323,8 @@ def test_face_levels_zero_columns():
 def test_face_levels_refuse_63_columns():
     gf = field(3)
     with pytest.raises(TooLargeError, match="n = 63"):
-        next(linalg.face_levels(gf, linalg.zeros(gf, 1, 63)))
-    assert len(list(linalg.face_levels(gf, linalg.zeros(gf, 1, 62)))) == 1
+        next(linalg.face_levels(gf, np.zeros((1, 63), gf.dtype)))
+    assert len(list(linalg.face_levels(gf, np.zeros((1, 62), gf.dtype)))) == 1
 
 
 def test_face_levels_refuse_a_level_above_the_byte_limit(monkeypatch):

@@ -88,6 +88,9 @@ def test_dimension_full_space():
 
 
 def test_ts_split():
+    for q, r in ((3.0, 2), (3, 2.0), (True, 2)):
+        with pytest.raises(ParameterError, match="need integers"):
+            rb.ts_split(q, r)
     assert rb.ts_split(4, 4) == (1, 1)
     assert rb.ts_split(3, 2) == (1, 0)
     assert rb.ts_split(2, 3) == (3, 0)
@@ -112,6 +115,16 @@ def test_point_order_origin_first_and_lexicographic():
     assert pts[0] == (0, 0)
     assert len(set(pts)) == 9
     assert pts == sorted(pts)
+    for q, m in ((3, 2.0), (3.0, 2), (3, True), (2.5, 2)):
+        with pytest.raises(ParameterError, match="needs integer arguments"):
+            rb.point_order(q, m)
+    # one PointOrder, on the one GF(q), per integer value: a numpy q built
+    # first must not leave the cache a grid over another GF(4) object
+    rm.point_order.cache_clear()
+    assert rb.point_order(np.int64(4), 2).gf is field(4)
+    assert rb.point_order(4, 2) is rb.point_order(np.int64(4), np.int32(2))
+    rb.non_purity_certificate(np.int64(4), 2, 4)
+    rb.non_purity_certificate(4, 2, 4)
 
 
 def test_evaluate_examples():

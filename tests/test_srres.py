@@ -399,6 +399,11 @@ def test_herzog_kuhl_examples():
         rb.herzog_kuhl_predicted((0, 3, 3, 4))
     with pytest.raises(ParameterError, match="strictly increasing"):
         rb.herzog_kuhl_predicted((0, 4, 2))
+    assert rb.herzog_kuhl_predicted(np.array([0, 2, 3, 4])) == [6, 8, 3]
+    # never truncated: (0, 2.5, 3) is not the shift type (0, 2, 3)
+    for bad in ([0, 2.5, 3], [0, True, 3], [0, 2.0, 3], ["0", "2"]):
+        with pytest.raises(ParameterError, match="strictly increasing integers"):
+            rb.herzog_kuhl_predicted(bad)
 
 
 def test_herzog_kuhl_matches_computed_tables():

@@ -453,6 +453,12 @@ def test_sweep_methods_selection_and_mds(monkeypatch):
     by_r = _by_r(rows)
     assert by_r[1]["ghw"] is not None
     assert by_r[1]["ghw"][0] == by_r[1]["code"]["d"]
+    # a single r is any integer, numpy's too; a float or another
+    # non-iterable is refused
+    assert rb.sweep(rb.mds_check, 3, 2, np.int64(1)) == [by_r[1]]
+    for rs in (1.0, np.float64(1.0), True, object()):
+        with pytest.raises(ParameterError):
+            rb.sweep(rb.mds_check, 3, 2, rs)
     # a theorem row runs betti and certificate only; any other method is
     # refused before a code is built
     built = []
