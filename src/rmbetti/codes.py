@@ -14,7 +14,8 @@ Generalized Hamming weights are computed over supports: d_i is the smallest
 size of a coordinate set whose shortened code has dimension >= i.  They are
 read off the nullity table whenever the code has one or the counting rule
 admits it; otherwise one face walk finds every d_i, level by level, and
-stops at the last one asked for.  That is exponential in the length n
+stops inside the level that gives the last one asked for, at the first
+block of faces that reaches it.  That is exponential in the length n
 instead of Gaussian-binomial in k; the test suite re-establishes
 correctness at tiny scale against a direct enumeration of subspaces.
 
@@ -23,11 +24,13 @@ halves of G are enumerated (at most q^ceil(k/2) words each) and packed into
 bit planes of their element indices, 64 coordinates to a uint64; weight(a - b)
 counts the coordinates where a and b differ, which is the popcount of the OR
 over the planes of a XOR b.  The XOR runs in blocks of at most
-MIN_WEIGHT_BLOCK_BYTES.  Every enumeration is guarded and fails loudly with
+linalg.BLOCK_BYTES.  Every enumeration is guarded and fails loudly with
 TooLargeError rather than truncating.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -45,12 +48,6 @@ MAX_ENUM = 2_000_000       # codewords enumerated (q^k); default of max_enum
 # them; the limit bounds only the subspace oracle of the test suite, and
 # every report still prints it as guards.max_subspaces.
 MAX_SUBSPACES = 1_000_000
-
-# Working-set size, not a guard: min_weight_bruteforce XORs the packed words
-# of B against the packed span A in blocks whose uint64 XOR block stays under
-# this many bytes (one word of B at a time once A alone is larger); 256 KiB
-# keeps the block in cache and its pages reused from call to call.
-MIN_WEIGHT_BLOCK_BYTES = 1 << 18
 
 
 class LinearCode:
@@ -154,7 +151,7 @@ def _nullity_by_walk(code: LinearCode) -> np.ndarray:
     walk gives every rank."""
     n = code.n
     ranks = np.zeros(1 << n, dtype=np.int8)
-    for size, (faces, _) in enumerate(linalg.face_levels(code.gf, code.H)):
+    for size, faces, _ in linalg.face_levels(code.gf, code.H):
         ranks[faces] = size
     subset_max_accumulate(ranks, n)
     return popcount_table(n).astype(np.int16) - ranks
@@ -259,7 +256,7 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
     best = int(np.count_nonzero(a[1:], axis=1).min())
     bits = (q - 1).bit_length()
     a, b = _bit_planes(a, bits), _bit_planes(b, bits)
-    step = max(1, MIN_WEIGHT_BLOCK_BYTES // a[0, 0].nbytes)
+    step = max(1, linalg.BLOCK_BYTES // a[0, 0].nbytes)
     for start in range(0, b.shape[2], step):
         block = b[:, :, start:start + step, None]
         # every weight is at most n, so n's own type holds the sums
@@ -311,8 +308,9 @@ def _ghw_prefix(code: LinearCode, top: int) -> tuple[int, ...]:
 
 
 def _ghw_by_walk(code: LinearCode, top: int) -> tuple[int, ...]:
-    """(d_1, ..., d_top) from one face walk that stops at the level giving
-    d_top; needs n <= MAX_SEARCH_N."""
+    """(d_1, ..., d_top) from one face walk, closed at the first block of
+    faces that gives d_top, so the rest of that level is never built; needs
+    n <= MAX_SEARCH_N."""
     if code.n > MAX_SEARCH_N:
         raise TooLargeError(
             f"subset search needs n <= {MAX_SEARCH_N}, n = {code.n}")
@@ -320,14 +318,16 @@ def _ghw_by_walk(code: LinearCode, top: int) -> tuple[int, ...]:
     # |cl(F)| - |F| >= i: F and i closure columns have nullity i; and a
     # smallest W of nullity >= i has no coloop at column n - 1 (it would drop),
     # so a basis F of W avoids that column and |cl(F)| - |F| >= |W| - |F| >= i.
-    # d_1 < d_2 < ..., so each level appends the d_i it newly reaches.
+    # d_1 < d_2 < ..., so each block appends the d_i it newly reaches: a
+    # d_i depends only on the size, not on which block of it shows it first.
     found: list[int] = []
-    for size, (_, span) in enumerate(linalg.face_levels(code.gf, code.H)):
-        excess = span.max(initial=0) - size
-        while len(found) < top and excess > len(found):
-            found.append(size + len(found) + 1)
-        if len(found) == top:
-            return tuple(found)
+    with contextlib.closing(linalg.face_levels(code.gf, code.H)) as blocks:
+        for size, _, span in blocks:
+            excess = span.max(initial=0) - size
+            while len(found) < top and excess > len(found):
+                found.append(size + len(found) + 1)
+            if len(found) == top:
+                return tuple(found)
     raise AssertionError("unreachable: the full support has nullity k")
 
 

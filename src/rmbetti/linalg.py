@@ -25,6 +25,11 @@ from .gf import GF
 
 # bytes of one level of reduced matrices in face_levels
 MAX_LEVEL_BYTES = 1 << 27
+# Working-set size, not a guard: min_weight_bruteforce XORs and face_levels
+# eliminates in blocks of at most this many bytes (one item at a time once a
+# single one is larger); 256 KiB keeps a block in cache and its pages reused
+# from block to block.
+BLOCK_BYTES = 1 << 18
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,45 +206,67 @@ def matvec(gf: GF, a, v) -> np.ndarray:
 
 
 def face_levels(gf: GF, mat):
-    """Yield (faces, span) for each face size s = 0, 1, ...: faces holds
-    the int64 masks of the independent column sets of size s, in order of
-    parent and then column; span holds, for those that can still grow (last
-    column < n - 1), the size of their closure, their own columns included.
+    """Yield (size, faces, span) for the faces of each size s = 0, 1, ...,
+    a block at a time: faces holds the int64 masks of independent column
+    sets of size s, in order of parent and then column; span holds, for
+    those that can still grow (last column < n - 1), the size of their
+    closure, their own columns included.  Joined in order, the blocks of
+    one size are the whole level.
 
     Each face carries the matrix reduced modulo its columns: a column is in
     the closure iff its reduced vector is zero, and the face grows by the
-    nonzero columns after its last one.  One batched elimination per level
-    pivots each child on the first nonzero row of its new column and drops
-    that row, which is zero afterwards, so the matrices lose one row per
-    level.  A level above MAX_LEVEL_BYTES raises TooLargeError unbuilt.
+    nonzero columns after its last one.  A child pivots on the first nonzero
+    row of its new column and drops that row, which is zero afterwards, so
+    the matrices lose one row per level.  A level's matrices go into one
+    array, checked against MAX_LEVEL_BYTES before it is allocated (above
+    it, TooLargeError and no block of the level), and are eliminated in
+    blocks of at most BLOCK_BYTES of matrices (one face once a single one is
+    larger); each block is yielded as soon as it is built, so a caller that
+    stops early never builds the rest of the level.
     """
     mat = np.asarray(mat, dtype=gf.dtype)
-    n = mat.shape[1]
+    nrows, n = mat.shape
     if n >= 63:
         raise TooLargeError(f"face masks need n < 63 columns, n = {n}")
     cols = np.arange(n)
     masks = np.zeros(1, dtype=np.int64)
     grow = np.array([n > 0])                      # faces that can still grow
     last, red = np.full(1, -1)[grow], mat[None][grow]
-    for size in range(1, n + 2):                  # yields the sizes 0..n at most
-        live = red.any(axis=1)                    # the columns outside the closure
-        yield masks, n - live.sum(axis=1)
-        face, last = np.nonzero(live & (cols > last[:, None]))
-        if face.size == 0:
-            return
-        masks = masks[grow][face] | (1 << last)
-        grow = last < n - 1                       # else it has no children
-        face, last = face[grow], last[grow]
-        nbytes = face.size * (red.shape[1] - 1) * n * red.itemsize
-        if nbytes > MAX_LEVEL_BYTES:
-            raise TooLargeError(
-                f"face level {size} needs {nbytes} bytes of reduced matrices, "
-                f"above the limit {MAX_LEVEL_BYTES}")
-        v = red[face, :, last]                    # each child's new column
-        piv = np.argmax(v != 0, axis=1)           # its first nonzero row
-        idx = np.arange(face.size)
-        pivot = gf.mul(gf.inv(v[idx, piv])[:, None], red[face, piv])
-        rest = np.arange(v.shape[1] - 1)[None, :]
-        rest = rest + (rest >= piv[:, None])      # the other rows, in order
-        red = gf.sub(red[face[:, None], rest],
-                     gf.mul(v[idx[:, None], rest][:, :, None], pivot[:, None, :]))
+    live = np.empty((red.shape[0], n), bool)      # the columns outside the closure
+    for size in range(n + 1):                     # yields the sizes 0..n at most
+        if size:
+            face, last = np.nonzero(live & (cols > last[:, None]))
+            if face.size == 0:
+                return
+            masks = masks[grow][face] | (1 << last)
+            grow = last < n - 1                   # else it has no children
+            face, last = face[grow], last[grow]
+            nbytes = face.size * (nrows - size) * n * red.itemsize
+            if nbytes > MAX_LEVEL_BYTES:
+                raise TooLargeError(
+                    f"face level {size} needs {nbytes} bytes of reduced matrices, "
+                    f"above the limit {MAX_LEVEL_BYTES}")
+            parent, red = red, np.empty((face.size, nrows - size, n), gf.dtype)
+            live = np.empty((face.size, n), bool)
+        step = max(1, BLOCK_BYTES // max(1, red.shape[1] * n * red.itemsize))
+        block = slice(0, 0)                       # the growing faces of the block
+        for start in range(0, masks.size, step):
+            block = slice(block.stop, block.stop + np.count_nonzero(grow[start:start + step]))
+            if size:
+                red[block] = _eliminate(gf, parent, face[block], last[block])
+            live[block] = red[block].any(axis=1)
+            yield size, masks[start:start + step], n - live[block].sum(axis=1)
+        parent = None                             # free it before the next level
+
+
+def _eliminate(gf: GF, red, face, col):
+    """The matrices red[face] reduced modulo their column col: each pivots on
+    the first nonzero row of that column, which is then dropped."""
+    v = red[face, :, col]
+    piv = np.argmax(v != 0, axis=1)               # its first nonzero row
+    idx = np.arange(face.size)
+    pivot = gf.mul(gf.inv(v[idx, piv])[:, None], red[face, piv])
+    rest = np.arange(v.shape[1] - 1)[None, :]
+    rest = rest + (rest >= piv[:, None])          # the other rows, in order
+    return gf.sub(red[face[:, None], rest],
+                  gf.mul(v[idx[:, None], rest][:, :, None], pivot[:, None, :]))

@@ -1,5 +1,6 @@
 """Supports, shortening, weight hierarchies, minimal subcodes, MDS."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,9 @@ from rmbetti.bits import popcount_table, subset_sum_accumulate
 from oracles import (code_from_rows, enumerate_codewords, gaussian_binomial,
                      ghw_by_subspaces, is_i_minimal, min_weight_enumerated,
                      min_weight_poly, minimal_codeword_supports, rref_generators)
+
+# the block sizes the face walk is checked at: one face per block, and the default
+BLOCK_SIZES = (1, linalg.BLOCK_BYTES)
 
 
 @pytest.fixture(scope="module")
@@ -154,15 +158,18 @@ def _kernel_cases():
     return [code for code in out if codes._counting_admits(code)]
 
 
-def test_counting_table_equals_walk_table():
+def test_counting_table_equals_walk_table(monkeypatch):
     cases = _kernel_cases()
     assert {2 * c.k > c.n for c in cases} == {True, False}  # both spans enumerated
     assert {c.k for c in cases} >= {0, 12}
     assert any(not c.G.any(axis=0).all() for c in cases if c.k)
     for code in cases:
         counted = codes._nullity_by_counting(code)
-        walked = codes._nullity_by_walk(code)
-        assert np.array_equal(counted, walked), code
+        # one face per block only up to n = 11: a few thousand faces at most
+        for block_bytes in BLOCK_SIZES[code.n > 11:]:
+            monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+            walked = codes._nullity_by_walk(code)
+            assert np.array_equal(counted, walked), (code, block_bytes)
 
 
 def test_counting_refuses_a_count_that_is_not_a_power_of_q(monkeypatch, capsys):
@@ -347,14 +354,17 @@ def _walk_cases():
     return [code for code in out if code.k]
 
 
-def test_ghw_level_walk_agrees_with_table():
+def test_ghw_level_walk_agrees_with_table(monkeypatch):
     for code in _walk_cases():
         assert code.n <= codes.MAX_TABLE_N
-        walked = codes._ghw_by_walk(code, code.k)
-        assert all(codes._ghw_by_walk(code, i) == walked[:i] for i in range(1, code.k))
         sizes, nullity = popcount_table(code.n), code.nullity_table()
         table = tuple(int(sizes[nullity >= i].min()) for i in range(1, code.k + 1))
-        assert walked == table, code
+        # one face per block only up to n = 11, as in the table test above
+        for block_bytes in BLOCK_SIZES[code.n > 11:]:
+            monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+            walked = codes._ghw_by_walk(code, code.k)
+            assert all(codes._ghw_by_walk(code, i) == walked[:i] for i in range(1, code.k))
+            assert walked == table, (code, block_bytes)
         assert rb.ghw_profile(code) == table, code
         assert all(rb.ghw(code, i) == table[i - 1] for i in range(1, code.k + 1))
 
@@ -385,6 +395,40 @@ def test_ghw_profile_walks_the_faces_once(monkeypatch):
     # profile is 1..25 without 26 - d_j = 6, 2, 1
     assert rb.ghw_profile(code) == (3, 4, 5) + tuple(range(7, 26))
     assert len(calls) == 1
+
+
+def test_ghw_walk_stops_inside_the_deciding_level(monkeypatch):
+    blocks = []
+
+    def recorded(gf, mat):
+        for size, faces, span in face_levels(gf, mat):
+            blocks.append((size, faces.size))
+            yield size, faces, span
+
+    face_levels = linalg.face_levels
+    code = rb.build_code(5, 4, 2)                   # n = 25, d_1 = 5: face level 4
+    level = sum(faces.size for size, faces, _ in itertools.takewhile(
+        lambda block: block[0] <= 4, face_levels(code.gf, code.H)) if size == 4)
+    monkeypatch.setattr(linalg, "face_levels", recorded)
+    assert rb.ghw(code, 1) == 5
+    # levels 0..3 in full, then exactly one block of level 4 and no more
+    assert [size for size, _ in blocks].count(4) == 1
+    assert blocks[-1][0] == 4 and blocks[-1][1] < level
+
+
+def test_ghw_profile_at_n_25_is_the_same_in_every_block_size(monkeypatch):
+    code = rb.build_code(5, 5, 2)                   # n = 25, k = 19
+    # Wei duality: the profile leaves out 1, 2, 3, 6, 7 and 11, so the dual
+    # RM_5(2, 2) has d_1 = 26 - 11 = 15, its distance formula, as d_1 = 4 is
+    # the formula of RM_5(5, 2)
+    expected = (4, 5, 8, 9, 10) + tuple(range(12, 26))
+    assert expected[0] == rb.min_distance_formula(5, 5, 2)
+    assert 26 - max(set(range(1, 26)) - set(expected)) == rb.min_distance_formula(5, 2, 2)
+    # the whole walk passes 200,226 faces, so one face per block walks
+    # only as far as d_2, inside level 3; 1 KiB blocks hold a few dozen
+    for block_bytes, top in ((linalg.BLOCK_BYTES, code.k), (1 << 10, code.k), (1, 2)):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+        assert codes._ghw_by_walk(code, top) == expected[:top], block_bytes
 
 
 @pytest.mark.parametrize("r", range(4, 9))

@@ -274,9 +274,36 @@ def _columns(mask):
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
-def _check_face_levels(gf, m):
+# the block sizes the face walk is checked at: one face per block, and the default
+BLOCK_SIZES = (1, linalg.BLOCK_BYTES)
+
+
+def _joined_levels(gf, m):
+    """The blocks of face_levels joined into one (faces, span) per size.  The
+    blocks come in size order, none is empty, and at BLOCK_BYTES = 1 each
+    holds exactly one face."""
+    levels = []
+    for size, faces, span in linalg.face_levels(gf, m):
+        if size == len(levels):
+            levels.append(([], []))
+        assert size == len(levels) - 1
+        assert faces.size >= 1
+        assert faces.size == 1 or linalg.BLOCK_BYTES > 1
+        levels[size][0].append(faces)
+        levels[size][1].append(span)
+    return [(np.concatenate(f), np.concatenate(s)) for f, s in levels]
+
+
+def _check_face_levels(gf, m, monkeypatch):
     n = m.shape[1]
-    levels = list(linalg.face_levels(gf, m))
+    runs = []
+    for block_bytes in BLOCK_SIZES:
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+        runs.append(_joined_levels(gf, m))
+    levels = runs[0]
+    for other in runs[1:]:                          # block boundaries change nothing
+        assert [(f.tolist(), s.tolist()) for f, s in other] == \
+            [(f.tolist(), s.tolist()) for f, s in levels]
     faces = np.concatenate([f for f, _ in levels])
     assert faces.dtype == np.int64
     assert len(set(faces.tolist())) == faces.size    # no face listed twice
@@ -288,35 +315,41 @@ def _check_face_levels(gf, m):
         expected = [sum(linalg.rank(gf, m[:, [*cols, c]]) == size for c in range(n))
                     for cols in map(_columns, growing)]
         assert span.tolist() == expected
+        if size:
+            # in order of parent (the face less its last column), then column
+            where = {int(f): i for i, f in enumerate(levels[size - 1][0])}
+            keys = [(where[int(f) ^ 1 << int(f).bit_length() - 1], int(f).bit_length())
+                    for f in level]
+            assert keys == sorted(keys)
 
 
-def test_face_levels_vs_bruteforce():
+def test_face_levels_vs_bruteforce(monkeypatch):
     rng = np.random.default_rng(7)
-    for q in (2, 3, 4, 8, 9):
+    for q in (2, 3, 4, 8, 9, 256):               # GF(256): uint16 matrices
         gf = field(q)
         for shape in [(3, 6), (5, 4), (2, 7)]:   # (5, 4): more rows than columns
             for _ in range(4):
                 m = rng.integers(0, q, size=shape).astype(gf.dtype)
-                _check_face_levels(gf, m)
+                _check_face_levels(gf, m, monkeypatch)
                 zero_col = m.copy()
                 zero_col[:, 1] = 0
-                _check_face_levels(gf, zero_col)
+                _check_face_levels(gf, zero_col, monkeypatch)
                 repeated = m.copy()
                 repeated[:, -1] = repeated[:, 0]
-                _check_face_levels(gf, repeated)
+                _check_face_levels(gf, repeated, monkeypatch)
 
 
 def test_face_levels_zero_rows():
     gf = field(3)
     levels = [(f.tolist(), s.tolist())
-              for f, s in linalg.face_levels(gf, np.zeros((0, 5), gf.dtype))]
+              for _, f, s in linalg.face_levels(gf, np.zeros((0, 5), gf.dtype))]
     assert levels == [([0], [5])]      # every column is a loop
 
 
 def test_face_levels_zero_columns():
     gf = field(3)
     for m in (np.zeros((4, 0), gf.dtype), np.zeros((0, 0), gf.dtype)):
-        levels = [(f.tolist(), s.tolist()) for f, s in linalg.face_levels(gf, m)]
+        levels = [(f.tolist(), s.tolist()) for _, f, s in linalg.face_levels(gf, m)]
         assert levels == [([0], [])]   # the empty face cannot grow
 
 
@@ -333,11 +366,29 @@ def test_face_levels_refuse_a_level_above_the_byte_limit(monkeypatch):
     # level 1: the three faces that can still grow carry 3 x 4 reduced matrices
     monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", 3 * 3 * 4 - 1)
     levels = linalg.face_levels(gf, m)
-    assert next(levels)[0].tolist() == [0]
+    assert next(levels)[1].tolist() == [0]
     with pytest.raises(TooLargeError, match="face level 1 needs 36 bytes .* limit 35"):
         next(levels)
     monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", 36)
-    assert [f.size for f, _ in linalg.face_levels(gf, m)] == [1, 4, 6, 4, 1]
+    assert [f.size for _, f, _ in linalg.face_levels(gf, m)] == [1, 4, 6, 4, 1]
+
+
+def test_a_refused_face_level_yields_none_of_its_blocks(monkeypatch):
+    gf = field(256)
+    m = np.random.default_rng(5).integers(0, 256, size=(4, 9)).astype(gf.dtype)
+    levels = _joined_levels(gf, m)
+    # the bytes of level 2: its faces that can still grow, 2 x 9 matrices each
+    nbytes = sum(int(f).bit_length() < 9 for f in levels[2][0]) * 2 * 9 * m.itemsize
+    monkeypatch.setattr(linalg, "MAX_LEVEL_BYTES", nbytes - 1)
+    for block_bytes in BLOCK_SIZES:
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+        blocks = []
+        with pytest.raises(TooLargeError, match=f"face level 2 needs {nbytes} bytes"):
+            for size, faces, _ in linalg.face_levels(gf, m):
+                blocks.append((size, faces.size))
+        # every block of levels 0 and 1, and none of level 2
+        assert {size for size, _ in blocks} == {0, 1}
+        assert sum(count for _, count in blocks) == levels[0][0].size + levels[1][0].size
 
 
 def test_table_oracles_match_the_library():
