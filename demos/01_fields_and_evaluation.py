@@ -22,10 +22,10 @@ print("alpha * alpha =", gf4.element_str(gf4.mul(alpha, alpha)))
 print("alpha^{-1}    =", gf4.element_str(gf4.inv(alpha)))
 print("alpha^3       =", gf4.element_str(gf4.pow(alpha, 3)), "(unit group has order 3)")
 
-# The evaluation grid: all q^m points, origin first, leftmost coordinate
-# most significant.
-order = rb.point_order(3, 2)
-print("\nfirst five points of GF(3)^2:", [tuple(map(int, p)) for p in order.points[:5]])
+# The evaluation grid: all q^m points as the rows of one read-only array,
+# origin first, leftmost coordinate most significant.
+points = rb.point_order(3, 2)
+print("\nfirst five points of GF(3)^2:", [tuple(map(int, p)) for p in points[:5]])
 
 # A polynomial kept reduced (every variable degree < q) as an exponent map.
 gf3 = rb.field(3)
@@ -33,7 +33,7 @@ x = rb.ExponentPoly(gf3, 2, {(1, 0): 1})
 y = rb.ExponentPoly(gf3, 2, {(0, 1): 1})
 f = (x + y) * (x + y) + rb.ExponentPoly.constant(gf3, 2, 2)
 print("\nf = (X1+X2)^2 + 2 has terms", f.sorted_terms())
-values = f.evaluate(order)
+values = f.evaluate()       # one value per row of points
 print("evaluation vector:", values)
 
 print("total degree of f:", f.total_degree())
@@ -45,5 +45,4 @@ print("reduced monomials span GF(3)^9:", top.k == top.n == 9)
 
 # Sanity: X^q = X on values, so exponents reduce.
 cube = x * x * x
-print("X1^3 and X1 agree on the grid:", np.array_equal(cube.evaluate(order),
-                                                       x.evaluate(order)))
+print("X1^3 and X1 agree on the grid:", np.array_equal(cube.evaluate(), x.evaluate()))

@@ -21,14 +21,15 @@ print(f"RM_{q}(r={r}, m={m}) = [{code.n}, {code.k}, {code.d}], split (t, s) = ({
 # (-1)^t [X_1..X_t = 0] * prod_{j < s} (X_{t+1} - a_j): pinned_roots gives the
 # indicator's factors, the excluded values the rest.
 f = rb.linear_product(gf, m, pinned_roots(gf, [0] * t) + [(t, v) for v in range(s)])
-word = f.evaluate(code.order)
+word = f.evaluate()
 print("default construction: weight", rb.weight(word), "support", rb.support(word))
 print("parity check annihilates it:", code.contains(word))
 
 # Different constants move the support but never the weight (s = 1 here,
 # so exactly one excluded value).
-g = rb.linear_product(gf, m, pinned_roots(gf, [2]) + [(t, 3)], 3)
-word2 = g.evaluate(code.order)
+g = rb.ExponentPoly.constant(gf, m, 3) * rb.linear_product(
+    gf, m, pinned_roots(gf, [2]) + [(t, 3)])
+word2 = g.evaluate()
 print("custom constants: weight", rb.weight(word2), "support", rb.support(word2))
 
 # The generators of AGL(m, q) as permutations of the grid: the word moved by
@@ -41,7 +42,7 @@ print(f"\n{len(moved)} affine generators: weights {[rb.weight(w) for w in moved]
 # exactly why the top-degree code is the whole ambient space.
 gf2 = rb.field(2)
 indicators = [rb.linear_product(gf2, 2, pinned_roots(gf2, point.tolist()))
-              for point in rb.point_order(2, 2).points]
+              for point in rb.point_order(2, 2)]
 stacked = np.stack([p.evaluate() for p in indicators])
 print("\nindicator stack is the 4x4 identity:", np.array_equal(stacked, np.eye(4)))
 

@@ -16,7 +16,7 @@ from .codes import (LinearCode, ghw, ghw_profile, is_mds, min_weight_bruteforce,
                     shrink_to_one_minimal, support, weight)
 from .errors import CertificateError, CrossCheckError, ParameterError, TooLargeError
 from .gf import GF, field
-from .rm import (ExponentPoly, PointOrder, RMCode, build_code, dim_assmus_key,
+from .rm import (ExponentPoly, RMCode, build_code, dim_assmus_key,
                  dim_inclusion_exclusion, linear_product, min_distance_formula,
                  monomial_basis, point_order, ts_split)
 from .srres import (BettiTable, PurityVerdict, betti_fastpath, betti_hochster,

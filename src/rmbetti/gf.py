@@ -174,6 +174,18 @@ class GF:
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(self.vectors[int(a)].tolist())
 
+    def array(self, values, what: str = "entries") -> np.ndarray:
+        """values as an array of the field's dtype, the array itself when it
+        already has that dtype: the one check of arrays of elements.  Entries
+        must be integers in 0..q-1 of an integer dtype (bool, float and object
+        arrays are refused, an empty array of any dtype passes), else a
+        ParameterError naming what."""
+        a = np.asarray(values)
+        kind = a.dtype.kind                 # only a signed array reads its minimum
+        if a.size and (kind not in "iu" or a.max() >= self.q or kind == "i" and a.min() < 0):
+            raise ParameterError(f"{what} must be integers in 0..{self.q - 1}")
+        return a.astype(self.dtype, copy=False)
+
     def fold(self, planes):
         """Elements of the polynomials whose coefficients of x^w are the
         integers planes[w] (axis 0), reduced by the modulus and mod p: the

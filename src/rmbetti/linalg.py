@@ -1,10 +1,12 @@
 """Dense exact linear algebra over GF(q).
 
 Matrices are 2-d numpy arrays of element indices (dtype per the field),
-passed together with the GF instance.  Everything is plain Gaussian
-elimination with one deterministic pivot rule: the first nonzero entry in
-column order wins, so canonical forms are reproducible byte for byte.
-Zero-row and zero-column matrices are legal throughout.
+passed together with the GF instance; every entry point checks them with
+``GF.array``, so an entry that is not an integer in 0..q-1 is refused, never
+truncated or wrapped.  Everything is plain Gaussian elimination with one
+deterministic pivot rule: the first nonzero entry in column order wins, so
+canonical forms are reproducible byte for byte.  Zero-row and zero-column
+matrices are legal throughout.
 
 Products have one path for every field: coefficient planes over Z_p
 (``GF.vectors``) multiply exactly in float64 BLAS, as many planes of the
@@ -77,7 +79,7 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     it, or is one XOR when p = 2.  The words are rows of negcode[:, pivot]
     when at least q rows change, else one 2-d gather.
     """
-    r = np.asarray(mat, dtype=gf.dtype)
+    r = gf.array(mat)
     if r.ndim != 2:
         raise ParameterError("rref needs a 2-d matrix")
     code, decode, negcode, shift, bias, ones = _lanes(gf)
@@ -150,8 +152,7 @@ def null_space(gf: GF, mat) -> np.ndarray:
 
 
 def row_space_equal(gf: GF, a, b) -> bool:
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = gf.array(a), gf.array(b)
     if a.shape[1] != b.shape[1]:
         raise ParameterError("row spaces live in different ambient spaces")
     if np.array_equal(a, b):
@@ -174,8 +175,7 @@ def matmul(gf: GF, a, b) -> np.ndarray:
     in.  Integer shifts and masks unpack it, so a field takes ceil(e / g) e
     products; a prime field (e = 1) takes one.
     """
-    a = np.asarray(a, dtype=gf.dtype)
-    b = np.asarray(b, dtype=gf.dtype)
+    a, b = gf.array(a), gf.array(b)
     if a.shape[1] != b.shape[0]:
         raise ParameterError(f"cannot multiply {a.shape} by {b.shape}")
     e = gf.e
@@ -197,8 +197,7 @@ def matmul(gf: GF, a, b) -> np.ndarray:
 
 def matvec(gf: GF, a, v) -> np.ndarray:
     """a @ v over GF(q): matmul on the columns where v is nonzero."""
-    a = np.asarray(a, dtype=gf.dtype)
-    v = np.asarray(v, dtype=gf.dtype)
+    a, v = gf.array(a), gf.array(v)
     if a.shape[1] != v.shape[0]:
         raise ParameterError(f"cannot apply {a.shape} to vector of length {v.shape[0]}")
     nz = np.flatnonzero(v)
@@ -224,7 +223,7 @@ def face_levels(gf: GF, mat):
     larger); each block is yielded as soon as it is built, so a caller that
     stops early never builds the rest of the level.
     """
-    mat = np.asarray(mat, dtype=gf.dtype)
+    mat = gf.array(mat)
     nrows, n = mat.shape
     if n >= 63:
         raise TooLargeError(f"face masks need n < 63 columns, n = {n}")

@@ -1,11 +1,13 @@
 """Generalized Reed-Muller codes over GF(q).
 
 Everything here is exact: the reduced polynomial space (total degree <= r,
-every variable degree < q), the evaluation map over the ordered point grid,
-two independent closed-form dimension formulas, the (t, s) split behind the
+every variable degree < q), the evaluation map over the point grid, two
+independent closed-form dimension formulas, the (t, s) split behind the
 minimum distance, the affine maps that fix every code, and the codes
-themselves with their cross-checked dimension.  Every explicit codeword is
-a product of linear factors (linear_product, pinned_roots); the witnesses of
+themselves with their cross-checked dimension.  The grid is one read-only
+q^m x m array, point_order(q, m); its row order is the coordinate order of
+every evaluation vector and every code.  Every explicit codeword is a
+product of linear factors (linear_product, pinned_roots); the witnesses of
 the purity analysis are listed as such factors by
 verify.certificate_witness.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
 from math import comb
 
 import numpy as np
@@ -105,23 +106,13 @@ def min_distance_formula(q: int, r: int, m: int) -> int:
 # -- points and polynomials ---------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PointOrder:
-    """All q^m points of GF(q)^m, leftmost coordinate most significant.
-
-    The element order puts 0 first, so points[0] is the origin.
-    """
-    gf: GF
-    m: int
-    points: np.ndarray = dc_field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
 @int_cache
-def point_order(q: int, m: int) -> PointOrder:
+def point_order(q: int, m: int) -> np.ndarray:
+    """All q^m points of GF(q)^m as the rows of a read-only q^m x m array of
+    the field's dtype, leftmost coordinate most significant: the row of
+    point x is sum_i x_i q^(m-1-i), so row 0 is the origin.  One array per
+    integer (q, m); a q that is not a prime power, m < 1 or more than
+    MAX_POINTS points is refused before it is built."""
     gf = field(q)
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
@@ -129,7 +120,7 @@ def point_order(q: int, m: int) -> PointOrder:
         raise TooLargeError(f"GF({q})^{m} has more than {MAX_POINTS} points")
     pts = np.indices((q,) * m).reshape(m, -1).T.astype(gf.dtype)
     pts.setflags(write=False)
-    return PointOrder(gf, m, pts)
+    return pts
 
 
 def affine_generators(q: int, m: int) -> tuple[np.ndarray, ...]:
@@ -143,8 +134,7 @@ def affine_generators(q: int, m: int) -> tuple[np.ndarray, ...]:
     is invariant (Kasami-Lin-Peterson 1968): an affine substitution does not
     raise the total degree.
     """
-    order = point_order(q, m)
-    gf, pts = order.gf, order.points
+    gf, pts = field(q), point_order(q, m)
 
     def moved(i, values):
         out = pts.copy()
@@ -237,14 +227,22 @@ class ExponentPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 
-    def evaluate(self, order: PointOrder | None = None) -> np.ndarray:
-        """Evaluation vector over the ordered point grid."""
-        gf = self.gf
-        if order is None:
-            order = point_order(gf.q, self.m)
-        if order.gf is not gf or order.m != self.m:
-            raise ParameterError("point order does not match this polynomial")
-        return _evaluate_terms(gf, order.points, self.sorted_terms())
+    def evaluate(self) -> np.ndarray:
+        """Evaluation vector over the rows of point_order(q, m), by the
+        tensor Vandermonde transform: the coefficients fill a (q,)*m tensor
+        whose axis i is the exponent of X_i, and m products with gf.powers
+        (powers[x, e] = x^e) each turn the leading exponent axis into a
+        trailing point axis.  The axes end as x_0 .. x_{m-1}, the row order
+        of point_order, and the cost does not depend on the number of terms.
+        A grid above MAX_POINTS is refused before the tensor is allocated."""
+        gf, q = self.gf, self.gf.q
+        point_order(q, self.m)
+        values = np.zeros((q,) * self.m, gf.dtype)
+        for exps, coef in self.terms.items():
+            values[exps] = coef
+        for _ in range(self.m):
+            values = linalg.matmul(gf, gf.powers, values.reshape(q, -1)).T
+        return values.reshape(-1)
 
     def __repr__(self):
         if not self.terms:
@@ -255,19 +253,6 @@ class ExponentPoly:
             bits.append(f"{self.gf.element_str(coef)}*{mono}" if mono
                         else self.gf.element_str(coef))
         return "ExponentPoly(" + " + ".join(bits) + ")"
-
-
-def _evaluate_terms(gf: GF, values: np.ndarray, terms) -> np.ndarray:
-    """Sum over (exps, coef) in terms of coef * prod_i values[:, i] ** exps[i]:
-    one entry per row of the (N, w) array of point values."""
-    out = np.zeros(values.shape[0], dtype=gf.dtype)
-    for exps, coef in terms:
-        col = np.full(values.shape[0], coef, dtype=gf.dtype)
-        for i, e in enumerate(exps):
-            if e:
-                col = gf.mul(col, gf.pow(values[:, i], e))
-        out = gf.add(out, col)
-    return out
 
 
 # -- the codes ---------------------------------------------------------------
@@ -281,7 +266,6 @@ class RMCode(LinearCode):
         self.q = q
         self.m = m
         self.r = r
-        self.order = point_order(q, m)
         self.d = min_distance_formula(q, r, m)
 
     def __repr__(self):
@@ -302,9 +286,9 @@ def generator_matrix(q: int, r: int, m: int, *,
     """
     validate_params(q, r, m)
     gf = field(q)
-    order = point_order(q, m)
+    points = point_order(q, m)
     basis = monomial_basis(q, r, m)
-    k, n = len(basis), order.size
+    k, n = len(basis), len(points)
     rows = n if with_parity_check else k          # G and H together have n rows
     nbytes = rows * n * np.dtype(gf.dtype).itemsize + k * n * 8
     if nbytes > MAX_MATRIX_BYTES:
@@ -312,9 +296,9 @@ def generator_matrix(q: int, r: int, m: int, *,
                             f"above the limit {MAX_MATRIX_BYTES} bytes")
     exps = np.array(basis)                        # k x m
     powers = gf.powers.T                          # powers[e, a] = a ** e
-    g = powers[exps[:, 0]][:, order.points[:, 0]]
+    g = powers[exps[:, 0]][:, points[:, 0]]
     for i in range(1, m):
-        g = gf.mul(g, powers[exps[:, i]][:, order.points[:, i]])
+        g = gf.mul(g, powers[exps[:, i]][:, points[:, i]])
     return g
 
 
@@ -343,13 +327,12 @@ def build_code(q: int, r: int, m: int) -> RMCode:
 # -- minimum-weight machinery -------------------------------------------------
 
 
-def linear_product(gf: GF, m: int, roots, scale: int = 1) -> ExponentPoly:
-    """scale * prod (X_var - value) over the (var, value) pairs of roots.
+def linear_product(gf: GF, m: int, roots) -> ExponentPoly:
+    """prod (X_var - value) over the (var, value) pairs of roots.
 
     Every explicit codeword is built here.  No variable gets q or more
     roots, so no X^q -> X reduction is needed and the product is already the
-    reduced polynomial; scale is checked by the ExponentPoly constructor.
-    Each variable's factors are multiplied together first, as a coefficient
+    reduced polynomial.  Each variable's factors are multiplied together first, as a coefficient
     list, so the product grows by one polynomial of at most q terms per
     variable.
     """
@@ -357,7 +340,7 @@ def linear_product(gf: GF, m: int, roots, scale: int = 1) -> ExponentPoly:
                for var, value in roots):
         raise ParameterError(f"roots must pair a variable in 0..{m - 1} with an "
                              f"element of GF({gf.q})")
-    f = ExponentPoly.constant(gf, m, scale)
+    f = ExponentPoly.constant(gf, m, 1)
     for var in sorted({var for var, _ in roots}):
         coefs = [1]                       # of X_var^0, X_var^1, ...
         for value in (value for v, value in roots if v == var):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -122,7 +121,8 @@ def certificate_witness(q: int, m: int, r: int) -> tuple[int, list, int] | None:
     t, s = rm.ts_split(q, r)
     if not (q >= 3 and m >= 2 and s == 1 and 1 < r < m * (q - 1) - 1):
         return None
-    roots = rm.pinned_roots(rm.point_order(q, m).gf, [0] * (t - 1))
+    rm.point_order(q, m)
+    roots = rm.pinned_roots(field(q), [0] * (t - 1))
     if q == 3:
         return 2, roots + [(v, 2) for v in (t - 1, t, t + 1)], 8 * 3 ** (m - t - 2)
     return (1, roots + [(t - 1, b) for b in range(2, q)] + [(t, b) for b in range(2)],
@@ -171,7 +171,7 @@ def non_purity_certificate(q: int, m: int, r: int,
     code = rm.build_code(q, r, m)
     gf = code.gf
     witness = rm.linear_product(gf, m, roots)
-    word = witness.evaluate(code.order)
+    word = witness.evaluate()
     sigma = codes.support(word)
     wt = len(sigma)
     d1 = rm.min_distance_formula(q, r, m)
@@ -324,7 +324,7 @@ def check_certificate(cert: dict,
         witness = None
     if flag("witness_terms", witness is not None):
         flag("witness_degree", witness.total_degree() == r)
-        flag("witness_evaluation", np.array_equal(witness.evaluate(code.order), word))
+        flag("witness_evaluation", np.array_equal(witness.evaluate(), word))
 
     member_word = not np.any(linalg.matvec(gf, H, word))
     member_shrunk = not np.any(linalg.matvec(gf, H, shrunk))
@@ -466,8 +466,11 @@ def sweep(row, q: int, m: int, rs=None, *row_args, jobs: int = 1) -> list:
     jobs > 1 distributes rows over at most one process per row, which cannot
     change the output (rows are independent and reassembled in order).  The
     point grid and every r are checked before any row is built, so an
-    oversized (q, m) is refused without listing m(q-1)+1 rows.
+    oversized (q, m) is refused without listing m(q-1)+1 rows, and so is a
+    jobs that is not an integer >= 1.
     """
+    if not (is_int(jobs) and jobs >= 1):
+        raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
     rm.validate_params(q, 0, m)
     rm.point_order(q, m)
     if not (rs is None or is_int(rs) or isinstance(rs, Iterable)):
@@ -479,6 +482,7 @@ def sweep(row, q: int, m: int, rs=None, *row_args, jobs: int = 1) -> list:
     columns = ([q] * len(r_values), [m] * len(r_values), r_values,
                *([arg] * len(r_values) for arg in row_args))
     if jobs > 1 and len(r_values) > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only parallel runs pay its import
         with ProcessPoolExecutor(max_workers=min(jobs, len(r_values))) as pool:
             return list(pool.map(row, *columns))
     return list(map(row, *columns))

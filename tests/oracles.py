@@ -8,10 +8,10 @@ index at a time, and the Betti sweep and the dense reduced homology below
 build boundary matrices from first principles.  These exist so the fast
 library paths are checked against code that shares nothing with them.  The
 reference routes that follow (the subspace enumeration behind generalized
-Hamming weights and minimal subcodes, interpolation, substitution of linear
-forms) are built on those eliminations and products.  The explicit
-codewords at the end are built the symbolic way, as sums and powers of
-ExponentPoly, with no root lists.
+Hamming weights and minimal subcodes, per-term evaluation, interpolation,
+substitution of linear forms) are built on those eliminations and products
+or on table lookups.  The explicit codewords at the end are built the
+symbolic way, as sums and powers of ExponentPoly, with no root lists.
 """
 
 import functools
@@ -253,11 +253,26 @@ def shrink_restart_scalar(gf, h, word):
     return np.array(out, dtype=gf.dtype)
 
 
-def monomial_row(gf, order, exps):
+def monomial_row(gf, m, exps):
     """The monomial X^exps evaluated over the point grid on its own, by
     ExponentPoly.evaluate: the one-row-at-a-time route that
     rm.generator_matrix takes for all monomials at once."""
-    return ExponentPoly(gf, order.m, {tuple(exps): 1}).evaluate(order)
+    return ExponentPoly(gf, m, {tuple(exps): 1}).evaluate()
+
+
+def evaluate_terms(gf, values, terms):
+    """Sum over (exps, coef) in terms of coef * prod_i values[:, i] ** exps[i],
+    one term and one variable at a time by table lookups: one entry per row
+    of the (N, w) array of point values.  The reference for
+    ExponentPoly.evaluate, which is this with values = point_order(q, m)."""
+    out = np.zeros(values.shape[0], dtype=gf.dtype)
+    for exps, coef in terms:
+        col = np.full(values.shape[0], coef, dtype=gf.dtype)
+        for i, e in enumerate(exps):
+            if e:
+                col = gf.mul(col, gf.pow(values[:, i], e))
+        out = gf.add(out, col)
+    return out
 
 
 def _codewords(gf, generator):
@@ -411,11 +426,10 @@ def _inverse_vandermonde(gf):
     return r[:, q:]
 
 
-def interpolate(order, values):
-    """The unique reduced polynomial with the given evaluation vector: V^-1
-    applied along each axis of the values, read as a q x ... x q tensor,
-    gives the coefficient tensor."""
-    gf, m = order.gf, order.m
+def interpolate(gf, m, values):
+    """The unique reduced polynomial in m variables with the given evaluation
+    vector: V^-1 applied along each axis of the values, read as a q x ... x q
+    tensor, gives the coefficient tensor."""
     q = gf.q
     t = np.asarray(values, dtype=gf.dtype)
     if t.shape != (q ** m,):
@@ -450,12 +464,13 @@ def _min_weight_constants(q, r, m, scale, pinned, excluded):
 
 def min_weight_poly(q, r, m, *, scale=1, pinned=None, excluded=None):
     """scale * [indicator of X_1..X_t = pinned] * prod_j (X_{t+1} - excluded_j)
-    as one linear_product: nonzero exactly on the (q - s) q^(m-t-1) points
-    fixing the first t coordinates and avoiding the s excluded values in
-    coordinate t+1, the minimum weight."""
+    as the constant scale (its constructor refuses a scale outside the
+    field) times one linear_product: nonzero exactly on the (q - s)
+    q^(m-t-1) points fixing the first t coordinates and avoiding the s
+    excluded values in coordinate t+1, the minimum weight."""
     gf, t, pinned, excluded = _min_weight_constants(q, r, m, scale, pinned, excluded)
-    f = linear_product(gf, m, pinned_roots(gf, pinned) + [(t, v) for v in excluded],
-                       int(scale))
+    f = ExponentPoly.constant(gf, m, int(scale)) * linear_product(
+        gf, m, pinned_roots(gf, pinned) + [(t, v) for v in excluded])
     return -f if t % 2 else f   # pinned_roots carries the sign (-1)^t
 
 
@@ -479,16 +494,9 @@ def substitute_linear_forms(f, forms, shifts=None):
         raise ParameterError(f"need {w} shifts, got {len(shifts)}")
     if any(not 0 <= x < gf.q for x in shifts):
         raise ParameterError(f"shifts must lie in 0..{gf.q - 1}")
-    values = gf.add(matmul_tables(gf, point_order(gf.q, m).points, forms.T),
+    values = gf.add(matmul_tables(gf, point_order(gf.q, m), forms.T),
                     np.array(shifts, dtype=gf.dtype))
-    out = np.zeros(len(values), dtype=gf.dtype)
-    for exps, coef in f.sorted_terms():
-        term = np.full(len(values), coef, dtype=gf.dtype)
-        for i, e in enumerate(exps[:w]):
-            if e:
-                term = gf.mul(term, gf.pow(values[:, i], e))
-        out = gf.add(out, term)
-    return out
+    return evaluate_terms(gf, values, f.sorted_terms())
 
 
 def certificate_json(cert):
@@ -535,7 +543,7 @@ def interpolation_basis_symbolic(q, m):
     """One product of coordinate indicators per grid point."""
     gf = field(q)
     out = []
-    for pt in point_order(q, m).points:
+    for pt in point_order(q, m):
         f = ExponentPoly.constant(gf, m, 1)
         for j in range(m):
             f = f * _coordinate_indicator(gf, m, j, int(pt[j]))

@@ -48,9 +48,8 @@ def test_dimension_sources_agree_across_fields():
     for q in FIELD_SIZES:
         for m in (1, 2, 3):
             gf = rb.field(q)
-            order = rb.point_order(q, m)
             full = rb.monomial_basis(q, m * (q - 1), m)
-            rows = np.stack([monomial_row(gf, order, e) for e in full])
+            rows = np.stack([monomial_row(gf, m, e) for e in full])
             profile = rank_profile(gf, rows)
             boundary = 0
             for r in range(m * (q - 1) + 1):
@@ -115,7 +114,7 @@ def test_minimum_weight_constructions_and_substitutions():
                 gf = code.gf
                 t, s = rb.ts_split(q, r)
                 f = min_weight_poly(q, r, m)
-                word = f.evaluate(code.order)
+                word = f.evaluate()
                 assert rb.weight(word) == code.d, (q, m, r)
                 assert not np.any(linalg.matvec(gf, code.H, word)), (q, m, r)
 
@@ -123,7 +122,7 @@ def test_minimum_weight_constructions_and_substitutions():
                 excluded = rng.permutation(q)[:s].tolist()
                 f2 = min_weight_poly(q, r, m, scale=int(rng.integers(1, q)),
                                      pinned=pinned, excluded=excluded)
-                word2 = f2.evaluate(code.order)
+                word2 = f2.evaluate()
                 assert rb.weight(word2) == code.d
                 assert not np.any(linalg.matvec(gf, code.H, word2))
 
@@ -300,7 +299,7 @@ def test_nonpurity_certificates_stated_rows(q, m, r):
         f = _s0_witness(q, m, r)
         assert f.total_degree() == r
         code = rb.build_code(q, r, m)
-        word = f.evaluate(code.order)
+        word = f.evaluate()
         assert code.contains(word)
         wt, d1 = rb.weight(word), rb.min_distance_formula(q, r, m)
         assert wt == 2 * (q - 1) * q ** (m - t - 1)
@@ -318,7 +317,7 @@ def test_nonpurity_certificates_stated_rows(q, m, r):
 @pytest.mark.parametrize("q,m,r,wt,beta", [(3, 2, 2, 4, 54), (4, 2, 3, 6, 640)])
 def test_s0_witness_weight_is_a_betti_shift(theorem_tables, q, m, r, wt, beta):
     code = rb.build_code(q, r, m)
-    word = _s0_witness(q, m, r).evaluate(code.order)
+    word = _s0_witness(q, m, r).evaluate()
     assert rb.weight(word) == wt
     assert rb.shortened_dim(code, rb.support(word)) == 1
     assert theorem_tables[(q, m, r)].table.entries.get((1, wt)) == beta
@@ -335,7 +334,7 @@ def test_shrink_matches_restart_oracle():
                 if q ** m <= 81 and rb.certificate_witness(q, m, r) is not None:
                     words.append(((q, m, r), rb.non_purity_certificate(q, m, r)["codeword"]))
     for q, m, r in [(3, 2, 2), (4, 2, 3)]:
-        words.append(((q, m, r), _s0_witness(q, m, r).evaluate(rb.build_code(q, r, m).order)))
+        words.append(((q, m, r), _s0_witness(q, m, r).evaluate()))
     rng = np.random.default_rng(19)
     for q, m, r in [(2, 4, 1), (2, 4, 2), (3, 2, 2), (3, 3, 2), (3, 3, 4),
                     (4, 2, 2), (4, 2, 4), (5, 2, 3), (5, 2, 5)]:

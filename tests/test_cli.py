@@ -632,6 +632,21 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def test_importing_the_cli_starts_no_process_pool_machinery():
+    # only verify.sweep with jobs > 1 imports the pool, so a CLI call that runs
+    # serially never pays for multiprocessing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    probe = ("import sys, rmbetti.cli; print(sorted(name for name in sys.modules if "
+             "name == 'multiprocessing' or name.startswith(('multiprocessing.', "
+             "'concurrent.futures.process'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_help_and_usage_errors_pinned():
     argvs = [argv.split() for argv, _, _ in PINNED_HELP]
     proc = subprocess.run([sys.executable, "-c", HELP_CHILD, json.dumps(argvs)],

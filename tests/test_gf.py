@@ -26,6 +26,18 @@ def test_not_prime_power_rejected(q):
         field(q)
 
 
+def test_array_checks_entries_and_keeps_an_array_of_the_field_dtype():
+    gf = field(3)
+    a = np.array([[0, 1], [2, 0]], gf.dtype)
+    assert gf.array(a) is a                         # not copied
+    wide = np.array([0, 1, 2], np.int64)
+    assert gf.array(wide).dtype == gf.dtype and gf.array(wide).tolist() == [0, 1, 2]
+    assert gf.array(np.zeros((0, 3))).shape == (0, 3)   # empty: any dtype
+    for bad in ([0, 3], [-1], [1.0], [True], np.array([1], dtype=object)):
+        with pytest.raises(ParameterError, match=r"^vector must be integers in 0\.\.2$"):
+            gf.array(bad, "vector")
+
+
 def test_negative_exponent_is_a_parameter_error():
     assert field(5).exp_reduce(9) == 1
     with pytest.raises(ParameterError, match="^negative exponent$"):

@@ -9,7 +9,7 @@ import pytest
 
 from rmbetti import ParameterError, TooLargeError, field
 from rmbetti import linalg
-from rmbetti.rm import monomial_basis, point_order
+from rmbetti.rm import monomial_basis
 
 from oracles import (matmul_tables, monomial_row, null_space_scalar, rank_profile,
                      rref_scalar)
@@ -135,8 +135,7 @@ def test_lane_tables(q, bits, word):
                                    (8, 6, 2), (9, 5, 2)])
 def test_rref_matches_scalar_oracle_on_evaluation_matrices(q, r, m):
     gf = field(q)
-    order = point_order(q, m)
-    g = np.stack([monomial_row(gf, order, e) for e in monomial_basis(q, r, m)])
+    g = np.stack([monomial_row(gf, m, e) for e in monomial_basis(q, r, m)])
     _assert_rref_matches_oracle(gf, g)
 
 
@@ -199,6 +198,39 @@ def test_matmul_and_matvec():
     assert np.array_equal(linalg.matvec(gf, b, v), [1, 0])
     with pytest.raises(ParameterError):
         linalg.matmul(gf, a, a)
+
+
+# 2 x 2 arrays over GF(3) that hold something other than field elements: a
+# float read as 1, entries past q - 1 or negative (which a uint8 cast wraps),
+# a bool, object and string entries, and an integer past int64
+NOT_ELEMENTS = ([[1.7, 2.0], [0, 1]], [[5, 1], [0, 1]], [[-1, 1], [0, 1]],
+                [[257, 1], [0, 1]], np.array([[True, False], [False, True]]),
+                np.array([[1, 2], [0, 1]], dtype=object), np.array([["1", "2"], ["0", "1"]]),
+                [[2 ** 70, 1], [0, 1]], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("entry", ["rref", "matmul_left", "matmul_right", "matvec_matrix",
+                                   "matvec_vector", "row_space_equal", "face_levels"])
+def test_entry_points_refuse_what_is_not_a_field_element(entry):
+    gf = field(3)
+    ident = np.eye(2, dtype=gf.dtype)
+    call = {
+        "rref": lambda bad: linalg.rref(gf, bad),
+        "matmul_left": lambda bad: linalg.matmul(gf, bad, ident),
+        "matmul_right": lambda bad: linalg.matmul(gf, ident, bad),
+        "matvec_matrix": lambda bad: linalg.matvec(gf, bad, ident[0]),
+        "matvec_vector": lambda bad: linalg.matvec(gf, ident, np.asarray(bad)[0]),
+        # the same array twice: refused before the array_equal shortcut
+        "row_space_equal": lambda bad: linalg.row_space_equal(gf, bad, bad),
+        "face_levels": lambda bad: next(linalg.face_levels(gf, bad)),
+    }[entry]
+    for bad in NOT_ELEMENTS:
+        with pytest.raises(ParameterError, match=r"^entries must be integers in 0\.\.2$"):
+            call(bad)
+    # integer arrays of any integer dtype with entries in range pass
+    for good in ([[1, 2], [0, 1]], np.array([[1, 2], [0, 1]], np.int64),
+                 np.array([[1, 2], [0, 1]], np.uint16)):
+        call(good)
 
 
 def _scalar_dot(gf, row, col):

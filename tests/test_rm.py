@@ -8,7 +8,7 @@ from rmbetti import CrossCheckError, ExponentPoly, ParameterError, TooLargeError
 from rmbetti import linalg, rm
 from rmbetti.rm import binom, pinned_roots, validate_params
 
-from oracles import (interpolate, interpolation_basis_symbolic, min_weight_poly,
+from oracles import (evaluate_terms, interpolate, interpolation_basis_symbolic, min_weight_poly,
                      min_weight_poly_symbolic, monomial_row, power,
                      substitute_linear_forms, witness_poly_large_field_symbolic,
                      witness_poly_ternary_symbolic)
@@ -108,21 +108,24 @@ def test_min_distance_formula_examples():
 
 
 def test_point_order_origin_first_and_lexicographic():
-    order = rb.point_order(2, 2)
-    assert [tuple(p) for p in order.points] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    order9 = rb.point_order(3, 2)
-    pts = [tuple(int(x) for x in p) for p in order9.points]
+    assert [tuple(p) for p in rb.point_order(2, 2)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pts = [tuple(int(x) for x in p) for p in rb.point_order(3, 2)]
     assert pts[0] == (0, 0)
     assert len(set(pts)) == 9
     assert pts == sorted(pts)
     for q, m in ((3, 2.0), (3.0, 2), (3, True), (2.5, 2)):
         with pytest.raises(ParameterError, match="needs integer arguments"):
             rb.point_order(q, m)
-    # one PointOrder, on the one GF(q), per integer value: a numpy q built
-    # first must not leave the cache a grid over another GF(4) object
+    # one read-only grid of the field's dtype per integer value: a numpy q
+    # built first must not leave the cache keyed by a numpy value
     rm.point_order.cache_clear()
-    assert rb.point_order(np.int64(4), 2).gf is field(4)
-    assert rb.point_order(4, 2) is rb.point_order(np.int64(4), np.int32(2))
+    grid = rb.point_order(np.int64(4), 2)
+    assert grid.shape == (16, 2) and grid.dtype == field(4).dtype
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1
+    assert rb.point_order(4, 2) is grid is rb.point_order(np.int64(4), np.int32(2))
+    assert rb.point_order(4, 3) is not grid
     rb.non_purity_certificate(np.int64(4), 2, 4)
     rb.non_purity_certificate(4, 2, 4)
 
@@ -133,6 +136,33 @@ def test_evaluate_examples():
     assert np.array_equal(ones.evaluate(), [1, 1, 1, 1])
     x1 = ExponentPoly(gf, 2, {(1, 0): 1})
     assert np.array_equal(x1.evaluate(), [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("q,m", [(2, 16), (3, 4), (8, 3), (9, 2), (256, 2), (1024, 1)])
+def test_evaluate_equals_the_per_term_reference(q, m):
+    # the transform against one table lookup per term and variable, at 0, 1
+    # and many terms, on grids from 2^16 points to GF(1024)^1
+    gf = field(q)
+    rng = np.random.default_rng(1000 * q + m)
+    for count in (0, 1, 60):
+        terms = {tuple(rng.integers(0, q, size=m).tolist()): int(rng.integers(1, q))
+                 for _ in range(count)}
+        f = ExponentPoly(gf, m, terms)
+        got = f.evaluate()
+        want = evaluate_terms(gf, rb.point_order(q, m), f.sorted_terms())
+        assert got.dtype == want.dtype == gf.dtype and got.shape == (q ** m,)
+        assert np.array_equal(got, want), (q, m, count)
+
+
+def test_evaluate_refuses_an_oversized_grid_before_allocating(monkeypatch):
+    def no_array(*args, **kwargs):
+        raise AssertionError("evaluate allocated before its grid check")
+
+    monkeypatch.setattr(np, "zeros", no_array)
+    for m in (17, 40):              # 2^40 points would be a terabyte tensor
+        f = ExponentPoly(field(2), m, {(1,) + (0,) * (m - 1): 1})
+        with pytest.raises(TooLargeError, match=f"GF\\(2\\)\\^{m} has more than"):
+            f.evaluate()
 
 
 def test_exponent_poly_reduction_and_arithmetic():
@@ -243,10 +273,9 @@ def test_generator_matrix_matches_per_monomial_rows():
     for q in (2, 3, 4, 5, 7, 8, 9):
         gf = rb.field(q)
         for m in (1, 2, 3) if q <= 4 else (1, 2):
-            order = rm.point_order(q, m)
             for r in range(m * (q - 1) + 1):
                 g = rm.generator_matrix(q, r, m)
-                rows = np.stack([monomial_row(gf, order, e)
+                rows = np.stack([monomial_row(gf, m, e)
                                  for e in rm.monomial_basis(q, r, m)])
                 assert g.dtype == rows.dtype and g.shape == rows.shape, (q, r, m)
                 assert g.tobytes() == rows.tobytes(), (q, r, m)
@@ -269,10 +298,9 @@ def test_dimension_monotone_and_distance_antitone():
 def test_min_weight_poly_support_pins_first_coordinates():
     f = min_weight_poly(3, 2, 2)  # t=1, s=0, pinned value 0
     vals = f.evaluate()
-    order = rb.point_order(3, 2)
     supp = rb.support(vals)
     assert len(supp) == 3 == rb.min_distance_formula(3, 2, 2)
-    assert all(order.points[i][0] == 0 for i in supp)
+    assert all(rb.point_order(3, 2)[i][0] == 0 for i in supp)
 
 
 def test_min_weight_poly_gf2_is_affine_coordinate():
@@ -316,7 +344,7 @@ def test_min_weight_poly_randomized_parameters():
             scale = int(rng.integers(1, q))
             f = min_weight_poly(q, r, m, scale=scale, pinned=pinned,
                                 excluded=excluded)
-            vals = f.evaluate(code.order)
+            vals = f.evaluate()
             assert rb.weight(vals) == code.d
             assert code.contains(vals)
 
@@ -360,11 +388,12 @@ def test_substitute_linear_forms_preserves_weight_and_membership():
 
 
 def point_indicators(q, m):
-    """One linear_product per grid point: 1 at that point, 0 elsewhere."""
+    """(-1)^m times one linear_product per grid point: 1 at that point, 0
+    elsewhere."""
     gf = field(q)
     sign = gf.neg(1) if m % 2 else 1
-    return [rb.linear_product(gf, m, pinned_roots(gf, point.tolist()), sign)
-            for point in rb.point_order(q, m).points]
+    return [ExponentPoly.constant(gf, m, sign) * rb.linear_product(
+        gf, m, pinned_roots(gf, point.tolist())) for point in rb.point_order(q, m)]
 
 
 def test_interpolation_basis_identity_and_unity():
@@ -389,7 +418,6 @@ def test_interpolate_inverts_evaluate():
     rng = np.random.default_rng(123)
     for (q, m) in [(2, 3), (3, 2), (4, 2), (5, 1)]:
         gf = field(q)
-        order = rb.point_order(q, m)
         for _ in range(5):
             terms = {}
             for _ in range(4):
@@ -397,11 +425,11 @@ def test_interpolate_inverts_evaluate():
                 coef = int(rng.integers(1, q))
                 terms[exps] = coef
             f = ExponentPoly(gf, m, terms)
-            assert interpolate(order, f.evaluate(order)) == f
+            assert interpolate(gf, m, f.evaluate()) == f
         # degree detection: membership in the order-r code
         for r in range(m * (q - 1) + 1):
-            word = min_weight_poly(q, r, m).evaluate(order)
-            assert interpolate(order, word).total_degree() <= r
+            word = min_weight_poly(q, r, m).evaluate()
+            assert interpolate(gf, m, word).total_degree() <= r
 
 
 def test_interpolation_degree_agrees_with_parity_membership():
@@ -415,7 +443,7 @@ def test_interpolation_degree_agrees_with_parity_membership():
         words.append(rng.integers(0, 3, size=9).astype(code.gf.dtype))
     for w in words:
         by_parity = code.contains(w)
-        by_degree = interpolate(code.order, w).total_degree() <= code.r
+        by_degree = interpolate(code.gf, code.m, w).total_degree() <= code.r
         assert by_parity == by_degree
 
 
@@ -588,12 +616,9 @@ def test_interpolation_basis_matches_symbolic_construction():
 def test_linear_product():
     gf = field(5)
     # 2 (X_1 - 3)(X_2 - 0)(X_2 - 1) = 2 (X_1 X_2^2 - X_1 X_2 - 3 X_2^2 + 3 X_2)
-    f = rb.linear_product(gf, 2, [(0, 3), (1, 0), (1, 1)], 2)
+    f = ExponentPoly.constant(gf, 2, 2) * rb.linear_product(gf, 2, [(0, 3), (1, 0), (1, 1)])
     assert f.terms == {(1, 2): 2, (1, 1): 3, (0, 2): 4, (0, 1): 1}
     assert rb.linear_product(gf, 3, []).terms == {(0, 0, 0): 1}
-    for scale in (5, -1):
-        with pytest.raises(ParameterError):
-            rb.linear_product(gf, 2, [(0, 1)], scale)
     for root in ((2, 0), (-1, 0), (0, 5), (0, -1), (0, 1.5), (0.0, 1), (True, 2),
                  (0, False), (np.float64(1), 0)):
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 """Purity characterization checks: predicates, certificates, sweeps."""
 
+import concurrent.futures
 import dataclasses
 import json
 
@@ -506,10 +507,24 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch, jobs, workers):
         def map(self, fn, *columns):
             return map(fn, *columns)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     rows = rb.sweep(rb.theorem_row, 3, 2, jobs=jobs)     # 5 rows
     assert started == [workers]
     assert rows == rb.sweep(rb.theorem_row, 3, 2)
+
+
+@pytest.mark.parametrize("jobs", [2.5, "2", 0, -3, True, None, np.float64(2)])
+def test_sweep_refuses_a_bad_jobs_before_any_row_or_worker(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    built = []
+    with pytest.raises(ParameterError, match="jobs must be an integer >= 1"):
+        rb.sweep(lambda *args: built.append(args), 3, 2, jobs=jobs)
+    assert built == []
+    assert len(rb.sweep(lambda *args: args, 3, 2, jobs=np.int64(1))) == 5
 
 
 def test_constructed_certificates_never_fail_silently(monkeypatch):
