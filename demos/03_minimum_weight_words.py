@@ -10,7 +10,7 @@ codeword; both facts are checked numerically, never assumed.
 import numpy as np
 
 import rmbetti as rb
-from rmbetti.rm import affine_generators, pinned_roots
+from rmbetti.rm import pinned_roots
 
 q, r, m = 4, 4, 2
 code = rb.build_code(q, r, m)
@@ -32,9 +32,9 @@ g = rb.ExponentPoly.constant(gf, m, 3) * rb.linear_product(
 word2 = g.evaluate()
 print("custom constants: weight", rb.weight(word2), "support", rb.support(word2))
 
-# The generators of AGL(m, q) as permutations of the grid: the word moved by
-# each stays a minimum-weight codeword.
-moved = [word[perm] for perm in affine_generators(q, m)]
+# The code's own symmetries, the generators of AGL(m, q) as permutations of
+# the grid: the word moved by each stays a minimum-weight codeword.
+moved = [word[perm] for perm in code.symmetries]
 print(f"\n{len(moved)} affine generators: weights {[rb.weight(w) for w in moved]}, "
       f"all in the code: {all(code.contains(w) for w in moved)}")
 

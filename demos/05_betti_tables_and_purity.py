@@ -10,8 +10,9 @@ The nullity table, dim C(W) for every column set W, is built once per code.
 When the smaller of C and its dual has at most 2^n words, q^dim C(W) is
 the number of words supported inside W, counted by one histogram and one
 subset-sum transform; otherwise a walk over the faces builds it.  The
-homology backend can be handed column permutations that fix the code; it
-then ranks one restriction per orbit.
+homology backend reads the column permutations the code knows fix it
+(code.symmetries) and ranks one restriction per orbit; a plain LinearCode
+knows none, so every restriction is its own orbit.
 """
 
 import rmbetti as rb
@@ -44,14 +45,16 @@ for i, j, beta in table.rows():
     print(f"  beta_{{{i},{j}}} = {beta}")
 print("pure:", v.pure, " violating positions:", v.violations)
 
-# The affine group AGL(2, 3) fixes the code, and a column permutation that
-# fixes it maps each restriction onto one with the same homology, so the
-# homology backend ranks one restriction per orbit.
-generators = rb.rm.affine_generators(3, 2)
-reps, sizes = rb.srres.restriction_orbits(ternary, generators)
+# The affine group AGL(2, 3) fixes the code (its generators are
+# ternary.symmetries), and a column permutation that fixes it maps each
+# restriction onto one with the same homology, so the homology backend ranks
+# one restriction per orbit.  The same matrix as a plain LinearCode has no
+# symmetries, so its sweep ranks every restriction.
+reps, sizes = rb.srres.restriction_orbits(ternary)
+plain = rb.LinearCode(ternary.gf, ternary.G)
 print(f"orbits swept: {len(reps)} of 2^{ternary.n} = {1 << ternary.n} restrictions")
 print("orbit sweep == unreduced sweep:",
-      rb.betti_hochster(ternary, 2, generators) == rb.betti_hochster(ternary, 2) == table)
+      rb.betti_hochster(ternary, 2) == rb.betti_hochster(plain, 2) == table)
 
 # Homology conventions at the degenerate end.  Faces are int64 bitmasks,
 # bit v standing for vertex v; the empty face (mask 0) is always present.

@@ -74,12 +74,7 @@ def _cmd_dim(args, guards):
     G = rm.generator_matrix(q, r, m)
     n, k = G.shape[1], linalg.rank(field(q), G)
     d = rm.min_distance_formula(q, r, m)
-    sources = {
-        "double_sum": rm.dim_assmus_key(q, r, m),
-        "inclusion_exclusion": rm.dim_inclusion_exclusion(q, r, m),
-        "monomial_count": G.shape[0],
-        "generator_rank": k,
-    }
+    sources = rm.dimension_sources(q, r, m, G, k)
     agree = len(set(sources.values())) == 1
     report = _report(q, m, r, code={"n": n, "k": k, "d": d}, details=sources,
                      match=agree, guards=guards)

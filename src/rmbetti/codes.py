@@ -11,13 +11,14 @@ over the faces (independent parity-check column sets, linalg.face_levels)
 does.
 
 Generalized Hamming weights are computed over supports: d_i is the smallest
-size of a coordinate set whose shortened code has dimension >= i.  They are
-read off the nullity table whenever the code has one or the counting rule
-admits it; otherwise one face walk finds every d_i, level by level, and
-stops inside the level that gives the last one asked for, at the first
-block of faces that reaches it.  That is exponential in the length n
-instead of Gaussian-binomial in k; the test suite re-establishes
-correctness at tiny scale against a direct enumeration of subspaces.
+size of a coordinate set whose shortened code has dimension >= i.  The
+length alone picks the route: up to MAX_TABLE_N they are read off the
+nullity table, built by whichever kernel the code's sizes choose; above it
+one face walk finds every d_i, level by level, and stops inside the level
+that gives the last one asked for, at the first block of faces that
+reaches it.  That is exponential in the length n instead of
+Gaussian-binomial in k; the test suite re-establishes correctness at tiny
+scale against a direct enumeration of subspaces.
 
 The minimum weight is found by meet in the middle: the spans of the two
 halves of G are enumerated (at most q^ceil(k/2) words each) and packed into
@@ -60,6 +61,11 @@ class LinearCode:
     immutable.
     """
 
+    # column permutations known to fix the code, each an int64 array perm
+    # moving column j to perm[j]; a general code knows none, and RMCode
+    # supplies the generators of AGL(m, q)
+    symmetries: tuple[np.ndarray, ...] = ()
+
     def __init__(self, gf: GF, G):
         if np.ndim(G) != 2:
             raise ParameterError("generator matrix must be 2-d")
@@ -80,19 +86,22 @@ class LinearCode:
         return not np.any(linalg.matvec(self.gf, self.H, v))   # which checks v's entries
 
     def nullity_table(self) -> np.ndarray:
-        """dim {c in C : supp(c) subseteq W} for every coordinate bitmask W.
+        """dim {c in C : supp(c) subseteq W} for every coordinate bitmask W,
+        as a read-only int8 array (every value is at most n <= 20).
 
         The one place a code's matroid is computed: by codeword counting
         (_nullity_by_counting) when q^min(k, n-k) <= 2^n, else by the face
         walk (_nullity_by_walk).  Faces are exactly the masks of nullity 0.
-        n > MAX_TABLE_N is refused before either kernel starts.
+        n > MAX_TABLE_N is refused before either kernel starts.  A reader
+        that multiplies the table casts it to intp first: nullity * (n + 1)
+        overflows int8 from nullity 7.
         """
         if self._nullity is None:
             if self.n > MAX_TABLE_N:
                 raise TooLargeError(
                     f"nullity table needs n <= {MAX_TABLE_N}, n = {self.n}")
             kernel = _nullity_by_counting if _counting_admits(self) else _nullity_by_walk
-            table = kernel(self).astype(np.int16)
+            table = kernel(self)
             table.setflags(write=False)
             self._nullity = table
         return self._nullity
@@ -142,13 +151,14 @@ def _counting_admits(code: LinearCode) -> bool:
 def _nullity_by_walk(code: LinearCode) -> np.ndarray:
     """rank(W) is the size of the largest face (independent parity-check
     column set) inside W, so one subset-max transform over the faces of the
-    walk gives every rank."""
+    walk gives every rank.  int8 throughout: the popcounts are read as
+    int8 in place (each is at most n <= 20)."""
     n = code.n
     ranks = np.zeros(1 << n, dtype=np.int8)
     for size, faces, _ in linalg.face_levels(code.gf, code.H):
         ranks[faces] = size
     subset_max_accumulate(ranks, n)
-    return popcount_table(n).astype(np.int16) - ranks
+    return popcount_table(n).view(np.int8) - ranks
 
 
 def _nullity_by_counting(code: LinearCode) -> np.ndarray:
@@ -179,8 +189,8 @@ def _nullity_by_counting(code: LinearCode) -> np.ndarray:
         raise CrossCheckError(
             f"{counts[bad[0]]} words of the span have support inside mask {bad[0]:#x}, "
             f"not a power of q = {gf.q}")
-    if dual:
-        return popcount_table(n).astype(np.int16) - len(rows) + dims[::-1]
+    if dual:   # int8: every term and partial sum lies in -n..n
+        return popcount_table(n).view(np.int8) - len(rows) + dims[::-1]
     return dims
 
 
@@ -270,9 +280,8 @@ def min_weight_bruteforce(code: LinearCode, *, max_enum: int = MAX_ENUM) -> int:
 
 def ghw(code: LinearCode, i: int) -> int:
     """Smallest support size of an i-dimensional subcode: read off the
-    nullity table when the code has one or the counting rule admits it
-    (n <= MAX_TABLE_N), else a face walk that stops at the level giving d_i
-    (needs n <= MAX_SEARCH_N)."""
+    nullity table when n <= MAX_TABLE_N, else a face walk that stops at the
+    level giving d_i (needs n <= MAX_SEARCH_N)."""
     if not (is_int(i) and 1 <= i <= code.k):
         raise ParameterError(f"need 1 <= i <= k = {code.k}, got {i}")
     return _ghw_prefix(code, i)[-1]
@@ -285,16 +294,16 @@ def ghw_profile(code: LinearCode) -> tuple[int, ...]:
 
 
 def _ghw_prefix(code: LinearCode, top: int) -> tuple[int, ...]:
-    """(d_1, ..., d_top): read off the nullity table when it is built or
-    the counting rule admits building it (q^min(k, n-k) <= 2^n and
-    n <= MAX_TABLE_N), else from _ghw_by_walk."""
-    if code._nullity is not None or (code.n <= MAX_TABLE_N and _counting_admits(code)):
+    """(d_1, ..., d_top): read off the nullity table when n <= MAX_TABLE_N,
+    else from _ghw_by_walk; the length alone decides, not what ran before."""
+    if code.n <= MAX_TABLE_N:
         n, nullity = code.n, code.nullity_table()
         # which (nullity, |W|) cells occur, from one bincount (cells < 21^2);
         # every nullity 0..k occurs, as it climbs by at most 1 per column
         # added, so argmax is the smallest |W| at each nullity, and a suffix
-        # minimum makes it min{|W| : nullity(W) >= i}
-        cells = (nullity * (n + 1) + popcount_table(n)).astype(np.intp)
+        # minimum makes it min{|W| : nullity(W) >= i}; intp before the
+        # product, which overflows the int8 table
+        cells = nullity.astype(np.intp) * (n + 1) + popcount_table(n)
         present = np.bincount(cells, minlength=(code.k + 1) * (n + 1)).reshape(-1, n + 1) > 0
         smallest = np.minimum.accumulate(present.argmax(axis=1)[::-1])[::-1]
         return tuple(smallest[1:top + 1].tolist())

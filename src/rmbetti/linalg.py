@@ -2,11 +2,12 @@
 
 Matrices are 2-d numpy arrays of element indices (dtype per the field),
 passed together with the GF instance; every entry point checks them with
-``GF.array``, so an entry that is not an integer in 0..q-1 is refused, never
-truncated or wrapped.  Everything is plain Gaussian elimination with one
-deterministic pivot rule: the first nonzero entry in column order wins, so
-canonical forms are reproducible byte for byte.  Zero-row and zero-column
-matrices are legal throughout.
+``_array``, so an entry that is not an integer in 0..q-1, or an array with
+the wrong number of axes, is refused, never truncated or wrapped.
+Everything is plain Gaussian elimination with one deterministic pivot rule:
+the first nonzero entry in column order wins, so canonical forms are
+reproducible byte for byte.  Zero-row and zero-column matrices are legal
+throughout.
 
 Products have one path for every field: coefficient planes over Z_p
 (``GF.vectors``) multiply exactly in float64 BLAS, as many planes of the
@@ -32,6 +33,16 @@ MAX_LEVEL_BYTES = 1 << 27
 # single one is larger); 256 KiB keeps a block in cache and its pages reused
 # from block to block.
 BLOCK_BYTES = 1 << 18
+
+
+def _array(gf: GF, values, ndim: int = 2) -> np.ndarray:
+    """values through GF.array, then refused unless it has ndim axes (a
+    matrix, or a vector for ndim = 1): the one check of every entry point's
+    arguments, entries first."""
+    a = gf.array(values)
+    if a.ndim != ndim:
+        raise ParameterError(f"expected a {ndim}-d array of field elements, got {a.ndim}-d")
+    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,9 +90,7 @@ def rref(gf: GF, mat) -> tuple[np.ndarray, int, list[int]]:
     it, or is one XOR when p = 2.  The words are rows of negcode[:, pivot]
     when at least q rows change, else one 2-d gather.
     """
-    r = gf.array(mat)
-    if r.ndim != 2:
-        raise ParameterError("rref needs a 2-d matrix")
+    r = _array(gf, mat)
     code, decode, negcode, shift, bias, ones = _lanes(gf)
     p = gf.p
     nrows, ncols = r.shape
@@ -152,7 +161,7 @@ def null_space(gf: GF, mat) -> np.ndarray:
 
 
 def row_space_equal(gf: GF, a, b) -> bool:
-    a, b = gf.array(a), gf.array(b)
+    a, b = _array(gf, a), _array(gf, b)
     if a.shape[1] != b.shape[1]:
         raise ParameterError("row spaces live in different ambient spaces")
     if np.array_equal(a, b):
@@ -175,7 +184,7 @@ def matmul(gf: GF, a, b) -> np.ndarray:
     in.  Integer shifts and masks unpack it, so a field takes ceil(e / g) e
     products; a prime field (e = 1) takes one.
     """
-    a, b = gf.array(a), gf.array(b)
+    a, b = _array(gf, a), _array(gf, b)
     if a.shape[1] != b.shape[0]:
         raise ParameterError(f"cannot multiply {a.shape} by {b.shape}")
     e = gf.e
@@ -197,7 +206,7 @@ def matmul(gf: GF, a, b) -> np.ndarray:
 
 def matvec(gf: GF, a, v) -> np.ndarray:
     """a @ v over GF(q): matmul on the columns where v is nonzero."""
-    a, v = gf.array(a), gf.array(v)
+    a, v = _array(gf, a), _array(gf, v, ndim=1)
     if a.shape[1] != v.shape[0]:
         raise ParameterError(f"cannot apply {a.shape} to vector of length {v.shape[0]}")
     nz = np.flatnonzero(v)
@@ -223,7 +232,7 @@ def face_levels(gf: GF, mat):
     larger); each block is yielded as soon as it is built, so a caller that
     stops early never builds the rest of the level.
     """
-    mat = gf.array(mat)
+    mat = _array(gf, mat)
     nrows, n = mat.shape
     if n >= 63:
         raise TooLargeError(f"face masks need n < 63 columns, n = {n}")

@@ -3,8 +3,9 @@
 Everything here is exact: the reduced polynomial space (total degree <= r,
 every variable degree < q), the evaluation map over the point grid, two
 independent closed-form dimension formulas, the (t, s) split behind the
-minimum distance, the affine maps that fix every code, and the codes
-themselves with their cross-checked dimension.  The grid is one read-only
+minimum distance, and the codes themselves with their cross-checked
+dimension and the affine maps that fix them (RMCode.symmetries, the one
+place that knows AGL(m, q) fixes every RM code).  The grid is one read-only
 q^m x m array, point_order(q, m); its row order is the coordinate order of
 every evaluation vector and every code.  Every explicit codeword is a
 product of linear factors (linear_product, pinned_roots); the witnesses of
@@ -123,36 +124,6 @@ def point_order(q: int, m: int) -> np.ndarray:
     return pts
 
 
-def affine_generators(q: int, m: int) -> tuple[np.ndarray, ...]:
-    """Generators of AGL(m, q) as read-only permutations of the grid of
-    point_order(q, m): perm[i] is the index of the image of point i.
-
-    The maps are x_i += 1 for each i, x_0 -> a x_0 for a = 2..q-1, the swaps
-    of adjacent coordinates and x_0 += x_1 (no swap and no shear for m = 1).
-    By conjugation they give every translation, diagonal map and elementary
-    transvection, so they generate AGL(m, q), under which every RM_q(r, m)
-    is invariant (Kasami-Lin-Peterson 1968): an affine substitution does not
-    raise the total degree.
-    """
-    gf, pts = field(q), point_order(q, m)
-
-    def moved(i, values):
-        out = pts.copy()
-        out[:, i] = values
-        return out
-
-    images = [moved(i, gf.add(pts[:, i], 1)) for i in range(m)]
-    images += [moved(0, gf.mul(a, pts[:, 0])) for a in range(2, q)]
-    images += [pts[:, [*range(i), i + 1, i, *range(i + 2, m)]] for i in range(m - 1)]
-    if m > 1:
-        images.append(moved(0, gf.add(pts[:, 0], pts[:, 1])))
-    place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    perms = tuple(image.astype(np.int64) @ place for image in images)
-    for perm in perms:
-        perm.setflags(write=False)
-    return perms
-
-
 class ExponentPoly:
     """Polynomial as a map exponent-vector -> nonzero coefficient.
 
@@ -268,6 +239,38 @@ class RMCode(LinearCode):
         self.r = r
         self.d = min_distance_formula(q, r, m)
 
+    @functools.cached_property
+    def symmetries(self) -> tuple[np.ndarray, ...]:
+        """Generators of AGL(m, q) as read-only permutations of the grid of
+        point_order(q, m): perm[i] is the index of the image of point i.
+        Built on first use and cached.
+
+        The maps are x_i += 1 for each i, x_0 -> a x_0 for a = 2..q-1, the
+        swaps of adjacent coordinates and x_0 += x_1 (no swap and no shear
+        for m = 1).  By conjugation they give every translation, diagonal
+        map and elementary transvection, so they generate AGL(m, q), under
+        which every RM_q(r, m) is invariant (Kasami-Lin-Peterson 1968): an
+        affine substitution does not raise the total degree.
+        """
+        q, m, gf = self.q, self.m, self.gf
+        pts = point_order(q, m)
+
+        def moved(i, values):
+            out = pts.copy()
+            out[:, i] = values
+            return out
+
+        images = [moved(i, gf.add(pts[:, i], 1)) for i in range(m)]
+        images += [moved(0, gf.mul(a, pts[:, 0])) for a in range(2, q)]
+        images += [pts[:, [*range(i), i + 1, i, *range(i + 2, m)]] for i in range(m - 1)]
+        if m > 1:
+            images.append(moved(0, gf.add(pts[:, 0], pts[:, 1])))
+        place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        perms = tuple(image.astype(np.int64) @ place for image in images)
+        for perm in perms:
+            perm.setflags(write=False)
+        return perms
+
     def __repr__(self):
         return (f"RMCode(q={self.q}, r={self.r}, m={self.m}) = "
                 f"[{self.n}, {self.k}, {self.d}]")
@@ -316,12 +319,25 @@ def build_code(q: int, r: int, m: int) -> RMCode:
         rk = code.k
     except ParameterError:              # LinearCode refuses a rank-deficient G
         rk = linalg.rank(field(q), G)
-    k, ak, ie = G.shape[0], dim_assmus_key(q, r, m), dim_inclusion_exclusion(q, r, m)
-    if not (rk == k == ak == ie):
+    sources = dimension_sources(q, r, m, G, rk)
+    if len(set(sources.values())) != 1:
         raise CrossCheckError(
             f"dimension sources disagree for (q={q}, r={r}, m={m}): "
-            f"rank={rk}, monomials={k}, double-sum={ak}, incl-excl={ie}")
+            f"rank={rk}, monomials={sources['monomial_count']}, "
+            f"double-sum={sources['double_sum']}, "
+            f"incl-excl={sources['inclusion_exclusion']}")
     return code
+
+
+def dimension_sources(q: int, r: int, m: int, G, rank: int) -> dict[str, int]:
+    """The four sources of dim RM_q(r, m), under the keys and in the order
+    of the dim report's details: the two closed forms, the monomial count
+    (the rows of the generator matrix G) and the rank of G, which the
+    caller has from its own elimination."""
+    return {"double_sum": dim_assmus_key(q, r, m),
+            "inclusion_exclusion": dim_inclusion_exclusion(q, r, m),
+            "monomial_count": G.shape[0],
+            "generator_rank": rank}
 
 
 # -- minimum-weight machinery -------------------------------------------------

@@ -7,14 +7,14 @@ rank.  Two backends compute the Betti table:
 
 * betti_hochster sweeps the vertex subsets W and sums reduced homology
   dimensions of the restricted complex over a prime field (the slow,
-  assumption-free oracle).  Given column permutations, it keeps those it
-  checks preserve the code (H G[:, perm]^T = 0) and ranks one W per orbit
-  of the group they generate, counted once per orbit member; an RM code
-  passes the generators of AGL(m, q).  Each call builds the boundary
-  columns once from the int64 face masks by array operations, and
-  _restricted_homology ranks those of the faces inside each W (XOR
-  bitmasks over GF(2), dicts over odd primes), as it ranks a whole complex
-  for reduced_homology_dims;
+  assumption-free oracle).  It reads the column permutations the code
+  knows fix it (code.symmetries: none for a plain LinearCode, the
+  generators of AGL(m, q) for an RMCode), checks each (H G[:, perm]^T = 0)
+  and ranks one W per orbit of the group they generate, counted once per
+  orbit member.  Each call builds the boundary columns once from the int64
+  face masks by array operations, and _restricted_homology ranks those of
+  the faces inside each W (XOR bitmasks over GF(2), dicts over odd
+  primes), as it ranks a whole complex for reduced_homology_dims;
 * betti_fastpath uses that restrictions of this complex are again of the
   same kind, so homology is concentrated in top degree and its dimension is
   the absolute value of the reduced Euler characteristic.  Euler
@@ -212,30 +212,32 @@ class BettiTable:
         return [{"i": i, "j": j, "beta": b} for i, j, b in self.rows()]
 
 
-def restriction_orbits(code: LinearCode, symmetries=()) -> tuple[np.ndarray, np.ndarray]:
-    """One vertex mask per orbit, and the orbit sizes, of the group generated
-    by those symmetries that preserve the code.
+def restriction_orbits(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """One vertex mask per orbit, and the orbit sizes, of the group
+    generated by code.symmetries.
 
     A symmetry is a permutation perm of the n columns, column j moving to
-    perm[j]; it is kept only if H G[:, perm]^T = 0, i.e. the code is closed
-    under it, which makes it an automorphism of the complex (faces are the
-    masks of nullity 0, and nullity is carried along).  The others are
-    dropped.  Each orbit is labelled by its smallest mask: every mask takes
-    the least label among its images, then the label of its label, until
-    nothing moves.  With no symmetry kept, every mask is its own orbit.
-    n > MAX_TABLE_N is refused before the masks are allocated.
+    perm[j], that fixes the code, which makes it an automorphism of the
+    complex (faces are the masks of nullity 0, and nullity is carried
+    along).  Each is checked: one that is not an integer permutation of the
+    n columns, or moves the code (H G[:, perm]^T != 0), is a defect of its
+    source and raises CrossCheckError.  Each orbit is labelled by its
+    smallest mask: every mask takes the least label among its images, then
+    the label of its label, until nothing moves.  A code with no symmetry
+    has every mask as its own orbit.  n > MAX_TABLE_N is refused before the
+    masks are allocated.
     """
     n = code.n
     if n > MAX_TABLE_N:
         raise TooLargeError(f"orbits of the 2^n masks need n <= {MAX_TABLE_N}, n = {n}")
     masks = np.arange(1 << n, dtype=np.int64)
     images = []
-    for perm in symmetries:
+    for perm in code.symmetries:
         perm = np.asarray(perm)
         if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ParameterError(f"a symmetry must permute the {n} columns")
+            raise CrossCheckError(f"a symmetry of {code!r} does not permute its {n} columns")
         if np.any(linalg.matmul(code.gf, code.H, code.G[:, perm].T)):
-            continue
+            raise CrossCheckError(f"a symmetry of {code!r} moves the code")
         image = np.zeros_like(masks)
         for j, to in enumerate(perm.tolist()):
             image |= (masks >> j & 1) << to
@@ -250,22 +252,22 @@ def restriction_orbits(code: LinearCode, symmetries=()) -> tuple[np.ndarray, np.
     return reps, np.bincount(label, minlength=1 << n)[reps]
 
 
-def betti_hochster(code: LinearCode, ell: int = 2, symmetries=()) -> BettiTable:
+def betti_hochster(code: LinearCode, ell: int = 2) -> BettiTable:
     """Restriction sweep: beta_{i,j} sums dim H~_{j-i-1} of Delta restricted
     to each j-subset, homology taken over GF(ell); n <= MAX_HOMOLOGY_N.
 
-    A column permutation that preserves the code maps Delta|W onto
-    Delta|perm(W), so only one W per orbit of restriction_orbits(code,
-    symmetries) is ranked, and its homology counts once per orbit member;
-    a symmetry that fails the check against this code is dropped, and with
-    none every W is its own orbit.  The boundary columns are built once,
-    from the face masks alone (no rank is read from the nullity table).
+    A column permutation that fixes the code maps Delta|W onto
+    Delta|perm(W), so only one W per orbit of restriction_orbits(code) is
+    ranked, and its homology counts once per orbit member; a code with no
+    symmetries (a plain LinearCode) has every W as its own orbit.  The
+    boundary columns are built once, from the face masks alone (no rank is
+    read from the nullity table).
     """
     n = code.n
     if n > MAX_HOMOLOGY_N:
         raise TooLargeError(f"2^n restriction sweep needs n <= {MAX_HOMOLOGY_N}, n = {n}")
     complex_ = _boundary_complex(np.flatnonzero(code.nullity_table() == 0), ell)
-    reps, sizes = restriction_orbits(code, symmetries)
+    reps, sizes = restriction_orbits(code)
     entries: dict[tuple[int, int], int] = {}
     for w, size in zip(reps.tolist(), sizes.tolist()):
         j = w.bit_count()

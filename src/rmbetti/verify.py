@@ -1,7 +1,9 @@
 """Mechanized checks of the purity characterization and the MDS corollary.
 
 Two independent routes decide purity for a given (q, m, r): the Betti
-table, which purity_by_betti alone computes and cross-checks, and a
+table, which purity_by_betti alone computes and cross-checks (its
+homology sweep ranks one restriction per orbit of the code's own
+symmetries, so nothing here names the affine group), and a
 self-contained certificate built from a witness codeword whose shrunk
 support carries a 1-dimensional shortened code heavier than the minimum
 distance.  certificate_witness alone decides which (q, m, r) get a witness,
@@ -75,20 +77,18 @@ def purity_by_betti(q: int, m: int, r: int, guards: Guards = DEFAULT_GUARDS,
     verdict and the route taken.  backend is "fast", "homology" or "both";
     None runs both where n <= srres.MAX_HOMOLOGY_N, else the fast path.  The
     prime ell is checked before the code is built, then the Betti guard.
-    The homology sweep gets the AGL(m, q) generators, which fix every RM
-    code, where its length bound admits them; tables that differ raise
-    CrossCheckError."""
+    The homology sweep ranks one restriction per orbit of the code's own
+    symmetries (RMCode.symmetries, built only when the sweep runs); tables
+    that differ raise CrossCheckError."""
     if backend not in (None, "fast", "homology", "both"):
         raise ParameterError(f"unknown Betti backend {backend!r}")
     srres.check_char(ell)
     code = rm.build_code(q, r, m)
     if code.n > guards.max_n_betti:
         raise TooLargeError(f"n = {code.n} exceeds the Betti guard {guards.max_n_betti}")
-    short = code.n <= srres.MAX_HOMOLOGY_N
     tables = {}  # homology first: its length refusal comes before the fast path's work
-    if backend in ("homology", "both") or backend is None and short:
-        tables["homology"] = srres.betti_hochster(
-            code, ell, rm.affine_generators(q, m) if short else ())
+    if backend in ("homology", "both") or backend is None and code.n <= srres.MAX_HOMOLOGY_N:
+        tables["homology"] = srres.betti_hochster(code, ell)
     if backend != "homology":
         tables = {"fastpath": srres.betti_fastpath(code), **tables}
     table, *others = tables.values()
@@ -158,7 +158,9 @@ def non_purity_certificate(q: int, m: int, r: int,
 
     Raises ParameterError when the witness construction does not apply
     and CertificateError if any of its own checks fails (which would be
-    evidence against the characterization, never silenced).
+    evidence against the characterization, never silenced); the checks on
+    the witness itself run before the shrink, so a zero witness or one
+    outside the code is such a failure too.
     """
     rm.validate_params(q, r, m)
     t, s = rm.ts_split(q, r)
@@ -177,20 +179,24 @@ def non_purity_certificate(q: int, m: int, r: int,
     d1 = rm.min_distance_formula(q, r, m)
     d1_brute = codes.bruteforce_distance(code, guards.max_enum)
 
-    shrunk, sigma_dim, shrunk_dim = codes.shrink_to_one_minimal(code, word)
-    shrunk_support = codes.support(shrunk)
-
+    # the checks that need no shrink come first: shrinking the zero word or
+    # a word outside the code would raise ParameterError, not this defect
     checks = dict(zip(CERTIFICATE_CHECKS, (
         witness.total_degree() == r,
         code.contains(word),
         wt == formula_weight,
         wt > d1,
         d1_brute is None or d1_brute == d1,
-        code.contains(shrunk),
-        set(shrunk_support) <= set(sigma),
-        shrunk_dim == 1,
-        len(shrunk_support) > d1,
-    ), strict=True))
+    )))
+    if all(checks.values()):
+        shrunk, sigma_dim, shrunk_dim = codes.shrink_to_one_minimal(code, word)
+        shrunk_support = codes.support(shrunk)
+        checks.update(zip(CERTIFICATE_CHECKS[len(checks):], (
+            code.contains(shrunk),
+            set(shrunk_support) <= set(sigma),
+            shrunk_dim == 1,
+            len(shrunk_support) > d1,
+        ), strict=True))
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise CertificateError(

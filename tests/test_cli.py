@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmbetti import cli, codes, rm, srres, verify
+from rmbetti import CrossCheckError, cli, codes, rm, srres, verify
 
 CLI = [sys.executable, "-m", "rmbetti"]
 
@@ -38,6 +38,28 @@ def test_dim_full_space():
     report = json.loads(proc.stdout)
     assert report["code"]["k"] == 9
     assert report["details"]["generator_rank"] == 9
+
+
+def test_dim_details_are_rm_dimension_sources(monkeypatch, capsys):
+    """rm.dimension_sources owns the four sources: the dim report prints its
+    dict as it stands, and a disagreement there is exit 5 in dim and a
+    CrossCheckError in build_code."""
+    assert cli.main(["dim", "--q", "4", "--m", "2", "--r", "3", "--output", "json",
+                     "--no-timing"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    G = rm.generator_matrix(4, 3, 2)
+    assert list(details.items()) == list(rm.dimension_sources(4, 3, 2, G, 10).items())
+    sources = rm.dimension_sources
+
+    def one_off(q, r, m, G, rank):
+        return {**sources(q, r, m, G, rank), "double_sum": 11}
+
+    monkeypatch.setattr(rm, "dimension_sources", one_off)
+    assert cli.main(["dim", "--q", "4", "--m", "2", "--r", "3"]) == 5
+    assert "double_sum: 11" in capsys.readouterr().out
+    with pytest.raises(CrossCheckError, match="rank=10, monomials=10, double-sum=11, "
+                                              "incl-excl=10"):
+        rm.build_code.__wrapped__(4, 3, 2)
 
 
 def test_bad_parameters_exit_2():
@@ -82,7 +104,7 @@ def test_betti_both_backends_and_json():
 
 def test_betti_backend_mismatch_names_the_row(monkeypatch, capsys):
     wrong = srres.BettiTable(n=4, k=3, entries={(0, 0): 1})
-    monkeypatch.setattr(srres, "betti_hochster", lambda code, ell, symmetries=(): wrong)
+    monkeypatch.setattr(srres, "betti_hochster", lambda code, ell: wrong)
     argv = ["betti", "--q", "2", "--m", "2", "--r", "1", "--backend", "both",
             "--char", "3"]
     assert cli.main(argv) == 5

@@ -172,6 +172,55 @@ def test_counting_table_equals_walk_table(monkeypatch):
             assert np.array_equal(counted, walked), (code, block_bytes)
 
 
+@pytest.mark.parametrize("q,r,m,kernel,dual", [
+    (2, 1, 3, "_nullity_by_counting", False),   # [8, 4]: the span of G counted
+    (3, 2, 2, "_nullity_by_counting", True),    # [9, 6]: the span of H counted
+    (19, 8, 1, "_nullity_by_walk", None),       # [19, 9]: 19^9 > 2^19, walked
+], ids=["primal", "dual", "walk"])
+def test_nullity_table_is_read_only_int8_from_every_kernel(monkeypatch, q, r, m, kernel,
+                                                          dual):
+    ran = []
+
+    def spied(name):
+        fn = getattr(codes, name)
+        return lambda code: ran.append(name) or fn(code)
+
+    for name in ("_nullity_by_counting", "_nullity_by_walk"):
+        monkeypatch.setattr(codes, name, spied(name))
+    code = rm.build_code.__wrapped__(q, r, m)       # cold: no table yet
+    assert dual is None or (code.n - code.k < code.k) == dual
+    nullity = code.nullity_table()
+    assert ran == [kernel]
+    assert nullity.dtype == np.int8 and not nullity.flags.writeable
+    with pytest.raises(ValueError):
+        nullity[0] = 1
+    sizes = popcount_table(code.n)
+    assert nullity[-1] == code.k and (nullity <= sizes).all() and (nullity >= 0).all()
+
+
+@pytest.mark.parametrize("fastpath_first", [False, True], ids=["ghw_first", "betti_first"])
+def test_ghw_route_follows_from_the_length_alone(monkeypatch, fastpath_first):
+    """At n = 19 <= MAX_TABLE_N the profile is read off the table, which
+    this code (19^9 words on the smaller side, above 2^19) builds by the
+    walk, once; the early-stopping GHW walk never runs, whichever of the
+    two reads the table first."""
+    ran = []
+
+    def spied(name):
+        fn = getattr(codes, name)
+        return lambda *args: ran.append(name) or fn(*args)
+
+    for name in ("_nullity_by_counting", "_nullity_by_walk", "_ghw_by_walk"):
+        monkeypatch.setattr(codes, name, spied(name))
+    code = rm.build_code.__wrapped__(19, 8, 1)      # cold (19, 1, 8): [19, 9, 11]
+    assert code.n <= codes.MAX_TABLE_N and not codes._counting_admits(code)
+    if fastpath_first:
+        rb.betti_fastpath(code)
+    assert rb.ghw_profile(code) == tuple(range(11, 20))   # MDS: d_i = n - k + i
+    rb.betti_fastpath(code)
+    assert ran == ["_nullity_by_walk"]
+
+
 def test_counting_refuses_a_count_that_is_not_a_power_of_q(monkeypatch, capsys):
     def corrupted(values, n):
         subset_sum_accumulate(values, n)

@@ -233,6 +233,31 @@ def test_entry_points_refuse_what_is_not_a_field_element(entry):
         call(good)
 
 
+@pytest.mark.parametrize("entry", ["rref", "matmul_left", "matmul_right", "matvec_matrix",
+                                   "matvec_vector", "row_space_equal", "face_levels"])
+def test_entry_points_refuse_an_array_of_the_wrong_shape(entry):
+    """One shape check for every entry point: a matrix must be 2-d and
+    matvec's vector 1-d, else ParameterError, never a raw IndexError or
+    ValueError from reading a missing axis."""
+    gf = field(3)
+    ident = np.eye(2, dtype=gf.dtype)
+    call = {
+        "rref": lambda bad: linalg.rref(gf, bad),
+        "matmul_left": lambda bad: linalg.matmul(gf, bad, ident),
+        "matmul_right": lambda bad: linalg.matmul(gf, ident, bad),
+        "matvec_matrix": lambda bad: linalg.matvec(gf, bad, ident[0]),
+        "matvec_vector": lambda bad: linalg.matvec(gf, ident, bad),
+        "row_space_equal": lambda bad: linalg.row_space_equal(gf, bad, bad),
+        "face_levels": lambda bad: next(linalg.face_levels(gf, bad)),
+    }[entry]
+    wanted = 1 if entry == "matvec_vector" else 2
+    for bad in (1, [1, 2], [[1, 2]], [[[1, 2]]]):
+        if np.ndim(bad) != wanted:
+            with pytest.raises(ParameterError, match=rf"^expected a {wanted}-d array"):
+                call(bad)
+    call([1, 2] if wanted == 1 else [[1, 2], [0, 1]])
+
+
 def _scalar_dot(gf, row, col):
     acc = 0
     for x, y in zip(row, col):

@@ -284,21 +284,25 @@ def test_betti_guards():
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2)]
                          + [(q, 1) for q in (2, 3, 4, 5, 7, 8, 9, 11)])
 def test_orbit_sweep_equals_unreduced_sweep(q, m):
-    generators = rm.affine_generators(q, m)
     for r in range(m * (q - 1) + 1):
         code = rb.build_code(q, r, m)
+        plain = rb.LinearCode(code.gf, code.G)  # the same code, no symmetries
+        assert plain.symmetries == () and code.symmetries
         for ell in (2, 3):
-            assert (rb.betti_hochster(code, ell, generators)
-                    == rb.betti_hochster(code, ell)), (q, m, r, ell)
+            assert (rb.betti_hochster(code, ell)
+                    == rb.betti_hochster(plain, ell)), (q, m, r, ell)
 
 
 @pytest.mark.parametrize("q,m,orbits", [(2, 3, 10), (3, 2, 14), (2, 4, 32), (4, 2, 77)])
 def test_restriction_orbit_counts(q, m, orbits):
     code = rb.build_code(q, 1, m)
-    reps, sizes = srres.restriction_orbits(code, rm.affine_generators(q, m))
+    reps, sizes = srres.restriction_orbits(code)
     assert len(reps) == orbits
     assert sizes.sum() == 1 << code.n
     assert reps[0] == 0 and sizes[0] == 1  # the empty set is alone
+    # a code with no symmetries has every mask as its own orbit
+    reps, sizes = srres.restriction_orbits(rb.LinearCode(code.gf, code.G))
+    assert reps.tolist() == list(range(1 << code.n)) and set(sizes.tolist()) == {1}
 
 
 def test_affine_generators_preserve_every_rm_code():
@@ -318,7 +322,7 @@ def test_affine_generators_preserve_every_rm_code():
             assert np.sum(degree <= r) + np.sum(degree <= top - 1 - r) == n
         low = degree[:, None] + degree[None, :] < top
         V = rm.generator_matrix(q, top, m)
-        generators = rm.affine_generators(q, m)
+        generators = rb.build_code(q, 0, m).symmetries
         assert len(generators) == m + (q - 2) + (m - 1) + (m > 1)
         for perm in (np.arange(n), *generators):
             assert sorted(perm.tolist()) == list(range(n))
@@ -326,20 +330,38 @@ def test_affine_generators_preserve_every_rm_code():
         assert not any(perm.flags.writeable for perm in generators)
 
 
-def test_symmetry_that_moves_the_code_is_dropped():
+def test_rm_symmetries_are_built_once_and_read_only():
+    built = rb.build_code(3, 2, 2)
+    code = rm.RMCode(3, 2, 2, built.G)             # cold: nothing cached yet
+    assert "symmetries" not in vars(code)
+    generators = code.symmetries
+    assert code.symmetries is generators and isinstance(generators, tuple)
+    assert all(perm.dtype == np.int64 and not perm.flags.writeable
+               for perm in generators)
+    with pytest.raises(ValueError):
+        generators[0][0] = 1
+    assert rb.LinearCode.symmetries == () and "symmetries" not in vars(rb.LinearCode(
+        built.gf, built.G))
+
+
+def test_a_bad_symmetry_is_a_cross_check_error():
     # swapping the points 0 and 1 of AG(3, 2) maps the affine plane
     # {0, 2, 4, 6} (x_2 = 0) onto {1, 2, 4, 6}, which is no plane
-    code = rb.build_code(2, 1, 3)
+    built = rb.build_code(2, 1, 3)
     swap = np.array([1, 0, *range(2, 8)])
-    reps, sizes = srres.restriction_orbits(code, [swap])
-    assert reps.tolist() == list(range(256)) and set(sizes.tolist()) == {1}
-    assert rb.betti_hochster(code, 2, [swap]) == rb.betti_hochster(code, 2)
-    # the same swap fixes the full space, so it is kept there
-    full = rb.build_code(2, 3, 3)
-    assert len(srres.restriction_orbits(full, [swap])[0]) < 256
-    for bad in (np.arange(7), np.arange(8.0), np.zeros(8, int)):
-        with pytest.raises(ParameterError, match="permute"):
-            srres.restriction_orbits(code, [bad])
+    bad = [(swap, "moves the code"), (np.arange(8.0), "does not permute"),
+           (np.zeros(8, int), "does not permute"), (np.arange(7), "does not permute")]
+    for perm, reason in bad:
+        code = rm.RMCode(2, 3, 1, built.G)
+        code.symmetries = (*built.symmetries, perm)
+        with pytest.raises(CrossCheckError, match=reason):
+            srres.restriction_orbits(code)
+        with pytest.raises(CrossCheckError, match=reason):
+            rb.betti_hochster(code, 2)
+    # the same swap fixes the full space, so it is a symmetry there
+    full = rb.LinearCode(field(2), np.eye(8, dtype=np.uint8))
+    full.symmetries = (swap,)
+    assert len(srres.restriction_orbits(full)[0]) < 256
 
 
 def test_min_shifts_bounded_below_by_distance():

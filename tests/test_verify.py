@@ -541,6 +541,36 @@ def test_constructed_certificates_never_fail_silently(monkeypatch):
         rb.non_purity_certificate(4, 2, 4)
 
 
+@pytest.mark.parametrize("witness,failed", [
+    # one root too many: degree 5, outside RM_4(4, 2), weight 2
+    ("extra_root", ["witness_degree_is_r", "codeword_in_code", "weight_matches_formula",
+                    "weight_exceeds_d1"]),
+    ("zero", ["witness_degree_is_r", "weight_matches_formula", "weight_exceeds_d1"]),
+])
+def test_a_bad_witness_is_a_certificate_error_before_the_shrink(monkeypatch, capsys,
+                                                                witness, failed):
+    """The checks on the witness run before shrink_to_one_minimal, which
+    would refuse a word outside the code or the zero word with a
+    ParameterError (exit 2) instead."""
+    linear_product = rm.linear_product
+
+    def broken(gf, m, roots):
+        if witness == "zero":
+            return rm.ExponentPoly(gf, m)
+        return linear_product(gf, m, [*roots, (0, 1)])
+
+    def unreachable(*args):
+        raise AssertionError("shrank a witness that failed its own checks")
+
+    monkeypatch.setattr(rm, "linear_product", broken)
+    monkeypatch.setattr(codes, "shrink_to_one_minimal", unreachable)
+    with pytest.raises(CertificateError) as raised:
+        rb.non_purity_certificate(4, 2, 4)
+    assert str(raised.value).endswith(f"{failed}")
+    assert cli.main(["certificate", "--q", "4", "--m", "2", "--r", "4", "--no-timing"]) == 4
+    assert str(failed) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q,m,r", [(4, 3, 4), (5, 2, 5), (3, 4, 3)])
 def test_certificate_op_runs_three_eliminations(monkeypatch, capsys, q, m, r):
     """G's RREF in build_code, the shrink's null space of the witness
