@@ -26,10 +26,9 @@ print("default construction: weight", rb.weight(word), "support", rb.support(wor
 print("parity check annihilates it:", code.contains(word))
 
 # Different constants move the support but never the weight (s = 1 here,
-# so exactly one excluded value).
-g = rb.ExponentPoly.constant(gf, m, 3) * rb.linear_product(
-    gf, m, pinned_roots(gf, [2]) + [(t, 3)])
-word2 = g.evaluate()
+# so exactly one excluded value); a nonzero scale moves neither.
+g = rb.linear_product(gf, m, pinned_roots(gf, [2]) + [(t, 3)])
+word2 = gf.mul(3, g.evaluate())
 print("custom constants: weight", rb.weight(word2), "support", rb.support(word2))
 
 # The code's own symmetries, the generators of AGL(m, q) as permutations of

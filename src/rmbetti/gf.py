@@ -12,7 +12,9 @@ coefficient vectors folded by the modulus (``GF.fold``).  The Cayley tables
 are built that way once, from the e^2 outer products of coefficient columns,
 and ``linalg.matmul`` applies the same rule to whole matrices.  ``fold`` is
 also the one way back from coefficients to elements: sums and negatives are
-folded coefficient planes too.
+folded coefficient planes too.  An element is read through its row of
+``GF.vectors``, and its powers through ``GF.powers`` or ``GF.pow``, which
+reduces the exponent by a^q = a.
 """
 
 from __future__ import annotations
@@ -171,9 +173,6 @@ class GF:
         """All q elements in canonical order (0, 1, then lex by coeffs)."""
         return list(range(self.q))
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(self.vectors[int(a)].tolist())
-
     def array(self, values, what: str = "entries") -> np.ndarray:
         """values as an array of the field's dtype, the array itself when it
         already has that dtype: the one check of arrays of elements.  Entries
@@ -200,21 +199,6 @@ class GF:
             c[w - e:w] -= low * (c[w] % p)
         return self._of_lex[np.moveaxis(c[:e], 0, -1) % p @ self._lex_weights]
 
-    def element_str(self, a: int) -> str:
-        a = int(a)
-        if self.e == 1:
-            return str(a)
-        parts = []
-        for i, c in enumerate(self.coeffs(a)):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "a" if i == 1 else f"a^{i}"
-                parts.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(parts) if parts else "0"
-
     # -- arithmetic -----------------------------------------------------
 
     @staticmethod
@@ -240,18 +224,14 @@ class GF:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
         return self._out(self._inv[a])
 
-    def exp_reduce(self, k: int) -> int:
-        """Reduce an exponent using a**q = a (valid for every element)."""
+    def pow(self, a, k: int):
+        """a**k for an integer k >= 0: the exponent is reduced into 1..q-1
+        by a**q = a, which holds for every element, and 0**0 = 1."""
         if not is_int(k):
             raise ParameterError(f"exponent must be an integer, got {k!r}")
         if k < 0:
             raise ParameterError("negative exponent")
-        if k == 0:
-            return 0
-        return (k - 1) % (self.q - 1) + 1
-
-    def pow(self, a, k: int):
-        return self._out(self.powers[a, self.exp_reduce(k)])
+        return self._out(self.powers[a, k and (k - 1) % (self.q - 1) + 1])
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -8,9 +8,10 @@ dimension and the affine maps that fix them (RMCode.symmetries, the one
 place that knows AGL(m, q) fixes every RM code).  The grid is one read-only
 q^m x m array, point_order(q, m); its row order is the coordinate order of
 every evaluation vector and every code.  Every explicit codeword is a
-product of linear factors (linear_product, pinned_roots); the witnesses of
-the purity analysis are listed as such factors by
-verify.certificate_witness.
+product of linear factors (linear_product, pinned_roots), written term by
+term into an ExponentPoly, a checked term table that evaluates and has no
+ring arithmetic; the witnesses of the purity analysis are listed as such
+factors by verify.certificate_witness.
 """
 
 from __future__ import annotations
@@ -125,10 +126,12 @@ def point_order(q: int, m: int) -> np.ndarray:
 
 
 class ExponentPoly:
-    """Polynomial as a map exponent-vector -> nonzero coefficient.
+    """Polynomial as a checked table exponent-vector -> coefficient.
 
-    Every variable degree stays below q: products are reduced with
-    X^q -> X, which preserves values on the point grid since a^q = a.
+    Every term has m integer exponents in 0..q-1 and a coefficient in
+    1..q-1; any other term is refused, never dropped or reduced.  A
+    polynomial here is only evaluated: the products that build codewords
+    are written term by term by linear_product.
     """
 
     __slots__ = ("gf", "m", "terms")
@@ -138,58 +141,17 @@ class ExponentPoly:
         self.m = m
         clean: dict[tuple[int, ...], int] = {}
         for exps, coef in (terms or {}).items():
-            if not all(map(is_int, (coef, *exps))):
-                raise ParameterError(f"term {exps}: {coef!r}: entries must be integers")
-            coef = int(coef)
-            if not 0 <= coef < gf.q:
-                raise ParameterError(f"coefficient {coef} is not an element of GF({gf.q})")
-            if coef == 0:
-                continue
+            if not (isinstance(exps, tuple) and all(map(is_int, (coef, *exps)))):
+                raise ParameterError(f"term {exps!r}: {coef!r}: entries must be integers")
             exps = tuple(map(int, exps))
             if len(exps) != m:
                 raise ParameterError(f"exponent vector {exps} does not have {m} entries")
             if any(not 0 <= e < gf.q for e in exps):
                 raise ParameterError(f"exponent vector {exps} not reduced below q={gf.q}")
-            clean[exps] = coef
+            if not 0 < coef < gf.q:
+                raise ParameterError(f"coefficient {coef} is not a nonzero element of GF({gf.q})")
+            clean[exps] = int(coef)
         self.terms = clean
-
-    # constructors
-
-    @classmethod
-    def constant(cls, gf: GF, m: int, c: int) -> "ExponentPoly":
-        return cls(gf, m, {(0,) * m: c})
-
-    # ring operations
-
-    def _like(self, terms) -> "ExponentPoly":
-        return ExponentPoly(self.gf, self.m, terms)
-
-    def __add__(self, other: "ExponentPoly") -> "ExponentPoly":
-        gf = self.gf
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            out[exps] = gf.add(out.get(exps, 0), coef)
-        return self._like(out)
-
-    def __neg__(self) -> "ExponentPoly":
-        gf = self.gf
-        return self._like({e: gf.neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other: "ExponentPoly") -> "ExponentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ExponentPoly") -> "ExponentPoly":
-        gf = self.gf
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(gf.exp_reduce(a + b) for a, b in zip(e1, e2))
-                out[exps] = gf.add(out.get(exps, 0), gf.mul(c1, c2))
-        return self._like(out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExponentPoly) and self.gf is other.gf
-                and self.m == other.m and self.terms == other.terms)
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
@@ -214,16 +176,6 @@ class ExponentPoly:
         for _ in range(self.m):
             values = linalg.matmul(gf, gf.powers, values.reshape(q, -1)).T
         return values.reshape(-1)
-
-    def __repr__(self):
-        if not self.terms:
-            return "ExponentPoly(0)"
-        bits = []
-        for exps, coef in self.sorted_terms():
-            mono = "*".join(f"X{i + 1}^{e}" for i, e in enumerate(exps) if e)
-            bits.append(f"{self.gf.element_str(coef)}*{mono}" if mono
-                        else self.gf.element_str(coef))
-        return "ExponentPoly(" + " + ".join(bits) + ")"
 
 
 # -- the codes ---------------------------------------------------------------
@@ -346,25 +298,31 @@ def dimension_sources(q: int, r: int, m: int, G, rank: int) -> dict[str, int]:
 def linear_product(gf: GF, m: int, roots) -> ExponentPoly:
     """prod (X_var - value) over the (var, value) pairs of roots.
 
-    Every explicit codeword is built here.  No variable gets q or more
-    roots, so no X^q -> X reduction is needed and the product is already the
-    reduced polynomial.  Each variable's factors are multiplied together first, as a coefficient
-    list, so the product grows by one polynomial of at most q terms per
-    variable.
+    Every explicit codeword is built here.  Each variable's factors are
+    multiplied into one coefficient list (of X_var^0, X_var^1, ...).  The
+    lists are in different variables, so each choice of one nonzero
+    coefficient per variable is one term of the product: its exponents are
+    the chosen degrees and its coefficient the product of the chosen
+    coefficients, and no two choices meet.  A variable with q or more roots
+    would need X^q -> X; ExponentPoly refuses its exponent q.
     """
+    if not (is_int(m) and m >= 1):
+        raise ParameterError(f"need an integer m >= 1, got m={m!r}")
+    roots = list(roots)
     if not all(is_int(var) and is_int(value) and 0 <= var < m and 0 <= value < gf.q
                for var, value in roots):
         raise ParameterError(f"roots must pair a variable in 0..{m - 1} with an "
                              f"element of GF({gf.q})")
-    f = ExponentPoly.constant(gf, m, 1)
-    for var in sorted({var for var, _ in roots}):
-        coefs = [1]                       # of X_var^0, X_var^1, ...
+    factors = []
+    for var in range(m):
+        coefs = [1]
         for value in (value for v, value in roots if v == var):
             coefs = [gf.sub(lo, gf.mul(value, hi))
                      for lo, hi in zip([0] + coefs, coefs + [0])]
-        f = f * ExponentPoly(gf, m, {(0,) * var + (e,) + (0,) * (m - var - 1): c
-                                     for e, c in enumerate(coefs)})
-    return f
+        factors.append([(e, c) for e, c in enumerate(coefs) if c])
+    return ExponentPoly(gf, m, {
+        tuple(e for e, _ in choice): functools.reduce(gf.mul, (c for _, c in choice))
+        for choice in itertools.product(*factors)})
 
 
 def pinned_roots(gf: GF, values) -> list[tuple[int, int]]:

@@ -11,7 +11,9 @@ reference routes that follow (the subspace enumeration behind generalized
 Hamming weights and minimal subcodes, per-term evaluation, interpolation,
 substitution of linear forms) are built on those eliminations and products
 or on table lookups.  The explicit codewords at the end are built the
-symbolic way, as sums and powers of ExponentPoly, with no root lists.
+symbolic way, as sums and powers in Poly, this file's own polynomial ring
+on ExponentPoly's term table, with no root lists: src has no polynomial
+arithmetic, and rm.linear_product writes its products term by term.
 """
 
 import functools
@@ -469,7 +471,7 @@ def min_weight_poly(q, r, m, *, scale=1, pinned=None, excluded=None):
     q^(m-t-1) points fixing the first t coordinates and avoiding the s
     excluded values in coordinate t+1, the minimum weight."""
     gf, t, pinned, excluded = _min_weight_constants(q, r, m, scale, pinned, excluded)
-    f = ExponentPoly.constant(gf, m, int(scale)) * linear_product(
+    f = Poly.constant(gf, m, int(scale)) * linear_product(
         gf, m, pinned_roots(gf, pinned) + [(t, v) for v in excluded])
     return -f if t % 2 else f   # pinned_roots carries the sign (-1)^t
 
@@ -508,34 +510,82 @@ def certificate_json(cert):
 # -- explicit codewords, built symbolically --------------------------------
 
 
+def _exp_reduce(q, k):
+    """k reduced into 1..q-1 by X^q -> X, which keeps every value on the grid
+    since a^q = a; 0 stays 0."""
+    return k and (k - 1) % (q - 1) + 1
+
+
+class Poly(ExponentPoly):
+    """The test-only polynomial ring over GF(q): ExponentPoly's term table
+    with +, - and *, coefficients combined by _scalar_tables lookups and
+    exponents reduced by X^q -> X.  A product multiplies term by term, so
+    it shares no code with rm.linear_product; its right operand may be any
+    ExponentPoly.  There is no ==: compare .terms."""
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, gf, m, c):
+        """The constant c; zero is the empty term table."""
+        return cls(gf, m, {(0,) * m: c} if c else {})
+
+    def _like(self, terms):
+        return Poly(self.gf, self.m, {e: c for e, c in terms.items() if c})
+
+    def __add__(self, other):
+        add = _scalar_tables(self.gf)[0]
+        out = dict(self.terms)
+        for exps, coef in other.terms.items():
+            out[exps] = add[out.get(exps, 0)][coef]
+        return self._like(out)
+
+    def __neg__(self):
+        _, mul, _, minus_one = _scalar_tables(self.gf)
+        return self._like({e: mul[minus_one][c] for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        add, mul, _, _ = _scalar_tables(self.gf)
+        q = self.gf.q
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(_exp_reduce(q, a + b) for a, b in zip(e1, e2))
+                out[exps] = add[out.get(exps, 0)][mul[c1][c2]]
+        return self._like(out)
+
+
 def power(f, k):
     """f multiplied by itself k times; the constant 1 for k = 0."""
-    out = ExponentPoly.constant(f.gf, f.m, 1)
+    out = Poly.constant(f.gf, f.m, 1)
     for _ in range(k):
         out = out * f
     return out
 
 
 def variable(gf, m, i):
-    """The polynomial X_i, by the ExponentPoly constructor."""
-    return ExponentPoly(gf, m, {tuple(int(j == i) for j in range(m)): 1})
+    """The polynomial X_i of the oracle ring."""
+    return Poly(gf, m, {tuple(int(j == i) for j in range(m)): 1})
 
 
 def _coordinate_indicator(gf, m, var, value):
     """1 - (X_var - value)^(q-1): one at points with that coordinate, else zero."""
     x = variable(gf, m, var)
-    shifted = x - ExponentPoly.constant(gf, m, value)
-    return ExponentPoly.constant(gf, m, 1) - power(shifted, gf.q - 1)
+    shifted = x - Poly.constant(gf, m, value)
+    return Poly.constant(gf, m, 1) - power(shifted, gf.q - 1)
 
 
 def min_weight_poly_symbolic(q, r, m, *, scale=1, pinned=None, excluded=None):
     """scale * [indicator of X_1..X_t = pinned] * prod_j (X_{t+1} - excluded_j)."""
     gf, t, pinned, excluded = _min_weight_constants(q, r, m, scale, pinned, excluded)
-    f = ExponentPoly.constant(gf, m, int(scale))
+    f = Poly.constant(gf, m, int(scale))
     for i in range(t):
         f = f * _coordinate_indicator(gf, m, i, pinned[i])
     for val in excluded:
-        f = f * (variable(gf, m, t) - ExponentPoly.constant(gf, m, val))
+        f = f * (variable(gf, m, t) - Poly.constant(gf, m, val))
     return f
 
 
@@ -544,7 +594,7 @@ def interpolation_basis_symbolic(q, m):
     gf = field(q)
     out = []
     for pt in point_order(q, m):
-        f = ExponentPoly.constant(gf, m, 1)
+        f = Poly.constant(gf, m, 1)
         for j in range(m):
             f = f * _coordinate_indicator(gf, m, j, int(pt[j]))
         out.append(f)
@@ -565,16 +615,16 @@ def witness_poly_large_field_symbolic(q, m, r):
             f"need m >= 2 and 1 < r < m(q-1)-1, got m={m}, r={r}")
     gf = field(q)
     elems = gf.elements()
-    f = ExponentPoly.constant(gf, m, 1)
+    f = Poly.constant(gf, m, 1)
     for i in range(t - 1):
         x = variable(gf, m, i)
-        f = f * (power(x, q - 1) - ExponentPoly.constant(gf, m, 1))
+        f = f * (power(x, q - 1) - Poly.constant(gf, m, 1))
     for j in range(2, q):
         f = f * (variable(gf, m, t - 1)
-                 - ExponentPoly.constant(gf, m, elems[j]))
+                 - Poly.constant(gf, m, elems[j]))
     for val in elems[:2]:
         f = f * (variable(gf, m, t)
-                 - ExponentPoly.constant(gf, m, val))
+                 - Poly.constant(gf, m, val))
     return f
 
 
@@ -591,11 +641,11 @@ def witness_poly_ternary_symbolic(m, r):
             f"need 1 <= t <= m-2 for q=3, got t={t}, m={m}")
     gf = field(q)
     third = gf.elements()[2]
-    f = ExponentPoly.constant(gf, m, 1)
+    f = Poly.constant(gf, m, 1)
     for i in range(t - 1):
         x = variable(gf, m, i)
-        f = f * (power(x, 2) - ExponentPoly.constant(gf, m, 1))
+        f = f * (power(x, 2) - Poly.constant(gf, m, 1))
     for var in (t - 1, t, t + 1):
         f = f * (variable(gf, m, var)
-                 - ExponentPoly.constant(gf, m, third))
+                 - Poly.constant(gf, m, third))
     return f

@@ -8,9 +8,9 @@ from rmbetti import CrossCheckError, ExponentPoly, ParameterError, TooLargeError
 from rmbetti import linalg, rm
 from rmbetti.rm import binom, pinned_roots, validate_params
 
-from oracles import (evaluate_terms, interpolate, interpolation_basis_symbolic, min_weight_poly,
-                     min_weight_poly_symbolic, monomial_row, power,
-                     substitute_linear_forms, witness_poly_large_field_symbolic,
+from oracles import (Poly, evaluate_terms, interpolate, interpolation_basis_symbolic,
+                     min_weight_poly, min_weight_poly_symbolic, monomial_row, power,
+                     substitute_linear_forms, variable, witness_poly_large_field_symbolic,
                      witness_poly_ternary_symbolic)
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
@@ -132,7 +132,7 @@ def test_point_order_origin_first_and_lexicographic():
 
 def test_evaluate_examples():
     gf = field(2)
-    ones = ExponentPoly.constant(gf, 2, 1)
+    ones = ExponentPoly(gf, 2, {(0, 0): 1})
     assert np.array_equal(ones.evaluate(), [1, 1, 1, 1])
     x1 = ExponentPoly(gf, 2, {(1, 0): 1})
     assert np.array_equal(x1.evaluate(), [0, 0, 1, 1])
@@ -166,15 +166,17 @@ def test_evaluate_refuses_an_oversized_grid_before_allocating(monkeypatch):
 
 
 def test_exponent_poly_reduction_and_arithmetic():
+    # the test-only ring the symbolic references are built in
     gf = field(3)
-    x = ExponentPoly(gf, 1, {(1,): 1})
+    x = Poly(gf, 1, {(1,): 1})
     assert (x * x * x).terms == x.terms  # X^3 = X on values
     assert power(x, 5).terms == (power(x, 3) * power(x, 2)
-                                 * ExponentPoly.constant(gf, 1, 1)).terms
+                                 * Poly.constant(gf, 1, 1)).terms
     cube = x * x * x
     assert np.array_equal(cube.evaluate(), x.evaluate())
     zero = x - x
     assert zero.terms == {} and zero.total_degree() == -1
+    assert Poly.constant(gf, 1, 0).terms == {}
     with pytest.raises(ParameterError):
         ExponentPoly(gf, 2, {(3, 0): 1})  # exponent not reduced
 
@@ -182,8 +184,8 @@ def test_exponent_poly_reduction_and_arithmetic():
 def test_exponent_poly_coefficients_are_field_elements():
     gf = field(4)
     assert ExponentPoly(gf, 2, {(1, 0): 3}).terms == {(1, 0): 3}
-    for coef in (300, 7, 4, -1):
-        with pytest.raises(ParameterError, match="not an element of GF"):
+    for coef in (300, 7, 4, -1, 0):
+        with pytest.raises(ParameterError, match="not a nonzero element of GF"):
             ExponentPoly(gf, 2, {(1, 0): coef})
     # numpy integers are integers; floats, bools and strings are refused,
     # never truncated, in a coefficient or an exponent
@@ -191,9 +193,22 @@ def test_exponent_poly_coefficients_are_field_elements():
     assert ExponentPoly(gf, 2, terms).terms == {(1, 0): 3}
     for terms in ({(1.5, True): 1.9}, {(1, 0): 1.9}, {(1, 0): 1.0}, {(1, 0): True},
                   {(1, 0): np.True_}, {(1, 0): "1"}, {(1.0, 0): 1}, {(True, 0): 1},
-                  {("1", 0): 1}, {(1, np.float64(0)): 0}):
+                  {("1", 0): 1}, {(1, np.float64(0)): 0}, {5: 1}, {"10": 1}):
         with pytest.raises(ParameterError, match="must be integers"):
             ExponentPoly(gf, 2, terms)
+
+
+def test_exponent_poly_checks_every_term_it_is_given():
+    # a zero coefficient is refused like any other bad term, and only after
+    # its exponent vector is checked: nothing is dropped unchecked
+    gf = field(3)
+    with pytest.raises(ParameterError, match="does not have 2 entries"):
+        ExponentPoly(gf, 2, {(1, 2, 3): 0})
+    with pytest.raises(ParameterError, match="not reduced below q=3"):
+        ExponentPoly(gf, 2, {(-1, 9): 0})
+    with pytest.raises(ParameterError, match="coefficient 0 is not a nonzero element"):
+        ExponentPoly(gf, 2, {(1, 2): 0})
+    assert ExponentPoly(gf, 2).terms == ExponentPoly(gf, 2, {}).terms == {}
 
 
 def test_build_code_examples():
@@ -329,7 +344,7 @@ def test_min_weight_poly_validation():
 def test_min_weight_poly_scale_outside_the_field():
     # refused by the ExponentPoly constructor before any table lookup
     for scale in (4, -1):
-        with pytest.raises(ParameterError, match="not an element of GF"):
+        with pytest.raises(ParameterError, match="not a nonzero element of GF"):
             min_weight_poly(4, 4, 2, scale=scale)
 
 
@@ -392,7 +407,7 @@ def point_indicators(q, m):
     elsewhere."""
     gf = field(q)
     sign = gf.neg(1) if m % 2 else 1
-    return [ExponentPoly.constant(gf, m, sign) * rb.linear_product(
+    return [Poly.constant(gf, m, sign) * rb.linear_product(
         gf, m, pinned_roots(gf, point.tolist())) for point in rb.point_order(q, m)]
 
 
@@ -425,7 +440,7 @@ def test_interpolate_inverts_evaluate():
                 coef = int(rng.integers(1, q))
                 terms[exps] = coef
             f = ExponentPoly(gf, m, terms)
-            assert interpolate(gf, m, f.evaluate()) == f
+            assert interpolate(gf, m, f.evaluate()).terms == f.terms
         # degree detection: membership in the order-r code
         for r in range(m * (q - 1) + 1):
             word = min_weight_poly(q, r, m).evaluate()
@@ -616,9 +631,20 @@ def test_interpolation_basis_matches_symbolic_construction():
 def test_linear_product():
     gf = field(5)
     # 2 (X_1 - 3)(X_2 - 0)(X_2 - 1) = 2 (X_1 X_2^2 - X_1 X_2 - 3 X_2^2 + 3 X_2)
-    f = ExponentPoly.constant(gf, 2, 2) * rb.linear_product(gf, 2, [(0, 3), (1, 0), (1, 1)])
+    f = Poly.constant(gf, 2, 2) * rb.linear_product(gf, 2, [(0, 3), (1, 0), (1, 1)])
     assert f.terms == {(1, 2): 2, (1, 1): 3, (0, 2): 4, (0, 1): 1}
     assert rb.linear_product(gf, 3, []).terms == {(0, 0, 0): 1}
+    # m is an integer >= 1: 2.0 and True are refused, not used as 2 and 1
+    for m in (2.0, True, np.float64(2), 0, -1, "2", None):
+        with pytest.raises(ParameterError, match="need an integer m >= 1"):
+            rb.linear_product(gf, m, [(0, 1)])
+    assert rb.linear_product(gf, np.int64(2), [(0, 1)]).terms == {(1, 0): 1, (0, 0): 4}
+    # roots are read once: an iterator gives the product, not the constant 1
+    assert rb.linear_product(gf, 2, iter([(0, 1)])).terms == {(1, 0): 1, (0, 0): 4}
+    # q roots on one variable would need X^q -> X: refused, not reduced
+    for q in (2, 3, 4):
+        with pytest.raises(ParameterError, match=f"not reduced below q={q}"):
+            rb.linear_product(field(q), 2, [(1, 0)] + [(0, b) for b in range(q)])
     for root in ((2, 0), (-1, 0), (0, 5), (0, -1), (0, 1.5), (0.0, 1), (True, 2),
                  (0, False), (np.float64(1), 0)):
         with pytest.raises(ParameterError):
@@ -629,3 +655,25 @@ def test_linear_product():
     for value in (7, 4, 1.5, -1, True, 2.0):
         with pytest.raises(ParameterError):
             pinned_roots(gf4, [0, value])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_linear_product_equals_the_oracle_ring_product(q):
+    # random root lists, repeats allowed, against the product of their
+    # (X_var - value) factors in the oracle ring; each variable draws 0 to
+    # q - 1 roots, and one per trial is held at 0 or at q - 1
+    gf = field(q)
+    rng = np.random.default_rng(700 + q)
+    for m in range(1, 5):
+        for trial in range(12):
+            counts = rng.integers(0, q, size=m)
+            counts[trial % m] = (0, q - 1)[trial // m % 2]
+            roots = [(var, int(rng.integers(0, q))) for var in range(m)
+                     for _ in range(counts[var])]
+            roots = [roots[i] for i in rng.permutation(len(roots))]
+            want = Poly.constant(gf, m, 1)
+            for var, value in roots:
+                want = want * (variable(gf, m, var) - Poly.constant(gf, m, value))
+            got = rb.linear_product(gf, m, roots)
+            assert type(got) is ExponentPoly
+            assert got.terms == want.terms, (q, m, roots)

@@ -172,6 +172,10 @@ NON_INTEGER_TAMPERS = [
         for term in cert["witness_poly"]]), "witness_terms"),
     ("zero-term", _terms(lambda cert: cert["witness_poly"] + [
         {"exponents": [cert["q"] - 1] * cert["m"], "coeff": 0}]), "witness_terms"),
+    ("zero-term-bad-exponents", _terms(lambda cert: cert["witness_poly"] + [
+        {"exponents": [-1, 9], "coeff": 0}]), "witness_terms"),
+    ("zero-coeff", _terms(lambda cert: [{**cert["witness_poly"][0], "coeff": 0}]
+                          + cert["witness_poly"][1:]), "witness_terms"),
     ("repeated-term", _terms(lambda cert: cert["witness_poly"] + cert["witness_poly"][:1]),
      "witness_terms"),
 ]
